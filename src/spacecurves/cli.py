@@ -236,7 +236,7 @@ def cmd_connect(args) -> int:
     rep = _Report(args, {"curveA": _digest(ca), "curveB": _digest(cb)})
     A, B = _curve(ca), _curve(cb)
     chain = connect_by_biliaisons(
-        A, B, max_height=args.degree_margin, trials=args.trials, seed=args.seed
+        A, B, max_height=args.max_height, trials=args.trials, seed=args.seed
     )
     end = replay_chain(A.ideal, chain)
     if not (end == B.ideal):
@@ -331,7 +331,6 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--trials", type=int, default=32)
-    common.add_argument("--degree-margin", type=int, default=2)
     common.add_argument("--json", action="store_true")
     common.add_argument("--timings", action="store_true")
     common.add_argument("--dual-numbers", action="store_true")
@@ -371,6 +370,7 @@ def _build_parser():
         sp.add_argument("fileB")
         if name == "connect":
             sp.add_argument("--output", default=None)
+            sp.add_argument("--max-height", type=int, default=2)
         sp.set_defaults(fn=fn)
     sp = sub.add_parser("corpus", parents=[common])
     sp.add_argument("action", choices=["list", "run"])

@@ -237,11 +237,7 @@ def _rao_route_saturation(C: CurveFamily) -> FiniteModuleData:
         width = bases[n].shape[0]
         span = linalg.Span(max(width, 1), p)
         span.add_many(img[n])
-        chosen = []
-        for j in range(bases[n].shape[1]):
-            if span.add(bases[n][:, j]):
-                chosen.append(bases[n][:, j])
-        reps[n] = chosen
+        reps[n] = [bases[n][:, j] for j in span.add_many(bases[n])]
     dims = {n: len(reps[n]) for n in degrees if reps[n]}
     actions = {}
     eps_maps = {}

@@ -18,7 +18,7 @@ from importlib import resources
 from .errors import ParseError
 from .groebner import Ideal
 from .polyring import Poly
-from .scalars import BaseRing
+from .scalars import MAX_PRIME, BaseRing, is_prime
 
 _HEADER = re.compile(r"^ring\s+p=(\d+)\s+base=(field|dual)\s*$")
 
@@ -43,7 +43,9 @@ class CurveFile:
         if not m:
             raise ParseError(f"bad header line {lines[0]!r}")
         p = int(m.group(1))
-        if p < 2 or any(p % q == 0 for q in range(2, min(p, 1000))):
+        if p > MAX_PRIME:
+            raise ParseError(f"p={p} exceeds the largest supported prime {MAX_PRIME}")
+        if not is_prime(p):
             raise ParseError(f"p={p} is not prime")
         base = BaseRing(p, m.group(2) == "dual")
         if len(lines) < 2 or lines[1] != "gens:":

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -124,20 +123,6 @@ def vector_to_element(F: FreeModule, vec: np.ndarray, n: int):
     return tuple(out)
 
 
-def eps_matrix(F: FreeModule, n: int) -> np.ndarray:
-    """Multiplication by epsilon on the stacked degree-n piece."""
-    D = F.fiber_dim(n)
-    return linalg.eps_action(D)
-
-
-def element_degree(F: FreeModule, elem) -> int:
-    """Degree of a homogeneous element; None if zero."""
-    for i, f in enumerate(elem):
-        if not f.is_zero():
-            return f.degree() - F.twists[i]
-    return None
-
-
 class GradedMap:
     """A degree-0 map between twisted free modules, as a Poly matrix."""
 
@@ -234,13 +219,6 @@ class GradedMap:
             [[f.fiber() for f in row] for row in self.matrix],
         )
 
-    def lift_base(self, base: BaseRing) -> "GradedMap":
-        return GradedMap(
-            FreeModule(base, self.source.twists),
-            FreeModule(base, self.target.twists),
-            [[f.lift(base) for f in row] for row in self.matrix],
-        )
-
     def matrix_at(self, n: int) -> np.ndarray:
         """The k-linear matrix of the map on degree-n stacked pieces."""
         if n in self._cache:
@@ -254,22 +232,15 @@ class GradedMap:
         height = 2 * Dt if dual else Dt
         out = np.zeros((height, width), dtype=np.int64)
         col = 0
-        cols_fiber = []
         for j in range(self.source.rank):
             d = n + self.source.twists[j]
             column = self.column(j)
             for m in monomials(d):
                 elem = tuple(f.mul_monomial(m) for f in column)
-                vec = element_to_vector(self.target, elem, n)
-                out[:, col] = vec
-                cols_fiber.append(col)
+                out[:, col] = element_to_vector(self.target, elem, n)
                 col += 1
         if dual:
-            eps = linalg.eps_action(Dt)
-            for j, c in enumerate(cols_fiber):
-                out[:, Ds + j] = linalg.matmul(
-                    eps, out[:, c].reshape(-1, 1), p
-                ).reshape(-1)
+            out[:, Ds:] = linalg.eps_times(out[:, :Ds])
         self._cache[n] = out % p
         return self._cache[n]
 
@@ -304,17 +275,10 @@ def min_generators(F: FreeModule, piece_fn, cap: int):
             for m in monomials(n - d):
                 span.add(element_to_vector(F, tuple(f.mul_monomial(m) for f in g), n))
         if dual:
-            eps = linalg.eps_action(D)
-            span.add_many(linalg.matmul(eps, piece, p))
-        for j in range(piece.shape[1]):
-            if span.add(piece[:, j]):
-                gens.append(vector_to_element(F, piece[:, j], n))
-                degs.append(n)
-                if dual:
-                    eps = linalg.eps_action(D)
-                    span.add(
-                        linalg.matmul(eps, piece[:, j].reshape(-1, 1), p).reshape(-1)
-                    )
+            span.add_many(linalg.eps_times(piece))
+        for j in span.add_many(piece):
+            gens.append(vector_to_element(F, piece[:, j], n))
+            degs.append(n)
     return gens, degs
 
 
@@ -685,37 +649,8 @@ class ModuleHom:
                 return False
         return True
 
-    def is_injective_up_to(self, top: int) -> bool:
-        """Degreewise injectivity of the induced map on pieces."""
-        p = self.f0.base.p
-        lo = self.source.min_degree()
-        for n in range(lo, top + 1):
-            if _hom_piece_kernel_dim(self, n) != 0:
-                return False
-        return True
-
     def compose(self, other: "ModuleHom") -> "ModuleHom":
         return ModuleHom(other.source, self.target, self.f0.compose(other.f0))
-
-
-def _hom_piece_kernel_dim(h: ModuleHom, n: int) -> int:
-    """dim ker(M_n -> N_n)."""
-    p = h.f0.base.p
-    f, phi, psi = h.piece_matrices(n)
-    # kernel of induced map = preimage of im psi, modulo im phi
-    proj = _cocomplement_rows(psi, p)
-    constrained = linalg.matmul(proj, f, p) if proj.size else np.zeros((0, f.shape[1]), dtype=np.int64)
-    pre = linalg.kernel_basis(constrained, p)
-    dim_pre = pre.shape[1]
-    rank_phi = linalg.rank(phi, p)
-    return dim_pre - rank_phi
-
-
-def _cocomplement_rows(mat: np.ndarray, p: int) -> np.ndarray:
-    """Rows whose kernel is exactly the column space of mat."""
-    if mat.shape[1] == 0:
-        return linalg.identity(mat.shape[0])
-    return linalg.kernel_basis(mat.T % p, p).T
 
 
 def hom_space(M: GradedModule, N: GradedModule, d: int = 0):
@@ -744,7 +679,7 @@ def hom_space(M: GradedModule, N: GradedModule, d: int = 0):
         # rows annihilating im(psi) in G0 at degree `deg`
         red, piv = linalg.rref(target_piece.T, p) if target_piece.size else (np.zeros((0, G0.piece_dim(deg)), dtype=np.int64), [])
         span = red.T[:, : len(piv)] if piv else np.zeros((G0.piece_dim(deg), 0), dtype=np.int64)
-        proj = _cocomplement_rows(span, p)
+        proj = linalg.annihilator(span, p)
         if proj.shape[0] == 0:
             continue
         block = np.zeros((proj.shape[0], len(slots)), dtype=np.int64)
@@ -780,8 +715,7 @@ def hom_space(M: GradedModule, N: GradedModule, d: int = 0):
         span = linalg.Span(len(slots), p)
         for v in trivial_cols:
             span.add(v)
-        pick = [j for j in range(sols.shape[1]) if span.add(sols[:, j])]
-        sols = sols[:, pick] if pick else np.zeros((len(slots), 0), dtype=np.int64)
+        sols = sols[:, span.add_many(sols)]
     out = []
     for c in range(sols.shape[1]):
         out.append(_hom_from_slots(M, Nd, slots, sols[:, c]))
@@ -828,31 +762,32 @@ def random_hom(homs, rng, base) -> ModuleHom:
 # -- isomorphism testing ---------------------------------------------------
 
 
-def is_module_iso(M: GradedModule, N: GradedModule, trials: int = 32, seed: int = 0):
-    """'yes' / 'no' / 'undecided'.
+def find_module_iso(M: GradedModule, N: GradedModule, trials: int = 32, seed: int = 0):
+    """(kind, witness): kind is 'yes' / 'no' / 'undecided'.
 
     'no' is certified by a Hilbert-function or K-polynomial mismatch, or by
-    an empty hom space.  'yes' is certified by an exhibited degree-0 hom that
-    is surjective degreewise up to the generation bound; combined with equal
-    Hilbert functions in every degree this forces an isomorphism.
+    an empty hom space.  'yes' is certified by an exhibited degree-0 hom, the
+    witness, that is surjective degreewise up to the generation bound;
+    combined with equal Hilbert functions in every degree this forces an
+    isomorphism.  The witness is None unless a hom was exhibited.
     """
     if M.base != N.base:
         raise MixedBase("iso test across base rings")
     Mm = M.minimal_presentation()
     Nm = N.minimal_presentation()
     if Mm.F0.rank == 0 and Nm.F0.rank == 0:
-        return "yes"
+        return "yes", None
     if Mm.kpolynomial() != Nm.kpolynomial():
-        return "no"
+        return "no", None
     if M.base.dual:
         lo = min(Mm.min_degree(), Nm.min_degree())
         hi = max(Mm.regularity(), Nm.regularity()) + 2
         for n in range(lo, hi + 1):
             if Mm.piece_dim(n) != Nm.piece_dim(n):
-                return "no"
+                return "no", None
     homs = hom_space(Mm, Nm, 0)
     if not homs:
-        return "no"
+        return "no", None
     top = max(
         max((-t for t in Nm.F0.twists), default=0),
         max((-t for t in Mm.F0.twists), default=0),
@@ -861,8 +796,13 @@ def is_module_iso(M: GradedModule, N: GradedModule, trials: int = 32, seed: int 
     for _ in range(trials):
         f = random_hom(homs, rng, M.base)
         if f.is_surjective_up_to(top):
-            return "yes"
-    return "undecided"
+            return "yes", f
+    return "undecided", None
+
+
+def is_module_iso(M: GradedModule, N: GradedModule, trials: int = 32, seed: int = 0):
+    """'yes' / 'no' / 'undecided', certified as in find_module_iso."""
+    return find_module_iso(M, N, trials, seed)[0]
 
 
 # -- Ext ------------------------------------------------------------------
@@ -1046,12 +986,9 @@ class PieceCalculus:
     def eps_matrix_q(self, n: int) -> np.ndarray:
         """Multiplication by epsilon on quotient coordinates (dual base)."""
         dn = self.dim(n)
-        D = self.M.F0.fiber_dim(n)
         out = np.zeros((dn, dn), dtype=np.int64)
         for c in range(dn):
-            vec = self.embed(c, n)
-            evec = linalg.matmul(linalg.eps_action(D), vec.reshape(-1, 1), self.p).reshape(-1)
-            out[:, c] = self.project(evec, n)
+            out[:, c] = self.project(linalg.eps_times(self.embed(c, n)), n)
         return out
 
 
@@ -1182,9 +1119,6 @@ class FiniteModuleData:
                 eps[n] = m.T.copy()
         return FiniteModuleData(self.base, dims, actions, eps)
 
-    def hilbert(self) -> dict:
-        return dict(self.dims)
-
     def shift(self, h: int) -> "FiniteModuleData":
         """M(h): M(h)_n = M_{n+h}."""
         dims = {n - h: d for n, d in self.dims.items()}
@@ -1244,12 +1178,9 @@ def finite_module_data(M: GradedModule, margin: int = 2) -> FiniteModuleData:
                 mat[:, c] = project(vec, n + 1)
             actions[(n, v)] = mat
         if M.base.dual:
-            D = F0.fiber_dim(n)
             emat = np.zeros((dn, dn), dtype=np.int64)
             for c in range(dn):
-                vec = embed(c, n)
-                evec = linalg.matmul(linalg.eps_action(D), vec.reshape(-1, 1), p).reshape(-1)
-                emat[:, c] = project(evec, n)
+                emat[:, c] = project(linalg.eps_times(embed(c, n)), n)
             eps[n] = emat
     return FiniteModuleData(M.base, dims, actions, eps)
 
@@ -1377,7 +1308,7 @@ def torsion_dims(M: GradedModule, n_lo: int, n_hi: int) -> dict:
         target = Mm.presentation.matrix_at(n + c)
         red, piv = linalg.rref(target.T, p) if target.size else (None, [])
         span = red.T[:, : len(piv)] if piv else np.zeros((Mm.F0.piece_dim(n + c), 0), dtype=np.int64)
-        proj = _cocomplement_rows(span, p)
+        proj = linalg.annihilator(span, p)
         for m in monomials(c):
             mat = np.zeros((proj.shape[0], full), dtype=np.int64)
             for col in range(full):

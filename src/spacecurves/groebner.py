@@ -20,7 +20,6 @@ from .errors import MixedBase
 from .polyring import (
     NVARS,
     Poly,
-    ZERO_EXP,
     graded_piece_dim,
     grevlex_key,
     monomial_index,
@@ -31,13 +30,9 @@ from .scalars import BaseRing
 # -- raw engine on dict polynomials ------------------------------------
 
 
-def _raw_grevlex(e):
-    return (sum(e), tuple(-x for x in reversed(e)))
-
-
 def _raw_elim_first(e):
     # product order: tag variable block (index 0) dominates, grevlex on rest
-    return (e[0], _raw_grevlex(e[1:]))
+    return (e[0], grevlex_key(e[1:]))
 
 
 def _lead(f, key):
@@ -70,7 +65,7 @@ def _raw_add_scaled(f, g, c, shift, p):
     return out
 
 
-def raw_normal_form(f, basis, p, key=_raw_grevlex):
+def raw_normal_form(f, basis, p, key=grevlex_key):
     """Full normal form: no term of the result is divisible by a lead term."""
     f = dict(f)
     leads = [( _lead(g, key)[0], g) for g in basis if g]
@@ -93,7 +88,7 @@ def raw_normal_form(f, basis, p, key=_raw_grevlex):
     return out
 
 
-def raw_spoly(f, g, p, key=_raw_grevlex):
+def raw_spoly(f, g, p, key=grevlex_key):
     ef, cf = _lead(f, key)
     eg, cg = _lead(g, key)
     l = _lcm(ef, eg)
@@ -102,7 +97,7 @@ def raw_spoly(f, g, p, key=_raw_grevlex):
     return _raw_add_scaled(a, g, (-pow(cg, p - 2, p)) % p, _quot(l, eg), p)
 
 
-def raw_buchberger(gens, p, key=_raw_grevlex):
+def raw_buchberger(gens, p, key=grevlex_key):
     """Reduced monic Groebner basis of the ideal generated by gens."""
     basis = [dict(g) for g in gens if g]
     if not basis:
@@ -122,7 +117,7 @@ def raw_buchberger(gens, p, key=_raw_grevlex):
     return raw_interreduce(basis, p, key)
 
 
-def raw_interreduce(basis, p, key=_raw_grevlex):
+def raw_interreduce(basis, p, key=grevlex_key):
     # drop redundant lead terms, then tail-reduce and normalize
     basis = [g for g in basis if g]
     leads = [_lead(g, key)[0] for g in basis]
@@ -233,9 +228,6 @@ class Ideal:
             return True
         return self.contains(Poly.one(self.base))
 
-    def is_zero_ideal(self) -> bool:
-        return not self.gens
-
     def lead_exponents(self):
         return [g.leading()[0] for g in self.groebner_basis()]
 
@@ -260,8 +252,7 @@ class Ideal:
             return linalg.zeros(2 * dim, 0)
         mat = np.array(cols, dtype=np.int64).T % p
         if self.base.dual:
-            eps = linalg.eps_action(dim)
-            mat = np.concatenate([mat, linalg.matmul(eps, mat, p)], axis=1)
+            mat = np.concatenate([mat, linalg.eps_times(mat)], axis=1)
         # column-reduce to a basis
         red, pivots = linalg.rref(mat.T, p)
         return red.T[:, : len(pivots)] if pivots else linalg.zeros(2 * dim, 0)
@@ -382,7 +373,7 @@ def fiber_intersect(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(base, [raw_to_poly(g, base) for g in raw])
 
 
-def _raw_divide_exact(f, g, p, key=_raw_grevlex):
+def _raw_divide_exact(f, g, p, key=grevlex_key):
     """Exact division f / g of raw polynomials; f must be a multiple."""
     q = {}
     f = dict(f)
@@ -456,23 +447,16 @@ def _extract_generators(base: BaseRing, piece_fn, top: int):
         if piece.shape[1] == 0:
             continue
         span = linalg.Span(2 * dim, p)
-        eps = linalg.eps_action(dim) if base.dual else None
         for g in gens:
             d = g.degree()
             for m in monomials(n - d):
                 vec = poly_to_vector(g.mul_monomial(m), n)
                 span.add(vec)
                 if base.dual:
-                    span.add(linalg.matmul(eps, vec.reshape(-1, 1), p).reshape(-1))
+                    span.add(linalg.eps_times(vec))
         if base.dual:
-            span.add_many(linalg.matmul(eps, piece, p))
-        for j in range(piece.shape[1]):
-            if span.add(piece[:, j]):
-                gens.append(vector_to_poly(piece[:, j], n, base))
-                if base.dual:
-                    span.add(
-                        linalg.matmul(eps, piece[:, j].reshape(-1, 1), p).reshape(-1)
-                    )
+            span.add_many(linalg.eps_times(piece))
+        gens.extend(vector_to_poly(piece[:, j], n, base) for j in span.add_many(piece))
     return gens
 
 
@@ -503,24 +487,12 @@ def _multiplication_rows(g: Poly, n: int, target_piece: np.ndarray, p: int, dual
     # matrix of multiplication by g: (R)_n -> (R)_m on stacked coordinates
     mult = linalg.zeros(2 * dim_m, 2 * dim_n)
     for j, mono in enumerate(monomials(n)):
-        vec = poly_to_vector(g.mul_monomial(mono), m)
-        mult[:, j] = vec
-        if dual:
-            # e * mono slot: g * (e*mono) = e * (fiber of g) * mono
-            eps = linalg.eps_action(dim_m)
-            mult[:, dim_n + j] = linalg.matmul(
-                eps, vec.reshape(-1, 1), p
-            ).reshape(-1)
+        mult[:, j] = poly_to_vector(g.mul_monomial(mono), m)
+    if dual:
+        # e * mono slot: g * (e*mono) = e * (g * mono)
+        mult[:, dim_n:] = linalg.eps_times(mult[:, :dim_n])
     # f*g in span(target) iff projection to a complement vanishes
-    proj = _complement_projector(target_piece, 2 * dim_m, p)
-    return linalg.matmul(proj, mult, p)
-
-
-def _complement_projector(piece: np.ndarray, width: int, p: int) -> np.ndarray:
-    """Rows annihilating exactly the span of the given columns."""
-    if piece.shape[1] == 0:
-        return linalg.identity(width)
-    return linalg.kernel_basis(piece.T % p, p).T
+    return linalg.matmul(linalg.annihilator(target_piece, p), mult, p)
 
 
 def ideal_colon(I: Ideal, J: Ideal, margin: int = 2) -> Ideal:
@@ -646,7 +618,3 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
 def ideal_product_poly(H: Poly, I: Ideal) -> Ideal:
     """The ideal H * I (generators scaled)."""
     return Ideal(I.base, [H * g for g in I.gens])
-
-
-def ideal_contains_ideal(I: Ideal, J: Ideal) -> bool:
-    return all(I.contains(g) for g in J.gens)

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
-
 from . import linalg
 from .curve import CurveFamily, validate_curve
 from .errors import (
@@ -30,10 +28,8 @@ from .gradedmod import (
     FreeModule,
     GradedMap,
     GradedModule,
-    ModuleHom,
     element_to_vector,
-    hom_space,
-    random_hom,
+    find_module_iso,
     vector_to_element,
 )
 from .groebner import (
@@ -114,33 +110,6 @@ class CompleteIntersection:
         return ((-self.s - self.t,), (-self.s, -self.t))
 
 
-class CIResolution:
-    """Certified Koszul resolution of a complete intersection ideal."""
-
-    def __init__(self, ci: CompleteIntersection):
-        self.ci = ci
-        self.maps = ci.koszul_maps()
-        d1, d2 = self.maps
-        if not d1.compose(d2).is_zero():
-            raise OracleMismatch("Koszul composition is nonzero")
-        # degreewise exactness in the middle: ker(d1)_n = im(d2)_n
-        p = ci.base.p
-        cap = ci.s + ci.t + 4
-        for n in range(cap + 1):
-            m1 = d1.matrix_at(n)
-            ker = m1.shape[1] - linalg.rank(m1, p)
-            im = linalg.rank(d2.matrix_at(n), p)
-            if ker != im:
-                raise OracleMismatch(
-                    f"Koszul complex not exact in degree {n}: ker {ker}, im {im}"
-                )
-        self.twists = ci.twists()
-
-
-def ci_resolution(F: Poly, G: Poly) -> CIResolution:
-    return CIResolution(CompleteIntersection(F, G))
-
-
 # -- linkage ---------------------------------------------------------------
 
 
@@ -197,35 +166,6 @@ def ideal_mod_surface(I: Ideal, Q: Poly) -> GradedModule:
     degs.append(Q.degree())
     pres = GradedMap.from_columns(IM.F0, cols, degs)
     return GradedModule(pres).minimal_presentation()
-
-
-def find_module_iso(M: GradedModule, N: GradedModule, trials: int = 32, seed: int = 0):
-    """Like is_module_iso but returns (kind, witness ModuleHom or None)."""
-    Mm = M.minimal_presentation()
-    Nm = N.minimal_presentation()
-    if Mm.F0.rank == 0 and Nm.F0.rank == 0:
-        return "yes", None
-    if Mm.kpolynomial() != Nm.kpolynomial():
-        return "no", None
-    if M.base.dual:
-        lo = min(Mm.min_degree(), Nm.min_degree())
-        hi = max(Mm.regularity(), Nm.regularity()) + 2
-        for n in range(lo, hi + 1):
-            if Mm.piece_dim(n) != Nm.piece_dim(n):
-                return "no", None
-    homs = hom_space(Mm, Nm, 0)
-    if not homs:
-        return "no", None
-    top = max(
-        max((-t for t in Nm.F0.twists), default=0),
-        max((-t for t in Mm.F0.twists), default=0),
-    )
-    rng = random.Random(seed)
-    for _ in range(trials):
-        f = random_hom(homs, rng, M.base)
-        if f.is_surjective_up_to(top):
-            return "yes", f
-    return "undecided", None
 
 
 # -- biliaison moves --------------------------------------------------------

@@ -1,8 +1,9 @@
 """Exact dense linear algebra mod p, plus block helpers for the dual numbers.
 
-Matrices are numpy int64 arrays with entries in [0, p).  With p = 32003 the
-intermediate products stay below 2^63 after one accumulation row, and every
-reduction step is followed by an explicit mod, so all arithmetic is exact.
+Matrices are numpy int64 arrays with entries in [0, p).  Every reduction
+step is followed by an explicit mod, and matmul splits its inner dimension so
+that no int64 accumulation can overflow, so all arithmetic is exact for every
+supported prime (p <= 2^31 - 1).
 
 A matrix over A = F_p[e]/(e^2) is a pair (M0, M1) meaning M0 + e*M1.  Acting
 on column vectors written as stacked pairs (x0; x1) it expands to the k-linear
@@ -23,13 +24,22 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
+INT64_MAX = 2**63 - 1
+
+
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    if a.shape[1] == 0 or b.shape[1] == 0 or a.shape[0] == 0:
+    """a @ b mod p for entries of absolute value below p."""
+    inner = a.shape[1]
+    if inner == 0 or b.shape[1] == 0 or a.shape[0] == 0:
         return zeros(a.shape[0], b.shape[1])
-    # chunk the inner dimension so int64 accumulation cannot overflow:
-    # each product < p^2 ~ 2^30, so ~2^32 summands are safe; no chunking needed
-    # for desk-scale sizes, a single mod at the end suffices.
-    return (a @ b) % p
+    # each product is at most (p-1)^2, so this many summands fit in int64
+    chunk = INT64_MAX // (p - 1) ** 2
+    if inner <= chunk:
+        return (a @ b) % p
+    out = zeros(a.shape[0], b.shape[1])
+    for s in range(0, inner, chunk):
+        out = (out + (a[:, s : s + chunk] @ b[s : s + chunk]) % p) % p
+    return out
 
 
 def rref(mat: np.ndarray, p: int):
@@ -122,10 +132,10 @@ class Span:
     def contains(self, vec: np.ndarray) -> bool:
         return not np.nonzero(self._reduce(vec))[0].size
 
-    def add_many(self, mat: np.ndarray):
-        """Insert every column of mat."""
-        for j in range(mat.shape[1]):
-            self.add(mat[:, j])
+    def add_many(self, mat: np.ndarray) -> list:
+        """Insert the columns of mat in order; returns the indices of the
+        columns that grew the rank."""
+        return [j for j in range(mat.shape[1]) if self.add(mat[:, j])]
 
 
 def kernel_basis(mat: np.ndarray, p: int) -> np.ndarray:
@@ -169,40 +179,22 @@ def row_space_contains(space: np.ndarray, vec: np.ndarray, p: int) -> bool:
     return rank(np.vstack([space, vec.reshape(1, -1)]), p) == rank(space, p)
 
 
-def column_space_complement(mat: np.ndarray, candidates: np.ndarray, p: int):
-    """Indices of candidate columns extending the column space of mat to a
-    basis of the joint span, greedily in order."""
-    rows = mat.shape[0]
-    base = mat.T % p
-    chosen = []
-    cur = rank(base, p) if base.size else 0
-    for j in range(candidates.shape[1]):
-        trial = np.vstack([base, candidates[:, j].reshape(1, -1) % p])
-        r = rank(trial, p)
-        if r > cur:
-            chosen.append(j)
-            base = trial
-            cur = r
-    return chosen
+def annihilator(mat: np.ndarray, p: int) -> np.ndarray:
+    """Rows whose kernel is exactly the column space of mat."""
+    if mat.shape[1] == 0:
+        return identity(mat.shape[0])
+    return kernel_basis(mat.T % p, p).T
 
 
 # -- dual-number block form -------------------------------------------
 
 
-def expand_dual(m0: np.ndarray, m1: np.ndarray, p: int) -> np.ndarray:
-    """k-linear matrix of M0 + e*M1 on stacked coordinates (x0; x1)."""
-    rows, cols = m0.shape
-    out = zeros(2 * rows, 2 * cols)
-    out[:rows, :cols] = m0 % p
-    out[rows:, cols:] = m0 % p
-    out[rows:, :cols] = m1 % p
-    return out
-
-
-def eps_action(dim: int) -> np.ndarray:
-    """Multiplication by e on stacked coordinates of A^dim."""
-    out = zeros(2 * dim, 2 * dim)
-    out[dim:, :dim] = identity(dim)
+def eps_times(x: np.ndarray) -> np.ndarray:
+    """Multiplication by e on stacked coordinates: (x0; x1) -> (0; x0), for a
+    vector or for each column of a matrix."""
+    half = x.shape[0] // 2
+    out = np.zeros_like(x)
+    out[half:] = x[:half]
     return out
 
 
@@ -210,32 +202,7 @@ def a_span_rank(vectors: np.ndarray, dim: int, p: int) -> int:
     """k-dimension of the A-submodule of A^dim generated by stacked columns."""
     if vectors.size == 0:
         return 0
-    eps = eps_action(dim)
-    all_cols = np.concatenate([vectors % p, matmul(eps, vectors, p)], axis=1)
-    return rank(all_cols.T, p)
-
-
-def a_min_generators(kernel_cols: np.ndarray, dim: int, p: int):
-    """Column indices of a minimal A-generating set of an A-submodule
-    K of A^dim given by spanning stacked columns.
-
-    By graded Nakayama over the local ring A, columns generate iff their
-    residues span K/(eK).  Greedy selection against span + eK.
-    """
-    if kernel_cols.size == 0:
-        return []
-    eps = eps_action(dim)
-    eK = matmul(eps, kernel_cols, p)
-    base = eK.T
-    chosen = []
-    cur = rank(base, p) if base.size else 0
-    for j in range(kernel_cols.shape[1]):
-        trial = np.vstack([base, kernel_cols[:, j].reshape(1, -1) % p])
-        r = rank(trial, p)
-        if r > cur:
-            chosen.append(j)
-            base = np.vstack(
-                [base, kernel_cols[:, j].reshape(1, -1), eK[:, j].reshape(1, -1)]
-            )
-            cur = rank(base, p)
-    return chosen
+    if vectors.shape[0] != 2 * dim:
+        raise ValueError(f"stacked columns of A^{dim} need {2 * dim} rows")
+    v = vectors % p
+    return rank(np.concatenate([v, eps_times(v)], axis=1).T, p)

@@ -34,10 +34,6 @@ def grevlex_key(e: Exp):
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
-def lex_key(e: Exp):
-    return tuple(e)
-
-
 @lru_cache(maxsize=None)
 def monomials(n: int) -> tuple:
     """All degree-n monomials of the 4-variable ring, grevlex-descending."""
@@ -96,10 +92,6 @@ class Poly:
     def monomial(base: BaseRing, e: Exp, a: int = 1, b: int = 0) -> "Poly":
         p = base.p
         return Poly(base, {tuple(e): (a % p, b % p)})
-
-    @staticmethod
-    def from_scalar(s: Scalar) -> "Poly":
-        return Poly.constant(s.ring, s.a, s.b)
 
     # -- predicates ---------------------------------------------------
 
@@ -212,11 +204,6 @@ class Poly:
         """Reduce modulo epsilon into the prime-field ring."""
         k = self.base.field()
         return Poly(k, {e: (a, 0) for e, (a, _) in self.terms.items() if a != 0})
-
-    def eps_part(self) -> "Poly":
-        """The fiber polynomial c with self = fiber + e*c."""
-        k = self.base.field()
-        return Poly(k, {e: (b, 0) for e, (a, b) in self.terms.items() if b != 0})
 
     def lift(self, base: BaseRing) -> "Poly":
         """Coerce a fiber polynomial into a (possibly dual) base ring."""

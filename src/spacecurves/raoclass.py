@@ -33,9 +33,7 @@ from .gradedmod import (
     _ext_slot,
     cohomology_table,
     element_to_vector,
-    eps_matrix,
     ext_module,
-    ext_piece_dims,
     finite_data_to_module,
     is_module_iso,
     kernel_min_gens,
@@ -213,11 +211,7 @@ def _poly_mult_matrix(g: Poly, d_from: int, base: BaseRing) -> np.ndarray:
     for j, v in enumerate(fib_cols):
         out[:, j] = v
     if base.dual:
-        eps = linalg.eps_action(R1.fiber_dim(d_to))
-        for j in range(len(fib_cols)):
-            out[:, len(fib_cols) + j] = linalg.matmul(
-                eps, out[:, j].reshape(-1, 1), base.p
-            ).reshape(-1)
+        out[:, len(fib_cols) :] = linalg.eps_times(out[:, : len(fib_cols)])
     return out
 
 
@@ -255,17 +249,10 @@ def _min_quotient_gens(K: GradedMap, B):
                 moved = tuple(f.mul_monomial(mono) for f in elem)
                 span.add(element_to_vector(F, moved, d))
         if base.dual:
-            cur = K.matrix_at(d)
-            emat = eps_matrix(F, d)
-            for c in range(cur.shape[1]):
-                span.add(
-                    linalg.matmul(emat, cur[:, c].reshape(-1, 1), p).reshape(-1)
-                )
-        for j in range(K.source.rank):
-            if -K.source.twists[j] != d:
-                continue
-            if span.add(element_to_vector(F, K.column(j), d)):
-                chosen.append(j)
+            span.add_many(linalg.eps_times(K.matrix_at(d)))
+        cands = [j for j in range(K.source.rank) if -K.source.twists[j] == d]
+        cols = np.array([element_to_vector(F, K.column(j), d) for j in cands]).T
+        chosen.extend(cands[i] for i in span.add_many(cols))
     return chosen
 
 

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 from .errors import MixedBase, NonUnit
 
 DEFAULT_PRIME = 32003
+# Largest supported prime: below it (p - 1)^2 < 2^62, so a product of two
+# residues, or a residue minus such a product, fits in int64.
+MAX_PRIME = 2**31 - 1
 
 
 def is_prime(n: int) -> bool:

@@ -34,6 +34,9 @@ def test_exit_codes(capsys, tmp_path):
     bad = tmp_path / "bad.curve"
     bad.write_text("ring p=32003 base=field\ngens:\nX*\n")
     assert main(["validate", str(bad)]) == 3
+    composite = tmp_path / "composite.curve"
+    composite.write_text("ring p=1022117 base=field\ngens:\nX\nY\n")
+    assert main(["validate", str(composite)]) == 3
     point = tmp_path / "pt.curve"
     point.write_text("ring p=32003 base=field\ngens:\nX\nY\nZ\n")
     assert main(["validate", str(point)]) == 2

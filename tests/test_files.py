@@ -43,6 +43,10 @@ def test_parse_errors():
         CurveFile.parse("")
     with pytest.raises(ParseError):
         CurveFile.parse("ring p=4 base=field\ngens:\nX\n")
+    with pytest.raises(ParseError):  # 1009 * 1013: no factor below 1000
+        CurveFile.parse("ring p=1022117 base=field\ngens:\nX\n")
+    with pytest.raises(ParseError):  # a prime above 2^31 - 1
+        CurveFile.parse("ring p=2147483659 base=field\ngens:\nX\n")
     with pytest.raises(ParseError):
         CurveFile.parse("ring p=7 base=field\nX\n")
     with pytest.raises(ParseError):
