@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .curve import validate_curve
 from .errors import ParseError, SpaceCurveError, Undecided
-from .files import CurveFile, corpus_names, load_corpus
+from .files import CurveFile, check_prime, corpus_names, load_corpus
 from .groebner import Ideal, ideal_saturate
 from .liaison import BiliaisonStep, link, replay_chain, trivial_biliaison
 from .polyring import Poly
@@ -278,7 +278,7 @@ def load_chain(path) -> list:
         data = json.load(f)
     if data.get("schema") != "spacecurves-chain/1":
         raise ParseError("not a spacecurves chain file")
-    base = BaseRing(data["p"], data["dual"])
+    base = BaseRing(check_prime(data["p"]), data["dual"])
     steps = []
     for s in data["steps"]:
         steps.append(

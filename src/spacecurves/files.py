@@ -23,6 +23,17 @@ from .scalars import MAX_PRIME, BaseRing, is_prime
 _HEADER = re.compile(r"^ring\s+p=(\d+)\s+base=(field|dual)\s*$")
 
 
+def check_prime(p) -> int:
+    """p itself if it is a supported prime; ParseError otherwise."""
+    if type(p) is not int:
+        raise ParseError(f"p={p!r} is not an integer")
+    if p > MAX_PRIME:
+        raise ParseError(f"p={p} exceeds the largest supported prime {MAX_PRIME}")
+    if not is_prime(p):
+        raise ParseError(f"p={p} is not prime")
+    return p
+
+
 class CurveFile:
     """A parsed curve file: a base ring and a list of generators."""
 
@@ -42,12 +53,7 @@ class CurveFile:
         m = _HEADER.match(lines[0])
         if not m:
             raise ParseError(f"bad header line {lines[0]!r}")
-        p = int(m.group(1))
-        if p > MAX_PRIME:
-            raise ParseError(f"p={p} exceeds the largest supported prime {MAX_PRIME}")
-        if not is_prime(p):
-            raise ParseError(f"p={p} is not prime")
-        base = BaseRing(p, m.group(2) == "dual")
+        base = BaseRing(check_prime(int(m.group(1))), m.group(2) == "dual")
         if len(lines) < 2 or lines[1] != "gens:":
             raise ParseError("expected 'gens:' on the second line")
         gens = []

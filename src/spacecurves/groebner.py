@@ -478,9 +478,9 @@ def _solve_piece(base, constraint_rows, n):
     return ker
 
 
-def _multiplication_rows(g: Poly, n: int, target_piece: np.ndarray, p: int, dual: bool):
-    """k-linear constraints on f in degree n saying f*g lies in the span of
-    target_piece (a stacked basis in degree n + deg g)."""
+def _multiplication_rows(g: Poly, n: int, target_ann: np.ndarray, p: int, dual: bool):
+    """k-linear constraints on f in degree n saying f*g lies in the target
+    piece in degree n + deg g, given the annihilator rows of that piece."""
     d = g.degree()
     m = n + d
     dim_n, dim_m = graded_piece_dim(n), graded_piece_dim(m)
@@ -491,8 +491,20 @@ def _multiplication_rows(g: Poly, n: int, target_piece: np.ndarray, p: int, dual
     if dual:
         # e * mono slot: g * (e*mono) = e * (g * mono)
         mult[:, dim_n:] = linalg.eps_times(mult[:, :dim_n])
-    # f*g in span(target) iff projection to a complement vanishes
-    return linalg.matmul(linalg.annihilator(target_piece, p), mult, p)
+    # f*g in the target iff the annihilator rows vanish on it
+    return linalg.matmul(target_ann, mult, p)
+
+
+def _piece_annihilators(I: Ideal):
+    """Degree m -> annihilator rows of I's degree-m piece, each built once."""
+    cache = {}
+
+    def piece_ann(m):
+        if m not in cache:
+            cache[m] = linalg.annihilator(I.piece_matrix(m), I.base.p)
+        return cache[m]
+
+    return piece_ann
 
 
 def ideal_colon(I: Ideal, J: Ideal, margin: int = 2) -> Ideal:
@@ -504,19 +516,12 @@ def ideal_colon(I: Ideal, J: Ideal, margin: int = 2) -> Ideal:
     guide = fiber_colon(I.fiber(), J.fiber())
     top = _gen_degrees_window(guide, margin)
     p = I.base.p
-    piece_cache = {}
-
-    def ideal_piece(m):
-        if m not in piece_cache:
-            piece_cache[m] = I.piece_matrix(m)
-        return piece_cache[m]
+    piece_ann = _piece_annihilators(I)
 
     def colon_piece(n):
         rows = []
         for g in J.gens:
-            rows.append(
-                _multiplication_rows(g, n, ideal_piece(n + g.degree()), p, True)
-            )
+            rows.append(_multiplication_rows(g, n, piece_ann(n + g.degree()), p, True))
         return _solve_piece(I.base, rows, n)
 
     gens = _extract_generators(I.base, colon_piece, top)
@@ -533,19 +538,14 @@ def ideal_saturate(I: Ideal, margin: int = 2) -> Ideal:
     top = _gen_degrees_window(guide, margin)
     p = I.base.p
     # test bound: multiplying by all monomials of degree c must land in I
-    piece_cache = {}
-
-    def ideal_piece(m):
-        if m not in piece_cache:
-            piece_cache[m] = I.piece_matrix(m)
-        return piece_cache[m]
+    piece_ann = _piece_annihilators(I)
 
     def sat_piece_at(n, c):
         rows = []
-        target = ideal_piece(n + c)
+        target_ann = piece_ann(n + c)
         for mono in monomials(c):
             g = Poly.monomial(I.base, mono)
-            rows.append(_multiplication_rows(g, n, target, p, True))
+            rows.append(_multiplication_rows(g, n, target_ann, p, True))
         return _solve_piece(I.base, rows, n)
 
     def sat_piece(n):

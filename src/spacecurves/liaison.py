@@ -323,6 +323,10 @@ def _random_form(base, degree, rng):
     return Poly(base, terms)
 
 
+# what a random H (or an ill-chosen Q) can make trivial_biliaison raise
+_BAD_RANDOM_FORM = (NotCoprime, NotContained, SurfaceNotFlat)
+
+
 def connect_by_biliaisons(
     C: CurveFamily,
     Cp: CurveFamily,
@@ -360,7 +364,7 @@ def connect_by_biliaisons(
                 H = _random_form(base, h1, rng)
                 try:
                     C1, step1 = trivial_biliaison(C, Qa, H, h1)
-                except Exception:
+                except _BAD_RANDOM_FORM:
                     continue
                 mid = _common_surfaces(C1, Cp, reg + h1 + 2)
                 step2 = _single_step(C1, Cp, mid, max_height + h1, trials, seed)
@@ -373,7 +377,7 @@ def connect_by_biliaisons(
                 H = _random_form(base, h1, rng)
                 try:
                     C1p, step1 = trivial_biliaison(Cp, Qa, H, h1)
-                except Exception:
+                except _BAD_RANDOM_FORM:
                     continue
                 mid = _common_surfaces(C, C1p, reg + h1 + 2)
                 stepA = _single_step(C, C1p, mid, max_height + h1, trials, seed)

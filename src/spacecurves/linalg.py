@@ -44,7 +44,7 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def rref(mat: np.ndarray, p: int):
     """Row-reduce a copy of mat mod p.  Returns (reduced, pivot_columns)."""
-    m = mat.copy() % p
+    m = mat % p
     rows, cols = m.shape
     pivots = []
     r = 0
@@ -57,11 +57,13 @@ def rref(mat: np.ndarray, p: int):
         i = r + nz[0]
         if i != r:
             m[[r, i]] = m[[i, r]]
+        # the pivot row is zero left of c, so only columns c: change
         inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        m = (m - np.outer(col, m[r])) % p
+        m[r, c:] = (m[r, c:] * inv) % p
+        hit = np.nonzero(m[:, c])[0]
+        hit = hit[hit != r]
+        if hit.size:
+            m[hit, c:] = (m[hit, c:] - np.outer(m[hit, c], m[r, c:])) % p
         pivots.append(c)
         r += 1
     return m[:r], pivots
@@ -71,7 +73,7 @@ def rank(mat: np.ndarray, p: int) -> int:
     """Rank mod p by forward elimination (no back substitution)."""
     if mat.size == 0:
         return 0
-    m = mat.copy() % p
+    m = mat % p
     rows, cols = m.shape
     r = 0
     for c in range(cols):
@@ -88,7 +90,7 @@ def rank(mat: np.ndarray, p: int) -> int:
         if below.size:
             idx = below + r + 1
             factors = (m[idx, c] * inv) % p
-            m[idx] = (m[idx] - np.outer(factors, m[r])) % p
+            m[idx, c:] = (m[idx, c:] - np.outer(factors, m[r, c:])) % p
         r += 1
     return r
 
@@ -146,12 +148,13 @@ def kernel_basis(mat: np.ndarray, p: int) -> np.ndarray:
     if rows == 0:
         return identity(cols)
     red, pivots = rref(mat, p)
-    free = [c for c in range(cols) if c not in pivots]
-    out = zeros(cols, len(free))
-    for j, fc in enumerate(free):
-        out[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            out[pc, j] = (-int(red[i, fc])) % p
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.nonzero(is_free)[0]
+    out = zeros(cols, free.size)
+    out[free, np.arange(free.size)] = 1
+    for i, pc in enumerate(pivots):
+        out[pc] = (-red[i, free]) % p
     return out
 
 

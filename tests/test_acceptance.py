@@ -10,7 +10,13 @@ import pytest
 
 from conftest import ACM_NAMES, FIBER_NAMES, RAO_K_NAMES
 from spacecurves.curve import validate_curve
-from spacecurves.gradedmod import GradedModule, cohomology_table, is_module_iso
+from spacecurves.gradedmod import (
+    GradedModule,
+    cohomology_table,
+    is_module_iso,
+    saturation_dims,
+    torsion_dims,
+)
 from spacecurves.groebner import Ideal
 from spacecurves.liaison import (
     check_elementary_biliaison,
@@ -254,12 +260,18 @@ def test_constructive_chain_line_to_twisted_cubic(corpus_curves):
 
 def test_cohomology_oracle_equivalence(corpus_curves):
     # the Ext/duality route must match degreewise saturation data:
-    # h^0 against the saturated ideal's pieces, h^1 against the Rao module
+    # h^0 against the saturated ideal's pieces, h^1 against the Rao module.
+    # A third route computes h^0 as stabilized Hom(m^t, I)_n, and a
+    # saturated ideal has no m-torsion
     for name in FIBER_NAMES:
         C = corpus_curves(name)
         reg = C.regularity()
         table = cohomology_table(C.ideal_module(), "k", -2, reg + 2)
+        sat = saturation_dims(C.ideal_module(), -2, reg + 2)
+        torsion = torsion_dims(C.ideal_module(), -2, reg + 2)
         rao = C.rao_module().dims()
         for n in range(-2, reg + 3):
             assert table[0].get(n, 0) == C.ideal.piece_dim(n), (name, n)
+            assert sat[n] == C.ideal.piece_dim(n), (name, n)
+            assert torsion[n] == 0, (name, n)
             assert table[1].get(n, 0) == rao.get(n, 0), (name, n)

@@ -4,6 +4,7 @@ import pytest
 
 from spacecurves.cli import load_chain, main
 from spacecurves.curve import validate_curve
+from spacecurves.errors import ParseError
 from spacecurves.files import CurveFile
 from spacecurves.liaison import replay_chain
 
@@ -118,6 +119,18 @@ def test_connect_chain_file_replays(capsys, tmp_path):
     tc = load_corpus("twisted-cubic").to_ideal()
     end = replay_chain(line, steps)
     assert end == tc
+
+
+@pytest.mark.parametrize("p", [1022117, 2**31 + 11, "32003"])
+def test_chain_file_rejects_unsupported_prime(tmp_path, p):
+    # 1022117 = 1009 * 1013; 2^31 + 11 is prime but above the largest
+    # supported p; a quoted p is not a number
+    chain_path = tmp_path / "chain.json"
+    chain_path.write_text(json.dumps(
+        {"schema": "spacecurves-chain/1", "p": p, "dual": False, "steps": []}
+    ))
+    with pytest.raises(ParseError, match=f"p={p!r}"):
+        load_chain(chain_path)
 
 
 def test_corpus_list(capsys):

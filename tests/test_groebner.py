@@ -96,3 +96,16 @@ def test_piece_dims(K):
     line = I(K, "X", "Y")
     assert [line.piece_dim(n) for n in range(4)] == [0, 2, 7, 16]
     assert [line.quotient_piece_dim(n) for n in range(4)] == [1, 2, 3, 4]
+
+
+def test_dual_saturation_and_colon_strip_the_irrelevant_ideal(A):
+    # L is a non-constant family (a line moving with e); J = L * (X,Y,Z,W)
+    # agrees with L only after saturation, so both routes must reach c >= 2
+    # with an e-part
+    lin = ["X + e*Z", "Y + 3*e*W"]
+    L = I(A, *lin)
+    J = I(A, *[f"({f})*{v}" for f in lin for v in "XYZW"])
+    assert len(J.gens) == 8
+    assert J != L
+    assert ideal_saturate(J) == L
+    assert ideal_colon(J, I(A, "X", "Y", "Z", "W")) == L

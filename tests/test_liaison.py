@@ -1,16 +1,20 @@
 import pytest
 
+from spacecurves import liaison
 from spacecurves.errors import (
     NotContained,
     NotCoprime,
     NotRegularSequence,
+    OracleMismatch,
     ResidualEmpty,
+    Undecided,
 )
 from spacecurves.gradedmod import is_module_iso
 from spacecurves.groebner import Ideal
 from spacecurves.liaison import (
     CompleteIntersection,
     check_elementary_biliaison,
+    connect_by_biliaisons,
     link,
     trivial_biliaison,
 )
@@ -98,3 +102,26 @@ def test_elementary_biliaison_decision(K, corpus_curves):
     # degree obstruction
     bad = check_elementary_biliaison(line, tc, Q, 2)
     assert bad.kind == "no"
+
+
+def test_connect_search_skips_only_bad_random_forms(corpus_curves, monkeypatch):
+    # force the two-step search, where every trivial biliaison raises
+    line = corpus_curves("line")
+    tc = corpus_curves("twisted-cubic")
+    monkeypatch.setattr(liaison, "_single_step", lambda *a, **k: None)
+
+    def raising(exc):
+        def fake(*a, **k):
+            raise exc("injected")
+
+        return fake
+
+    # a random H sharing a component with Q is skipped; the search ends
+    # undecided
+    monkeypatch.setattr(liaison, "trivial_biliaison", raising(NotCoprime))
+    with pytest.raises(Undecided):
+        connect_by_biliaisons(line, tc)
+    # a failed self-check is a bug and must surface
+    monkeypatch.setattr(liaison, "trivial_biliaison", raising(OracleMismatch))
+    with pytest.raises(OracleMismatch):
+        connect_by_biliaisons(line, tc)

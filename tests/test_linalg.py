@@ -91,3 +91,83 @@ def test_a_span_rank_counts_eps_directions():
     v_eps = np.array([[0], [0], [1], [0]], dtype=np.int64)
     assert linalg.a_span_rank(v_unit, dim, P) == 2
     assert linalg.a_span_rank(v_eps, dim, P) == 1
+
+
+# -- reference Gauss-Jordan over Python ints ---------------------------
+
+REF_PRIMES = [2, 101, 32003, 2**31 - 1]
+
+
+def _ref_rref(rows, p):
+    """Reduced row echelon form and pivot columns, entry by entry."""
+    m = [[x % p for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for k in range(len(m)):
+            if k != r and m[k][c]:
+                f = m[k][c]
+                m[k] = [(x - f * y) % p for x, y in zip(m[k], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def _ref_kernel(rows, ncols, p):
+    """Kernel basis with one column per free variable (set to 1)."""
+    red, pivots = _ref_rref(rows, p)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        x = [0] * ncols
+        x[fc] = 1
+        for row, pc in zip(red, pivots):
+            x[pc] = -row[fc] % p
+        basis.append(x)
+    return [[b[i] for b in basis] for i in range(ncols)]
+
+
+def _reference_cases(rng, p):
+    """Seeded matrices: square, tall, wide, rank-deficient, with zero,
+    repeated and dependent columns."""
+    def rand(r, c):
+        return rng.integers(0, p, size=(r, c), dtype=np.int64)
+
+    out = [rand(5, 5), rand(9, 4), rand(3, 8), rand(1, 6), rand(6, 1)]
+    # rank 2 in a 6 x 7 matrix
+    out.append(linalg.matmul(rand(6, 2), rand(2, 7), p))
+    m = rand(5, 7)
+    m[:, 1] = 0
+    m[:, 3] = m[:, 0]
+    m[:, 5] = (2 * m[:, 2] + (p - 1) * m[:, 4]) % p
+    out.append(m)
+    out.append(np.zeros((3, 4), dtype=np.int64))
+    return out
+
+
+@pytest.mark.parametrize("p", REF_PRIMES)
+def test_elimination_matches_reference(p):
+    rng = np.random.default_rng(5)
+    for m in _reference_cases(rng, p):
+        rows = m.tolist()
+        ref_red, ref_piv = _ref_rref(rows, p)
+        red, piv = linalg.rref(m, p)
+        assert piv == ref_piv
+        assert red.tolist() == ref_red
+        assert linalg.rank(m, p) == len(ref_piv)
+        assert linalg.kernel_basis(m, p).tolist() == _ref_kernel(rows, m.shape[1], p)
+        want = np.array(_ref_kernel(m.T.tolist(), m.shape[0], p), dtype=np.int64)
+        got = linalg.annihilator(m, p)
+        assert got.shape == want.T.shape
+        assert (got == want.T).all()
+        # an already reduced matrix is its own reduced form
+        again, again_piv = linalg.rref(red, p)
+        assert again_piv == piv
+        assert (again == red).all()
