@@ -374,7 +374,7 @@ def _build_parser():
         sp.set_defaults(fn=fn)
     sp = sub.add_parser("corpus", parents=[common])
     sp.add_argument("action", choices=["list", "run"])
-    sp.add_argument("--jobs", type=int, default=4)
+    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(fn=cmd_corpus)
     return ap
 

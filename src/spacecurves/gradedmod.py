@@ -483,7 +483,6 @@ class GradedModule:
 
     def is_finite_length(self) -> bool:
         reg = self.regularity()
-        lo = self.min_degree()
         if any(self.piece_dim(n) for n in range(reg + 1, reg + 4)):
             return False
         # finitely generated with eventually-zero Hilbert function
@@ -938,25 +937,25 @@ class PieceCalculus:
         self._mult = {}
 
     def _reducer(self, n: int):
+        """(rref of the relation image on its non-pivot columns, pivot
+        columns, non-pivot columns) in degree n."""
         if n not in self._red:
             im = self.M.presentation.matrix_at(n)
             red, piv = linalg.rref(im.T, self.p)
             full = self.M.F0.piece_dim(n)
             nonpiv = [c for c in range(full) if c not in piv]
-            self._red[n] = (red, piv, nonpiv)
+            self._red[n] = (red[:, nonpiv], piv, nonpiv)
         return self._red[n]
 
     def dim(self, n: int) -> int:
         return len(self._reducer(n)[2])
 
     def project(self, vec: np.ndarray, n: int) -> np.ndarray:
+        # the rref is fully reduced, so each pivot row subtracts once, with
+        # the vector's own entry at its pivot as the coefficient
         red, piv, nonpiv = self._reducer(n)
-        v = vec.copy() % self.p
-        for r, c in enumerate(piv):
-            coef = int(v[c]) % self.p
-            if coef:
-                v = (v - coef * red[r]) % self.p
-        return v[nonpiv]
+        v = vec % self.p
+        return (v[nonpiv] - linalg.matmul(v[None, piv], red, self.p)[0]) % self.p
 
     def embed(self, idx: int, n: int) -> np.ndarray:
         _, _, nonpiv = self._reducer(n)
@@ -1131,57 +1130,17 @@ def finite_module_data(M: GradedModule, margin: int = 2) -> FiniteModuleData:
     """Explicit piece/action data of a finite-length module."""
     if not M.is_finite_length():
         raise NotFiniteLength(f"{M} has nonzero pieces past its regularity")
-    p = M.base.p
-    Mm = M.minimal_presentation()
-    lo = Mm.min_degree()
-    hi = Mm.regularity() + margin
-    # per-degree canonical quotient bases: reduce cover coordinates by the
-    # rref of the relation image, keep non-pivot coordinates
-    reducers = {}
-    dims = {}
-    for n in range(lo, hi + 2):
-        im = Mm.presentation.matrix_at(n)
-        red, piv = linalg.rref(im.T, p)
-        full = Mm.F0.piece_dim(n)
-        nonpiv = [c for c in range(full) if c not in piv]
-        reducers[n] = (red, piv, nonpiv)
-        dims[n] = len(nonpiv)
-
-    def project(vec, n):
-        red, piv, nonpiv = reducers[n]
-        v = vec.copy() % p
-        for r, c in enumerate(piv):
-            coef = int(v[c]) % p
-            if coef:
-                v = (v - coef * red[r]) % p
-        return v[nonpiv]
-
-    def embed(idx, n):
-        _, _, nonpiv = reducers[n]
-        full = Mm.F0.piece_dim(n)
-        out = np.zeros(full, dtype=np.int64)
-        out[nonpiv[idx]] = 1
-        return out
-
+    pc = PieceCalculus(M)
+    lo = pc.M.min_degree()
+    hi = pc.M.regularity() + margin
+    dims = {n: pc.dim(n) for n in range(lo, hi + 2)}
     actions = {}
     eps = {}
-    F0 = Mm.F0
     for n in range(lo, hi + 1):
-        dn, dn1 = dims.get(n, 0), dims.get(n + 1, 0)
         for v in range(4):
-            mono = tuple(1 if k == v else 0 for k in range(4))
-            mat = np.zeros((dn1, dn), dtype=np.int64)
-            for c in range(dn):
-                elem = vector_to_element(F0, embed(c, n), n)
-                moved = tuple(f.mul_monomial(mono) for f in elem)
-                vec = element_to_vector(F0, moved, n + 1)
-                mat[:, c] = project(vec, n + 1)
-            actions[(n, v)] = mat
+            actions[(n, v)] = pc.mult_matrix(Poly.variable(M.base, v), n)
         if M.base.dual:
-            emat = np.zeros((dn, dn), dtype=np.int64)
-            for c in range(dn):
-                emat[:, c] = project(linalg.eps_times(embed(c, n)), n)
-            eps[n] = emat
+            eps[n] = pc.eps_matrix_q(n)
     return FiniteModuleData(M.base, dims, actions, eps)
 
 

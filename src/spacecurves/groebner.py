@@ -11,6 +11,7 @@ algebra, with the fiber result fixing the degree window.
 
 from __future__ import annotations
 
+import heapq
 from functools import lru_cache
 
 import numpy as np
@@ -98,23 +99,57 @@ def raw_spoly(f, g, p, key=grevlex_key):
 
 
 def raw_buchberger(gens, p, key=grevlex_key):
-    """Reduced monic Groebner basis of the ideal generated by gens."""
-    basis = [dict(g) for g in gens if g]
-    if not basis:
-        return []
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    while pairs:
-        i, j = pairs.pop()
-        ei, _ = _lead(basis[i], key)
-        ej, _ = _lead(basis[j], key)
-        if _lcm(ei, ej) == tuple(a + b for a, b in zip(ei, ej)):
-            continue  # coprime lead terms: S-polynomial reduces to 0
-        s = raw_normal_form(raw_spoly(basis[i], basis[j], p, key), basis, p, key)
-        if s:
-            basis.append(s)
-            k = len(basis) - 1
-            pairs.extend((t, k) for t in range(k))
-    return raw_interreduce(basis, p, key)
+    """Reduced monic Groebner basis of the ideal generated by gens.
+
+    Critical pairs leave a priority queue lowest sugar first (the degree of
+    their lcm when the input is homogeneous), and each new basis element
+    goes through the Gebauer–Möller update (J. Symb. Comp. 6, 1988) before
+    its pairs enter the queue.
+    """
+    polys, leads, sugars = [], [], []
+    active = []  # reducer set: elements whose lead no later lead divides
+    pending = {}  # (i, j) -> lcm of the leads, for pairs still queued
+    queue = []  # (sugar, key(lcm), i, j)
+
+    def add(h, sugar):
+        k, eh = len(polys), _lead(h, key)[0]
+        polys.append(h)
+        leads.append(eh)
+        sugars.append(sugar)
+        # B: drop a queued pair (i, j) whose lcm eh divides, unless
+        # lcm(i, h) or lcm(j, h) equals it
+        for (i, j), l in list(pending.items()):
+            if (_divides(eh, l) and _lcm(leads[i], eh) != l
+                    and _lcm(leads[j], eh) != l):
+                del pending[i, j]
+        # M and F on the new pairs: keep one pair per lcm that no other new
+        # lcm properly divides, and none where a pair with that lcm has
+        # coprime leads (its S-polynomial reduces to 0)
+        by_lcm = {}
+        for g in active:
+            l = _lcm(leads[g], eh)
+            coprime = sum(l) == sum(leads[g]) + sum(eh)
+            first, any_coprime = by_lcm.get(l, (g, False))
+            by_lcm[l] = (first, any_coprime or coprime)
+        for l, (g, coprime) in by_lcm.items():
+            if coprime or any(m != l and _divides(m, l) for m in by_lcm):
+                continue
+            s = max(sugars[g] - sum(leads[g]), sugar - sum(eh)) + sum(l)
+            pending[g, k] = l
+            heapq.heappush(queue, (s, key(l), g, k))
+        active[:] = [g for g in active if not _divides(eh, leads[g])] + [k]
+
+    for g in sorted((dict(g) for g in gens if g), key=lambda g: key(_lead(g, key)[0])):
+        add(g, max(map(sum, g)))
+    while queue:
+        s, _, i, j = heapq.heappop(queue)
+        if pending.pop((i, j), None) is None:
+            continue  # dropped by the B criterion after it was queued
+        h = raw_normal_form(raw_spoly(polys[i], polys[j], p, key),
+                            [polys[k] for k in active], p, key)
+        if h:
+            add(h, s)
+    return raw_interreduce([polys[k] for k in active], p, key)
 
 
 def raw_interreduce(basis, p, key=grevlex_key):

@@ -1,5 +1,9 @@
+import random
+
+import numpy as np
 import pytest
 
+from spacecurves import linalg
 from spacecurves.curve import is_flat_family, validate_curve
 from spacecurves.errors import (
     NotFlat,
@@ -99,3 +103,38 @@ def test_perturbed_family_validates(A):
     )
     assert C.degree_genus() == (3, 0)
     assert C.fiber().rao_module().is_zero()
+
+
+def test_curves_in_general_position(K):
+    # one seeded dense invertible change of coordinates X_i -> sum_j M_ij X_j;
+    # validation must not depend on the curve sitting on the coordinate axes
+    rng = random.Random(5)
+    while True:
+        M = [[rng.randrange(1, K.p) for _ in range(4)] for _ in range(4)]
+        if linalg.rank(np.array(M, dtype=np.int64), K.p) == 4:
+            break
+    xs = [Poly.variable(K, j) for j in range(4)]
+    forms = [sum((Poly.constant(K, c) * x for c, x in zip(row, xs)), Poly.zero(K)) for row in M]
+
+    def moved(*texts):
+        gens = []
+        for t in texts:
+            g = Poly.zero(K)
+            for e, (a, _) in Poly.parse(t, K).terms.items():
+                term = Poly.constant(K, a)
+                for form, k in zip(forms, e):
+                    term = term * form**k
+                g = g + term
+            gens.append(g)
+        return Ideal(K, gens)
+
+    cases = [
+        (("X", "Y"), (1, 0), {}),
+        (("X*Z - Y^2", "Y*W - Z^2", "X*W - Y*Z"), (3, 0), {}),
+        # the smooth rational quartic (s^4 : s^3 t : s t^3 : t^4)
+        (("X*W - Y*Z", "Y^3 - X^2*Z", "Z^3 - Y*W^2", "X*Z^2 - Y^2*W"), (4, 0), {1: 1}),
+    ]
+    for texts, dg, rao in cases:
+        C = validate_curve(moved(*texts))
+        assert C.degree_genus() == dg
+        assert C.rao_module().dims() == rao

@@ -1,9 +1,13 @@
 from math import comb
 
+import numpy as np
+
+from spacecurves import linalg
 from spacecurves.gradedmod import (
     FreeModule,
     GradedMap,
     GradedModule,
+    PieceCalculus,
     cohomology_table,
     ext_module,
     finite_data_to_module,
@@ -100,6 +104,31 @@ def test_finite_module_data_round_trip(K):
     assert is_module_iso(M, back) == "yes"
     dual = data.graded_dual()
     assert dual.dims == {-1: 1, 0: 1}
+
+
+def test_projection_matches_pivot_loop(K, A):
+    # reference: subtract the rref rows of the relations one pivot at a time
+    def project_by_loop(pc, vec, n):
+        p = pc.p
+        red, piv = linalg.rref(pc.M.presentation.matrix_at(n).T, p)
+        v = vec % p
+        for r, c in enumerate(piv):
+            if v[c]:
+                v = (v - int(v[c]) * red[r]) % p
+        return v[[c for c in range(len(v)) if c not in piv]]
+
+    rng = np.random.default_rng(11)
+    for M in (
+        GradedModule.quotient_by_ideal(I(K, "X*Z - Y^2", "Y*W - Z^2", "X*W - Y*Z")),
+        GradedModule.quotient_by_ideal(I(A, "X*Z", "Y*W + e*X^2")),
+    ):
+        pc = PieceCalculus(M)
+        for n in range(5):
+            full = pc.M.F0.piece_dim(n)
+            for vec in rng.integers(-K.p, K.p, size=(4, full)):
+                assert (pc.project(vec, n) == project_by_loop(pc, vec, n)).all()
+            for i in range(pc.dim(n)):
+                assert (pc.project(pc.embed(i, n), n) == np.eye(pc.dim(n), dtype=np.int64)[i]).all()
 
 
 def test_dual_base_free_piece_dims(A):

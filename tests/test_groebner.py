@@ -1,7 +1,11 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from spacecurves.groebner import (
     Ideal,
+    _raw_elim_first,
     fiber_colon,
     fiber_intersect,
     fiber_saturate,
@@ -9,8 +13,12 @@ from spacecurves.groebner import (
     ideal_intersect,
     ideal_saturate,
     ideal_sum,
+    raw_buchberger,
+    raw_interreduce,
+    raw_normal_form,
+    raw_spoly,
 )
-from spacecurves.polyring import Poly
+from spacecurves.polyring import Poly, grevlex_key, monomials
 
 
 def I(base, *texts):
@@ -109,3 +117,107 @@ def test_dual_saturation_and_colon_strip_the_irrelevant_ideal(A):
     assert J != L
     assert ideal_saturate(J) == L
     assert ideal_colon(J, I(A, "X", "Y", "Z", "W")) == L
+
+
+# -- the pair-selection engine against a plain Buchberger loop -----------
+
+
+def _lifo_buchberger(gens, p, key, max_size=40, max_degree=10):
+    """Reference: every pair, last in first out, only the coprime-leads
+    criterion.  This order blows up on a few inputs of every size tried
+    (minutes on three cubics in 4 variables), so it gives up and returns
+    None once the basis outgrows ``max_size`` elements or ``max_degree``."""
+    basis = [dict(g) for g in gens if g]
+    if not basis:
+        return []
+    lead = lambda f: max(f, key=key)
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    while pairs:
+        i, j = pairs.pop()
+        ei, ej = lead(basis[i]), lead(basis[j])
+        if all(min(a, b) == 0 for a, b in zip(ei, ej)):
+            continue
+        s = raw_normal_form(raw_spoly(basis[i], basis[j], p, key), basis, p, key)
+        if s:
+            if len(basis) == max_size or max(map(sum, s)) > max_degree:
+                return None
+            basis.append(s)
+            pairs.extend((t, len(basis) - 1) for t in range(len(basis) - 1))
+    return raw_interreduce(basis, p, key)
+
+
+def _assert_reduced_basis(gb, gens, p, key):
+    """gb is a reduced monic Groebner basis of an ideal containing gens."""
+    for f in gens:
+        assert not raw_normal_form(f, gb, p, key)
+    # Buchberger's criterion: every S-polynomial reduces to zero
+    for f, g in combinations(gb, 2):
+        assert not raw_normal_form(raw_spoly(f, g, p, key), gb, p, key)
+    leads = [max(g, key=key) for g in gb]
+    for g, e in zip(gb, leads):
+        assert g[e] == 1
+        for other in leads:
+            if other != e:
+                assert not any(all(a <= b for a, b in zip(other, m)) for m in g)
+
+
+PRIMES = (2, 101, 32003, 2**31 - 1)
+
+
+@st.composite
+def _homogeneous(draw, p, max_degree=3, max_terms=4):
+    support = draw(
+        st.lists(st.sampled_from(monomials(draw(st.integers(1, max_degree)))),
+                 min_size=1, max_size=max_terms, unique=True)
+    )
+    return {m: draw(st.integers(1, p - 1)) for m in support}
+
+
+@st.composite
+def _ideal(draw):
+    p = draw(st.sampled_from(PRIMES))
+    return p, draw(st.lists(_homogeneous(p), min_size=1, max_size=3))
+
+
+@st.composite
+def _intersection_input(draw):
+    """t*f for f in fs and (1 - t)*g: the input of fiber_intersect."""
+    p = draw(st.sampled_from(PRIMES))
+    fs = draw(st.lists(_homogeneous(p, max_degree=2, max_terms=3), min_size=1, max_size=2))
+    g = draw(_homogeneous(p, max_degree=2, max_terms=3))
+    tagged = [{(1,) + e: c for e, c in f.items()} for f in fs]
+    tagged.append({**{(0,) + e: c for e, c in g.items()},
+                   **{(1,) + e: (-c) % p for e, c in g.items()}})
+    return p, tagged
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_ideal())
+@seed(5)
+def test_buchberger_matches_reference_grevlex(case):
+    p, gens = case
+    gb = raw_buchberger(gens, p)
+    ref = _lifo_buchberger(gens, p, grevlex_key)
+    assert ref is None or gb == ref
+    _assert_reduced_basis(gb, gens, p, grevlex_key)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_intersection_input())
+@seed(5)
+def test_buchberger_matches_reference_elimination(case):
+    p, tagged = case
+    gb = raw_buchberger(tagged, p, key=_raw_elim_first)
+    ref = _lifo_buchberger(tagged, p, _raw_elim_first)
+    assert ref is None or gb == ref
+    _assert_reduced_basis(gb, tagged, p, _raw_elim_first)
+
+
+def test_buchberger_degenerate_inputs():
+    p = 101
+    x, y = (1, 0, 0, 0), (0, 1, 0, 0)
+    assert raw_buchberger([], p) == []
+    assert raw_buchberger([{}, {}], p) == []
+    # repeated and scaled generators collapse to one monic element each
+    assert raw_buchberger([{x: 3}, {x: 5}, {x: 7, y: 2}], p) == [{y: 1}, {x: 1}]
+    assert raw_buchberger([{x: 1, y: 1}, {(0, 0, 0, 0): 4}], p) == [{(0, 0, 0, 0): 1}]
