@@ -16,7 +16,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .curve import validate_curve
 from .errors import ParseError, SpaceCurveError, Undecided
@@ -308,13 +307,18 @@ def _corpus_one(name: str, seed: int):
 
 
 def cmd_corpus(args) -> int:
+    # imported here so that the other commands do not load multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     names = corpus_names()
     if args.action == "list":
         rep = _Report(args, {})
         rep.data["results"] = {"fixtures": names}
         return rep.emit(EXIT_YES)
     rep = _Report(args, {})
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
         futs = [
             pool.submit(_corpus_one, name, args.seed + i)
             for i, name in enumerate(names)

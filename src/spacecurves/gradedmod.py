@@ -255,8 +255,11 @@ class GradedMap:
 def min_generators(F: FreeModule, piece_fn, cap: int):
     """Minimal generators of a graded submodule of F described degreewise.
 
-    piece_fn(n) returns a stacked-column matrix spanning the degree-n piece
-    (closed under epsilon over A).  Returns (elements, degrees).
+    piece_fn(n) returns a matrix whose columns span the degree-n piece
+    (closed under epsilon over A), in the coordinates of element_to_vector(F,
+    ., n): the monomial blocks of F's summands, stacked (fiber; epsilon) over
+    A.  An ideal is the rank-1 case F = R, where these are the coordinates of
+    groebner.poly_to_vector.  Returns (elements, degrees).
     """
     base = F.base
     p = base.p
@@ -389,7 +392,7 @@ class GradedModule:
     def minimal_presentation(self) -> "GradedModule":
         if "minpres" not in self._cache:
             self._cache["minpres"] = GradedModule(
-                _minimalize_map(self.presentation)
+                _minimalize_map(self.presentation)[0]
             )
         return self._cache["minpres"]
 
@@ -508,13 +511,20 @@ class GradedModule:
         )
 
 
-def _minimalize_map(phi: GradedMap) -> GradedMap:
+def _minimalize_map(phi: GradedMap):
     """Cancel unit pivots: remove generator/relation pairs joined by a
-    degree-0 unit entry, then drop zero relation columns."""
+    degree-0 unit entry, then drop zero relation columns.
+
+    Returns (phi_min, kept, exprs): kept lists the original cover generators
+    that survive, in order, and exprs[r] writes original generator r, modulo
+    the image of phi, as a tuple of Polys over the kept generators.
+    """
     base = phi.base
     matrix = [list(row) for row in phi.matrix]
     tgt = list(phi.target.twists)
     src = list(phi.source.twists)
+    live = list(range(phi.target.rank))  # original index of each current row
+    expr = [{r: Poly.one(base)} for r in live]
     while True:
         pivot = None
         for i in range(len(tgt)):
@@ -539,6 +549,17 @@ def _minimalize_map(phi: GradedMap) -> GradedMap:
             factor = matrix[i][jj].scale(inv)
             for ii in range(len(tgt)):
                 matrix[ii][jj] = matrix[ii][jj] - matrix[ii][j] * factor
+        # relation column j rewrites generator live[i] over the other rows
+        repl = {
+            live[ii]: matrix[ii][j].scale(inv).scale_int(base.p - 1)
+            for ii in range(len(tgt))
+            if ii != i and not matrix[ii][j].is_zero()
+        }
+        for terms in expr:
+            coef = terms.pop(live[i], None)
+            if coef is not None:
+                for g, val in repl.items():
+                    terms[g] = terms.get(g, Poly.zero(base)) + coef * val
         # generator i is now expressed by relation j: drop both
         matrix = [
             [matrix[ii][jj] for jj in range(len(src)) if jj != j]
@@ -547,22 +568,31 @@ def _minimalize_map(phi: GradedMap) -> GradedMap:
         ]
         del tgt[i]
         del src[j]
+        del live[i]
     cols = [
         j
         for j in range(len(src))
         if any(not matrix[i][j].is_zero() for i in range(len(tgt)))
     ]
     matrix = [[matrix[i][j] for j in cols] for i in range(len(tgt))]
-    return GradedMap(
+    phi_min = GradedMap(
         FreeModule(base, [src[j] for j in cols]),
         FreeModule(base, tgt),
         matrix,
     )
+    pos = {g: a for a, g in enumerate(live)}
+    exprs = []
+    for terms in expr:
+        col = [Poly.zero(base)] * len(live)
+        for g, val in terms.items():
+            col[pos[g]] = col[pos[g]] + val
+        exprs.append(tuple(col))
+    return phi_min, live, exprs
 
 
 def _resolve(phi: GradedMap, cap, margin):
     """Minimal free resolution of coker(phi) with self-consistent cap."""
-    phi = _minimalize_map(phi)
+    phi = _minimalize_map(phi)[0]
     gen_top = max((-t for t in phi.target.twists), default=0)
     rel_top = max((-t for t in phi.source.twists), default=gen_top)
     attempt_cap = cap if cap is not None else rel_top + 4
@@ -674,11 +704,8 @@ def hom_space(M: GradedModule, N: GradedModule, d: int = 0):
     for a in range(phi.source.rank):
         col = phi.column(a)
         deg = -phi.source.twists[a]
-        target_piece = psi.matrix_at(deg)
         # rows annihilating im(psi) in G0 at degree `deg`
-        red, piv = linalg.rref(target_piece.T, p) if target_piece.size else (np.zeros((0, G0.piece_dim(deg)), dtype=np.int64), [])
-        span = red.T[:, : len(piv)] if piv else np.zeros((G0.piece_dim(deg), 0), dtype=np.int64)
-        proj = linalg.annihilator(span, p)
+        proj = linalg.annihilator(psi.matrix_at(deg), p)
         if proj.shape[0] == 0:
             continue
         block = np.zeros((proj.shape[0], len(slots)), dtype=np.int64)
@@ -687,7 +714,7 @@ def hom_space(M: GradedModule, N: GradedModule, d: int = 0):
             if ef:
                 contrib = Poly(base, {e: (0, a0) for e, (a0, _) in contrib.fiber().lift(base).terms.items()})
             elem = [Poly.zero(base)] * G0.rank
-            elem[i] = contrib if not ef else contrib
+            elem[i] = contrib
             vec = element_to_vector(G0, tuple(elem), deg)
             block[:, s] = linalg.matmul(proj, vec.reshape(-1, 1), p).reshape(-1)
         rows.append(block)

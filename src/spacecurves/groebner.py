@@ -251,7 +251,7 @@ class Ideal:
         for d, comp in f.homogeneous_components():
             mat = self.piece_matrix(d)
             vec = poly_to_vector(comp, d)
-            if not linalg.row_space_contains(mat.T, vec, self.base.p):
+            if linalg.solve(mat, vec, self.base.p) is None:
                 return False
         return True
 
@@ -371,18 +371,6 @@ def poly_to_vector(f: Poly, n: int) -> np.ndarray:
     return out
 
 
-def vector_to_poly(vec: np.ndarray, n: int, base: BaseRing) -> Poly:
-    dim = graded_piece_dim(n)
-    mons = monomials(n)
-    terms = {}
-    for i in range(dim):
-        a = int(vec[i]) % base.p
-        b = int(vec[dim + i]) % base.p if base.dual else 0
-        if a or b:
-            terms[mons[i]] = (a, b)
-    return Poly(base, terms)
-
-
 # -- fiber ideal operations via tag variable ----------------------------
 
 
@@ -468,31 +456,12 @@ def _gen_degrees_window(fiber_result: Ideal, margin: int = 0) -> int:
 
 
 def _extract_generators(base: BaseRing, piece_fn, top: int):
-    """Collect minimal generators of a degreewise-described ideal over A.
+    """Minimal generators up to degree top of a degreewise-described ideal
+    over A: the rank-1 case of gradedmod.min_generators."""
+    from .gradedmod import FreeModule, min_generators
 
-    piece_fn(n) returns the stacked basis matrix of the degree-n piece.
-    Generators in degree n are piece vectors outside the A-span of lower
-    degree generators' multiples.
-    """
-    p = base.p
-    gens = []
-    for n in range(top + 1):
-        dim = graded_piece_dim(n)
-        piece = piece_fn(n)
-        if piece.shape[1] == 0:
-            continue
-        span = linalg.Span(2 * dim, p)
-        for g in gens:
-            d = g.degree()
-            for m in monomials(n - d):
-                vec = poly_to_vector(g.mul_monomial(m), n)
-                span.add(vec)
-                if base.dual:
-                    span.add(linalg.eps_times(vec))
-        if base.dual:
-            span.add_many(linalg.eps_times(piece))
-        gens.extend(vector_to_poly(piece[:, j], n, base) for j in span.add_many(piece))
-    return gens
+    gens, _ = min_generators(FreeModule(base, [0]), piece_fn, top)
+    return [g[0] for g in gens]
 
 
 def _solve_piece(base, constraint_rows, n):

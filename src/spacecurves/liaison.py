@@ -96,16 +96,6 @@ class CompleteIntersection:
     def ideal(self) -> Ideal:
         return Ideal(self.base, [self.F, self.G])
 
-    def koszul_maps(self):
-        """[d1: R(-s)+R(-t) -> R, d2: R(-s-t) -> R(-s)+R(-t)]."""
-        base = self.base
-        F0 = FreeModule(base, [-self.s, -self.t])
-        d1 = GradedMap(F0, FreeModule(base, [0]), [[self.F, self.G]])
-        d2 = GradedMap(
-            FreeModule(base, [-self.s - self.t]), F0, [[self.G], [-self.F]]
-        )
-        return [d1, d2]
-
     def twists(self):
         return ((-self.s - self.t,), (-self.s, -self.t))
 

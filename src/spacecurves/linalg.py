@@ -106,10 +106,6 @@ class Span:
         self.rows = []  # echelon rows, pivot entry normalized to 1
         self.pivots = []  # pivot column per row, ascending insert order
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
     def _reduce(self, vec: np.ndarray):
         v = vec.copy() % self.p
         for piv, row in zip(self.pivots, self.rows):
@@ -130,9 +126,6 @@ class Span:
         self.rows.append(v)
         self.pivots.append(piv)
         return True
-
-    def contains(self, vec: np.ndarray) -> bool:
-        return not np.nonzero(self._reduce(vec))[0].size
 
     def add_many(self, mat: np.ndarray) -> list:
         """Insert the columns of mat in order; returns the indices of the
@@ -172,14 +165,6 @@ def solve(mat: np.ndarray, rhs: np.ndarray, p: int):
     for i, c in enumerate(pivots):
         out[c] = red[i, cols:]
     return out % p
-
-
-def row_space_contains(space: np.ndarray, vec: np.ndarray, p: int) -> bool:
-    if np.count_nonzero(vec % p) == 0:
-        return True
-    if space.shape[0] == 0:
-        return False
-    return rank(np.vstack([space, vec.reshape(1, -1)]), p) == rank(space, p)
 
 
 def annihilator(mat: np.ndarray, p: int) -> np.ndarray:

@@ -31,6 +31,7 @@ from .gradedmod import (
     GradedModule,
     ModuleHom,
     _ext_slot,
+    _minimalize_map,
     cohomology_table,
     element_to_vector,
     ext_module,
@@ -44,89 +45,6 @@ from .groebner import Ideal
 from .liaison import CompleteIntersection, Verdict, link
 from .polyring import Poly, monomials
 from .scalars import BaseRing
-
-
-# -- presentation minimalization with generator tracking --------------------
-
-
-def _minimalize_tracking(phi: GradedMap):
-    """Cancel unit pivots like minimal_presentation, but also report which
-    cover generators survive and how every original generator rewrites over
-    the surviving ones.
-
-    Returns (phi_min, kept_indices, exprs) where exprs[r] is the expression
-    of original cover generator r as a tuple of Polys over the kept cover.
-    """
-    base = phi.base
-    matrix = [list(row) for row in phi.matrix]
-    tgt = list(phi.target.twists)
-    src = list(phi.source.twists)
-    live = list(range(phi.target.rank))  # original index of each current row
-    expr = {r: {r: Poly.one(base)} for r in range(phi.target.rank)}
-    while True:
-        pivot = None
-        for i in range(len(tgt)):
-            for j in range(len(src)):
-                f = matrix[i][j]
-                if f.is_zero() or tgt[i] != src[j]:
-                    continue
-                c = f.coefficient((0, 0, 0, 0))
-                if c[0] % base.p:
-                    pivot = (i, j, c)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        i, j, c = pivot
-        inv = base.scalar(c[0], c[1]).invert()
-        for jj in range(len(src)):
-            if jj == j or matrix[i][jj].is_zero():
-                continue
-            factor = matrix[i][jj].scale(inv)
-            for ii in range(len(tgt)):
-                matrix[ii][jj] = matrix[ii][jj] - matrix[ii][j] * factor
-        # relation column j rewrites generator live[i] over the other rows
-        dropped = live[i]
-        repl = {}
-        for ii in range(len(tgt)):
-            if ii == i or matrix[ii][j].is_zero():
-                continue
-            repl[live[ii]] = matrix[ii][j].scale(inv).scale_int(base.p - 1)
-        for r in expr:
-            terms = expr[r]
-            if dropped in terms:
-                coef = terms.pop(dropped)
-                for g, val in repl.items():
-                    terms[g] = terms.get(g, Poly.zero(base)) + coef * val
-        matrix = [
-            [matrix[ii][jj] for jj in range(len(src)) if jj != j]
-            for ii in range(len(tgt))
-            if ii != i
-        ]
-        del tgt[i]
-        del src[j]
-        del live[i]
-    cols = [
-        j
-        for j in range(len(src))
-        if any(not matrix[i][j].is_zero() for i in range(len(tgt)))
-    ]
-    matrix = [[matrix[i][j] for j in cols] for i in range(len(tgt))]
-    phi_min = GradedMap(
-        FreeModule(base, [src[j] for j in cols]),
-        FreeModule(base, tgt),
-        matrix,
-    )
-    kept = list(live)
-    pos = {g: a for a, g in enumerate(kept)}
-    exprs = {}
-    for r in range(phi.target.rank):
-        col = [Poly.zero(base)] * len(kept)
-        for g, val in expr[r].items():
-            col[pos[g]] = col[pos[g]] + val
-        exprs[r] = tuple(col)
-    return phi_min, kept, exprs
 
 
 # -- generic map plumbing ----------------------------------------------------
@@ -287,7 +205,7 @@ def extravertize(M: GradedModule) -> ExtravertData:
     for a in range(P.rank):
         rows.append([-f for f in c_rows[a]])
     pres_raw = GradedMap(F1, big_target, rows)
-    pres_min, kept, exprs = _minimalize_tracking(pres_raw)
+    pres_min, kept, exprs = _minimalize_map(pres_raw)
     N = GradedModule(pres_min)
     incl = GradedMap.from_columns(
         pres_min.target,
@@ -433,7 +351,7 @@ class ETypeResolution:
 def _with_minimal_gens(I: Ideal) -> Ideal:
     """The same ideal presented by a minimal generating set."""
     IM = GradedModule.from_ideal(I)
-    _, kept, _ = _minimalize_tracking(IM.presentation)
+    _, kept, _ = _minimalize_map(IM.presentation)
     if len(kept) == len(I.gens):
         return I
     return Ideal(I.base, [I.gens[i] for i in sorted(kept)])
@@ -491,8 +409,8 @@ def is_extraverted(N: GradedModule) -> bool:
 
 def _minimal_hom(M: GradedModule, N: GradedModule, f0: GradedMap):
     """Transport a hom onto minimal presentations of both sides."""
-    Mm_pres, keptM, _ = _minimalize_tracking(M.presentation)
-    Nm_pres, _, exprsN = _minimalize_tracking(N.presentation)
+    Mm_pres, keptM, _ = _minimalize_map(M.presentation)
+    Nm_pres, _, exprsN = _minimalize_map(N.presentation)
     Mm = GradedModule(Mm_pres)
     Nm = GradedModule(Nm_pres)
     exprN = GradedMap.from_columns(

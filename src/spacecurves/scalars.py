@@ -105,12 +105,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_unit(self) -> bool:
-        return self.a != 0
-
-    def in_maximal_ideal(self) -> bool:
-        return self.a == 0
-
     def invert(self) -> "Scalar":
         """Inverse of a unit: (a + be)^-1 = a^-1 - a^-2 b e."""
         if self.a == 0:
@@ -118,10 +112,6 @@ class Scalar:
         p = self.ring.p
         inv = pow(self.a, p - 2, p)
         return Scalar(self.ring, inv, (-inv * inv * self.b) % p)
-
-    def reduce_to_fiber(self) -> "Scalar":
-        """Kill epsilon: the image in the residue field k(t)."""
-        return Scalar(self.ring.field(), self.a, 0)
 
     def __str__(self):
         if self.b == 0:

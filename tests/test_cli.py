@@ -140,6 +140,19 @@ def test_corpus_list(capsys):
     assert "twisted-cubic" in rep["results"]["fixtures"]
 
 
+def test_corpus_jobs_give_the_same_results(capsys, monkeypatch):
+    import spacecurves.cli as cli
+
+    monkeypatch.setattr(cli, "corpus_names", lambda: ["conic", "line"])
+    reports = []
+    for jobs in ("1", "2"):
+        code, out = run(capsys, "corpus", "run", "--json", "--jobs", jobs)
+        assert code == 0
+        reports.append(json.loads(out)["results"])
+    assert list(reports[0]) == ["conic", "line"]
+    assert reports[0] == reports[1]
+
+
 def test_dual_numbers_flag(capsys):
     code, out = run(
         capsys, "validate", "corpus:line", "--dual-numbers", "--json"

@@ -2,13 +2,15 @@ from math import comb
 
 import numpy as np
 
-from spacecurves import linalg
+from spacecurves import linalg, raoclass
 from spacecurves.gradedmod import (
     FreeModule,
     GradedMap,
     GradedModule,
     PieceCalculus,
+    _minimalize_map,
     cohomology_table,
+    element_to_vector,
     ext_module,
     finite_data_to_module,
     finite_module_data,
@@ -16,6 +18,7 @@ from spacecurves.gradedmod import (
 )
 from spacecurves.groebner import Ideal
 from spacecurves.polyring import Poly
+from spacecurves.raoclass import extravertize
 
 
 def I(base, *texts):
@@ -141,3 +144,102 @@ def test_dual_base_free_piece_dims(A):
 def test_resolution_certifies_over_dual_base(A):
     RI = GradedModule.quotient_by_ideal(I(A, "X*Z", "Y*W"))
     assert RI.betti_twists() == [(0,), (-2, -2), (-4,)]
+
+
+def _minimalize_untracked(phi):
+    # reference: the unit-pivot cancellation without generator tracking
+    base = phi.base
+    matrix = [list(row) for row in phi.matrix]
+    tgt, src = list(phi.target.twists), list(phi.source.twists)
+    while True:
+        pivot = next(
+            (
+                (i, j)
+                for i in range(len(tgt))
+                for j in range(len(src))
+                if not matrix[i][j].is_zero()
+                and tgt[i] == src[j]
+                and matrix[i][j].coefficient((0, 0, 0, 0))[0] % base.p
+            ),
+            None,
+        )
+        if pivot is None:
+            break
+        i, j = pivot
+        c = matrix[i][j].coefficient((0, 0, 0, 0))
+        inv = base.scalar(c[0], c[1]).invert()
+        for jj in range(len(src)):
+            if jj != j and not matrix[i][jj].is_zero():
+                factor = matrix[i][jj].scale(inv)
+                for ii in range(len(tgt)):
+                    matrix[ii][jj] = matrix[ii][jj] - matrix[ii][j] * factor
+        matrix = [[f for jj, f in enumerate(row) if jj != j] for ii, row in enumerate(matrix) if ii != i]
+        del tgt[i], src[j]
+    cols = [j for j in range(len(src)) if any(not row[j].is_zero() for row in matrix)]
+    return GradedMap(
+        FreeModule(base, [src[j] for j in cols]),
+        FreeModule(base, tgt),
+        [[row[j] for j in cols] for row in matrix],
+    )
+
+
+def _check_tracking(phi):
+    phi_min, kept, exprs = _minimalize_map(phi)
+    ref = _minimalize_untracked(phi)
+    assert (phi_min.source, phi_min.target) == (ref.source, ref.target)
+    assert phi_min.matrix == ref.matrix
+    # kept indexes the surviving cover generators, each of which is itself
+    assert kept == sorted(kept)
+    assert phi_min.target.twists == tuple(phi.target.twists[k] for k in kept)
+    one, zero = Poly.one(phi.base), Poly.zero(phi.base)
+    for a, k in enumerate(kept):
+        assert exprs[k] == tuple(one if b == a else zero for b in range(len(kept)))
+    # e_r - sum_a exprs[r][a] * e_kept[a] lies in the image of phi
+    p = phi.base.p
+    for r in range(phi.target.rank):
+        elem = [one if i == r else zero for i in range(phi.target.rank)]
+        for a, k in enumerate(kept):
+            elem[k] = elem[k] - exprs[r][a]
+        deg = -phi.target.twists[r]
+        vec = element_to_vector(phi.target, tuple(elem), deg)
+        assert linalg.solve(phi.matrix_at(deg), vec, p) is not None, r
+    return phi_min, kept
+
+
+def test_minimalize_tracks_generators_of_extravert_pushouts(monkeypatch, corpus_curves):
+    seen = []
+
+    def record(phi):
+        seen.append(phi)
+        return _minimalize_map(phi)
+
+    monkeypatch.setattr(raoclass, "_minimalize_map", record)
+    for name in ("twisted-cubic", "skew-lines", "quartic-from-skew-bilink", "line-dual"):
+        extravertize(corpus_curves(name).ideal_module())
+    assert len(seen) == 4
+    for pres_raw in seen:
+        _check_tracking(pres_raw)
+
+
+def test_minimalize_tracks_generators_through_unit_pivots(K, A):
+    # cover R + R(-1)^2, relations R(-1) + R(-2)^2: the degree-0 unit 3 + 2e
+    # cancels cover generator 1 against relation 0, and the other degree-0
+    # entry e (0 over the field) is not a unit, so generator 2 survives
+    rows = [
+        ["X + e*Y", "X*Y", "Z^2"],
+        ["3 + 2*e", "Z", "W"],
+        ["e", "W + e*X", "X + Y"],
+    ]
+    for base in (K, A):
+        def parse(t):
+            f = Poly.parse(t, A)
+            return f if base.dual else f.fiber()
+
+        phi = GradedMap(
+            FreeModule(base, [-1, -2, -2]),
+            FreeModule(base, [0, -1, -1]),
+            [[parse(t) for t in row] for row in rows],
+        )
+        phi_min, kept = _check_tracking(phi)
+        assert kept == [0, 2]
+        assert phi_min.source.twists == (-2, -2)

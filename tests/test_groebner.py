@@ -33,6 +33,17 @@ def test_groebner_membership(K):
     assert not tc.is_unit_ideal()
 
 
+def test_dual_membership(A):
+    L = I(A, "X + e*Z", "Y")
+    assert L.contains(Poly.parse("X + e*Z", A))
+    # the fiber of X lies in the fiber of L, but e*Z does not lie in L
+    assert L.fiber_contains(Poly.parse("X", A))
+    assert not L.contains(Poly.parse("X", A))
+    assert L.contains(Poly.parse("X + e*Z + 5*Y*W - e*Y^2 + W^2*(X + e*Z)", A))
+    assert not L.contains(Poly.parse("X + e*Z + X*W", A))
+    assert L.contains(Poly.zero(A))
+
+
 def test_hilbert_function_twisted_cubic(K):
     tc = I(K, "X*Z - Y^2", "Y*W - Z^2", "X*W - Y*Z")
     # quotient dimensions 1, 4, 7, 10, ... (3n+1 for n >= 1)

@@ -41,10 +41,8 @@ def test_span_incremental_rank():
     rng = np.random.default_rng(2)
     m = _rand(rng, 6, 10)
     span = linalg.Span(6, P)
-    span.add_many(m)
-    assert span.rank == linalg.rank(m, P)
-    for j in range(m.shape[1]):
-        assert span.contains(m[:, j])
+    assert len(span.add_many(m)) == linalg.rank(m, P)
+    assert span.add_many(m) == []
     # add_many picks exactly the columns that raise the rank of the prefix;
     # repeated, dependent and zero columns are skipped
     a = _rand(rng, 6, 3)

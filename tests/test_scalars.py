@@ -31,13 +31,10 @@ def test_dual_number_arithmetic(A):
 
 
 def test_units_and_maximal_ideal(A):
-    assert A.epsilon().in_maximal_ideal()
-    assert not A.epsilon().is_unit()
     with pytest.raises(NonUnit):
         A.epsilon().invert()
     with pytest.raises(NonUnit):
         A.zero().invert()
-    assert A.scalar(0, 5).reduce_to_fiber().is_zero()
 
 
 def test_mixed_base_rejected(K, A):
