@@ -26,7 +26,7 @@ from .errors import (
     NotFiniteLength,
     NotLiftable,
 )
-from .polyring import Poly, graded_piece_dim, monomial_index, monomials
+from .polyring import Poly, graded_piece_dim, monomial_index, monomial_shift, monomials
 from .scalars import BaseRing
 
 
@@ -220,29 +220,46 @@ class GradedMap:
         )
 
     def matrix_at(self, n: int) -> np.ndarray:
-        """The k-linear matrix of the map on degree-n stacked pieces."""
+        """The k-linear matrix of the map on degree-n stacked pieces.
+
+        Column block j holds the images of the monomials of source summand
+        j.  Each term a*x^e (+ b*e*x^e over A) of entry (i, j) is one
+        scatter: row block i at rows monomial_shift(d, e) gets a in the
+        fiber half and b in the epsilon half.  Distinct terms of an entry
+        hit distinct cells, so the scatters never overlap.  The epsilon
+        columns are e times the fiber columns.  Cached per degree.
+        """
         if n in self._cache:
             return self._cache[n]
         p = self.base.p
         dual = self.base.dual
         Dt = self.target.fiber_dim(n)
+        roffs = np.cumsum([0] + self.target.block_dims(n))
         src_dims = self.source.block_dims(n)
         Ds = sum(src_dims)
         width = 2 * Ds if dual else Ds
         height = 2 * Dt if dual else Dt
         out = np.zeros((height, width), dtype=np.int64)
         col = 0
-        for j in range(self.source.rank):
+        for j, dim in enumerate(src_dims):
             d = n + self.source.twists[j]
-            column = self.column(j)
-            for m in monomials(d):
-                elem = tuple(f.mul_monomial(m) for f in column)
-                out[:, col] = element_to_vector(self.target, elem, n)
-                col += 1
+            cols = np.arange(col, col + dim)
+            col += dim
+            if not dim:
+                continue
+            for i in range(self.target.rank):
+                for e, (a, b) in self.matrix[i][j].terms.items():
+                    rows = roffs[i] + monomial_shift(d, e)
+                    out[rows, cols] = a
+                    if dual:
+                        out[Dt + rows, cols] = b
+                    elif b:
+                        raise MixedBase("epsilon coefficient over a prime field")
         if dual:
             out[:, Ds:] = linalg.eps_times(out[:, :Ds])
-        self._cache[n] = out % p
-        return self._cache[n]
+        out %= p
+        self._cache[n] = out
+        return out
 
     def __repr__(self):
         rows = ["[" + ", ".join(str(f) for f in row) + "]" for row in self.matrix]
@@ -260,6 +277,12 @@ def min_generators(F: FreeModule, piece_fn, cap: int):
     ., n): the monomial blocks of F's summands, stacked (fiber; epsilon) over
     A.  An ideal is the rank-1 case F = R, where these are the coordinates of
     groebner.poly_to_vector.  Returns (elements, degrees).
+
+    In each degree a Span first takes the monomial multiples of the
+    generators found so far, one generator at a time from the fiber columns
+    of that generator's matrix_at (streamed, so only one generator's
+    multiples are held at once), then e times the piece over A; the piece
+    columns that still raise the rank are the new generators.
     """
     base = F.base
     p = base.p
@@ -275,8 +298,10 @@ def min_generators(F: FreeModule, piece_fn, cap: int):
         width = 2 * D if dual else D
         span = linalg.Span(width, p)
         for g, d in zip(gens, degs):
-            for m in monomials(n - d):
-                span.add(element_to_vector(F, tuple(f.mul_monomial(m) for f in g), n))
+            # unnamed, so each generator's multiples are freed once added
+            span.add_many(
+                GradedMap.from_columns(F, [g], [d]).matrix_at(n)[:, : graded_piece_dim(n - d)]
+            )
         if dual:
             span.add_many(linalg.eps_times(piece))
         for j in span.add_many(piece):

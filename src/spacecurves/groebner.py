@@ -24,6 +24,7 @@ from .polyring import (
     graded_piece_dim,
     grevlex_key,
     monomial_index,
+    monomial_shift,
     monomials,
 )
 from .scalars import BaseRing
@@ -276,16 +277,14 @@ class Ideal:
         """
         p = self.base.p
         dim = graded_piece_dim(n)
-        cols = []
-        for g in self.gens:
-            d = g.degree()
-            if d > n or d < 0:
-                continue
-            for m in monomials(n - d):
-                cols.append(poly_to_vector(g.mul_monomial(m), n))
-        if not cols:
+        blocks = [
+            _mult_columns(g, n - g.degree())
+            for g in self.gens
+            if 0 <= g.degree() <= n
+        ]
+        if not blocks:
             return linalg.zeros(2 * dim, 0)
-        mat = np.array(cols, dtype=np.int64).T % p
+        mat = np.concatenate(blocks, axis=1) % p
         if self.base.dual:
             mat = np.concatenate([mat, linalg.eps_times(mat)], axis=1)
         # column-reduce to a basis
@@ -482,16 +481,26 @@ def _solve_piece(base, constraint_rows, n):
     return ker
 
 
+def _mult_columns(g: Poly, n: int) -> np.ndarray:
+    """Columns g*m for m in monomials(n), as poly_to_vector(., n + deg g)
+    coordinates: one scatter per term of g."""
+    dim_m = graded_piece_dim(n + g.degree())
+    cols = np.arange(graded_piece_dim(n))
+    out = linalg.zeros(2 * dim_m, cols.size)
+    for e, (a, b) in g.terms.items():
+        rows = monomial_shift(n, e)
+        out[rows, cols] = a
+        out[dim_m + rows, cols] = b
+    return out
+
+
 def _multiplication_rows(g: Poly, n: int, target_ann: np.ndarray, p: int, dual: bool):
     """k-linear constraints on f in degree n saying f*g lies in the target
     piece in degree n + deg g, given the annihilator rows of that piece."""
-    d = g.degree()
-    m = n + d
-    dim_n, dim_m = graded_piece_dim(n), graded_piece_dim(m)
+    dim_n, dim_m = graded_piece_dim(n), graded_piece_dim(n + g.degree())
     # matrix of multiplication by g: (R)_n -> (R)_m on stacked coordinates
     mult = linalg.zeros(2 * dim_m, 2 * dim_n)
-    for j, mono in enumerate(monomials(n)):
-        mult[:, j] = poly_to_vector(g.mul_monomial(mono), m)
+    mult[:, :dim_n] = _mult_columns(g, n)
     if dual:
         # e * mono slot: g * (e*mono) = e * (g * mono)
         mult[:, dim_n:] = linalg.eps_times(mult[:, :dim_n])

@@ -96,7 +96,18 @@ def rank(mat: np.ndarray, p: int) -> int:
 
 
 class Span:
-    """Incremental row space mod p with O(rank * width) membership."""
+    """Incremental row space mod p with O(rank * width) membership.
+
+    One echelon row per unit of rank, in insert order, each normalized to 1
+    at its pivot (its first nonzero entry) and zero at the pivots of the
+    rows before it.  Rows are not back-reduced, to keep memory down: that
+    would rewrite old rows on every insert and hold more dense rows at
+    once.  For the same reason rows are stored as int32, which holds every
+    residue mod p <= 2^31 - 1.  Reduction walks the rows in order but jumps
+    straight to the next row whose pivot entry is nonzero in the vector, so
+    a sparse vector costs a few numpy steps instead of a Python step per
+    row.
+    """
 
     __slots__ = ("p", "width", "rows", "pivots")
 
@@ -104,27 +115,38 @@ class Span:
         self.p = p
         self.width = width
         self.rows = []  # echelon rows, pivot entry normalized to 1
-        self.pivots = []  # pivot column per row, ascending insert order
+        # pivot column per row, in insert order; the first len(rows) are live
+        self.pivots = np.empty(width, dtype=np.intp)
 
     def _reduce(self, vec: np.ndarray):
-        v = vec.copy() % self.p
-        for piv, row in zip(self.pivots, self.rows):
-            c = int(v[piv])
-            if c:
-                v = (v - c * row) % self.p
-        return v
+        p = self.p
+        v = np.asarray(vec, dtype=np.int64) % p
+        rows = self.rows
+        pivots = self.pivots[: len(rows)]
+        i = 0
+        while True:
+            # row i is zero at the pivots of rows < i, so subtracting it
+            # leaves the coefficients already cleared at zero
+            nz = v[pivots[i:]].nonzero()[0]
+            if not nz.size:
+                return v
+            i += int(nz[0])
+            piv = pivots[i]
+            c = np.multiply(rows[i][piv:], v[piv], dtype=np.int64)
+            v[piv:] = (v[piv:] - c) % p
+            i += 1
 
     def add(self, vec: np.ndarray) -> bool:
         """Insert if independent; returns True when the rank grew."""
         v = self._reduce(vec)
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
+        nz = v.nonzero()[0]
+        if not nz.size:
             return False
         piv = int(nz[0])
         inv = pow(int(v[piv]), self.p - 2, self.p)
         v = (v * inv) % self.p
-        self.rows.append(v)
-        self.pivots.append(piv)
+        self.pivots[len(self.rows)] = piv
+        self.rows.append(v.astype(np.int32))
         return True
 
     def add_many(self, mat: np.ndarray) -> list:

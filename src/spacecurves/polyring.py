@@ -10,6 +10,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
+import numpy as np
+
 from .errors import MixedBase, ParseError
 from .scalars import BaseRing, Scalar
 
@@ -51,6 +53,17 @@ def monomials(n: int) -> tuple:
 @lru_cache(maxsize=None)
 def monomial_index(n: int) -> dict:
     return {m: i for i, m in enumerate(monomials(n))}
+
+
+@lru_cache(maxsize=None)
+def monomial_shift(d: int, e: Exp) -> np.ndarray:
+    """Multiplication by x^e as an index map: entry k is the index of
+    e * monomials(d)[k] in monomials(d + |e|).  Read-only (shared by the
+    cache)."""
+    idx = monomial_index(d + exp_degree(e))
+    out = np.array([idx[exp_mul(e, m)] for m in monomials(d)], dtype=np.intp)
+    out.flags.writeable = False
+    return out
 
 
 def graded_piece_dim(n: int) -> int:

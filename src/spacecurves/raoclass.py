@@ -43,7 +43,7 @@ from .gradedmod import (
 )
 from .groebner import Ideal
 from .liaison import CompleteIntersection, Verdict, link
-from .polyring import Poly, monomials
+from .polyring import Poly, monomial_shift
 from .scalars import BaseRing
 
 
@@ -116,20 +116,18 @@ def dual_module(M: GradedModule, shift: int = 0):
     raise CertificationError("dual module cap failed to stabilize")
 
 
-def _poly_mult_matrix(g: Poly, d_from: int, base: BaseRing) -> np.ndarray:
-    """Multiplication by g: R_{d_from} -> R_{d_from + deg g}, stacked coords."""
-    R1 = FreeModule(base, [0])
-    d_to = d_from + g.degree()
-    fib_cols = [
-        element_to_vector(R1, (g.mul_monomial(m),), d_to) for m in monomials(d_from)
-    ]
-    width = R1.piece_dim(d_from)
-    height = R1.piece_dim(d_to)
-    out = np.zeros((height, width), dtype=np.int64)
-    for j, v in enumerate(fib_cols):
-        out[:, j] = v
-    if base.dual:
-        out[:, len(fib_cols) :] = linalg.eps_times(out[:, : len(fib_cols)])
+def _times_variable(F: FreeModule, mat: np.ndarray, n: int, v: int) -> np.ndarray:
+    """x_v times each column of mat, a matrix on F's degree-n stacked piece:
+    one row scatter into the degree-(n + 1) piece."""
+    x = tuple(int(i == v) for i in range(4))
+    offs = np.cumsum([0] + F.block_dims(n + 1))
+    rows = np.concatenate(
+        [off + monomial_shift(n + t, x) for off, t in zip(offs, F.twists)]
+    )
+    if F.base.dual:
+        rows = np.concatenate([rows, offs[-1] + rows])
+    out = np.zeros((F.piece_dim(n + 1), mat.shape[1]), dtype=np.int64)
+    out[rows] = mat
     return out
 
 
@@ -161,11 +159,7 @@ def _min_quotient_gens(K: GradedMap, B):
             span.add_many(B.matrix_at(d))
         prev = K.matrix_at(d - 1)
         for v in range(4):
-            mono = tuple(1 if i == v else 0 for i in range(4))
-            for c in range(prev.shape[1]):
-                elem = vector_to_element(F, prev[:, c], d - 1)
-                moved = tuple(f.mul_monomial(mono) for f in elem)
-                span.add(element_to_vector(F, moved, d))
+            span.add_many(_times_variable(F, prev, d - 1, v))
         if base.dual:
             span.add_many(linalg.eps_times(K.matrix_at(d)))
         cands = [j for j in range(K.source.rank) if -K.source.twists[j] == d]
@@ -840,9 +834,9 @@ def _solve_surjection_entries(A_matrix, rhs_polys, entry_degs, base):
             f = A_matrix[a][c]
             if f.is_zero() or widths[a] == 0:
                 continue
-            block[:, offs[a] : offs[a + 1]] = _poly_mult_matrix(
-                f, entry_degs[a], base
-            )
+            block[:, offs[a] : offs[a + 1]] = GradedMap(
+                FreeModule(base, [-f.degree()]), R1, [[f]]
+            ).matrix_at(entry_degs[a] + f.degree())
         blocks.append(block)
         rhs_rows.append(element_to_vector(R1, (rhs_polys[c],), e))
     if not blocks:

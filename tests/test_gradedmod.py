@@ -1,6 +1,8 @@
 from math import comb
 
 import numpy as np
+import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from spacecurves import linalg, raoclass
 from spacecurves.gradedmod import (
@@ -15,10 +17,15 @@ from spacecurves.gradedmod import (
     finite_data_to_module,
     finite_module_data,
     is_module_iso,
+    min_generators,
+    vector_to_element,
 )
+from spacecurves.errors import MixedBase
+from spacecurves.files import load_corpus
 from spacecurves.groebner import Ideal
-from spacecurves.polyring import Poly
+from spacecurves.polyring import Poly, monomials
 from spacecurves.raoclass import extravertize
+from spacecurves.scalars import BaseRing
 
 
 def I(base, *texts):
@@ -243,3 +250,124 @@ def test_minimalize_tracks_generators_through_unit_pivots(K, A):
         phi_min, kept = _check_tracking(phi)
         assert kept == [0, 2]
         assert phi_min.source.twists == (-2, -2)
+
+
+# -- monomial multiplication against the per-column loops -------------------
+
+
+def _matrix_at_by_columns(phi, n):
+    # reference: one mul_monomial -> element_to_vector per source monomial
+    p = phi.base.p
+    dual = phi.base.dual
+    Dt = phi.target.fiber_dim(n)
+    src_dims = phi.source.block_dims(n)
+    Ds = sum(src_dims)
+    width = 2 * Ds if dual else Ds
+    height = 2 * Dt if dual else Dt
+    out = np.zeros((height, width), dtype=np.int64)
+    col = 0
+    for j in range(phi.source.rank):
+        d = n + phi.source.twists[j]
+        column = phi.column(j)
+        for m in monomials(d):
+            elem = tuple(f.mul_monomial(m) for f in column)
+            out[:, col] = element_to_vector(phi.target, elem, n)
+            col += 1
+    if dual:
+        out[:, Ds:] = linalg.eps_times(out[:, :Ds])
+    return out % p
+
+
+PRIMES = (2, 101, 32003, 2**31 - 1)
+
+
+@st.composite
+def _graded_map(draw, eps_over_field=False):
+    """A random map between twisted free modules with zero entries and
+    mixed twists; eps_over_field puts e-coefficients into an F_p map."""
+    p = draw(st.sampled_from(PRIMES))
+    base = BaseRing(p, draw(st.booleans()) and not eps_over_field)
+    tgt = draw(st.lists(st.integers(-2, 1), min_size=1, max_size=3))
+    src = draw(st.lists(st.integers(-4, 0), min_size=1, max_size=3))
+    with_eps = base.dual or eps_over_field
+    matrix = []
+    for t in tgt:
+        row = []
+        for u in src:
+            mons = monomials(t - u)
+            terms = {}
+            if mons and draw(st.booleans()):
+                for m in draw(st.lists(st.sampled_from(mons), min_size=1, max_size=4, unique=True)):
+                    a = draw(st.integers(0, p - 1))
+                    b = draw(st.integers(0, p - 1)) if with_eps else 0
+                    terms[m] = (a, b) if (a, b) != (0, 0) else (1, 0)
+            row.append(Poly(base, terms))
+        matrix.append(row)
+    return GradedMap(FreeModule(base, src), FreeModule(base, tgt), matrix)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_graded_map())
+@seed(7)
+def test_matrix_at_matches_column_loop(phi):
+    # from below every source block (all empty) to past the highest twist
+    for n in range(-2, 6):
+        assert (phi.matrix_at(n) == _matrix_at_by_columns(phi, n)).all(), n
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(_graded_map(eps_over_field=True))
+@seed(7)
+def test_matrix_at_rejects_eps_over_a_prime_field(phi):
+    for n in range(-2, 6):
+        try:
+            want = _matrix_at_by_columns(phi, n)
+        except MixedBase:
+            with pytest.raises(MixedBase):
+                phi.matrix_at(n)
+        else:
+            assert (phi.matrix_at(n) == want).all(), n
+
+
+def _min_generators_by_monomials(F, piece_fn, cap):
+    # reference: span.add of one mul_monomial -> element_to_vector per multiple
+    base = F.base
+    p = base.p
+    dual = base.dual
+    gens = []
+    degs = []
+    for n in range(F.min_degree(), cap + 1):
+        piece = piece_fn(n)
+        if piece.shape[1] == 0:
+            continue
+        D = F.fiber_dim(n)
+        span = linalg.Span(2 * D if dual else D, p)
+        for g, d in zip(gens, degs):
+            for m in monomials(n - d):
+                span.add(element_to_vector(F, tuple(f.mul_monomial(m) for f in g), n))
+        if dual:
+            span.add_many(linalg.eps_times(piece))
+        for j in span.add_many(piece):
+            gens.append(vector_to_element(F, piece[:, j], n))
+            degs.append(n)
+    return gens, degs
+
+
+@pytest.mark.parametrize(
+    "name", ["twisted-cubic", "skew-lines", "ci-2-2", "twisted-cubic-dual", "skew-lines-dual"]
+)
+def test_min_generators_matches_monomial_loop(name):
+    # syzygies of the ideal's generators, then the syzygies of those
+    ideal = load_corpus(name).to_ideal()
+    base = ideal.base
+    degs = [g.degree() for g in ideal.gens]
+    phi = GradedMap(FreeModule(base, [-d for d in degs]), FreeModule(base, [0]), [list(ideal.gens)])
+    cap = max(degs) * 2 + 4
+    for step in range(2):
+        def piece(n, phi=phi):
+            return linalg.kernel_basis(phi.matrix_at(n), base.p)
+
+        got = min_generators(phi.source, piece, cap)
+        assert got == _min_generators_by_monomials(phi.source, piece, cap)
+        assert got[0] or step  # the ideal always has first syzygies
+        phi = GradedMap.from_columns(phi.source, *got)

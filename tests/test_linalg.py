@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from spacecurves import linalg
+from spacecurves.gradedmod import FreeModule, GradedMap
+from spacecurves.polyring import Poly, monomials
+from spacecurves.scalars import BaseRing
 
 P = 32003
 
@@ -55,6 +58,64 @@ def test_span_incremental_rank():
         ]
         assert grows == picks
         assert linalg.Span(m.shape[0], P).add_many(m) == picks
+
+
+def _random_element(rng, F, degree):
+    """A degree-`degree` element of F with a few random terms per summand."""
+    base, p = F.base, F.base.p
+    out = []
+    for t in F.twists:
+        mons = monomials(degree + t)
+        terms = {}
+        for k in rng.choice(len(mons), size=min(3, len(mons)), replace=False):
+            b = int(rng.integers(0, p)) if base.dual else 0
+            terms[mons[k]] = (int(rng.integers(1, p)), b)
+        out.append(Poly(base, terms))
+    return tuple(out)
+
+
+def _span_cases(rng, p):
+    """(prefix, candidates): monomial multiples of random elements, which are
+    sparse, over F_p and the dual numbers; then dense seeded matrices."""
+    cases = []
+    for dual in (False, True):
+        F = FreeModule(BaseRing(p, dual), [0, -1])
+        gens = [_random_element(rng, F, 1) for _ in range(5)]
+        # 50 multiples in a 30-dimensional fiber piece: many dependent ones
+        mult = GradedMap.from_columns(F, gens, [1] * 5).matrix_at(3)
+        half = mult.shape[1] // 2 if dual else mult.shape[1]
+        # prefix: the first generator's multiples; candidates: everything,
+        # so the prefix columns come round again
+        cases.append((mult[:, : half // 5], mult[:, :half]))
+        if dual:
+            cases.append((linalg.eps_times(mult[:, :half]), mult[:, :half]))
+    dense = rng.integers(0, p, size=(12, 5), dtype=np.int64)
+    low = linalg.matmul(dense[:, :3], rng.integers(0, p, size=(3, 8), dtype=np.int64), p)
+    cand = np.concatenate([low, dense, np.zeros((12, 2), dtype=np.int64), dense[:, :2]], axis=1)
+    cases.append((dense[:, :2], cand))
+    cases.append((np.zeros((12, 0), dtype=np.int64), rng.integers(0, p, size=(12, 20), dtype=np.int64)))
+    return cases
+
+
+@pytest.mark.parametrize("p", [2, 2**31 - 1])
+def test_span_picks_the_columns_that_raise_the_rank_of_the_prefix(p):
+    rng = np.random.default_rng(7)
+    for prefix, cand in _span_cases(rng, p):
+        span = linalg.Span(cand.shape[0], p)
+        span.add_many(prefix)
+        picks = span.add_many(cand)
+        ranks = [
+            linalg.rank(np.concatenate([prefix, cand[:, :j]], axis=1), p)
+            for j in range(cand.shape[1] + 1)
+        ]
+        assert picks == [j for j in range(cand.shape[1]) if ranks[j + 1] > ranks[j]]
+        # echelon rows in insert order: 1 at the own pivot, 0 left of it and
+        # at the pivots of the rows before
+        pivots = span.pivots[: len(span.rows)].tolist()
+        assert len(pivots) == ranks[-1]
+        for i, (row, piv) in enumerate(zip(span.rows, pivots)):
+            assert row[piv] == 1 and not row[:piv].any()
+            assert not row[pivots[:i]].any()
 
 
 def test_eps_times_is_the_block_action():

@@ -1,7 +1,14 @@
 import pytest
 
 from spacecurves.errors import ParseError
-from spacecurves.polyring import Poly, graded_piece_dim, monomials, variables
+from spacecurves.polyring import (
+    Poly,
+    exp_mul,
+    graded_piece_dim,
+    monomial_shift,
+    monomials,
+    variables,
+)
 
 
 def test_parse_print_round_trip(K):
@@ -61,3 +68,19 @@ def test_monomial_counts():
         assert graded_piece_dim(n) == want
         assert len(monomials(n)) == want
     assert graded_piece_dim(-1) == 0
+
+
+def test_monomial_shift_is_the_index_of_each_product():
+    for d in range(6):
+        for c in range(4):
+            for e in monomials(c):
+                shift = monomial_shift(d, e)
+                assert shift.shape == (len(monomials(d)),)
+                assert len(set(shift.tolist())) == shift.size
+                target = monomials(d + c)
+                for k, m in enumerate(monomials(d)):
+                    assert target[shift[k]] == exp_mul(e, m)
+    assert monomial_shift(-1, (1, 0, 0, 0)).size == 0
+    # the cached array is shared, so it must not be writable
+    with pytest.raises(ValueError):
+        monomial_shift(2, (0, 1, 0, 0))[0] = 0

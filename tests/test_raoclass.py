@@ -1,6 +1,6 @@
 import pytest
 
-from spacecurves.gradedmod import GradedMap, GradedModule, ModuleHom
+from spacecurves.gradedmod import GradedMap, GradedModule, ModuleHom, ext_module
 from spacecurves.polyring import Poly
 from spacecurves.raoclass import (
     biliaison_equivalent,
@@ -31,6 +31,17 @@ def test_ntype_twists(corpus_curves):
         res = n_type_resolution(corpus_curves(name))
         assert res.twists() == want, name
         assert is_extraverted(res.N), name
+
+
+def test_ntype_resolution_keeps_ext1_of_n(corpus_curves):
+    # the extraverted check computes Ext^1(N, R) once and caches it on N, so
+    # certification and later decisions reuse it
+    res = n_type_resolution(corpus_curves("skew-lines"))
+    assert ("ext", 1, 0) in res.N._cache
+    E = ext_module(res.N, 1, 0)
+    assert E is res.N._cache[("ext", 1, 0)]
+    assert ext_module(res.N, 1, 0) is E
+    assert E.F0.rank == 0
 
 
 def test_etype_twists(corpus_curves):
