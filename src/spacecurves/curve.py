@@ -30,7 +30,7 @@ from .gradedmod import (
     is_module_iso,
 )
 from .groebner import Ideal, ideal_saturate
-from .polyring import Poly, graded_piece_dim, monomials
+from .polyring import Poly, graded_piece_dim
 from .scalars import BaseRing
 
 
@@ -213,76 +213,53 @@ def _rao_route_saturation(C: CurveFamily) -> FiniteModuleData:
     reg = C.regularity()
     lo, hi = -reg - 4, reg + 2
     degrees = list(range(lo, hi + 2))
-    ph = _stabilized_power_homs(pc, degrees)
-    bases = {n: ph.hom_basis(n) for n in degrees}
+    ph, bases = _stabilized_power_homs(pc, degrees)
+    t = ph.t
     # image of R_n inside Hom(m^t, R/I)_n: multiplication homs
-    img = {}
-    for n in degrees:
-        cols = []
-        for m in monomials(n):
-            v = ph.multiplication_hom(Poly.monomial(base, m), n)
-            cols.append(v)
-            if base.dual:
-                eps = ph.eps_action_coords(n)
-                cols.append(linalg.matmul(eps, v.reshape(-1, 1), p).reshape(-1))
-        width = bases[n].shape[0]
-        img[n] = (
-            np.array(cols, dtype=np.int64).T % p
-            if cols
-            else np.zeros((width, 0), dtype=np.int64)
-        )
+    img = {n: ph.multiplication_homs(n) for n in degrees}
     # quotient bases
     reps = {}
     for n in degrees:
-        width = bases[n].shape[0]
-        span = linalg.Span(max(width, 1), p)
+        span = linalg.Span(max(bases[n].shape[0], 1), p)
         span.add_many(img[n])
-        reps[n] = [bases[n][:, j] for j in span.add_many(bases[n])]
-    dims = {n: len(reps[n]) for n in degrees if reps[n]}
+        reps[n] = bases[n][:, span.add_many(bases[n])]
+    dims = {n: reps[n].shape[1] for n in degrees if reps[n].shape[1]}
     actions = {}
     eps_maps = {}
     for n in degrees[:-1]:
-        dn = len(reps[n])
-        dn1 = len(reps[n + 1])
-        if dn == 0:
+        if not reps[n].shape[1]:
             continue
-        mats = [ph.variable_action(v, n) for v in range(4)]
         for v in range(4):
-            out = np.zeros((dn1, dn), dtype=np.int64)
-            for c, w in enumerate(reps[n]):
-                moved = linalg.matmul(mats[v], w.reshape(-1, 1), p).reshape(-1)
-                out[:, c] = _coords_in_quotient(moved, img[n + 1], reps[n + 1], p)
-            actions[(n, v)] = out
+            q = pc.mult_matrix(Poly.variable(base, v), n + t)
+            moved = ph.blockwise(q, reps[n])
+            actions[(n, v)] = _coords_in_quotient(moved, img[n + 1], reps[n + 1], p)
         if base.dual:
-            emat = ph.eps_action_coords(n)
-            out = np.zeros((dn, dn), dtype=np.int64)
-            for c, w in enumerate(reps[n]):
-                moved = linalg.matmul(emat, w.reshape(-1, 1), p).reshape(-1)
-                out[:, c] = _coords_in_quotient(moved, img[n], reps[n], p)
-            eps_maps[n] = out
+            moved = ph.blockwise(pc.eps_matrix_q(n + t), reps[n])
+            eps_maps[n] = _coords_in_quotient(moved, img[n], reps[n], p)
     return FiniteModuleData(base, dims, actions, eps_maps)
 
 
-def _coords_in_quotient(vec, img, reps, p):
-    """Coefficients of vec on the chosen quotient representatives."""
-    if not reps:
-        return np.zeros(0, dtype=np.int64)
-    cols = [r for r in reps]
-    mat = np.array(cols, dtype=np.int64).T
-    full = np.concatenate([mat, img], axis=1) if img.size else mat
-    sol = linalg.solve(full, vec.reshape(-1, 1), p)
+def _coords_in_quotient(vecs, img, reps, p):
+    """Coefficients of each column of vecs on the chosen quotient
+    representatives (the columns of reps)."""
+    if not reps.shape[1]:
+        return np.zeros((0, vecs.shape[1]), dtype=np.int64)
+    full = np.concatenate([reps, img], axis=1)
+    sol = linalg.solve(full, vecs, p)
     if sol is None:
         raise OracleMismatch("vector escapes the hom space")
-    return sol[: len(reps), 0]
+    return sol[: reps.shape[1]]
 
 
-def _stabilized_power_homs(pc: PieceCalculus, degrees) -> PowerHomCalculus:
-    prev = None
+def _stabilized_power_homs(pc: PieceCalculus, degrees):
+    """(ph, hom bases by degree) at the first t whose hom dimensions over
+    degrees repeat those at t - 1."""
     prev_dims = None
     for t in range(1, 12):
         ph = PowerHomCalculus(pc, t)
-        dims = tuple(ph.hom_basis(n).shape[1] for n in degrees)
+        bases = {n: ph.hom_basis(n) for n in degrees}
+        dims = tuple(b.shape[1] for b in bases.values())
         if dims == prev_dims:
-            return ph
-        prev, prev_dims = ph, dims
+            return ph, bases
+        prev_dims = dims
     raise OracleMismatch("Hom(m^t, -) failed to stabilize")

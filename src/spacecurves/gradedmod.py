@@ -929,7 +929,7 @@ def ext_module(M: GradedModule, i: int, shift: int = 0) -> GradedModule:
     for _ in range(4):
         if into is not None:
             K = kernel_min_gens(into, cap)
-        E = subquotient_module(K, outof, cap)
+        E = subquotient_module(K, outof, cap).minimal_presentation()
         probe = ext_piece_dims(M, i, shift, [cap + 1, cap + 2])
         if all(E.piece_dim(n) == d for n, d in probe.items()):
             M._cache[key] = E
@@ -938,36 +938,32 @@ def ext_module(M: GradedModule, i: int, shift: int = 0) -> GradedModule:
     raise CertificationError(f"Ext^{i} cap failed to stabilize")
 
 
-def subquotient_module(K: GradedMap, B: GradedMap, cap: int) -> GradedModule:
-    """The module (im K + im B)/(im B), generated by the columns of K.
+def subquotient_module(K: GradedMap, B: GradedMap | None, cap: int) -> GradedModule:
+    """The module (im K + im B)/(im B) on the cover K.source.
 
-    K: H -> F picks generators, B: G -> F (or None) spans the submodule to
-    quotient by.  Relations are kernel elements of [K | B] projected to H.
+    K: H -> F picks generators, B: G -> F (or None, for B = 0) spans the
+    submodule to quotient by.  Relations are the minimal kernel elements of
+    [K | B] projected to H; the presentation is not minimalized, so the
+    cover stays exactly H.
     """
     base = K.base
-    if B is None:
-        rel = kernel_min_gens(K, cap)
-        return GradedModule(rel).minimal_presentation()
-    F = K.target
-    H, G = K.source, B.source
-    concat_src = FreeModule(base, list(H.twists) + list(G.twists))
-    matrix = [
-        [K.matrix[i][j] for j in range(H.rank)]
-        + [B.matrix[i][j] for j in range(G.rank)]
-        for i in range(F.rank)
-    ]
-    joint = GradedMap(concat_src, F, matrix)
+    F, H = K.target, K.source
+    G = B.source if B is not None else FreeModule(base, [])
+    rows = B.matrix if B is not None else [()] * F.rank
+    joint = GradedMap(
+        FreeModule(base, H.twists + G.twists),
+        F,
+        [K.matrix[i] + rows[i] for i in range(F.rank)],
+    )
     syz = kernel_min_gens(joint, cap)
     rel_cols = []
     rel_degs = []
     for j in range(syz.source.rank):
-        col = syz.column(j)
-        head = col[: H.rank]
+        head = syz.column(j)[: H.rank]
         if any(not f.is_zero() for f in head):
             rel_cols.append(head)
             rel_degs.append(-syz.source.twists[j])
-    rel = GradedMap.from_columns(H, rel_cols, rel_degs)
-    return GradedModule(rel).minimal_presentation()
+    return GradedModule(GradedMap.from_columns(H, rel_cols, rel_degs))
 
 
 # -- piece-level calculus ---------------------------------------------------
@@ -1003,44 +999,37 @@ class PieceCalculus:
         return len(self._reducer(n)[2])
 
     def project(self, vec: np.ndarray, n: int) -> np.ndarray:
-        # the rref is fully reduced, so each pivot row subtracts once, with
-        # the vector's own entry at its pivot as the coefficient
+        """Quotient coordinates of a degree-n cover vector, or of each column
+        of a matrix: V[nonpiv] - red^T V[piv] in one matmul.  The rref is
+        fully reduced, so each pivot row subtracts once, with the vector's
+        own entry at its pivot as the coefficient."""
         red, piv, nonpiv = self._reducer(n)
-        v = vec % self.p
-        return (v[nonpiv] - linalg.matmul(v[None, piv], red, self.p)[0]) % self.p
-
-    def embed(self, idx: int, n: int) -> np.ndarray:
-        _, _, nonpiv = self._reducer(n)
-        out = np.zeros(self.M.F0.piece_dim(n), dtype=np.int64)
-        out[nonpiv[idx]] = 1
-        return out
-
-    def element_coords(self, elem, n: int) -> np.ndarray:
-        return self.project(element_to_vector(self.M.F0, elem, n), n)
+        p = self.p
+        v = (vec if vec.ndim == 2 else vec[:, None]) % p
+        out = (v[nonpiv] - linalg.matmul(red.T, v[piv], p)) % p
+        return out if vec.ndim == 2 else out[:, 0]
 
     def mult_matrix(self, g: Poly, n: int) -> np.ndarray:
-        """Multiplication by homogeneous g on quotient coordinates."""
+        """Multiplication by homogeneous g on quotient coordinates: the
+        columns of g*Id at the non-pivot cover coordinates, projected."""
         key = (g, n)
-        if key in self._mult:
-            return self._mult[key]
-        d = g.degree()
-        dn, dm = self.dim(n), self.dim(n + d)
-        out = np.zeros((dm, dn), dtype=np.int64)
-        F0 = self.M.F0
-        for c in range(dn):
-            elem = vector_to_element(F0, self.embed(c, n), n)
-            moved = tuple(g * f for f in elem)
-            out[:, c] = self.project(element_to_vector(F0, moved, n + d), n + d)
-        self._mult[key] = out
-        return out
+        if key not in self._mult:
+            F0 = self.M.F0
+            d = g.degree()
+            z = Poly.zero(self.M.base)
+            times_g = GradedMap(
+                F0.shift(-d),
+                F0,
+                [[g if i == j else z for j in range(F0.rank)] for i in range(F0.rank)],
+            )
+            cols = times_g.matrix_at(n + d)[:, self._reducer(n)[2]]
+            self._mult[key] = self.project(cols, n + d)
+        return self._mult[key]
 
     def eps_matrix_q(self, n: int) -> np.ndarray:
         """Multiplication by epsilon on quotient coordinates (dual base)."""
-        dn = self.dim(n)
-        out = np.zeros((dn, dn), dtype=np.int64)
-        for c in range(dn):
-            out[:, c] = self.project(linalg.eps_times(self.embed(c, n)), n)
-        return out
+        unit = linalg.identity(self.M.F0.piece_dim(n))[:, self._reducer(n)[2]]
+        return self.project(linalg.eps_times(unit), n)
 
 
 class PowerHomCalculus:
@@ -1048,7 +1037,8 @@ class PowerHomCalculus:
 
     A hom f: m^t -> M(n) is determined by the images of the degree-t
     monomials, subject to the linear syzygies of m^t.  The coordinates of f
-    are the concatenated quotient coordinates of those images in M_{n+t}.
+    are the concatenated quotient coordinates of those images in M_{n+t}:
+    block i holds the image of monomials(t)[i].
     """
 
     def __init__(self, pc: PieceCalculus, t: int):
@@ -1084,42 +1074,31 @@ class PowerHomCalculus:
         b = self.hom_basis(n)
         return b.shape[1]
 
-    def multiplication_hom(self, f: Poly, n: int) -> np.ndarray:
-        """The hom 'multiply by f' (f of degree n) in image coordinates."""
+    def multiplication_homs(self, n: int) -> np.ndarray:
+        """Columns: the homs 'multiply by m' for every degree-n monomial m,
+        and over A also 'multiply by e*m', in image coordinates.  Block i is
+        the projection of the cover coordinates of m*monomials(t)[i]."""
         pc = self.pc
-        if pc.M.F0.rank != 1:
+        if pc.M.F0.twists != (0,):
             raise ValueError("multiplication homs need a cyclic module")
-        dv = pc.dim(n + self.t)
-        out = np.zeros(len(self.mons) * dv, dtype=np.int64)
-        for i, m in enumerate(self.mons):
-            # image of the generator m is the class of f*m in M_{n+t}
-            out[i * dv : (i + 1) * dv] = pc.element_coords(
-                (f.mul_monomial(m),), n + self.t
-            )
-        return out
+        unit = linalg.identity(pc.M.F0.piece_dim(n + self.t))
+        D = graded_piece_dim(n + self.t)
+        blocks = []
+        for b in self.mons:
+            idx = monomial_shift(n, b)
+            if pc.dual:
+                idx = np.concatenate([idx, D + idx])
+            blocks.append(pc.project(unit[:, idx], n + self.t))
+        return np.concatenate(blocks, axis=0)
 
-    def variable_action(self, v: int, n: int) -> np.ndarray:
-        """Matrix of x_v: image coords at degree n -> image coords at n+1."""
-        pc = self.pc
-        dv = pc.dim(n + self.t)
-        dw = pc.dim(n + 1 + self.t)
-        N = len(self.mons)
-        g = Poly.variable(self.base, v)
-        out = np.zeros((N * dw, N * dv), dtype=np.int64)
-        mult = pc.mult_matrix(g, n + self.t)
-        for i in range(N):
-            out[i * dw : (i + 1) * dw, i * dv : (i + 1) * dv] = mult
-        return out
-
-    def eps_action_coords(self, n: int) -> np.ndarray:
-        pc = self.pc
-        dv = pc.dim(n + self.t)
-        N = len(self.mons)
-        e = pc.eps_matrix_q(n + self.t)
-        out = np.zeros((N * dv, N * dv), dtype=np.int64)
-        for i in range(N):
-            out[i * dv : (i + 1) * dv, i * dv : (i + 1) * dv] = e
-        return out
+    def blockwise(self, q: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        """Apply a quotient-coordinate matrix q to every image block of each
+        column of coords: one reshape and one matmul."""
+        N, k = len(self.mons), coords.shape[1]
+        dv, dw = q.shape[1], q.shape[0]
+        flat = coords.reshape(N, dv, k).transpose(1, 0, 2).reshape(dv, N * k)
+        out = linalg.matmul(q, flat, self.pc.p)
+        return out.reshape(dw, N, k).transpose(1, 0, 2).reshape(N * dw, k)
 
 
 # -- finite-length module data ---------------------------------------------
@@ -1278,11 +1257,26 @@ def cohomology_table(M: GradedModule, Q: str, n_lo: int, n_hi: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _power_ideal_module(base: BaseRing, t: int) -> GradedModule:
-    """(X,Y,Z,W)^t as a graded module."""
-    from .groebner import Ideal
+    """(X,Y,Z,W)^t as a graded module, on the generators monomials(t).
 
-    gens = [Poly.monomial(base, m) for m in monomials(t)]
-    return GradedModule.from_ideal(Ideal(base, gens))
+    The relations are the minimal linear syzygies of Eliahou and Kervaire
+    (J. Algebra 129, 1990): x_i*e(u/x_i) - x_j*e(u/x_j) for each degree
+    t + 1 monomial u and each pair i < j of consecutive variables in its
+    support.  They span every degree t + 1 syzygy, and m^t has a linear
+    resolution, so they generate the syzygy module.
+    """
+    index = monomial_index(t)
+    xs = [Poly.variable(base, v) for v in range(4)]
+    cols = []
+    for u in monomials(t + 1):
+        support = [v for v in range(4) if u[v]]
+        for i, j in zip(support, support[1:]):
+            col = [Poly.zero(base)] * len(index)
+            for v, x in ((i, xs[i]), (j, xs[j].scale_int(-1))):
+                col[index[tuple(a - (w == v) for w, a in enumerate(u))]] = x
+            cols.append(tuple(col))
+    F0 = FreeModule(base, [-t] * len(index))
+    return GradedModule(GradedMap.from_columns(F0, cols, [t + 1] * len(cols)))
 
 
 def saturation_dims(M: GradedModule, n_lo: int, n_hi: int) -> dict:

@@ -494,18 +494,27 @@ def _mult_columns(g: Poly, n: int) -> np.ndarray:
     return out
 
 
-def _multiplication_rows(g: Poly, n: int, target_ann: np.ndarray, p: int, dual: bool):
+def _multiplication_rows(g: Poly, n: int, ann: np.ndarray, p: int):
     """k-linear constraints on f in degree n saying f*g lies in the target
-    piece in degree n + deg g, given the annihilator rows of that piece."""
-    dim_n, dim_m = graded_piece_dim(n), graded_piece_dim(n + g.degree())
-    # matrix of multiplication by g: (R)_n -> (R)_m on stacked coordinates
-    mult = linalg.zeros(2 * dim_m, 2 * dim_n)
-    mult[:, :dim_n] = _mult_columns(g, n)
-    if dual:
-        # e * mono slot: g * (e*mono) = e * (g * mono)
-        mult[:, dim_n:] = linalg.eps_times(mult[:, :dim_n])
-    # f*g in the target iff the annihilator rows vanish on it
-    return linalg.matmul(target_ann, mult, p)
+    piece in degree n + deg g, given the annihilator rows ann of that piece.
+
+    ann times the multiplication matrix of g is a sum of column gathers: a
+    term (a + b*e)*x^e sends the fiber coordinate r of f to a*ann[:, s] +
+    b*ann[:, D + s] and its epsilon coordinate r to a*ann[:, D + s], where
+    s = monomial_shift(n, e)[r] and D = dim R_{n + deg g}.  Each product is
+    reduced at once: it is below 2^62, but a sum of them need not fit.
+    """
+    dim_n, D = graded_piece_dim(n), graded_piece_dim(n + g.degree())
+    out = linalg.zeros(ann.shape[0], 2 * dim_n)
+    fib, eps = out[:, :dim_n], out[:, dim_n:]
+    for e, (a, b) in g.terms.items():
+        s = monomial_shift(n, e)
+        at_fib, at_eps = ann[:, s], ann[:, D + s]
+        fib += a * at_fib % p + b * at_eps % p
+        eps += a * at_eps % p
+        fib %= p
+        eps %= p
+    return out
 
 
 def _piece_annihilators(I: Ideal):
@@ -531,10 +540,11 @@ def ideal_colon(I: Ideal, J: Ideal, margin: int = 2) -> Ideal:
     p = I.base.p
     piece_ann = _piece_annihilators(I)
 
+    @lru_cache(maxsize=None)  # generator extraction and certification share it
     def colon_piece(n):
         rows = []
         for g in J.gens:
-            rows.append(_multiplication_rows(g, n, piece_ann(n + g.degree()), p, True))
+            rows.append(_multiplication_rows(g, n, piece_ann(n + g.degree()), p))
         return _solve_piece(I.base, rows, n)
 
     gens = _extract_generators(I.base, colon_piece, top)
@@ -558,9 +568,10 @@ def ideal_saturate(I: Ideal, margin: int = 2) -> Ideal:
         target_ann = piece_ann(n + c)
         for mono in monomials(c):
             g = Poly.monomial(I.base, mono)
-            rows.append(_multiplication_rows(g, n, target_ann, p, True))
+            rows.append(_multiplication_rows(g, n, target_ann, p))
         return _solve_piece(I.base, rows, n)
 
+    @lru_cache(maxsize=None)
     def sat_piece(n):
         c = 1
         prev = sat_piece_at(n, c)
@@ -604,6 +615,7 @@ def ideal_intersect(I: Ideal, J: Ideal, margin: int = 2) -> Ideal:
     top = _gen_degrees_window(guide, margin)
     p = I.base.p
 
+    @lru_cache(maxsize=None)
     def inter_piece(n):
         a, b = I.piece_matrix(n), J.piece_matrix(n)
         if a.shape[1] == 0 or b.shape[1] == 0:

@@ -59,6 +59,23 @@ def _solve_elem(phi: GradedMap, elem, degree: int):
     return vector_to_element(phi.source, sol[:, 0], degree)
 
 
+def _lift_columns(phi: GradedMap, X: GradedMap, msg: str) -> GradedMap:
+    """A map Y with phi o Y = X, lifted one column of X at a time: a zero
+    column lifts to zero, and a column with no preimage raises
+    CertificationError(msg)."""
+    cols = []
+    for j in range(X.source.rank):
+        col = X.column(j)
+        if all(f.is_zero() for f in col):
+            cols.append(phi.source.zero_element())
+            continue
+        lift = _solve_elem(phi, col, -X.source.twists[j])
+        if lift is None:
+            raise CertificationError(msg)
+        cols.append(lift)
+    return GradedMap.from_columns(phi.source, cols, [-t for t in X.source.twists])
+
+
 def _identity_map(F: FreeModule) -> GradedMap:
     base = F.base
     return GradedMap(
@@ -100,7 +117,7 @@ def dual_module(M: GradedModule, shift: int = 0):
     p = base.p
     for _ in range(4):
         K = kernel_min_gens(d0, cap)
-        E = subquotient_module(K, None, cap)
+        E = subquotient_module(K, None, cap).minimal_presentation()
         ok = True
         for n in (cap + 1, cap + 2):
             mat = d0.matrix_at(n)
@@ -231,15 +248,9 @@ def _certify_extravert(data: ExtravertData):
                 f"extravert sequence not exact in degree {n}"
             )
     # the composite P -> N -> M must be the zero module map
-    comp = data.proj.compose(data.incl)
-    for a in range(P.rank):
-        col = comp.column(a)
-        if all(f.is_zero() for f in col):
-            continue
-        if M.F1.rank == 0 or _solve_elem(
-            M.presentation, col, -P.twists[a]
-        ) is None:
-            raise CertificationError("P maps onto M nontrivially")
+    _lift_columns(
+        M.presentation, data.proj.compose(data.incl), "P maps onto M nontrivially"
+    )
 
 
 # -- resolution packages -----------------------------------------------------
@@ -261,22 +272,7 @@ class NTypeResolution:
         Im = _with_minimal_gens(self.ideal)
         IM = GradedModule.from_ideal(Im)
         gens_row = GradedMap(IM.F0, FreeModule(IM.base, [0]), [list(Im.gens)])
-        cols = []
-        degs = []
-        for j in range(self.N.F0.rank):
-            g = self.surj.matrix[0][j]
-            d = -self.N.F0.twists[j]
-            if g.is_zero():
-                cols.append(IM.F0.zero_element())
-            else:
-                lift = _solve_elem(gens_row, (g,), d)
-                if lift is None:
-                    raise CertificationError(
-                        "surjection does not land in the ideal"
-                    )
-                cols.append(lift)
-            degs.append(d)
-        f0 = GradedMap.from_columns(IM.F0, cols, degs)
+        f0 = _lift_columns(gens_row, self.surj, "surjection does not land in the ideal")
         return ModuleHom(self.N, IM, f0)
 
     def certify(self):
@@ -437,20 +433,7 @@ def _lift_chain(f0: GradedMap, res_src, res_tgt):
             if not comp.is_zero():
                 raise CertificationError("chain map does not terminate")
             break
-        cols = []
-        degs = []
-        for j in range(comp.source.rank):
-            d = -comp.source.twists[j]
-            col = comp.column(j)
-            if all(f.is_zero() for f in col):
-                cols.append(res_tgt[i].source.zero_element())
-            else:
-                lift = _solve_elem(res_tgt[i], col, d)
-                if lift is None:
-                    raise CertificationError("chain map lift failed")
-                cols.append(lift)
-            degs.append(d)
-        gs.append(GradedMap.from_columns(res_tgt[i].source, cols, degs))
+        gs.append(_lift_columns(res_tgt[i], comp, "chain map lift failed"))
     return gs
 
 
@@ -621,7 +604,7 @@ def psi_roof(
                 cols.append(col)
                 degs.append(-K.source.twists[j])
         Kproj = GradedMap.from_columns(head, cols, degs)
-        roof = _subquotient_keep_cover(Kproj, rel, cap)
+        roof = subquotient_module(Kproj, rel, cap)
         ok = all(
             roof.piece_dim(n)
             == N1.piece_dim(n) + N2.piece_dim(n) - M.piece_dim(n)
@@ -660,31 +643,6 @@ def psi_roof(
         if not is_psi(proj):
             raise CertificationError("roof projection is not a psi")
     return roof, p1, p2
-
-
-def _subquotient_keep_cover(K: GradedMap, B: GradedMap, cap: int) -> GradedModule:
-    """Like subquotient_module, but the cover stays exactly K's source."""
-    base = K.base
-    F = K.target
-    H, G = K.source, B.source
-    joint = GradedMap(
-        FreeModule(base, list(H.twists) + list(G.twists)),
-        F,
-        [
-            [K.matrix[i][j] for j in range(H.rank)]
-            + [B.matrix[i][j] for j in range(G.rank)]
-            for i in range(F.rank)
-        ],
-    )
-    syz = kernel_min_gens(joint, cap)
-    rel_cols = []
-    rel_degs = []
-    for j in range(syz.source.rank):
-        head = syz.column(j)[: H.rank]
-        if any(not f.is_zero() for f in head):
-            rel_cols.append(head)
-            rel_degs.append(-syz.source.twists[j])
-    return GradedModule(GradedMap.from_columns(H, rel_cols, rel_degs))
 
 
 def _pad_surjective(N: GradedModule, M: GradedModule, f: ModuleHom, top: int):
@@ -945,16 +903,7 @@ def link_transform_e_to_n(res: ETypeResolution, F: Poly, G: Poly) -> NTypeResolu
     P = res.F.dual(-st)
     EdS = Ed.shift(-st)
     KE_S = KE.shift(-st)
-    cols1 = []
-    for i in range(P.rank):
-        col = cK.column(i)
-        if all(f.is_zero() for f in col):
-            cols1.append(KE_S.source.zero_element())
-            continue
-        lift = _solve_elem(KE_S, col, -P.twists[i])
-        if lift is None:
-            raise CertificationError("dualized cover misses the E dual")
-        cols1.append(lift)
+    lift1 = _lift_columns(KE_S, cK, "dualized cover misses the E dual")
     free_part = gK.target
     Ncover = FreeModule(base, list(EdS.F0.twists) + list(free_part.twists))
     z = Poly.zero(base)
@@ -968,7 +917,7 @@ def link_transform_e_to_n(res: ETypeResolution, F: Poly, G: Poly) -> NTypeResolu
     incl = GradedMap(
         P,
         Ncover,
-        [[cols1[i][a] for i in range(P.rank)] for a in range(EdS.F0.rank)]
+        [list(row) for row in lift1.matrix]
         + [
             [gK.matrix[b][i] for i in range(P.rank)]
             for b in range(free_part.rank)
@@ -1003,20 +952,7 @@ def epfn_sequence(nres: NTypeResolution, eres: ETypeResolution) -> bool:
         raise OracleMismatch("resolutions belong to different curves")
     base = nres.ideal.base
     # lift the E-type cover through the N-type surjection
-    cols = []
-    degs = []
-    for j in range(eres.F.rank):
-        g = eres.surj.matrix[0][j]
-        d = -eres.F.twists[j]
-        if g.is_zero():
-            cols.append(nres.N.F0.zero_element())
-        else:
-            lift = _solve_elem(nres.surj, (g,), d)
-            if lift is None:
-                raise CertificationError("cover does not lift through N")
-            cols.append(lift)
-        degs.append(d)
-    lam = GradedMap.from_columns(nres.N.F0, cols, degs)
+    lam = _lift_columns(nres.surj, eres.surj, "cover does not lift through N")
     # the composite lambda o incl_E lands in ker(N -> I_C) = im(P)
     joint = GradedMap(
         FreeModule(base, list(nres.P.twists) + list(nres.N.F1.twists)),
@@ -1026,13 +962,7 @@ def epfn_sequence(nres: NTypeResolution, eres: ETypeResolution) -> bool:
             for i in range(nres.N.F0.rank)
         ],
     )
-    comp = lam.compose(eres.incl)
-    for j in range(comp.source.rank):
-        col = comp.column(j)
-        if all(f.is_zero() for f in col):
-            continue
-        if _solve_elem(joint, col, -comp.source.twists[j]) is None:
-            raise CertificationError("E does not map into P through N")
+    _lift_columns(joint, lam.compose(eres.incl), "E does not map into P through N")
     p = base.p
     lo = min(nres.N.min_degree(), eres.E.min_degree(), eres.F.min_degree())
     hi = _ideal_reg(nres.ideal) + max(

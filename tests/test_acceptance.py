@@ -95,13 +95,13 @@ def test_link_degree_additivity(K, corpus_curves):
         assert d + d2 == F.degree() * G.degree(), key
 
 
-def _dual_up_to_shift(ra, rb):
-    """ra isomorphic to the graded dual of rb shifted by some h?"""
+def _dual_up_to_shift(ra, rb, shifts=range(-8, 9)):
+    """ra isomorphic to the graded dual of rb shifted by some h in shifts?"""
     dual = rb.graded_dual()
     da, dd = ra.dims(), dual.dims()
     if not da and not dd:
         return True
-    for h in range(-8, 9):
+    for h in shifts:
         if {n - h: v for n, v in dd.items()} == da:
             if (
                 is_module_iso(ra.to_module(), dual.shift(h).to_module())
@@ -119,6 +119,21 @@ def test_rao_duality_under_one_liaison(K, corpus_curves):
     # and through a different complete intersection
     linked2 = link(sk, _pp(K, "X*W"), _pp(K, "Y*Z"))
     assert _dual_up_to_shift(linked2.rao_module(), sk.rao_module())
+
+
+def test_dual_link_of_degree_seven(A, corpus_curves):
+    # a (3, 3) link of a first-order family of skew lines puts the dual
+    # colon and saturation and both Rao routes on a curve past the fixtures
+    sk = corpus_curves("skew-lines-dual")
+    F, G = _pp(A, "X*Z*W + Y*Z^2"), _pp(A, "X*W^2 + Y^2*Z")
+    linked = link(sk, F, G)
+    assert linked.degree_genus() == (7, 4)
+    rao = linked.rao_module()
+    assert rao.dims() == {2: 2}
+    assert any(m.any() for m in rao.data.eps.values())
+    # M_C'(n) = M_C(s + t - 4 - n)^*
+    assert _dual_up_to_shift(rao, sk.rao_module(), [4 - F.degree() - G.degree()])
+    assert link(linked, F, G).ideal == sk.ideal
 
 
 def test_trivial_biliaison_shifts_rao_module(K, corpus_curves):

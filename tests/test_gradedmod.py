@@ -10,13 +10,16 @@ from spacecurves.gradedmod import (
     GradedMap,
     GradedModule,
     PieceCalculus,
+    PowerHomCalculus,
     _minimalize_map,
+    _power_ideal_module,
     cohomology_table,
     element_to_vector,
     ext_module,
     finite_data_to_module,
     finite_module_data,
     is_module_iso,
+    kernel_min_gens,
     min_generators,
     vector_to_element,
 )
@@ -135,10 +138,15 @@ def test_projection_matches_pivot_loop(K, A):
         pc = PieceCalculus(M)
         for n in range(5):
             full = pc.M.F0.piece_dim(n)
-            for vec in rng.integers(-K.p, K.p, size=(4, full)):
+            vecs = rng.integers(-K.p, K.p, size=(4, full))
+            for vec in vecs:
                 assert (pc.project(vec, n) == project_by_loop(pc, vec, n)).all()
-            for i in range(pc.dim(n)):
-                assert (pc.project(pc.embed(i, n), n) == np.eye(pc.dim(n), dtype=np.int64)[i]).all()
+            # a matrix projects column by column
+            want = np.array([project_by_loop(pc, vec, n) for vec in vecs]).T
+            assert (pc.project(vecs.T, n) == want.reshape(pc.dim(n), 4)).all()
+            # the non-pivot unit vectors are the quotient basis
+            units = np.eye(full, dtype=np.int64)[:, pc._reducer(n)[2]]
+            assert (pc.project(units, n) == np.eye(pc.dim(n), dtype=np.int64)).all()
 
 
 def test_dual_base_free_piece_dims(A):
@@ -371,3 +379,124 @@ def test_min_generators_matches_monomial_loop(name):
         assert got == _min_generators_by_monomials(phi.source, piece, cap)
         assert got[0] or step  # the ideal always has first syzygies
         phi = GradedMap.from_columns(phi.source, *got)
+
+
+# -- quotient-coordinate multiplication against the per-column loops --------
+
+
+def _unit_columns(pc, n):
+    # reference basis of quotient coordinates: the non-pivot unit vectors
+    full = pc.M.F0.piece_dim(n)
+    out = []
+    for j in pc._reducer(n)[2]:
+        vec = np.zeros(full, dtype=np.int64)
+        vec[j] = 1
+        out.append(vec)
+    return out
+
+
+def _mult_matrix_by_columns(pc, g, n):
+    # reference: one vector_to_element -> Poly * -> element_to_vector per column
+    F0, d = pc.M.F0, g.degree()
+    out = np.zeros((pc.dim(n + d), pc.dim(n)), dtype=np.int64)
+    for c, vec in enumerate(_unit_columns(pc, n)):
+        moved = tuple(g * f for f in vector_to_element(F0, vec, n))
+        out[:, c] = pc.project(element_to_vector(F0, moved, n + d), n + d)
+    return out
+
+
+def _eps_matrix_by_columns(pc, n):
+    out = np.zeros((pc.dim(n), pc.dim(n)), dtype=np.int64)
+    for c, vec in enumerate(_unit_columns(pc, n)):
+        out[:, c] = pc.project(linalg.eps_times(vec), n)
+    return out
+
+
+def _multiplication_homs_by_monomials(ph, n):
+    # reference: the hom 'multiply by m' one monomial m at a time, each image
+    # block through element_to_vector; over A the 'e*m' homs follow all of them
+    pc = ph.pc
+    F0 = pc.M.F0
+    kinds = (False, True) if pc.dual else (False,)
+    out = np.zeros((len(ph.mons) * pc.dim(n + ph.t), len(kinds) * len(monomials(n))), dtype=np.int64)
+    c = 0
+    for eps in kinds:
+        for m in monomials(n):
+            col = []
+            for b in ph.mons:
+                vec = element_to_vector(F0, (Poly.monomial(ph.base, m).mul_monomial(b),), n + ph.t)
+                col.append(pc.project(linalg.eps_times(vec) if eps else vec, n + ph.t))
+            out[:, c] = np.concatenate(col)
+            c += 1
+    return out
+
+
+def _rao_modules(name):
+    RI = GradedModule.quotient_by_ideal(load_corpus(name).to_ideal())
+    return RI, ext_module(RI, 3, -4)
+
+
+@pytest.mark.parametrize("name", ["skew-lines", "twisted-cubic", "skew-lines-dual", "line-dual"])
+def test_quotient_multiplication_matches_column_loops(name):
+    RI, E3 = _rao_modules(name)
+    for M in (RI, E3):
+        if not M.F0.rank:
+            continue
+        pc = PieceCalculus(M)
+        base = M.base
+        lo = pc.M.min_degree()
+        polys = [Poly.variable(base, v) for v in range(4)]
+        polys.append(Poly.parse("X*Y + 3*Z^2 + e*W^2" if base.dual else "X*Y + 3*Z^2", base))
+        for n in range(lo, lo + 4):
+            for g in polys:
+                assert (pc.mult_matrix(g, n) == _mult_matrix_by_columns(pc, g, n)).all(), (n, g)
+            if base.dual:
+                assert (pc.eps_matrix_q(n) == _eps_matrix_by_columns(pc, n)).all(), n
+    pc = PieceCalculus(RI)
+    for t in (1, 2):
+        ph = PowerHomCalculus(pc, t)
+        for n in range(-2, 3):
+            assert (ph.multiplication_homs(n) == _multiplication_homs_by_monomials(ph, n)).all(), (t, n)
+
+
+def test_blockwise_matches_block_diagonal_product(K):
+    # reference: the N-fold block-diagonal copy of q times the coordinates
+    ph = PowerHomCalculus(PieceCalculus(GradedModule.quotient_by_ideal(I(K, "X*Z", "Y*W"))), 2)
+    N = len(ph.mons)
+    rng = np.random.default_rng(3)
+    for dv, dw, k in ((3, 2, 4), (1, 5, 1), (4, 4, 0)):
+        q = rng.integers(0, K.p, size=(dw, dv))
+        coords = rng.integers(0, K.p, size=(N * dv, k))
+        big = np.zeros((N * dw, N * dv), dtype=np.int64)
+        for i in range(N):
+            big[i * dw : (i + 1) * dw, i * dv : (i + 1) * dv] = q
+        assert (ph.blockwise(q, coords) == linalg.matmul(big, coords, K.p)).all()
+
+
+def _power_ideal_by_syzygies(base, t):
+    # reference: the minimal syzygies of the monomials of degree t, computed;
+    # all of them have degree t + 1, so that is the cap
+    mons = monomials(t)
+    row = GradedMap(FreeModule(base, [-t] * len(mons)), FreeModule(base, [0]),
+                    [[Poly.monomial(base, m) for m in mons]])
+    return kernel_min_gens(row, t + 1)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_power_ideal_presentation_matches_syzygy_computation(t, K, A, corpus_curves):
+    for base in (K, A):
+        ref = _power_ideal_by_syzygies(base, t)
+        got = _power_ideal_module(base, t).presentation
+        assert got.target == ref.target
+        assert got.source.twists == ref.source.twists == (-(t + 1),) * (6, 20, 45, 84)[t - 1]
+        a, b = got.matrix_at(t + 1), ref.matrix_at(t + 1)
+        # independent, and spanning the same degree t + 1 syzygies
+        assert linalg.rank(np.concatenate([a, b], axis=1), base.p) == linalg.rank(a, base.p) == a.shape[1]
+    # the same hom spaces, to the byte
+    for name in ("skew-lines", "twisted-cubic", "quartic-from-skew-bilink", "skew-lines-dual"):
+        C = corpus_curves(name)
+        ph = PowerHomCalculus(PieceCalculus(C._ri()), t)
+        ref_ph = PowerHomCalculus(ph.pc, t)
+        ref_ph.syz = _power_ideal_by_syzygies(C.base, t)
+        for n in range(-2, 3):
+            assert (ph.hom_basis(n) == ref_ph.hom_basis(n)).all(), (name, n)

@@ -1,10 +1,13 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from spacecurves import linalg
 from spacecurves.groebner import (
     Ideal,
+    _multiplication_rows,
     _raw_elim_first,
     fiber_colon,
     fiber_intersect,
@@ -13,12 +16,14 @@ from spacecurves.groebner import (
     ideal_intersect,
     ideal_saturate,
     ideal_sum,
+    poly_to_vector,
     raw_buchberger,
     raw_interreduce,
     raw_normal_form,
     raw_spoly,
 )
-from spacecurves.polyring import Poly, grevlex_key, monomials
+from spacecurves.polyring import Poly, graded_piece_dim, grevlex_key, monomials
+from spacecurves.scalars import BaseRing
 
 
 def I(base, *texts):
@@ -232,3 +237,50 @@ def test_buchberger_degenerate_inputs():
     # repeated and scaled generators collapse to one monic element each
     assert raw_buchberger([{x: 3}, {x: 5}, {x: 7, y: 2}], p) == [{y: 1}, {x: 1}]
     assert raw_buchberger([{x: 1, y: 1}, {(0, 0, 0, 0): 4}], p) == [{(0, 0, 0, 0): 1}]
+
+
+# -- dual colon/saturation rows against the dense multiplication matrix -----
+
+
+def _multiplication_rows_dense(g, n, ann, p):
+    # reference: ann times the multiplication matrix of g, built one
+    # mul_monomial -> poly_to_vector column at a time
+    dim_n = graded_piece_dim(n)
+    mult = np.zeros((ann.shape[1], 2 * dim_n), dtype=np.int64)
+    for c, m in enumerate(monomials(n)):
+        mult[:, c] = poly_to_vector(g.mul_monomial(m), n + g.degree())
+    mult[:, dim_n:] = linalg.eps_times(mult[:, :dim_n])
+    return linalg.matmul(ann, mult % p, p)
+
+
+@st.composite
+def _rows_input(draw):
+    p = draw(st.sampled_from(PRIMES))
+    base = BaseRing(p, True)
+    d, n = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    support = draw(st.lists(st.sampled_from(monomials(d)), min_size=1, max_size=4, unique=True))
+    terms = {}
+    for m in support:
+        a, b = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+        terms[m] = (a, b) if (a, b) != (0, 0) else (1, 0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ann = rng.integers(0, p, size=(draw(st.integers(0, 6)), 2 * graded_piece_dim(n + d)))
+    return Poly(base, terms), n, ann, p
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_rows_input())
+@seed(13)
+def test_multiplication_rows_match_dense_product(case):
+    g, n, ann, p = case
+    assert (_multiplication_rows(g, n, ann, p) == _multiplication_rows_dense(g, n, ann, p)).all()
+
+
+def test_multiplication_rows_extreme_entries():
+    # every entry p - 1 at the largest prime: each product is near 2^62, so
+    # an unreduced sum of them would overflow int64
+    p = 2**31 - 1
+    base = BaseRing(p, True)
+    g = Poly(base, {m: (p - 1, p - 1) for m in monomials(2)})
+    ann = np.full((3, 2 * graded_piece_dim(4)), p - 1, dtype=np.int64)
+    assert (_multiplication_rows(g, 2, ann, p) == _multiplication_rows_dense(g, 2, ann, p)).all()

@@ -1,11 +1,15 @@
-"""Static checks over the package source: no unused imports, and no private
-module-level function that nothing references."""
+"""Static checks over the package source: no unused imports, no private
+module-level function that nothing references, and no method that nothing in
+the package or its tests references."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "spacecurves"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "spacecurves"
 MODULES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+TEST_MODULES = [ast.parse(path.read_text()) for path in sorted(TESTS.glob("*.py"))]
 
 
 def _names(node):
@@ -48,3 +52,27 @@ def test_private_functions_are_referenced():
             if not any(stmt.name in seen for j, seen in enumerate(names) if j != i):
                 orphans.append(stmt.name)
     assert not orphans
+
+
+def test_methods_are_referenced():
+    # a method is reached as an attribute, obj.name or Class.name; a use in
+    # its own body does not count
+    trees = list(MODULES.values()) + TEST_MODULES
+    uses = sum((_attribute_refs(tree) for tree in trees), Counter())
+    orphans = []
+    for name, tree in MODULES.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for meth in cls.body:
+                if not isinstance(meth, ast.FunctionDef):
+                    continue
+                if meth.name.startswith("__") and meth.name.endswith("__"):
+                    continue
+                if uses[meth.name] == _attribute_refs(meth)[meth.name]:
+                    orphans.append(f"{name}:{cls.name}.{meth.name}")
+    assert not orphans
+
+
+def _attribute_refs(node):
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
