@@ -21,7 +21,13 @@ from .curve import validate_curve
 from .errors import ParseError, SpaceCurveError, Undecided
 from .files import CurveFile, check_prime, corpus_names, load_corpus
 from .groebner import Ideal, ideal_saturate
-from .liaison import BiliaisonStep, link, replay_chain, trivial_biliaison
+from .liaison import (
+    BiliaisonStep,
+    connect_by_biliaisons,
+    link,
+    replay_chain,
+    trivial_biliaison,
+)
 from .polyring import Poly
 from .raoclass import (
     biliaison_equivalent,
@@ -228,8 +234,6 @@ def cmd_parity(args) -> int:
 
 
 def cmd_connect(args) -> int:
-    from .liaison import connect_by_biliaisons
-
     ca = _read_curve(args.fileA, args)
     cb = _read_curve(args.fileB, args)
     rep = _Report(args, {"curveA": _digest(ca), "curveB": _digest(cb)})

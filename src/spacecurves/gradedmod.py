@@ -275,8 +275,7 @@ def min_generators(F: FreeModule, piece_fn, cap: int):
     piece_fn(n) returns a matrix whose columns span the degree-n piece
     (closed under epsilon over A), in the coordinates of element_to_vector(F,
     ., n): the monomial blocks of F's summands, stacked (fiber; epsilon) over
-    A.  An ideal is the rank-1 case F = R, where these are the coordinates of
-    groebner.poly_to_vector.  Returns (elements, degrees).
+    A.  An ideal is the rank-1 case F = R.  Returns (elements, degrees).
 
     In each degree a Span first takes the monomial multiples of the
     generators found so far, one generator at a time from the fiber columns
@@ -325,9 +324,7 @@ def image_min_gens(phi: GradedMap, cap: int) -> GradedMap:
     p = phi.base.p
 
     def piece(n):
-        mat = phi.matrix_at(n)
-        red, piv = linalg.rref(mat.T, p)
-        return red.T[:, : len(piv)] if piv else np.zeros((mat.shape[0], 0), dtype=np.int64)
+        return linalg.column_basis(phi.matrix_at(n), p)
 
     gens, degs = min_generators(phi.target, piece, cap)
     return GradedMap.from_columns(phi.target, gens, degs)
@@ -369,23 +366,13 @@ class GradedModule:
     @staticmethod
     def from_ideal(ideal) -> "GradedModule":
         """The ideal as a graded module: generators and their syzygies."""
-        base = ideal.base
-        degs = [g.degree() for g in ideal.gens]
-        F0 = FreeModule(base, [-d for d in degs])
-        row = GradedMap(
-            F0, FreeModule(base, [0]), [list(ideal.gens)]
-        )
-        cap = (max(degs, default=0)) * 2 + 4
-        syz = kernel_min_gens(row, cap)
-        return GradedModule(syz)
+        cap = max((g.degree() for g in ideal.gens), default=0) * 2 + 4
+        return GradedModule(kernel_min_gens(ideal.generator_map(), cap))
 
     @staticmethod
     def quotient_by_ideal(ideal) -> "GradedModule":
         """R_A / I as a graded module."""
-        base = ideal.base
-        F0 = FreeModule(base, [0])
-        F1 = FreeModule(base, [-g.degree() for g in ideal.gens])
-        return GradedModule(GradedMap(F1, F0, [list(ideal.gens)]))
+        return GradedModule(ideal.generator_map())
 
     def shift(self, h: int) -> "GradedModule":
         return GradedModule(self.presentation.shift(h))
@@ -450,7 +437,7 @@ class GradedModule:
 
     # -- resolutions ----------------------------------------------------
 
-    def resolution(self, cap: int = None, margin: int = 2):
+    def resolution(self):
         """Minimal free resolution as a list of GradedMaps F1->F0, F2->F1, ...
 
         Exactness is certified degreewise up to the final cap; compositions
@@ -459,9 +446,9 @@ class GradedModule:
         key = "resolution"
         if key in self._cache:
             return self._cache[key]
-        maps = _resolve(self.presentation, cap, margin)
+        maps = _resolve(self.presentation)
         if self.base.dual:
-            fiber_maps = _resolve(self.presentation.fiber(), cap, margin)
+            fiber_maps = _resolve(self.presentation.fiber())
             mine = [m.source.twists for m in maps]
             theirs = [m.source.twists for m in fiber_maps]
             if [sorted(t) for t in mine] != [sorted(t) for t in theirs]:
@@ -615,21 +602,21 @@ def _minimalize_map(phi: GradedMap):
     return phi_min, live, exprs
 
 
-def _resolve(phi: GradedMap, cap, margin):
+def _resolve(phi: GradedMap):
     """Minimal free resolution of coker(phi) with self-consistent cap."""
     phi = _minimalize_map(phi)[0]
     gen_top = max((-t for t in phi.target.twists), default=0)
     rel_top = max((-t for t in phi.source.twists), default=gen_top)
-    attempt_cap = cap if cap is not None else rel_top + 4
+    attempt_cap = rel_top + 4
     for _ in range(5):
         maps = _resolve_at_cap(phi, attempt_cap)
         reg = max((-t for t in maps[0].target.twists), default=0)
         for j, m in enumerate(maps, start=1):
             reg = max(reg, max((-t - j for t in m.source.twists), default=reg))
         # syzygy generators at homological step j live in degrees <= reg + j
-        needed = reg + max(4, margin + 2)
+        needed = reg + 4
         if attempt_cap >= needed:
-            _certify_resolution(maps, reg + margin + 2)
+            _certify_resolution(maps, needed)
             return maps
         attempt_cap = needed + 2
     raise CertificationError("resolution cap failed to stabilize")
@@ -735,11 +722,8 @@ def hom_space(M: GradedModule, N: GradedModule, d: int = 0):
             continue
         block = np.zeros((proj.shape[0], len(slots)), dtype=np.int64)
         for s, (i, j, m, ef) in enumerate(slots):
-            contrib = col[j].mul_monomial(m)
-            if ef:
-                contrib = Poly(base, {e: (0, a0) for e, (a0, _) in contrib.fiber().lift(base).terms.items()})
             elem = [Poly.zero(base)] * G0.rank
-            elem[i] = contrib
+            elem[i] = col[j].mul_monomial(m, (0, 1) if ef else (1, 0))
             vec = element_to_vector(G0, tuple(elem), deg)
             block[:, s] = linalg.matmul(proj, vec.reshape(-1, 1), p).reshape(-1)
         rows.append(block)
@@ -756,9 +740,7 @@ def hom_space(M: GradedModule, N: GradedModule, d: int = 0):
                     for s, (i, jj, mm, eff) in enumerate(slots):
                         if jj != j:
                             continue
-                        entry = psi.matrix[i][l].mul_monomial(m)
-                        if ef:
-                            entry = Poly(base, {e: (0, a0) for e, (a0, _) in entry.terms.items() if a0})
+                        entry = psi.matrix[i][l].mul_monomial(m, (0, 1) if ef else (1, 0))
                         c = entry.coefficient(mm)
                         vec[s] = c[1] if eff else c[0]
                     trivial_cols.append(vec)
@@ -1157,13 +1139,13 @@ class FiniteModuleData:
         return FiniteModuleData(self.base, dims, actions, eps)
 
 
-def finite_module_data(M: GradedModule, margin: int = 2) -> FiniteModuleData:
+def finite_module_data(M: GradedModule) -> FiniteModuleData:
     """Explicit piece/action data of a finite-length module."""
     if not M.is_finite_length():
         raise NotFiniteLength(f"{M} has nonzero pieces past its regularity")
     pc = PieceCalculus(M)
     lo = pc.M.min_degree()
-    hi = pc.M.regularity() + margin
+    hi = pc.M.regularity() + 2
     dims = {n: pc.dim(n) for n in range(lo, hi + 2)}
     actions = {}
     eps = {}
@@ -1310,10 +1292,7 @@ def torsion_dims(M: GradedModule, n_lo: int, n_hi: int) -> dict:
         # v is torsion iff m^c * v = 0 in M for c past the regularity window
         full = Mm.F0.piece_dim(n)
         rows = []
-        target = Mm.presentation.matrix_at(n + c)
-        red, piv = linalg.rref(target.T, p) if target.size else (None, [])
-        span = red.T[:, : len(piv)] if piv else np.zeros((Mm.F0.piece_dim(n + c), 0), dtype=np.int64)
-        proj = linalg.annihilator(span, p)
+        proj = linalg.annihilator(Mm.presentation.matrix_at(n + c), p)
         for m in monomials(c):
             mat = np.zeros((proj.shape[0], full), dtype=np.int64)
             for col in range(full):

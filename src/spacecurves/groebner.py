@@ -17,13 +17,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .errors import MixedBase
+from .errors import CertificationError, MixedBase
+from .gradedmod import FreeModule, GradedMap, element_to_vector, min_generators
 from .polyring import (
     NVARS,
     Poly,
     graded_piece_dim,
     grevlex_key,
-    monomial_index,
     monomial_shift,
     monomials,
 )
@@ -249,10 +249,10 @@ class Ideal:
             return self.fiber_contains(f)
         if f.is_zero():
             return True
+        R = FreeModule(self.base, [0])
         for d, comp in f.homogeneous_components():
-            mat = self.piece_matrix(d)
-            vec = poly_to_vector(comp, d)
-            if linalg.solve(mat, vec, self.base.p) is None:
+            vec = element_to_vector(R, (comp,), d)
+            if linalg.solve(self.piece_matrix(d), vec, self.base.p) is None:
                 return False
         return True
 
@@ -267,29 +267,23 @@ class Ideal:
     def lead_exponents(self):
         return [g.leading()[0] for g in self.groebner_basis()]
 
-    # -- degreewise pieces (valid over both bases) ---------------------
+    # -- degreewise pieces: the ideal as the rank-1 module ---------------
+
+    def generator_map(self) -> GradedMap:
+        """R(-d_1) + ... + R(-d_k) -> R sending e_i to the generator g_i.
+
+        Built afresh on each call: its matrix_at cache would otherwise live
+        as long as the ideal.
+        """
+        F = FreeModule(self.base, [-g.degree() for g in self.gens])
+        return GradedMap(F, FreeModule(self.base, [0]), [list(self.gens)])
 
     def piece_matrix(self, n: int) -> np.ndarray:
-        """Basis of the degree-n piece as stacked coordinate columns.
-
-        Over the field the stacking is trivial (epsilon block zero); over A
-        the columns span the piece as a k-space closed under epsilon.
+        """Reduced basis of the degree-n piece, as columns in the
+        element_to_vector coordinates of R (stacked (fiber; epsilon) over A,
+        where the columns span the piece as a k-space closed under epsilon).
         """
-        p = self.base.p
-        dim = graded_piece_dim(n)
-        blocks = [
-            _mult_columns(g, n - g.degree())
-            for g in self.gens
-            if 0 <= g.degree() <= n
-        ]
-        if not blocks:
-            return linalg.zeros(2 * dim, 0)
-        mat = np.concatenate(blocks, axis=1) % p
-        if self.base.dual:
-            mat = np.concatenate([mat, linalg.eps_times(mat)], axis=1)
-        # column-reduce to a basis
-        red, pivots = linalg.rref(mat.T, p)
-        return red.T[:, : len(pivots)] if pivots else linalg.zeros(2 * dim, 0)
+        return linalg.column_basis(self.generator_map().matrix_at(n), self.base.p)
 
     def piece_dim(self, n: int) -> int:
         """k-dimension of the degree-n piece of the ideal."""
@@ -356,18 +350,6 @@ def _standard_monomial_count(leads: tuple, n: int) -> int:
     return sum(
         1 for m in monomials(n) if not any(_divides(e, m) for e in leads)
     )
-
-
-def poly_to_vector(f: Poly, n: int) -> np.ndarray:
-    """Stacked coordinates of a homogeneous degree-n Poly: (fiber; eps)."""
-    dim = graded_piece_dim(n)
-    idx = monomial_index(n)
-    out = np.zeros(2 * dim, dtype=np.int64)
-    for e, (a, b) in f.terms.items():
-        i = idx[e]
-        out[i] = a
-        out[dim + i] = b
-    return out
 
 
 # -- fiber ideal operations via tag variable ----------------------------
@@ -450,48 +432,38 @@ def fiber_saturate(I: Ideal) -> Ideal:
 # -- dual-number ideal operations (degreewise) ---------------------------
 
 
-def _gen_degrees_window(fiber_result: Ideal, margin: int = 0) -> int:
-    return max([g.degree() for g in fiber_result.gens], default=0) + margin
+def _degreewise(base: BaseRing, guide: Ideal, piece_fn) -> Ideal:
+    """The ideal over A whose degree-n piece piece_fn(n) spans.
 
-
-def _extract_generators(base: BaseRing, piece_fn, top: int):
-    """Minimal generators up to degree top of a degreewise-described ideal
-    over A: the rank-1 case of gradedmod.min_generators."""
-    from .gradedmod import FreeModule, min_generators
-
+    Its minimal generators are extracted up to two degrees past the top
+    generator degree of guide, the same operation over the fiber, and the
+    result is certified against piece_fn two degrees further.
+    """
+    piece_fn = lru_cache(maxsize=None)(piece_fn)  # extraction and certification share it
+    top = max((g.degree() for g in guide.gens), default=0) + 2
     gens, _ = min_generators(FreeModule(base, [0]), piece_fn, top)
-    return [g[0] for g in gens]
+    out = Ideal(base, [g[0] for g in gens])
+    p = base.p
+    for n in range(top + 3):
+        want = piece_fn(n)
+        got = out.piece_matrix(n)
+        if want.shape[1] != got.shape[1]:
+            raise CertificationError(
+                f"degree {n}: generated piece has k-dim {got.shape[1]}, "
+                f"described piece {want.shape[1]}"
+            )
+        joint = np.concatenate([want, got], axis=1)
+        if linalg.rank(joint.T, p) != got.shape[1]:
+            raise CertificationError(f"degree {n}: piece mismatch")
+    return out
 
 
-def _solve_piece(base, constraint_rows, n):
+def _solve_piece(constraint_rows, n: int, p: int) -> np.ndarray:
     """Solutions f in (R_A)_n of a stack of k-linear constraints, as a
     stacked-column matrix."""
-    p = base.p
-    dim = graded_piece_dim(n)
-    width = 2 * dim
     if not constraint_rows:
-        mat = linalg.zeros(0, width)
-    else:
-        mat = np.vstack(constraint_rows) % p
-    ker = linalg.kernel_basis(mat, p)
-    if not base.dual:
-        # restrict to epsilon-free solutions
-        keep = [j for j in range(ker.shape[1]) if not ker[dim:, j].any()]
-        ker = ker[:, keep] if keep else linalg.zeros(width, 0)
-    return ker
-
-
-def _mult_columns(g: Poly, n: int) -> np.ndarray:
-    """Columns g*m for m in monomials(n), as poly_to_vector(., n + deg g)
-    coordinates: one scatter per term of g."""
-    dim_m = graded_piece_dim(n + g.degree())
-    cols = np.arange(graded_piece_dim(n))
-    out = linalg.zeros(2 * dim_m, cols.size)
-    for e, (a, b) in g.terms.items():
-        rows = monomial_shift(n, e)
-        out[rows, cols] = a
-        out[dim_m + rows, cols] = b
-    return out
+        return linalg.identity(2 * graded_piece_dim(n))
+    return linalg.kernel_basis(np.vstack(constraint_rows) % p, p)
 
 
 def _multiplication_rows(g: Poly, n: int, ann: np.ndarray, p: int):
@@ -529,49 +501,38 @@ def _piece_annihilators(I: Ideal):
     return piece_ann
 
 
-def ideal_colon(I: Ideal, J: Ideal, margin: int = 2) -> Ideal:
+def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
     """(I : J) over the base ring of I."""
     if I.base != J.base:
         raise MixedBase("colon across base rings")
     if not I.base.dual:
         return fiber_colon(I, J)
-    guide = fiber_colon(I.fiber(), J.fiber())
-    top = _gen_degrees_window(guide, margin)
     p = I.base.p
     piece_ann = _piece_annihilators(I)
 
-    @lru_cache(maxsize=None)  # generator extraction and certification share it
     def colon_piece(n):
-        rows = []
-        for g in J.gens:
-            rows.append(_multiplication_rows(g, n, piece_ann(n + g.degree()), p))
-        return _solve_piece(I.base, rows, n)
+        rows = [_multiplication_rows(g, n, piece_ann(n + g.degree()), p) for g in J.gens]
+        return _solve_piece(rows, n, p)
 
-    gens = _extract_generators(I.base, colon_piece, top)
-    out = Ideal(I.base, gens)
-    _certify_degreewise(out, colon_piece, top + margin)
-    return out
+    return _degreewise(I.base, fiber_colon(I.fiber(), J.fiber()), colon_piece)
 
 
-def ideal_saturate(I: Ideal, margin: int = 2) -> Ideal:
+def ideal_saturate(I: Ideal) -> Ideal:
     """I : (X,Y,Z,W)^infinity over the base ring of I."""
     if not I.base.dual:
         return fiber_saturate(I)
-    guide = fiber_saturate(I.fiber())
-    top = _gen_degrees_window(guide, margin)
     p = I.base.p
     # test bound: multiplying by all monomials of degree c must land in I
     piece_ann = _piece_annihilators(I)
 
     def sat_piece_at(n, c):
-        rows = []
         target_ann = piece_ann(n + c)
-        for mono in monomials(c):
-            g = Poly.monomial(I.base, mono)
-            rows.append(_multiplication_rows(g, n, target_ann, p))
-        return _solve_piece(I.base, rows, n)
+        rows = [
+            _multiplication_rows(Poly.monomial(I.base, mono), n, target_ann, p)
+            for mono in monomials(c)
+        ]
+        return _solve_piece(rows, n, p)
 
-    @lru_cache(maxsize=None)
     def sat_piece(n):
         c = 1
         prev = sat_piece_at(n, c)
@@ -582,56 +543,22 @@ def ideal_saturate(I: Ideal, margin: int = 2) -> Ideal:
                 return prev
             prev = nxt
 
-    gens = _extract_generators(I.base, sat_piece, top)
-    out = Ideal(I.base, gens)
-    _certify_degreewise(out, sat_piece, top + margin)
-    return out
+    return _degreewise(I.base, fiber_saturate(I.fiber()), sat_piece)
 
 
-def _certify_degreewise(result: Ideal, piece_fn, top: int):
-    """Check the extracted generators reproduce every described piece."""
-    from .errors import CertificationError
-
-    p = result.base.p
-    for n in range(top + 1):
-        want = piece_fn(n)
-        got = result.piece_matrix(n)
-        if want.shape[1] != got.shape[1]:
-            raise CertificationError(
-                f"degree {n}: generated piece has k-dim {got.shape[1]}, "
-                f"described piece {want.shape[1]}"
-            )
-        joint = np.concatenate([want, got], axis=1)
-        if linalg.rank(joint.T, p) != got.shape[1]:
-            raise CertificationError(f"degree {n}: piece mismatch")
-
-
-def ideal_intersect(I: Ideal, J: Ideal, margin: int = 2) -> Ideal:
+def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     if I.base != J.base:
         raise MixedBase("intersection across base rings")
     if not I.base.dual:
         return fiber_intersect(I, J)
-    guide = fiber_intersect(I.fiber(), J.fiber())
-    top = _gen_degrees_window(guide, margin)
     p = I.base.p
 
-    @lru_cache(maxsize=None)
     def inter_piece(n):
         a, b = I.piece_matrix(n), J.piece_matrix(n)
-        if a.shape[1] == 0 or b.shape[1] == 0:
-            return linalg.zeros(2 * graded_piece_dim(n), 0)
-        stack = np.concatenate([a, -b % p], axis=1)
-        ker = linalg.kernel_basis(stack, p)
-        if ker.shape[1] == 0:
-            return linalg.zeros(2 * graded_piece_dim(n), 0)
-        vecs = linalg.matmul(a, ker[: a.shape[1]], p)
-        red, piv = linalg.rref(vecs.T, p)
-        return red.T[:, : len(piv)] if piv else linalg.zeros(2 * graded_piece_dim(n), 0)
+        ker = linalg.kernel_basis(np.concatenate([a, -b % p], axis=1), p)
+        return linalg.column_basis(linalg.matmul(a, ker[: a.shape[1]], p), p)
 
-    gens = _extract_generators(I.base, inter_piece, top)
-    out = Ideal(I.base, gens)
-    _certify_degreewise(out, inter_piece, top + margin)
-    return out
+    return _degreewise(I.base, fiber_intersect(I.fiber(), J.fiber()), inter_piece)
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:

@@ -25,7 +25,6 @@ from .errors import (
     Undecided,
 )
 from .gradedmod import (
-    FreeModule,
     GradedMap,
     GradedModule,
     element_to_vector,
@@ -134,16 +133,13 @@ def member_coordinates(I: Ideal, Q: Poly):
     Returns a tuple of Polys c with sum(c_i * g_i) = Q, as an element of
     the free cover of the ideal module; raises NotContained otherwise.
     """
-    base = I.base
+    row = I.generator_map()
     d = Q.degree()
-    degs = [g.degree() for g in I.gens]
-    F0 = FreeModule(base, [-e for e in degs])
-    row = GradedMap(F0, FreeModule(base, [0]), [list(I.gens)])
-    vec = element_to_vector(FreeModule(base, [0]), (Q,), d)
-    sol = linalg.solve(row.matrix_at(d), vec.reshape(-1, 1), base.p)
+    vec = element_to_vector(row.target, (Q,), d)
+    sol = linalg.solve(row.matrix_at(d), vec.reshape(-1, 1), I.base.p)
     if sol is None:
         raise NotContained(f"{Q} does not lie in the ideal")
-    return vector_to_element(F0, sol[:, 0], d)
+    return vector_to_element(row.source, sol[:, 0], d)
 
 
 def ideal_mod_surface(I: Ideal, Q: Poly) -> GradedModule:

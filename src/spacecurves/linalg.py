@@ -189,6 +189,12 @@ def solve(mat: np.ndarray, rhs: np.ndarray, p: int):
     return out % p
 
 
+def column_basis(mat: np.ndarray, p: int) -> np.ndarray:
+    """Reduced basis of the column space of mat, as columns: the rref of
+    mat's transpose, transposed back."""
+    return rref(mat.T, p)[0].T
+
+
 def annihilator(mat: np.ndarray, p: int) -> np.ndarray:
     """Rows whose kernel is exactly the column space of mat."""
     if mat.shape[1] == 0:
@@ -207,12 +213,3 @@ def eps_times(x: np.ndarray) -> np.ndarray:
     out[half:] = x[:half]
     return out
 
-
-def a_span_rank(vectors: np.ndarray, dim: int, p: int) -> int:
-    """k-dimension of the A-submodule of A^dim generated by stacked columns."""
-    if vectors.size == 0:
-        return 0
-    if vectors.shape[0] != 2 * dim:
-        raise ValueError(f"stacked columns of A^{dim} need {2 * dim} rows")
-    v = vectors % p
-    return rank(np.concatenate([v, eps_times(v)], axis=1).T, p)

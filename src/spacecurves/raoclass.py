@@ -269,10 +269,10 @@ class NTypeResolution:
 
     def surjection_hom(self) -> ModuleHom:
         """The map N -> I_C as a ModuleHom onto the ideal module."""
-        Im = _with_minimal_gens(self.ideal)
-        IM = GradedModule.from_ideal(Im)
-        gens_row = GradedMap(IM.F0, FreeModule(IM.base, [0]), [list(Im.gens)])
-        f0 = _lift_columns(gens_row, self.surj, "surjection does not land in the ideal")
+        Im, IM = _with_minimal_gens(self.ideal)
+        f0 = _lift_columns(
+            Im.generator_map(), self.surj, "surjection does not land in the ideal"
+        )
         return ModuleHom(self.N, IM, f0)
 
     def certify(self):
@@ -338,13 +338,16 @@ class ETypeResolution:
         return (tuple(sorted(self.E.F0.twists)), tuple(sorted(self.F.twists)))
 
 
-def _with_minimal_gens(I: Ideal) -> Ideal:
-    """The same ideal presented by a minimal generating set."""
+def _with_minimal_gens(I: Ideal):
+    """(J, GradedModule.from_ideal(J)) for J the same ideal presented by a
+    minimal subset of I's generators.  When every generator is kept, the
+    module built to find that out is the one returned."""
     IM = GradedModule.from_ideal(I)
     _, kept, _ = _minimalize_map(IM.presentation)
     if len(kept) == len(I.gens):
-        return I
-    return Ideal(I.base, [I.gens[i] for i in sorted(kept)])
+        return I, IM
+    Im = Ideal(I.base, [I.gens[i] for i in sorted(kept)])
+    return Im, GradedModule.from_ideal(Im)
 
 
 def _ideal_reg(I: Ideal) -> int:
@@ -354,11 +357,9 @@ def _ideal_reg(I: Ideal) -> int:
 def n_type_resolution(C: CurveFamily) -> NTypeResolution:
     if "ntype" in C._cache:
         return C._cache["ntype"]
-    I = _with_minimal_gens(C.ideal)
-    IM = GradedModule.from_ideal(I)
+    I, IM = _with_minimal_gens(C.ideal)
     data = extravertize(IM)
-    gens_row = GradedMap(IM.F0, FreeModule(C.base, [0]), [list(I.gens)])
-    surj = gens_row.compose(data.proj)
+    surj = I.generator_map().compose(data.proj)
     res = NTypeResolution(C.ideal, data.N, data.P, data.incl, surj)
     C._cache["ntype"] = res
     return res
@@ -367,8 +368,7 @@ def n_type_resolution(C: CurveFamily) -> NTypeResolution:
 def e_type_resolution(C: CurveFamily) -> ETypeResolution:
     if "etype" in C._cache:
         return C._cache["etype"]
-    I = _with_minimal_gens(C.ideal)
-    IM = GradedModule.from_ideal(I)
+    I, IM = _with_minimal_gens(C.ideal)
     maps = IM.resolution()
     base = C.base
     phi = maps[0]
@@ -376,8 +376,7 @@ def e_type_resolution(C: CurveFamily) -> ETypeResolution:
         E = GradedModule(maps[1])
     else:
         E = GradedModule.free(base, phi.source.twists)
-    surj = GradedMap(IM.F0, FreeModule(base, [0]), [list(I.gens)])
-    res = ETypeResolution(C.ideal, E, IM.F0, phi, surj)
+    res = ETypeResolution(C.ideal, E, IM.F0, phi, I.generator_map())
     C._cache["etype"] = res
     return res
 

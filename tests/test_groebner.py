@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from spacecurves import linalg
+from spacecurves.gradedmod import FreeModule, element_to_vector
 from spacecurves.groebner import (
     Ideal,
     _multiplication_rows,
@@ -16,13 +17,19 @@ from spacecurves.groebner import (
     ideal_intersect,
     ideal_saturate,
     ideal_sum,
-    poly_to_vector,
     raw_buchberger,
     raw_interreduce,
     raw_normal_form,
     raw_spoly,
 )
-from spacecurves.polyring import Poly, graded_piece_dim, grevlex_key, monomials
+from spacecurves.polyring import (
+    Poly,
+    graded_piece_dim,
+    grevlex_key,
+    monomial_index,
+    monomial_shift,
+    monomials,
+)
 from spacecurves.scalars import BaseRing
 
 
@@ -244,11 +251,12 @@ def test_buchberger_degenerate_inputs():
 
 def _multiplication_rows_dense(g, n, ann, p):
     # reference: ann times the multiplication matrix of g, built one
-    # mul_monomial -> poly_to_vector column at a time
+    # mul_monomial -> element_to_vector column at a time
     dim_n = graded_piece_dim(n)
+    R = FreeModule(g.base, [0])
     mult = np.zeros((ann.shape[1], 2 * dim_n), dtype=np.int64)
     for c, m in enumerate(monomials(n)):
-        mult[:, c] = poly_to_vector(g.mul_monomial(m), n + g.degree())
+        mult[:, c] = element_to_vector(R, (g.mul_monomial(m),), n + g.degree())
     mult[:, dim_n:] = linalg.eps_times(mult[:, :dim_n])
     return linalg.matmul(ann, mult % p, p)
 
@@ -284,3 +292,87 @@ def test_multiplication_rows_extreme_entries():
     g = Poly(base, {m: (p - 1, p - 1) for m in monomials(2)})
     ann = np.full((3, 2 * graded_piece_dim(4)), p - 1, dtype=np.int64)
     assert (_multiplication_rows(g, 2, ann, p) == _multiplication_rows_dense(g, 2, ann, p)).all()
+
+
+# -- ideal pieces against the per-generator scatter they replaced ----------
+
+
+def _poly_to_vector(f, n):
+    # reference: stacked (fiber; eps) coordinates of a degree-n Poly
+    dim = graded_piece_dim(n)
+    idx = monomial_index(n)
+    out = np.zeros(2 * dim, dtype=np.int64)
+    for e, (a, b) in f.terms.items():
+        out[idx[e]] = a
+        out[dim + idx[e]] = b
+    return out
+
+
+def _mult_columns(g, n):
+    # reference: the columns g*m for m in monomials(n), one scatter per term
+    dim_m = graded_piece_dim(n + g.degree())
+    cols = np.arange(graded_piece_dim(n))
+    out = np.zeros((2 * dim_m, cols.size), dtype=np.int64)
+    for e, (a, b) in g.terms.items():
+        rows = monomial_shift(n, e)
+        out[rows, cols] = a
+        out[dim_m + rows, cols] = b
+    return out
+
+
+def _piece_matrix_ref(ideal, n):
+    p = ideal.base.p
+    dim = graded_piece_dim(n)
+    blocks = [_mult_columns(g, n - g.degree()) for g in ideal.gens if g.degree() <= n]
+    if not blocks:
+        return np.zeros((2 * dim, 0), dtype=np.int64)
+    mat = np.concatenate(blocks, axis=1) % p
+    mat = np.concatenate([mat, linalg.eps_times(mat)], axis=1)
+    red, pivots = linalg.rref(mat.T, p)
+    return red.T[:, : len(pivots)] if pivots else np.zeros((2 * dim, 0), dtype=np.int64)
+
+
+def _contains_ref(ideal, f):
+    return all(
+        linalg.solve(_piece_matrix_ref(ideal, d), _poly_to_vector(comp, d), ideal.base.p)
+        is not None
+        for d, comp in f.homogeneous_components()
+    )
+
+
+@st.composite
+def _dual_poly(draw, base, degree, max_terms=4):
+    p = base.p
+    support = draw(st.lists(st.sampled_from(monomials(degree)), min_size=1,
+                            max_size=max_terms, unique=True))
+    terms = {}
+    for m in support:
+        a, b = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+        terms[m] = (a, b) if (a, b) != (0, 0) else (0, 1)
+    return Poly(base, terms)
+
+
+@st.composite
+def _dual_piece_input(draw):
+    """(ideal over A, degree n, a degree-n Poly): half the time the Poly is
+    a combination of the generators, so both membership answers occur."""
+    base = BaseRing(draw(st.sampled_from(PRIMES)), True)
+    gens = [draw(_dual_poly(base, draw(st.integers(1, 2)))) for _ in range(draw(st.integers(1, 3)))]
+    n = draw(st.integers(1, 3))
+    f = draw(_dual_poly(base, n))
+    if draw(st.booleans()):
+        f = Poly.zero(base)
+        for g in gens:
+            if g.degree() <= n:
+                f = f + g * draw(_dual_poly(base, n - g.degree()))
+    return Ideal(base, gens), n, f
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_dual_piece_input())
+@seed(17)
+def test_dual_pieces_match_per_generator_scatter(case):
+    ideal, n, f = case
+    got, want = ideal.piece_matrix(n), _piece_matrix_ref(ideal, n)
+    assert got.shape == want.shape and (got == want).all()
+    assert ideal.contains(f) == _contains_ref(ideal, f)

@@ -1,6 +1,7 @@
 """Static checks over the package source: no unused imports, no private
-module-level function that nothing references, and no method that nothing in
-the package or its tests references."""
+module-level function that nothing references, no method that nothing in
+the package or its tests references, and no function-local import that could
+be a top-level one."""
 
 import ast
 from collections import Counter
@@ -40,6 +41,47 @@ def test_no_unused_imports():
                     if bound not in used:
                         unused.append(f"{name}:{sub.lineno} {bound}")
     assert not unused
+
+
+def _package_targets(node):
+    """The package modules a relative import statement reads."""
+    if not isinstance(node, ast.ImportFrom) or node.level != 1:
+        return []
+    if node.module:
+        return [node.module.split(".")[0] + ".py"]
+    return [alias.name + ".py" for alias in node.names]
+
+
+def test_local_imports_break_a_cycle():
+    # a package module is imported inside a function only when it imports
+    # the importing module, directly or transitively; otherwise the import
+    # belongs at the top of the module
+    local, top = {}, {}
+    for name, tree in MODULES.items():
+        funcs = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        inner = {id(sub): sub for f in funcs for sub in ast.walk(f)}
+        local[name] = list(inner.values())
+        top[name] = {t for sub in ast.walk(tree) if id(sub) not in inner for t in _package_targets(sub)}
+
+    def reaches(start, goal):
+        seen, todo = set(), [start]
+        while todo:
+            mod = todo.pop()
+            if mod == goal:
+                return True
+            if mod not in seen:
+                seen.add(mod)
+                todo.extend(top.get(mod, ()))
+        return False
+
+    needless = [
+        f"{name}:{sub.lineno} {target}"
+        for name, subs in local.items()
+        for sub in subs
+        for target in _package_targets(sub)
+        if not reaches(target, name)
+    ]
+    assert not needless
 
 
 def test_private_functions_are_referenced():

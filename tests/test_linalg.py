@@ -142,16 +142,6 @@ def test_matmul_exact_at_largest_prime():
     assert linalg.matmul(a, b, p).tolist() == want
 
 
-def test_a_span_rank_counts_eps_directions():
-    # over the dual numbers a free rank-1 piece contributes 2 to the
-    # k-dimension; a pure-epsilon vector only 1
-    dim = 2
-    v_unit = np.array([[1], [0], [0], [0]], dtype=np.int64)
-    v_eps = np.array([[0], [0], [1], [0]], dtype=np.int64)
-    assert linalg.a_span_rank(v_unit, dim, P) == 2
-    assert linalg.a_span_rank(v_eps, dim, P) == 1
-
-
 # -- reference Gauss-Jordan over Python ints ---------------------------
 
 REF_PRIMES = [2, 101, 32003, 2**31 - 1]

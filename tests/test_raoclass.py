@@ -1,5 +1,7 @@
 import pytest
 
+from spacecurves.curve import validate_curve
+from spacecurves.files import load_corpus
 from spacecurves.gradedmod import GradedMap, GradedModule, ModuleHom, ext_module
 from spacecurves.polyring import Poly
 from spacecurves.raoclass import (
@@ -31,6 +33,25 @@ def test_ntype_twists(corpus_curves):
         res = n_type_resolution(corpus_curves(name))
         assert res.twists() == want, name
         assert is_extraverted(res.N), name
+
+
+def test_each_resolution_builds_the_ideal_module_once(monkeypatch):
+    # the module built to find minimal generators is the one resolved; a
+    # second is built only when a generator is redundant, as the quartic's
+    # X^2*Z = X*(X*Z + Y*W) - X*Y*W
+    calls = []
+    build = GradedModule.from_ideal
+    monkeypatch.setattr(
+        GradedModule, "from_ideal", staticmethod(lambda I: calls.append(I) or build(I))
+    )
+    cases = [("twisted-cubic", 1), ("skew-lines", 1), ("line-dual", 1),
+             ("quartic-from-skew-bilink", 2)]
+    for name, builds in cases:
+        for resolve in (n_type_resolution, e_type_resolution):
+            C = validate_curve(load_corpus(name).to_ideal())
+            calls.clear()
+            resolve(C)
+            assert len(calls) == builds, (name, resolve.__name__)
 
 
 def test_ntype_resolution_keeps_ext1_of_n(corpus_curves):
