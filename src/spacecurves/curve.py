@@ -220,7 +220,7 @@ def _rao_route_saturation(C: CurveFamily) -> FiniteModuleData:
     # quotient bases
     reps = {}
     for n in degrees:
-        span = linalg.Span(max(bases[n].shape[0], 1), p)
+        span = linalg.Span(p)
         span.add_many(img[n])
         reps[n] = bases[n][:, span.add_many(bases[n])]
     dims = {n: reps[n].shape[1] for n in degrees if reps[n].shape[1]}

@@ -223,18 +223,13 @@ class GradedMap:
         """The k-linear matrix of the map on degree-n stacked pieces.
 
         Column block j holds the images of the monomials of source summand
-        j.  Each term a*x^e (+ b*e*x^e over A) of entry (i, j) is one
-        scatter: row block i at rows monomial_shift(d, e) gets a in the
-        fiber half and b in the epsilon half.  Distinct terms of an entry
-        hit distinct cells, so the scatters never overlap.  The epsilon
-        columns are e times the fiber columns.  Cached per degree.
+        j, written cell by cell from _scatter_cells.  The epsilon columns
+        are e times the fiber columns.  Cached per degree.
         """
         if n in self._cache:
             return self._cache[n]
-        p = self.base.p
         dual = self.base.dual
         Dt = self.target.fiber_dim(n)
-        roffs = np.cumsum([0] + self.target.block_dims(n))
         src_dims = self.source.block_dims(n)
         Ds = sum(src_dims)
         width = 2 * Ds if dual else Ds
@@ -242,28 +237,58 @@ class GradedMap:
         out = np.zeros((height, width), dtype=np.int64)
         col = 0
         for j, dim in enumerate(src_dims):
-            d = n + self.source.twists[j]
-            cols = np.arange(col, col + dim)
+            if dim:
+                cols = np.arange(col, col + dim)
+                d = n + self.source.twists[j]
+                for rows, value in _scatter_cells(self.target, n, self.column(j), d):
+                    out[rows, cols] = value
             col += dim
-            if not dim:
-                continue
-            for i in range(self.target.rank):
-                for e, (a, b) in self.matrix[i][j].terms.items():
-                    rows = roffs[i] + monomial_shift(d, e)
-                    out[rows, cols] = a
-                    if dual:
-                        out[Dt + rows, cols] = b
-                    elif b:
-                        raise MixedBase("epsilon coefficient over a prime field")
         if dual:
             out[:, Ds:] = linalg.eps_times(out[:, :Ds])
-        out %= p
         self._cache[n] = out
         return out
 
     def __repr__(self):
         rows = ["[" + ", ".join(str(f) for f in row) + "]" for row in self.matrix]
         return f"GradedMap {self.source.twists} -> {self.target.twists}\n" + "\n".join(rows)
+
+
+def _scatter_cells(F: FreeModule, n: int, elem, d: int):
+    """The cells of x^m * elem for the degree-d monomials m (elem has degree
+    n - d), in the stacked coordinates of F's degree-n piece: pairs (rows,
+    value) meaning that the column of the k-th monomial holds value at
+    rows[k].
+
+    Each term a*x^e (+ b*e*x^e over A) of summand i gives the rows
+    monomial_shift(d, e) of row block i, with a in the fiber half and b in
+    the epsilon half.  Distinct terms hit distinct cells.  Values are
+    nonzero residues.
+    """
+    p = F.base.p
+    D = F.fiber_dim(n)
+    roffs = np.cumsum([0] + F.block_dims(n)).tolist()
+    for i, f in enumerate(elem):
+        for e, (a, b) in f.terms.items():
+            rows = roffs[i] + monomial_shift(d, e)
+            if a % p:
+                yield rows, a % p
+            if b:
+                if not F.base.dual:
+                    raise MixedBase("epsilon coefficient over a prime field")
+                if b % p:
+                    yield D + rows, b % p
+
+
+def _generator_multiples(F: FreeModule, g, d: int, n: int) -> list:
+    """The vectors x^m * g for the degree-(n - d) monomials m, where g is a
+    degree-d element of F, as {index: value} dicts: the fiber columns of
+    GradedMap.from_columns(F, [g], [d]).matrix_at(n), without building the
+    map or a dense matrix."""
+    cells = list(_scatter_cells(F, n, g, n - d))
+    values = [v for _, v in cells]
+    rows = np.array([r for r, _ in cells], dtype=np.intp)
+    rows = rows.reshape(len(cells), graded_piece_dim(n - d))
+    return [dict(zip(r, values)) for r in rows.T.tolist()]
 
 
 # -- generator extraction ------------------------------------------------
@@ -278,30 +303,22 @@ def min_generators(F: FreeModule, piece_fn, cap: int):
     A.  An ideal is the rank-1 case F = R.  Returns (elements, degrees).
 
     In each degree a Span first takes the monomial multiples of the
-    generators found so far, one generator at a time from the fiber columns
-    of that generator's matrix_at (streamed, so only one generator's
-    multiples are held at once), then e times the piece over A; the piece
-    columns that still raise the rank are the new generators.
+    generators found so far, one generator at a time (streamed, so only one
+    generator's multiples are held at once), then e times the piece over A;
+    the piece columns that still raise the rank are the new generators.
     """
     base = F.base
-    p = base.p
-    dual = base.dual
     gens = []
     degs = []
-    n0 = F.min_degree()
-    for n in range(n0, cap + 1):
+    for n in range(F.min_degree(), cap + 1):
         piece = piece_fn(n)
         if piece.shape[1] == 0:
             continue
-        D = F.fiber_dim(n)
-        width = 2 * D if dual else D
-        span = linalg.Span(width, p)
+        span = linalg.Span(base.p)
         for g, d in zip(gens, degs):
-            # unnamed, so each generator's multiples are freed once added
-            span.add_many(
-                GradedMap.from_columns(F, [g], [d]).matrix_at(n)[:, : graded_piece_dim(n - d)]
-            )
-        if dual:
+            for vec in _generator_multiples(F, g, d, n):
+                span.add(vec)
+        if base.dual:
             span.add_many(linalg.eps_times(piece))
         for j in span.add_many(piece):
             gens.append(vector_to_element(F, piece[:, j], n))
@@ -378,7 +395,10 @@ class GradedModule:
         return GradedModule(self.presentation.shift(h))
 
     def fiber(self) -> "GradedModule":
-        return GradedModule(self.presentation.fiber())
+        """The fiber module, cached so that its resolution is computed once."""
+        if "fiber" not in self._cache:
+            self._cache["fiber"] = GradedModule(self.presentation.fiber())
+        return self._cache["fiber"]
 
     def tensor_residue_field(self) -> "GradedModule":
         """M tensor_A k: over a field this is M itself."""
@@ -448,7 +468,7 @@ class GradedModule:
             return self._cache[key]
         maps = _resolve(self.presentation)
         if self.base.dual:
-            fiber_maps = _resolve(self.presentation.fiber())
+            fiber_maps = self.fiber().resolution()
             mine = [m.source.twists for m in maps]
             theirs = [m.source.twists for m in fiber_maps]
             if [sorted(t) for t in mine] != [sorted(t) for t in theirs]:
@@ -745,9 +765,8 @@ def hom_space(M: GradedModule, N: GradedModule, d: int = 0):
                         vec[s] = c[1] if eff else c[0]
                     trivial_cols.append(vec)
     if trivial_cols:
-        span = linalg.Span(len(slots), p)
-        for v in trivial_cols:
-            span.add(v)
+        span = linalg.Span(p)
+        span.add_many(np.array(trivial_cols).T)
         sols = sols[:, span.add_many(sols)]
     out = []
     for c in range(sols.shape[1]):

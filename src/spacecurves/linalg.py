@@ -1,9 +1,11 @@
-"""Exact dense linear algebra mod p, plus block helpers for the dual numbers.
+"""Exact sparse linear algebra mod p, plus block helpers for the dual numbers.
 
-Matrices are numpy int64 arrays with entries in [0, p).  Every reduction
-step is followed by an explicit mod, and matmul splits its inner dimension so
-that no int64 accumulation can overflow, so all arithmetic is exact for every
-supported prime (p <= 2^31 - 1).
+Matrices come in and go out as numpy int64 arrays with entries in [0, p).
+Elimination runs on sparse rows: each row is a {column: value} dict of
+Python ints, and every step touches only the nonzeros of the rows it
+changes.  Python ints never overflow, so elimination is exact for every
+supported prime (p <= 2^31 - 1).  matmul stays dense and splits its inner
+dimension so that no int64 accumulation can overflow.
 
 A matrix over A = F_p[e]/(e^2) is a pair (M0, M1) meaning M0 + e*M1.  Acting
 on column vectors written as stacked pairs (x0; x1) it expands to the k-linear
@@ -12,6 +14,8 @@ block matrix [[M0, 0], [M1, M0]].  Multiplication by e sends (x0; x1) to
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -42,117 +46,168 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def rref(mat: np.ndarray, p: int):
-    """Row-reduce a copy of mat mod p.  Returns (reduced, pivot_columns)."""
-    m = mat % p
-    rows, cols = m.shape
+def _sparse_rows(mat: np.ndarray, p: int) -> list:
+    """The rows of mat mod p as {column: value} dicts of Python ints,
+    nonzero values only."""
+    r, c = np.nonzero(mat)
+    vals = mat[r, c] % p
+    if not vals.all():
+        keep = vals.nonzero()[0]
+        r, c, vals = r[keep], c[keep], vals[keep]
+    out = [{} for _ in range(mat.shape[0])]
+    if r.size:
+        # r is sorted: one run of (c, vals) per nonempty row
+        starts = [0] + (np.flatnonzero(r[1:] != r[:-1]) + 1).tolist()
+        ends = starts[1:] + [r.size]
+        cols, vals = c.tolist(), vals.tolist()
+        for i, s, e in zip(r[starts].tolist(), starts, ends):
+            out[i] = dict(zip(cols[s:e], vals[s:e]))
+    return out
+
+
+def _eliminate(mat: np.ndarray, p: int, full: bool) -> list:
+    """Sparse Gaussian elimination mod p: [(pivot column, row)] in column
+    order, each row a {column: value} dict that is 1 at its pivot.
+
+    Columns are taken in order, and the pivot is the sparsest live row (one
+    not yet a pivot) that hits the column; the pivot column is cleared from
+    the other live rows, which is enough for the rank.  With full, each
+    pivot row is then cleared at the later pivot columns, last row first,
+    so the rows come out as the reduced row echelon form, which is unique
+    whatever the pivot rows were.
+    """
+    rows = _sparse_rows(mat, p)
+    ncols = mat.shape[1]
+    hits = [set() for _ in range(ncols)]  # column -> live rows with a nonzero there
+    for r, row in enumerate(rows):
+        for c in row:
+            hits[c].add(r)
     pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
+    live = sum(1 for row in rows if row)  # live rows that are not zero
+    for c in range(ncols):
+        if not live:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        hit = hits[c]
+        if not hit:
             continue
-        i = r + nz[0]
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        # the pivot row is zero left of c, so only columns c: change
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r, c:] = (m[r, c:] * inv) % p
-        hit = np.nonzero(m[:, c])[0]
-        hit = hit[hit != r]
-        if hit.size:
-            m[hit, c:] = (m[hit, c:] - np.outer(m[hit, c], m[r, c:])) % p
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
+        r = min(hit, key=lambda r: len(rows[r]))
+        row = rows[r]
+        for k in row:
+            hits[k].discard(r)
+        inv = pow(row[c], -1, p)
+        if inv != 1:
+            row = {k: v * inv % p for k, v in row.items()}
+        for t in list(hit):
+            trow = rows[t]
+            g = p - trow[c]
+            # row is 1 at c, so this clears trow[c] as well
+            for k, v in row.items():
+                x = trow.get(k)
+                if x is None:
+                    trow[k] = g * v % p
+                    hits[k].add(t)
+                else:
+                    x = (x + g * v) % p
+                    if x:
+                        trow[k] = x
+                    else:
+                        del trow[k]
+                        hits[k].discard(t)
+            if not trow:
+                live -= 1
+        pivots.append((c, row))
+        live -= 1
+    if full:
+        # a reduced row is zero at every other pivot, so clearing one pivot
+        # column cannot refill another
+        done = {}
+        for c, row in reversed(pivots):
+            for k in [k for k in row if k in done]:
+                g = p - row[k]
+                for j, v in done[k].items():
+                    x = (row.get(j, 0) + g * v) % p
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+            done[c] = row
+    return pivots
+
+
+def rref(mat: np.ndarray, p: int):
+    """Row-reduce mat mod p.  Returns (reduced, pivot_columns)."""
+    pivots = _eliminate(mat, p, True)
+    out = zeros(len(pivots), mat.shape[1])
+    ri, ci, vi = [], [], []
+    for i, (_, row) in enumerate(pivots):
+        ri += [i] * len(row)
+        ci += row
+        vi += row.values()
+    out[ri, ci] = vi
+    return out, [c for c, _ in pivots]
 
 
 def rank(mat: np.ndarray, p: int) -> int:
     """Rank mod p by forward elimination (no back substitution)."""
-    if mat.size == 0:
-        return 0
-    m = mat % p
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + nz[0]
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        below = np.nonzero(m[r + 1 :, c])[0]
-        if below.size:
-            idx = below + r + 1
-            factors = (m[idx, c] * inv) % p
-            m[idx, c:] = (m[idx, c:] - np.outer(factors, m[r, c:])) % p
-        r += 1
-    return r
+    return len(_eliminate(mat, p, False))
 
 
 class Span:
-    """Incremental row space mod p with O(rank * width) membership.
+    """Incremental row space mod p on sparse rows.
 
-    One echelon row per unit of rank, in insert order, each normalized to 1
-    at its pivot (its first nonzero entry) and zero at the pivots of the
-    rows before it.  Rows are not back-reduced, to keep memory down: that
-    would rewrite old rows on every insert and hold more dense rows at
-    once.  For the same reason rows are stored as int32, which holds every
-    residue mod p <= 2^31 - 1.  Reduction walks the rows in order but jumps
-    straight to the next row whose pivot entry is nonzero in the vector, so
-    a sparse vector costs a few numpy steps instead of a Python step per
-    row.
+    One echelon row per unit of rank, in insert order.  A row is a {column:
+    value} dict of Python ints, which are exact for every p <= 2^31 - 1,
+    normalized to 1 at its pivot (its first nonzero column) and zero at the
+    pivots of the rows before it.  Rows are not back-reduced, so an insert
+    never rewrites old rows.  A vector is reduced by walking only the rows
+    whose pivot it hits, in pivot order, with a heap: a row is zero left of
+    its pivot, so subtracting it leaves the smaller pivots alone and can
+    only create entries at larger ones.
     """
 
-    __slots__ = ("p", "width", "rows", "pivots")
+    __slots__ = ("p", "rows")
 
-    def __init__(self, width: int, p: int):
+    def __init__(self, p: int):
         self.p = p
-        self.width = width
-        self.rows = []  # echelon rows, pivot entry normalized to 1
-        # pivot column per row, in insert order; the first len(rows) are live
-        self.pivots = np.empty(width, dtype=np.intp)
+        self.rows = {}  # pivot column -> echelon row, in insert order
 
-    def _reduce(self, vec: np.ndarray):
+    def add(self, vec: dict) -> bool:
+        """Insert a {column: residue} vector, consuming it, if it is
+        independent; returns True when the rank grew."""
         p = self.p
-        v = np.asarray(vec, dtype=np.int64) % p
         rows = self.rows
-        pivots = self.pivots[: len(rows)]
-        i = 0
-        while True:
-            # row i is zero at the pivots of rows < i, so subtracting it
-            # leaves the coefficients already cleared at zero
-            nz = v[pivots[i:]].nonzero()[0]
-            if not nz.size:
-                return v
-            i += int(nz[0])
-            piv = pivots[i]
-            c = np.multiply(rows[i][piv:], v[piv], dtype=np.int64)
-            v[piv:] = (v[piv:] - c) % p
-            i += 1
-
-    def add(self, vec: np.ndarray) -> bool:
-        """Insert if independent; returns True when the rank grew."""
-        v = self._reduce(vec)
-        nz = v.nonzero()[0]
-        if not nz.size:
+        heap = [c for c in vec if c in rows]
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            # the entry may have cancelled, or the pivot come round twice
+            f = vec.get(c)
+            if f is None:
+                continue
+            g = p - f
+            for k, v in rows[c].items():
+                x = vec.get(k)
+                if x is None:
+                    vec[k] = g * v % p
+                    if k in rows:
+                        heappush(heap, k)
+                else:
+                    x = (x + g * v) % p
+                    if x:
+                        vec[k] = x
+                    else:
+                        del vec[k]
+        if not vec:
             return False
-        piv = int(nz[0])
-        inv = pow(int(v[piv]), self.p - 2, self.p)
-        v = (v * inv) % self.p
-        self.pivots[len(self.rows)] = piv
-        self.rows.append(v.astype(np.int32))
+        piv = min(vec)
+        inv = pow(vec[piv], -1, p)
+        rows[piv] = {k: v * inv % p for k, v in vec.items()}
         return True
 
     def add_many(self, mat: np.ndarray) -> list:
         """Insert the columns of mat in order; returns the indices of the
         columns that grew the rank."""
-        return [j for j in range(mat.shape[1]) if self.add(mat[:, j])]
+        return [j for j, col in enumerate(_sparse_rows(mat.T, self.p)) if self.add(col)]
 
 
 def kernel_basis(mat: np.ndarray, p: int) -> np.ndarray:
@@ -168,8 +223,7 @@ def kernel_basis(mat: np.ndarray, p: int) -> np.ndarray:
     free = np.nonzero(is_free)[0]
     out = zeros(cols, free.size)
     out[free, np.arange(free.size)] = 1
-    for i, pc in enumerate(pivots):
-        out[pc] = (-red[i, free]) % p
+    out[pivots] = -red[:, free] % p
     return out
 
 

@@ -170,8 +170,7 @@ def _min_quotient_gens(K: GradedMap, B):
     degrees = sorted({-K.source.twists[j] for j in range(K.source.rank)})
     chosen = []
     for d in degrees:
-        width = F.piece_dim(d)
-        span = linalg.Span(max(width, 1), p)
+        span = linalg.Span(p)
         if B is not None:
             span.add_many(B.matrix_at(d))
         prev = K.matrix_at(d - 1)

@@ -11,6 +11,7 @@ from spacecurves.gradedmod import (
     GradedModule,
     PieceCalculus,
     PowerHomCalculus,
+    _generator_multiples,
     _minimalize_map,
     _power_ideal_module,
     cohomology_table,
@@ -26,7 +27,7 @@ from spacecurves.gradedmod import (
 from spacecurves.errors import MixedBase
 from spacecurves.files import load_corpus
 from spacecurves.groebner import Ideal
-from spacecurves.polyring import Poly, monomials
+from spacecurves.polyring import Poly, graded_piece_dim, monomials
 from spacecurves.raoclass import extravertize
 from spacecurves.scalars import BaseRing
 
@@ -348,17 +349,35 @@ def _min_generators_by_monomials(F, piece_fn, cap):
         piece = piece_fn(n)
         if piece.shape[1] == 0:
             continue
-        D = F.fiber_dim(n)
-        span = linalg.Span(2 * D if dual else D, p)
+        span = linalg.Span(p)
         for g, d in zip(gens, degs):
             for m in monomials(n - d):
-                span.add(element_to_vector(F, tuple(f.mul_monomial(m) for f in g), n))
+                vec = element_to_vector(F, tuple(f.mul_monomial(m) for f in g), n)
+                span.add({i: int(x) for i, x in enumerate(vec) if x})
         if dual:
             span.add_many(linalg.eps_times(piece))
         for j in span.add_many(piece):
             gens.append(vector_to_element(F, piece[:, j], n))
             degs.append(n)
     return gens, degs
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_graded_map())
+@seed(11)
+def test_generator_multiples_match_a_one_column_map(phi):
+    # min_generators' scatter against the construction it replaced: the
+    # fiber columns of a one-column GradedMap's matrix_at
+    F = phi.target
+    for j, u in enumerate(phi.source.twists):
+        g, d = phi.column(j), -u
+        for n in range(d - 1, d + 4):
+            one = GradedMap.from_columns(F, [g], [d]).matrix_at(n)
+            want = one[:, : graded_piece_dim(n - d)]
+            got = _generator_multiples(F, g, d, n)
+            assert len(got) == want.shape[1]
+            for vec, col in zip(got, want.T):
+                assert vec == {i: int(x) for i, x in enumerate(col) if x}
 
 
 @pytest.mark.parametrize(

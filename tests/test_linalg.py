@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from spacecurves import linalg
 from spacecurves.gradedmod import FreeModule, GradedMap
@@ -43,7 +44,7 @@ def test_solve_consistent_and_inconsistent():
 def test_span_incremental_rank():
     rng = np.random.default_rng(2)
     m = _rand(rng, 6, 10)
-    span = linalg.Span(6, P)
+    span = linalg.Span(P)
     assert len(span.add_many(m)) == linalg.rank(m, P)
     assert span.add_many(m) == []
     # add_many picks exactly the columns that raise the rank of the prefix;
@@ -57,7 +58,7 @@ def test_span_incremental_rank():
             if linalg.rank(m[:, : j + 1], P) > linalg.rank(m[:, :j], P)
         ]
         assert grows == picks
-        assert linalg.Span(m.shape[0], P).add_many(m) == picks
+        assert linalg.Span(P).add_many(m) == picks
 
 
 def _random_element(rng, F, degree):
@@ -101,7 +102,7 @@ def _span_cases(rng, p):
 def test_span_picks_the_columns_that_raise_the_rank_of_the_prefix(p):
     rng = np.random.default_rng(7)
     for prefix, cand in _span_cases(rng, p):
-        span = linalg.Span(cand.shape[0], p)
+        span = linalg.Span(p)
         span.add_many(prefix)
         picks = span.add_many(cand)
         ranks = [
@@ -110,12 +111,14 @@ def test_span_picks_the_columns_that_raise_the_rank_of_the_prefix(p):
         ]
         assert picks == [j for j in range(cand.shape[1]) if ranks[j + 1] > ranks[j]]
         # echelon rows in insert order: 1 at the own pivot, 0 left of it and
-        # at the pivots of the rows before
-        pivots = span.pivots[: len(span.rows)].tolist()
+        # at the pivots of the rows before; a {column: value} row holds only
+        # nonzero residues
+        pivots = list(span.rows)
         assert len(pivots) == ranks[-1]
-        for i, (row, piv) in enumerate(zip(span.rows, pivots)):
-            assert row[piv] == 1 and not row[:piv].any()
-            assert not row[pivots[:i]].any()
+        for i, (piv, row) in enumerate(span.rows.items()):
+            assert all(0 < x < p for x in row.values())
+            assert row[piv] == 1 and min(row) == piv
+            assert not any(q in row for q in pivots[:i])
 
 
 def test_eps_times_is_the_block_action():
@@ -220,3 +223,58 @@ def test_elimination_matches_reference(p):
         again, again_piv = linalg.rref(red, p)
         assert again_piv == piv
         assert (again == red).all()
+
+
+@st.composite
+def _sparse_matrix(draw):
+    """(p, matrix) at 0.5 % to 50 % nonzero, with zero, repeated and
+    dependent rows and columns mixed in."""
+    p = draw(st.sampled_from(REF_PRIMES))
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.005, 0.02, 0.1, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.integers(1, p, size=(rows, cols), dtype=np.int64)
+    m[rng.random((rows, cols)) >= density] = 0
+    for _ in range(draw(st.integers(0, 4))):
+        axis = draw(st.integers(0, 1))
+        n = m.shape[axis]
+        a, b, c = (draw(st.integers(0, n - 1)) for _ in range(3))
+        line = np.moveaxis(m, axis, 0)  # a view: rows of line are lines of m
+        kind = draw(st.sampled_from(["zero", "repeat", "combine"]))
+        if kind == "zero":
+            line[a] = 0
+        elif kind == "repeat":
+            line[a] = line[b]
+        else:
+            x, y = (draw(st.integers(0, p - 1)) for _ in range(2))
+            line[a] = (x * line[b] + y * line[c]) % p
+    return p, m
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_sparse_matrix(), st.data())
+@seed(13)
+def test_sparse_elimination_matches_reference(case, data):
+    p, m = case
+    rows = m.tolist()
+    ref_red, ref_piv = _ref_rref(rows, p)
+    red, piv = linalg.rref(m, p)
+    assert piv == ref_piv
+    assert red.tolist() == ref_red
+    assert linalg.rank(m, p) == len(ref_piv)
+    assert linalg.kernel_basis(m, p).tolist() == _ref_kernel(rows, m.shape[1], p)
+    # the sparsest-row pivot rule relies on the reduced form not depending
+    # on the order of the rows
+    perm = data.draw(st.permutations(range(m.shape[0])))
+    again, again_piv = linalg.rref(m[perm], p)
+    assert again_piv == piv
+    assert again.tolist() == ref_red
+    # the columns that raise the rank of the prefix are the pivot columns of
+    # the reduced form; after a prefix of k columns, the later ones
+    span = linalg.Span(p)
+    assert span.add_many(m) == ref_piv
+    k = data.draw(st.integers(0, m.shape[1]))
+    span = linalg.Span(p)
+    assert span.add_many(m[:, :k]) == [c for c in ref_piv if c < k]
+    assert span.add_many(m) == [c for c in ref_piv if c >= k]
+    assert span.add_many(m) == []
