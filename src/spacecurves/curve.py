@@ -3,7 +3,7 @@
 A curve family is a saturated homogeneous ideal whose quotient has
 2-dimensional support (a cone over a curve), is locally Cohen-Macaulay with
 no point components (finite-length Ext^3 criterion), and over the dual
-numbers is flat degreewise.  Validation rejects bad input instead of
+numbers is flat, (I : e) = I + (e).  Validation rejects bad input instead of
 repairing it.
 """
 
@@ -29,8 +29,8 @@ from .gradedmod import (
     finite_module_data,
     is_module_iso,
 )
-from .groebner import Ideal, ideal_saturate
-from .polyring import Poly, graded_piece_dim
+from .groebner import Ideal, ideal_colon, ideal_saturate, ideal_sum
+from .polyring import Poly
 from .scalars import BaseRing
 
 
@@ -152,26 +152,19 @@ class CurveFamily:
 _VALIDATED = object()
 
 
-def is_flat_family(I: Ideal, n_max: int) -> bool:
-    """True iff every piece (R_A/I)_n, n <= n_max, is free over A."""
+def is_flat_family(I: Ideal) -> bool:
+    """True iff R_A/I is flat over A: multiplication by e has kernel e*R_A/I
+    exactly, that is (I : e) = I + (e)."""
     if not I.base.dual:
         return True
-    fib = I.fiber()
-    for n in range(n_max + 1):
-        full = 2 * graded_piece_dim(n) - I.piece_matrix(n).shape[1]
-        fdim = graded_piece_dim(n) - fib.piece_dim(n)
-        if full != 2 * fdim:
-            return False
-    return True
+    e = Ideal(I.base, [Poly.constant(I.base, 0, 1)])
+    return ideal_colon(I, e) == ideal_sum(I, e)
 
 
 def validate_curve(I: Ideal) -> CurveFamily:
     """Validate the curve conditions; reject rather than repair."""
-    fib = I.fiber()
-    top = max((g.degree() for g in I.gens), default=0)
-    if I.base.dual:
-        if not is_flat_family(I, top + 4):
-            raise NotFlat("a graded piece of R_A/I is not free over A")
+    if not is_flat_family(I):
+        raise NotFlat("a graded piece of R_A/I is not free over A")
     sat = ideal_saturate(I)
     if not (sat == I):
         raise NotSaturated(

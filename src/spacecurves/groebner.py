@@ -1,12 +1,16 @@
-"""Groebner engine over the prime-field fiber plus degreewise ideal
-operations over the dual numbers.
+"""Groebner bases of homogeneous ideals over F_p and over the dual numbers
+A = F_p[e]/(e^2), with one engine and one route for each ideal operation.
 
 The raw engine works on dicts mapping exponent tuples (any fixed arity) to
-nonzero ints mod p, so the same code handles the 4-variable ring and the
-5-variable ring with an elimination tag variable.  Ideal-level operations
-(quotient, intersection, saturation) run on the fiber through tag-variable
-tricks; over the dual numbers they are recomputed degreewise by exact linear
-algebra, with the fiber result fixing the degree window.
+nonzero ints mod p.  An ideal over F_p is an ideal of k[X,Y,Z,W] in grevlex.
+An ideal over A is the ideal of k[X,Y,Z,W,e] generated by its generators and
+e^2, in the block order that compares grevlex on X, Y, Z, W first and then
+the power of e; generators stay homogeneous in X, Y, Z, W, so standard
+monomials count the graded pieces.  Treating e as a variable avoids Groebner
+bases over a coefficient ring (Adams & Loustaunau, An Introduction to
+Groebner Bases, AMS GSM 3, 1994, ch. 4).  Intersection eliminates a tag
+variable, colon divides an intersection by the form, and saturation iterates
+the colon by (X, Y, Z, W); over A the result then gets minimal generators.
 """
 
 from __future__ import annotations
@@ -18,23 +22,25 @@ import numpy as np
 
 from . import linalg
 from .errors import CertificationError, MixedBase
-from .gradedmod import FreeModule, GradedMap, element_to_vector, min_generators
-from .polyring import (
-    NVARS,
-    Poly,
-    graded_piece_dim,
-    grevlex_key,
-    monomial_shift,
-    monomials,
-)
+from .gradedmod import FreeModule, GradedMap, min_generators
+from .polyring import NVARS, Poly, graded_piece_dim, grevlex_key, monomials, variables
 from .scalars import BaseRing
 
 # -- raw engine on dict polynomials ------------------------------------
 
 
+def _dual_key(e):
+    # block order on k[X,Y,Z,W,e]: grevlex on X, Y, Z, W, then the power of e
+    return (grevlex_key(e[:4]), e[4])
+
+
 def _raw_elim_first(e):
     # product order: tag variable block (index 0) dominates, grevlex on rest
     return (e[0], grevlex_key(e[1:]))
+
+
+def _dual_elim_first(e):
+    return (e[0], _dual_key(e[1:]))
 
 
 def _lead(f, key):
@@ -177,19 +183,60 @@ def raw_interreduce(basis, p, key=grevlex_key):
     return out
 
 
+def _raw_divide_exact(f, g, p, key=grevlex_key):
+    """Exact division f / g of raw polynomials; raises CertificationError
+    when g does not divide f."""
+    q = {}
+    f = dict(f)
+    eg, cg = _lead(g, key)
+    inv = pow(cg, p - 2, p)
+    while f:
+        e, c = _lead(f, key)
+        if not _divides(eg, e):
+            raise CertificationError("inexact division")
+        shift = _quot(e, eg)
+        coeff = (c * inv) % p
+        q[shift] = coeff
+        f = _raw_add_scaled(f, g, (-coeff) % p, shift, p)
+    return q
+
+
 # -- conversion between Poly and raw form -------------------------------
+
+_E_SQUARED = {(0, 0, 0, 0, 2): 1}
+
+
+def _orders(base: BaseRing):
+    """(ring order, tag-eliminating order) of the raw ring of base."""
+    return (_dual_key, _dual_elim_first) if base.dual else (grevlex_key, _raw_elim_first)
 
 
 def poly_to_raw(f: Poly) -> dict:
-    """Fiber part of a 4-variable Poly as a raw dict."""
-    return {e: a for e, (a, _) in f.terms.items() if a % f.base.p}
+    """f as a raw dict: in k[X,Y,Z,W] over F_p, in k[X,Y,Z,W,e] over A."""
+    if not f.base.dual:
+        return {e: a for e, (a, _) in f.terms.items()}
+    out = {}
+    for e, (a, b) in f.terms.items():
+        if a:
+            out[e + (0,)] = a
+        if b:
+            out[e + (1,)] = b
+    return out
 
 
 def raw_to_poly(raw: dict, base: BaseRing) -> Poly:
-    return Poly(base, {e: (c % base.p, 0) for e, c in raw.items()})
+    """Inverse of poly_to_raw; over A, terms divisible by e^2 vanish."""
+    if not base.dual:
+        return Poly(base, {e: (c % base.p, 0) for e, c in raw.items()})
+    terms = {}
+    for e, c in raw.items():
+        if e[4] < 2:
+            a, b = terms.get(e[:4], (0, 0))
+            terms[e[:4]] = (c, b) if e[4] == 0 else (a, c)
+    return Poly(base, terms)
 
 
-def _pad_tag(raw: dict, tag_exp: int = 0) -> dict:
+def _pad_tag(raw: dict, tag_exp: int) -> dict:
     return {(tag_exp,) + e: c for e, c in raw.items()}
 
 
@@ -201,7 +248,8 @@ def _strip_tag(raw: dict) -> dict:
 
 
 class Ideal:
-    """Homogeneous ideal of R_A with a write-once fiber Groebner cache."""
+    """Homogeneous ideal of R_A with a write-once reduced Groebner basis
+    over its own base ring (see the module docstring for A)."""
 
     def __init__(self, base: BaseRing, gens):
         self.base = base
@@ -212,7 +260,8 @@ class Ideal:
             if not g.is_homogeneous():
                 raise ValueError(f"non-homogeneous generator {g}")
         self.gens = tuple(gens)
-        self._gb = None
+        self._gb = None  # (reduced basis, its lead exponents)
+        self._fiber = None
 
     @staticmethod
     def parse(base: BaseRing, texts) -> "Ideal":
@@ -221,51 +270,32 @@ class Ideal:
     def fiber(self) -> "Ideal":
         if not self.base.dual:
             return self
-        return Ideal(self.base.field(), [g.fiber() for g in self.gens])
+        if self._fiber is None:
+            self._fiber = Ideal(self.base.field(), [g.fiber() for g in self.gens])
+        return self._fiber
 
-    def groebner_basis(self):
-        """Reduced fiber Groebner basis, as Polys over the fiber field."""
+    def _raw_gens(self):
+        gens = [poly_to_raw(g) for g in self.gens]
+        return gens + [_E_SQUARED] if self.base.dual else gens
+
+    def _groebner(self):
+        """(reduced monic Groebner basis as raw dicts, with e^2 in it over A;
+        the tuple of its lead exponents)."""
         if self._gb is None:
-            p = self.base.p
-            raw = raw_buchberger([poly_to_raw(g) for g in self.gens], p)
-            k = self.base.field()
-            self._gb = tuple(raw_to_poly(g, k) for g in raw)
+            key = _orders(self.base)[0]
+            gb = raw_buchberger(self._raw_gens(), self.base.p, key)
+            self._gb = gb, tuple(_lead(g, key)[0] for g in gb)
         return self._gb
 
-    def _gb_raw(self):
-        return [poly_to_raw(g) for g in self.groebner_basis()]
-
-    def normal_form(self, f: Poly) -> Poly:
-        """Fiber normal form of the fiber of f."""
-        raw = raw_normal_form(poly_to_raw(f), self._gb_raw(), self.base.p)
-        return raw_to_poly(raw, self.base.field())
-
-    def fiber_contains(self, f: Poly) -> bool:
-        return not self.normal_form(f)
-
     def contains(self, f: Poly) -> bool:
-        """Exact membership over the base ring (degreewise over A)."""
-        if not self.base.dual:
-            return self.fiber_contains(f)
-        if f.is_zero():
-            return True
-        R = FreeModule(self.base, [0])
-        for d, comp in f.homogeneous_components():
-            vec = element_to_vector(R, (comp,), d)
-            if linalg.solve(self.piece_matrix(d), vec, self.base.p) is None:
-                return False
-        return True
+        """Exact membership over the base ring: f reduces to 0."""
+        if f.base != self.base:
+            raise MixedBase("membership across base rings")
+        key = _orders(self.base)[0]
+        return not raw_normal_form(poly_to_raw(f), self._groebner()[0], self.base.p, key)
 
     def is_unit_ideal(self) -> bool:
-        gb = self.groebner_basis()
-        if not (len(gb) == 1 and gb[0].degree() == 0):
-            return False
-        if not self.base.dual:
-            return True
         return self.contains(Poly.one(self.base))
-
-    def lead_exponents(self):
-        return [g.leading()[0] for g in self.groebner_basis()]
 
     # -- degreewise pieces: the ideal as the rank-1 module ---------------
 
@@ -278,38 +308,34 @@ class Ideal:
         F = FreeModule(self.base, [-g.degree() for g in self.gens])
         return GradedMap(F, FreeModule(self.base, [0]), [list(self.gens)])
 
-    def piece_matrix(self, n: int) -> np.ndarray:
-        """Reduced basis of the degree-n piece, as columns in the
-        element_to_vector coordinates of R (stacked (fiber; epsilon) over A,
-        where the columns span the piece as a k-space closed under epsilon).
-        """
-        return linalg.column_basis(self.generator_map().matrix_at(n), self.base.p)
+    def quotient_piece_dim(self, n: int) -> int:
+        """k-dimension of (R_A/I)_n: the standard monomials x^a*e^b of
+        degree n with b <= 1."""
+        leads = self._groebner()[1]
+        if not self.base.dual:
+            return _standard_monomial_count(leads, n)
+        # x^a is standard iff no e-free lead divides it, x^a*e iff no lead
+        # with e-exponent at most 1 does
+        plain = tuple(e[:4] for e in leads if e[4] == 0)
+        linear = tuple(e[:4] for e in leads if e[4] <= 1)
+        return _standard_monomial_count(plain, n) + _standard_monomial_count(linear, n)
 
     def piece_dim(self, n: int) -> int:
         """k-dimension of the degree-n piece of the ideal."""
-        if not self.base.dual:
-            return graded_piece_dim(n) - _standard_monomial_count(
-                tuple(self.lead_exponents()), n
-            )
-        return self.piece_matrix(n).shape[1]
-
-    def quotient_piece_dim(self, n: int) -> int:
-        """k-dimension of (R_A/I)_n."""
         total = graded_piece_dim(n) * (2 if self.base.dual else 1)
-        return total - self.piece_dim(n)
+        return total - self.quotient_piece_dim(n)
 
     def hilbert_function(self, n_max: int):
         """dim_k (R/I)_n for the fiber ideal, n = 0..n_max."""
-        leads = tuple(self.lead_exponents())
-        return [_standard_monomial_count(leads, n) for n in range(n_max + 1)]
+        fib = self.fiber()
+        return [fib.quotient_piece_dim(n) for n in range(n_max + 1)]
 
     def krull_dimension(self) -> int:
-        """Krull dimension of R_k / (fiber ideal)."""
-        gb = self.groebner_basis()
-        if len(gb) == 1 and gb[0].degree() == 0:
+        """Krull dimension of R_k / (fiber ideal), which is that of R_A/I."""
+        fib = self.fiber()
+        if fib.is_unit_ideal():
             return -1
-        leads = self.lead_exponents()
-        supports = [frozenset(i for i, x in enumerate(e) if x) for e in leads]
+        supports = [frozenset(i for i, x in enumerate(e) if x) for e in fib._groebner()[1]]
         best = 0
         for mask in range(16):
             s = frozenset(i for i in range(NVARS) if mask & (1 << i))
@@ -319,27 +345,14 @@ class Ideal:
         return best
 
     def __eq__(self, other):
-        if not isinstance(other, Ideal) or self.base != other.base:
-            return False
-        if not self.base.dual:
-            return self.groebner_basis() == other.groebner_basis()
-        if self.fiber().groebner_basis() != other.fiber().groebner_basis():
-            return False
-        top = max(
-            [g.degree() for g in self.gens] + [g.degree() for g in other.gens],
-            default=0,
+        return (
+            isinstance(other, Ideal)
+            and self.base == other.base
+            and self._groebner()[0] == other._groebner()[0]
         )
-        for n in range(top + 1):
-            a, b = self.piece_matrix(n), other.piece_matrix(n)
-            if a.shape[1] != b.shape[1]:
-                return False
-            joint = np.concatenate([a, b], axis=1)
-            if linalg.rank(joint.T, self.base.p) != a.shape[1]:
-                return False
-        return True
 
     def __hash__(self):
-        return hash((self.base, self.groebner_basis()))
+        return hash((self.base, tuple(frozenset(g.items()) for g in self._groebner()[0])))
 
     def __repr__(self):
         return "Ideal(" + ", ".join(str(g) for g in self.gens) + ")"
@@ -352,213 +365,92 @@ def _standard_monomial_count(leads: tuple, n: int) -> int:
     )
 
 
-# -- fiber ideal operations via tag variable ----------------------------
+# -- ideal operations: one route over both base rings ---------------------
 
 
-def _elim_intersection_raw(gens_i, gens_j, p):
-    """Raw generators of I cap J in 4 variables (fiber)."""
-    tagged = [_pad_tag(g, 1) for g in gens_i]  # t * f
+def _elim_intersection_raw(gens_i, gens_j, p, elim):
+    """Raw generators of I cap J: the tag-free part of a Groebner basis of
+    t*I + (1 - t)*J in an order that eliminates the tag t."""
+    tagged = [_pad_tag(g, 1) for g in gens_i]
     for g in gens_j:
-        tg = _pad_tag(g, 1)
-        g0 = _pad_tag(g, 0)
-        tagged.append(_raw_add_scaled(g0, tg, p - 1, (0, 0, 0, 0, 0), p))  # (1-t) g
-    gb = raw_buchberger(tagged, p, key=_raw_elim_first)
+        tagged.append({**_pad_tag(g, 0), **_pad_tag({e: p - c for e, c in g.items()}, 1)})
+    gb = raw_buchberger(tagged, p, key=elim)
     return [_strip_tag(g) for g in gb if all(e[0] == 0 for e in g)]
 
 
-def fiber_intersect(I: Ideal, J: Ideal) -> Ideal:
-    if I.base != J.base:
-        raise MixedBase("intersection across base rings")
-    base = I.base.field()
+def _colon(I: Ideal, J: Ideal) -> Ideal:
+    """(I : J) as the intersection of the colons (I : g) = (I cap (g)) / g
+    over the generators g of J."""
+    base = I.base
     p = base.p
-    raw = _elim_intersection_raw(
-        [poly_to_raw(g) for g in I.gens], [poly_to_raw(g) for g in J.gens], p
-    )
-    return Ideal(base, [raw_to_poly(g, base) for g in raw])
-
-
-def _raw_divide_exact(f, g, p, key=grevlex_key):
-    """Exact division f / g of raw polynomials; f must be a multiple."""
-    q = {}
-    f = dict(f)
-    eg, cg = _lead(g, key)
-    inv = pow(cg, p - 2, p)
-    while f:
-        e, c = _lead(f, key)
-        assert _divides(eg, e), "inexact division"
-        shift = _quot(e, eg)
-        coeff = (c * inv) % p
-        q[shift] = coeff
-        f = _raw_add_scaled(f, g, (-coeff) % p, shift, p)
-    return q
-
-
-def fiber_colon_poly(I: Ideal, f: Poly) -> Ideal:
-    """(I : f) over the fiber via I : f = (I cap (f)) / f."""
-    base = I.base.field()
-    p = base.p
-    fr = poly_to_raw(f)
-    if not fr:
-        return Ideal(base, [Poly.one(base)])
-    inter = _elim_intersection_raw([poly_to_raw(g) for g in I.gens], [fr], p)
-    quots = [_raw_divide_exact(g, fr, p) for g in inter]
-    return Ideal(base, [raw_to_poly(q, base) for q in quots])
-
-
-def fiber_colon(I: Ideal, J: Ideal) -> Ideal:
-    """(I : J) over the fiber: intersection of colons by generators."""
-    base = I.base.field()
+    key, elim = _orders(base)
+    gens = I._raw_gens()
     out = None
     for g in J.gens:
-        c = fiber_colon_poly(I, g)
-        out = c if out is None else fiber_intersect(out, c)
+        f = poly_to_raw(g)
+        quots = [_raw_divide_exact(h, f, p, key) for h in _elim_intersection_raw(gens, [f], p, elim)]
+        out = quots if out is None else _elim_intersection_raw(out, quots, p, elim)
     if out is None:  # J = 0
         return Ideal(base, [Poly.one(base)])
-    return out
+    return Ideal(base, [raw_to_poly(q, base) for q in out])
 
 
-def fiber_saturate(I: Ideal) -> Ideal:
-    """I : (X,Y,Z,W)^infinity over the fiber, by iterating I : m."""
-    base = I.base.field()
-    irrelevant = Ideal(base, [Poly.variable(base, i) for i in range(NVARS)])
-    cur = I if not I.base.dual else I.fiber()
+def _saturate(I: Ideal) -> Ideal:
+    """I : (X,Y,Z,W)^infinity, by iterating I : m until it stops growing."""
+    m = Ideal(I.base, variables(I.base))
+    cur = I
     while True:
-        nxt = fiber_colon(cur, irrelevant)
+        nxt = _colon(cur, m)
         if nxt == cur:
             return cur
         cur = nxt
 
 
-# -- dual-number ideal operations (degreewise) ---------------------------
+def _kernel_form(mat: np.ndarray, p: int) -> np.ndarray:
+    """The basis linalg.kernel_basis gives a subspace, from columns spanning
+    it: reduced with the coordinates in reverse order, then reversed back."""
+    return linalg.column_basis(mat[::-1], p)[::-1, ::-1]
 
 
-def _degreewise(base: BaseRing, guide: Ideal, piece_fn) -> Ideal:
-    """The ideal over A whose degree-n piece piece_fn(n) spans.
-
-    Its minimal generators are extracted up to two degrees past the top
-    generator degree of guide, the same operation over the fiber, and the
-    result is certified against piece_fn two degrees further.
-    """
-    piece_fn = lru_cache(maxsize=None)(piece_fn)  # extraction and certification share it
-    top = max((g.degree() for g in guide.gens), default=0) + 2
-    gens, _ = min_generators(FreeModule(base, [0]), piece_fn, top)
+def _with_min_generators(exact: Ideal, form, inside: Ideal = None) -> Ideal:
+    """exact over A on minimal generators, which min_generators picks from
+    the pieces of exact in the given basis form up to its top generator
+    degree.  Certified by equal Groebner bases, and inside <= exact."""
+    base = exact.base
+    gmap = exact.generator_map()
+    top = max((g.degree() for g in exact.gens), default=0)
+    gens, _ = min_generators(
+        FreeModule(base, [0]), lambda n: form(gmap.matrix_at(n), base.p), top
+    )
     out = Ideal(base, [g[0] for g in gens])
-    p = base.p
-    for n in range(top + 3):
-        want = piece_fn(n)
-        got = out.piece_matrix(n)
-        if want.shape[1] != got.shape[1]:
-            raise CertificationError(
-                f"degree {n}: generated piece has k-dim {got.shape[1]}, "
-                f"described piece {want.shape[1]}"
-            )
-        joint = np.concatenate([want, got], axis=1)
-        if linalg.rank(joint.T, p) != got.shape[1]:
-            raise CertificationError(f"degree {n}: piece mismatch")
+    if out != exact:
+        raise CertificationError("the minimal generators span a different ideal")
+    if inside is not None and not all(out.contains(g) for g in inside.gens):
+        raise CertificationError("the result does not contain the input ideal")
     return out
-
-
-def _solve_piece(constraint_rows, n: int, p: int) -> np.ndarray:
-    """Solutions f in (R_A)_n of a stack of k-linear constraints, as a
-    stacked-column matrix."""
-    if not constraint_rows:
-        return linalg.identity(2 * graded_piece_dim(n))
-    return linalg.kernel_basis(np.vstack(constraint_rows) % p, p)
-
-
-def _multiplication_rows(g: Poly, n: int, ann: np.ndarray, p: int):
-    """k-linear constraints on f in degree n saying f*g lies in the target
-    piece in degree n + deg g, given the annihilator rows ann of that piece.
-
-    ann times the multiplication matrix of g is a sum of column gathers: a
-    term (a + b*e)*x^e sends the fiber coordinate r of f to a*ann[:, s] +
-    b*ann[:, D + s] and its epsilon coordinate r to a*ann[:, D + s], where
-    s = monomial_shift(n, e)[r] and D = dim R_{n + deg g}.  Each product is
-    reduced at once: it is below 2^62, but a sum of them need not fit.
-    """
-    dim_n, D = graded_piece_dim(n), graded_piece_dim(n + g.degree())
-    out = linalg.zeros(ann.shape[0], 2 * dim_n)
-    fib, eps = out[:, :dim_n], out[:, dim_n:]
-    for e, (a, b) in g.terms.items():
-        s = monomial_shift(n, e)
-        at_fib, at_eps = ann[:, s], ann[:, D + s]
-        fib += a * at_fib % p + b * at_eps % p
-        eps += a * at_eps % p
-        fib %= p
-        eps %= p
-    return out
-
-
-def _piece_annihilators(I: Ideal):
-    """Degree m -> annihilator rows of I's degree-m piece, each built once."""
-    cache = {}
-
-    def piece_ann(m):
-        if m not in cache:
-            cache[m] = linalg.annihilator(I.piece_matrix(m), I.base.p)
-        return cache[m]
-
-    return piece_ann
 
 
 def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
     """(I : J) over the base ring of I."""
     if I.base != J.base:
         raise MixedBase("colon across base rings")
-    if not I.base.dual:
-        return fiber_colon(I, J)
-    p = I.base.p
-    piece_ann = _piece_annihilators(I)
-
-    def colon_piece(n):
-        rows = [_multiplication_rows(g, n, piece_ann(n + g.degree()), p) for g in J.gens]
-        return _solve_piece(rows, n, p)
-
-    return _degreewise(I.base, fiber_colon(I.fiber(), J.fiber()), colon_piece)
+    out = _colon(I, J)
+    return _with_min_generators(out, _kernel_form, I) if I.base.dual else out
 
 
 def ideal_saturate(I: Ideal) -> Ideal:
     """I : (X,Y,Z,W)^infinity over the base ring of I."""
-    if not I.base.dual:
-        return fiber_saturate(I)
-    p = I.base.p
-    # test bound: multiplying by all monomials of degree c must land in I
-    piece_ann = _piece_annihilators(I)
-
-    def sat_piece_at(n, c):
-        target_ann = piece_ann(n + c)
-        rows = [
-            _multiplication_rows(Poly.monomial(I.base, mono), n, target_ann, p)
-            for mono in monomials(c)
-        ]
-        return _solve_piece(rows, n, p)
-
-    def sat_piece(n):
-        c = 1
-        prev = sat_piece_at(n, c)
-        while True:
-            c += 1
-            nxt = sat_piece_at(n, c)
-            if nxt.shape[1] == prev.shape[1]:
-                return prev
-            prev = nxt
-
-    return _degreewise(I.base, fiber_saturate(I.fiber()), sat_piece)
+    out = _saturate(I)
+    return _with_min_generators(out, _kernel_form, I) if I.base.dual else out
 
 
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     if I.base != J.base:
         raise MixedBase("intersection across base rings")
-    if not I.base.dual:
-        return fiber_intersect(I, J)
-    p = I.base.p
-
-    def inter_piece(n):
-        a, b = I.piece_matrix(n), J.piece_matrix(n)
-        ker = linalg.kernel_basis(np.concatenate([a, -b % p], axis=1), p)
-        return linalg.column_basis(linalg.matmul(a, ker[: a.shape[1]], p), p)
-
-    return _degreewise(I.base, fiber_intersect(I.fiber(), J.fiber()), inter_piece)
+    base = I.base
+    raw = _elim_intersection_raw(I._raw_gens(), J._raw_gens(), base.p, _orders(base)[1])
+    out = Ideal(base, [raw_to_poly(g, base) for g in raw])
+    return _with_min_generators(out, linalg.column_basis) if base.dual else out
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:

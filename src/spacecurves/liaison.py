@@ -33,9 +33,8 @@ from .gradedmod import (
 )
 from .groebner import (
     Ideal,
-    fiber_colon_poly,
-    fiber_intersect,
     ideal_colon,
+    ideal_intersect,
     ideal_product_poly,
     ideal_saturate,
     ideal_sum,
@@ -80,9 +79,9 @@ class CompleteIntersection:
                 raise NotRegularSequence(f"fiber form of {f} vanishes")
             if not f.is_homogeneous() or f.degree() < 1:
                 raise NotRegularSequence(f"{f} is not homogeneous of positive degree")
-        Ff, Gf = F.fiber(), G.fiber()
         kf = base.field()
-        if not (fiber_colon_poly(Ideal(kf, [Ff]), Gf) == Ideal(kf, [Ff])):
+        Ff = Ideal(kf, [F.fiber()])
+        if not (ideal_colon(Ff, Ideal(kf, [G.fiber()])) == Ff):
             raise NotRegularSequence(
                 f"{G} is a zero divisor modulo {F} in the fiber"
             )
@@ -222,7 +221,7 @@ def trivial_biliaison(C: CurveFamily, Q: Poly, H: Poly, h: int):
     if h > 0:
         kf = base.field()
         Qf = Ideal(kf, [Q.fiber()])
-        if not (fiber_colon_poly(Qf, H.fiber()) == Qf):
+        if not (ideal_colon(Qf, Ideal(kf, [H.fiber()])) == Qf):
             raise NotCoprime(f"{H} shares a component with {Q}")
     J = ideal_saturate(ideal_sum(ideal_product_poly(H, I), Ideal(base, [Q])))
     Cp = validate_curve(J)
@@ -268,7 +267,7 @@ def _common_surfaces(C: CurveFamily, Cp: CurveFamily, max_degree: int):
     """Low-degree surfaces through both curves, smallest degrees first."""
     base = C.base
     If, Jf = C.ideal.fiber(), Cp.ideal.fiber()
-    inter = fiber_intersect(If, Jf)
+    inter = ideal_intersect(If, Jf)
     out = []
     for g in sorted(inter.gens, key=lambda f: f.degree()):
         if g.degree() <= max_degree:

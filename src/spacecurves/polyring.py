@@ -226,13 +226,6 @@ class Poly:
             raise MixedBase(f"cannot lift {self.base} into {base}")
         return Poly(base, dict(self.terms))
 
-    def leading(self, key=grevlex_key):
-        """(exponent, coefficient) of the leading term; None for zero."""
-        if not self.terms:
-            return None
-        e = max(self.terms, key=key)
-        return e, self.terms[e]
-
     # -- printing -----------------------------------------------------
 
     def __str__(self):

@@ -160,3 +160,15 @@ def test_dual_numbers_flag(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["results"] == {"valid": True, "degree": 1, "genus": 0}
+
+
+def test_saturate_dual_family_times_a_power_of_m(capsys, tmp_path):
+    # (X, Y) * (X, Y, Z, W)^3, constant over the dual numbers
+    monos = [f"X^{a}*Y^{b}*Z^{c}*W^{3 - a - b - c}"
+             for a in range(4) for b in range(4 - a) for c in range(4 - a - b)]
+    path = tmp_path / "xy-m3.curve"
+    path.write_text("ring p=32003 base=dual\ngens:\n" + "".join(f"{v}*{m}\n" for v in "XY" for m in monos))
+    code, out = run(capsys, "saturate", str(path), "--json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results == {"already_saturated": False, "gens": ["X", "Y"]}

@@ -85,7 +85,12 @@ def test_dual_constant_families_validate(corpus_curves):
 
 def test_flatness_check_over_dual_numbers(A):
     flat = I(A, "X", "Y")
-    assert is_flat_family(flat, 4)
+    assert is_flat_family(flat)
+    assert is_flat_family(I(A, "X + e*Z", "Y^2 + 3*e*X*W"))
+    # Tor_1 of R_A/I over A in degree 10: e*Y^10 lies in I, Y^10 not in I + (e)
+    assert not is_flat_family(I(A, "X", "e*Y^10"))
+    # Y*(X*Y + e*Z^2) - X*Y^2 = e*Y*Z^2, and Y*Z^2 is not in the fiber ideal
+    assert not is_flat_family(I(A, "X^2", "X*Y + e*Z^2", "Y^2"))
     # e*(Z) contributes a non-free piece: rejected
     with pytest.raises((NotFlat, NotSaturated)):
         validate_curve(I(A, "X", "Y", "e*Z"))

@@ -5,14 +5,11 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from spacecurves import linalg
-from spacecurves.gradedmod import FreeModule, element_to_vector
+from spacecurves.errors import CertificationError
 from spacecurves.groebner import (
     Ideal,
-    _multiplication_rows,
+    _raw_divide_exact,
     _raw_elim_first,
-    fiber_colon,
-    fiber_intersect,
-    fiber_saturate,
     ideal_colon,
     ideal_intersect,
     ideal_saturate,
@@ -49,7 +46,7 @@ def test_dual_membership(A):
     L = I(A, "X + e*Z", "Y")
     assert L.contains(Poly.parse("X + e*Z", A))
     # the fiber of X lies in the fiber of L, but e*Z does not lie in L
-    assert L.fiber_contains(Poly.parse("X", A))
+    assert L.fiber().contains(Poly.parse("X", A).fiber())
     assert not L.contains(Poly.parse("X", A))
     assert L.contains(Poly.parse("X + e*Z + 5*Y*W - e*Y^2 + W^2*(X + e*Z)", A))
     assert not L.contains(Poly.parse("X + e*Z + X*W", A))
@@ -106,16 +103,6 @@ def test_sum(K):
     assert s == I(K, "X", "Y")
 
 
-def test_fiber_operations_match_full_ones_over_field(K):
-    ci = I(K, "X*Z", "Y*W")
-    skew = I(K, "X*Z", "X*W", "Y*Z", "Y*W")
-    assert fiber_colon(ci, skew) == ideal_colon(ci, skew)
-    assert fiber_intersect(I(K, "X", "Y"), I(K, "Z", "W")) == ideal_intersect(
-        I(K, "X", "Y"), I(K, "Z", "W")
-    )
-    assert fiber_saturate(I(K, "X^2", "X*Y", "X*Z", "X*W")) == I(K, "X")
-
-
 def test_dual_number_ideal_flat_saturation(A, K):
     # a constant family saturates to itself
     skew = I(A, "X*Z", "X*W", "Y*Z", "Y*W")
@@ -140,6 +127,35 @@ def test_dual_saturation_and_colon_strip_the_irrelevant_ideal(A):
     assert J != L
     assert ideal_saturate(J) == L
     assert ideal_colon(J, I(A, "X", "Y", "Z", "W")) == L
+
+
+def _times_power_of_m(ideal, k):
+    """ideal * (X,Y,Z,W)^k, on the products of generators and monomials."""
+    return Ideal(ideal.base, [g.mul_monomial(m) for g in ideal.gens for m in monomials(k)])
+
+
+def test_dual_saturation_of_ideals_times_a_power_of_m(A):
+    # in degree 1 the pieces of X*m^3 : m^c are 0, 0, <X> for c = 1, 2, 3: a
+    # per-degree stopping rule that sees the plateau at c = 2 loses X
+    x = ideal_saturate(_times_power_of_m(I(A, "X"), 3))
+    assert [str(g) for g in x.gens] == ["X"]
+    xy = ideal_saturate(_times_power_of_m(I(A, "X", "Y"), 3))
+    assert [str(g) for g in xy.gens] == ["X", "Y"]
+
+
+def test_dual_colon_keeps_generators_far_above_the_fiber(A):
+    # e*Y^10 lies in the colon, eight degrees above the fiber colon (X)
+    got = ideal_colon(I(A, "X", "e*Y^10"), I(A, "Z"))
+    assert got == I(A, "X", "e*Y^10")
+    assert got.contains(Poly.parse("e*Y^10", A))
+
+
+def test_exact_division_rejects_a_non_factor():
+    p = 101
+    x, y = (1, 0, 0, 0), (0, 1, 0, 0)
+    assert _raw_divide_exact({(2, 0, 0, 0): 3, (1, 1, 0, 0): 3}, {x: 1, y: 1}, p) == {x: 3}
+    with pytest.raises(CertificationError):
+        _raw_divide_exact({(2, 0, 0, 0): 1, (0, 2, 0, 0): 1}, {y: 1}, p)
 
 
 # -- the pair-selection engine against a plain Buchberger loop -----------
@@ -246,54 +262,6 @@ def test_buchberger_degenerate_inputs():
     assert raw_buchberger([{x: 1, y: 1}, {(0, 0, 0, 0): 4}], p) == [{(0, 0, 0, 0): 1}]
 
 
-# -- dual colon/saturation rows against the dense multiplication matrix -----
-
-
-def _multiplication_rows_dense(g, n, ann, p):
-    # reference: ann times the multiplication matrix of g, built one
-    # mul_monomial -> element_to_vector column at a time
-    dim_n = graded_piece_dim(n)
-    R = FreeModule(g.base, [0])
-    mult = np.zeros((ann.shape[1], 2 * dim_n), dtype=np.int64)
-    for c, m in enumerate(monomials(n)):
-        mult[:, c] = element_to_vector(R, (g.mul_monomial(m),), n + g.degree())
-    mult[:, dim_n:] = linalg.eps_times(mult[:, :dim_n])
-    return linalg.matmul(ann, mult % p, p)
-
-
-@st.composite
-def _rows_input(draw):
-    p = draw(st.sampled_from(PRIMES))
-    base = BaseRing(p, True)
-    d, n = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    support = draw(st.lists(st.sampled_from(monomials(d)), min_size=1, max_size=4, unique=True))
-    terms = {}
-    for m in support:
-        a, b = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
-        terms[m] = (a, b) if (a, b) != (0, 0) else (1, 0)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ann = rng.integers(0, p, size=(draw(st.integers(0, 6)), 2 * graded_piece_dim(n + d)))
-    return Poly(base, terms), n, ann, p
-
-
-@settings(max_examples=80, deadline=None, database=None)
-@given(_rows_input())
-@seed(13)
-def test_multiplication_rows_match_dense_product(case):
-    g, n, ann, p = case
-    assert (_multiplication_rows(g, n, ann, p) == _multiplication_rows_dense(g, n, ann, p)).all()
-
-
-def test_multiplication_rows_extreme_entries():
-    # every entry p - 1 at the largest prime: each product is near 2^62, so
-    # an unreduced sum of them would overflow int64
-    p = 2**31 - 1
-    base = BaseRing(p, True)
-    g = Poly(base, {m: (p - 1, p - 1) for m in monomials(2)})
-    ann = np.full((3, 2 * graded_piece_dim(4)), p - 1, dtype=np.int64)
-    assert (_multiplication_rows(g, 2, ann, p) == _multiplication_rows_dense(g, 2, ann, p)).all()
-
-
 # -- ideal pieces against the per-generator scatter they replaced ----------
 
 
@@ -373,6 +341,68 @@ def _dual_piece_input(draw):
 @seed(17)
 def test_dual_pieces_match_per_generator_scatter(case):
     ideal, n, f = case
-    got, want = ideal.piece_matrix(n), _piece_matrix_ref(ideal, n)
+    got = linalg.column_basis(ideal.generator_map().matrix_at(n), ideal.base.p)
+    want = _piece_matrix_ref(ideal, n)
     assert got.shape == want.shape and (got == want).all()
+    assert ideal.piece_dim(n) == want.shape[1]
     assert ideal.contains(f) == _contains_ref(ideal, f)
+
+
+# -- dual ideal operations against the field ones and their containments ---
+
+
+def _lift(ideal, base):
+    return Ideal(base, [g.lift(base) for g in ideal.gens])
+
+
+@st.composite
+def _field_pair(draw):
+    """Two small ideals over F_p and the dual numbers over the same p."""
+    p = draw(st.sampled_from(PRIMES))
+    K = BaseRing(p, False)
+
+    def ideal():
+        gens = draw(st.lists(_homogeneous(p, max_degree=2, max_terms=3), min_size=1, max_size=2))
+        return Ideal(K, [Poly(K, {m: (c, 0) for m, c in g.items()}) for g in gens])
+
+    # I * m is never saturated, so the saturation has work to do
+    return _times_power_of_m(ideal(), draw(st.integers(0, 1))), ideal(), BaseRing(p, True)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(_field_pair())
+@seed(19)
+def test_dual_ops_on_constant_families_match_the_field_ops(case):
+    I, J, A = case
+    IA, JA = _lift(I, A), _lift(J, A)
+    assert ideal_colon(IA, JA) == _lift(ideal_colon(I, J), A)
+    assert ideal_intersect(IA, JA) == _lift(ideal_intersect(I, J), A)
+    assert ideal_saturate(IA) == _lift(ideal_saturate(I), A)
+
+
+@st.composite
+def _dual_pair(draw):
+    base = BaseRing(draw(st.sampled_from(PRIMES)), True)
+
+    def ideal():
+        count = draw(st.integers(1, 2))
+        return Ideal(base, [draw(_dual_poly(base, draw(st.integers(1, 2)), 3)) for _ in range(count)])
+
+    return _times_power_of_m(ideal(), draw(st.integers(0, 1))), ideal()
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(_dual_pair())
+@seed(23)
+def test_dual_ops_satisfy_their_containments(case):
+    I, J = case
+    colon = ideal_colon(I, J)
+    assert all(I.contains(g * h) for g in J.gens for h in colon.gens)
+    sat = ideal_saturate(I)
+    assert all(sat.contains(g) for g in I.gens)
+    assert any(
+        all(I.contains(g.mul_monomial(m)) for g in sat.gens for m in monomials(k))
+        for k in range(10)
+    )
+    inter = ideal_intersect(I, J)
+    assert all(I.contains(g) and J.contains(g) for g in inter.gens)
