@@ -9,28 +9,28 @@ repairing it.
 
 from __future__ import annotations
 
-import numpy as np
+import itertools
+import random
 
-from . import linalg
 from .errors import (
     NotFlat,
     NotPureDimensionOrNotLCM,
     NotSaturated,
     OracleMismatch,
+    Undecided,
     WrongDimension,
 )
 from .gradedmod import (
     FiniteModuleData,
     GradedModule,
-    PieceCalculus,
-    PowerHomCalculus,
     ext_module,
     finite_data_to_module,
     finite_module_data,
     is_module_iso,
+    torsion_module_data,
 )
 from .groebner import Ideal, ideal_colon, ideal_saturate, ideal_sum
-from .polyring import Poly
+from .polyring import Poly, monomials
 from .scalars import BaseRing
 
 
@@ -114,11 +114,11 @@ class CurveFamily:
 
     def rao_module(self) -> RaoModule:
         if "rao" not in self._cache:
-            a = _rao_route_saturation(self)
+            a = _rao_route_torsion(self)
             b = _rao_route_duality(self)
             if a.dims != b.dims:
                 raise OracleMismatch(
-                    f"Rao module dims disagree: saturation route {a.dims}, "
+                    f"Rao module dims disagree: torsion route {a.dims}, "
                     f"duality route {b.dims}"
                 )
             if a.dims:
@@ -197,62 +197,41 @@ def _rao_route_duality(C: CurveFamily) -> FiniteModuleData:
     return finite_module_data(e3).graded_dual()
 
 
-def _rao_route_saturation(C: CurveFamily) -> FiniteModuleData:
-    """coker(R -> Gamma_*(O_C)) computed from stabilized Hom(m^t, R/I)."""
-    base = C.base
-    p = base.p
-    RI = C._ri()
-    pc = PieceCalculus(RI)
+def _rao_route_torsion(C: CurveFamily) -> FiniteModuleData:
+    """M_C from the m-torsion of R/(I + f^t), f a nonzerodivisor on R/I.
+
+    0 -> R/I(-t*deg f) -> R/I -> R/(I + f^t) -> 0 gives H^0_m(R/(I + f^t))
+    = ker(f^t on M_C)(-t*deg f), which vanishes past reg(R/I) + t*deg f - 1,
+    the mapping-cone bound on reg(R/(I + f^t)).  The kernels of f^t on the
+    finite-length M_C grow strictly until they are all of M_C, so the first t
+    whose total dimension repeats that of t - 1 gives M_C.
+    """
+    f = _nonzerodivisor(C.ideal)
     reg = C.regularity()
-    lo, hi = -reg - 4, reg + 2
-    degrees = list(range(lo, hi + 2))
-    ph, bases = _stabilized_power_homs(pc, degrees)
-    t = ph.t
-    # image of R_n inside Hom(m^t, R/I)_n: multiplication homs
-    img = {n: ph.multiplication_homs(n) for n in degrees}
-    # quotient bases
-    reps = {}
-    for n in degrees:
-        span = linalg.Span(p)
-        span.add_many(img[n])
-        reps[n] = bases[n][:, span.add_many(bases[n])]
-    dims = {n: reps[n].shape[1] for n in degrees if reps[n].shape[1]}
-    actions = {}
-    eps_maps = {}
-    for n in degrees[:-1]:
-        if not reps[n].shape[1]:
-            continue
-        for v in range(4):
-            q = pc.mult_matrix(Poly.variable(base, v), n + t)
-            moved = ph.blockwise(q, reps[n])
-            actions[(n, v)] = _coords_in_quotient(moved, img[n + 1], reps[n + 1], p)
-        if base.dual:
-            moved = ph.blockwise(pc.eps_matrix_q(n + t), reps[n])
-            eps_maps[n] = _coords_in_quotient(moved, img[n], reps[n], p)
-    return FiniteModuleData(base, dims, actions, eps_maps)
+    prev = 0
+    for t in itertools.count(1):
+        shift = t * f.degree()
+        Q = GradedModule.quotient_by_ideal(ideal_sum(C.ideal, Ideal(C.base, [f**t])))
+        data = torsion_module_data(Q, reg + shift - 1)
+        if data.total_dim() == prev:
+            return data.shift(shift)
+        prev = data.total_dim()
 
 
-def _coords_in_quotient(vecs, img, reps, p):
-    """Coefficients of each column of vecs on the chosen quotient
-    representatives (the columns of reps)."""
-    if not reps.shape[1]:
-        return np.zeros((0, vecs.shape[1]), dtype=np.int64)
-    full = np.concatenate([reps, img], axis=1)
-    sol = linalg.solve(full, vecs, p)
-    if sol is None:
-        raise OracleMismatch("vector escapes the hom space")
-    return sol[: reps.shape[1]]
+def _candidate_forms(base: BaseRing):
+    """The forms tried as nonzerodivisors, in one fixed order: 3X + 5Y - 7Z
+    + 11W, then seeded random forms, eight of each degree 1, 2, 3.  Over a
+    small field every linear form can vanish on a component."""
+    yield Poly.parse("3*X + 5*Y - 7*Z + 11*W", base)
+    rng = random.Random(0)
+    for d in (1, 2, 3):
+        for _ in range(8):
+            yield Poly(base, {m: (rng.randrange(base.p), 0) for m in monomials(d)})
 
 
-def _stabilized_power_homs(pc: PieceCalculus, degrees):
-    """(ph, hom bases by degree) at the first t whose hom dimensions over
-    degrees repeat those at t - 1."""
-    prev_dims = None
-    for t in range(1, 12):
-        ph = PowerHomCalculus(pc, t)
-        bases = {n: ph.hom_basis(n) for n in degrees}
-        dims = tuple(b.shape[1] for b in bases.values())
-        if dims == prev_dims:
-            return ph, bases
-        prev_dims = dims
-    raise OracleMismatch("Hom(m^t, -) failed to stabilize")
+def _nonzerodivisor(I: Ideal) -> Poly:
+    """The first candidate form f with (I : f) = I."""
+    for f in _candidate_forms(I.base):
+        if not f.is_zero() and ideal_colon(I, Ideal(I.base, [f])) == I:
+            return f
+    raise Undecided("no candidate form is a nonzerodivisor on R/I")

@@ -25,6 +25,7 @@ from .errors import (
     MixedBase,
     NotFiniteLength,
     NotLiftable,
+    OracleMismatch,
 )
 from .polyring import Poly, graded_piece_dim, monomial_index, monomial_shift, monomials
 from .scalars import BaseRing
@@ -61,7 +62,7 @@ class FreeModule:
         return self.fiber_dim(n) * (2 if self.base.dual else 1)
 
     def min_degree(self) -> int:
-        """Lowest degree with a nonzero piece; 1 past cap when rank 0."""
+        """Lowest degree with a nonzero piece; 0 when rank 0."""
         return min((-t for t in self.twists), default=0)
 
     def zero_element(self):
@@ -1033,75 +1034,6 @@ class PieceCalculus:
         return self.project(linalg.eps_times(unit), n)
 
 
-class PowerHomCalculus:
-    """Homs from m^t into a module, in generator-image coordinates.
-
-    A hom f: m^t -> M(n) is determined by the images of the degree-t
-    monomials, subject to the linear syzygies of m^t.  The coordinates of f
-    are the concatenated quotient coordinates of those images in M_{n+t}:
-    block i holds the image of monomials(t)[i].
-    """
-
-    def __init__(self, pc: PieceCalculus, t: int):
-        self.pc = pc
-        self.t = t
-        self.base = pc.M.base
-        self.mons = monomials(t)
-        self.syz = _power_ideal_module(self.base, t).presentation
-
-    def hom_basis(self, n: int) -> np.ndarray:
-        """Columns: a k-basis of Hom(m^t, M)_n in image coordinates."""
-        pc, t = self.pc, self.t
-        p = pc.p
-        N = len(self.mons)
-        dv = pc.dim(n + t)
-        if dv == 0:
-            return np.zeros((0, 0), dtype=np.int64)
-        dw = pc.dim(n + t + 1)
-        rows = []
-        syz = self.syz
-        for s in range(syz.source.rank):
-            block = np.zeros((dw, N * dv), dtype=np.int64)
-            for i in range(N):
-                c = syz.matrix[i][s]
-                if c.is_zero():
-                    continue
-                block[:, i * dv : (i + 1) * dv] = pc.mult_matrix(c, n + t)
-            rows.append(block)
-        mat = np.vstack(rows) if rows else np.zeros((0, N * dv), dtype=np.int64)
-        return linalg.kernel_basis(mat, p)
-
-    def hom_dim(self, n: int) -> int:
-        b = self.hom_basis(n)
-        return b.shape[1]
-
-    def multiplication_homs(self, n: int) -> np.ndarray:
-        """Columns: the homs 'multiply by m' for every degree-n monomial m,
-        and over A also 'multiply by e*m', in image coordinates.  Block i is
-        the projection of the cover coordinates of m*monomials(t)[i]."""
-        pc = self.pc
-        if pc.M.F0.twists != (0,):
-            raise ValueError("multiplication homs need a cyclic module")
-        unit = linalg.identity(pc.M.F0.piece_dim(n + self.t))
-        D = graded_piece_dim(n + self.t)
-        blocks = []
-        for b in self.mons:
-            idx = monomial_shift(n, b)
-            if pc.dual:
-                idx = np.concatenate([idx, D + idx])
-            blocks.append(pc.project(unit[:, idx], n + self.t))
-        return np.concatenate(blocks, axis=0)
-
-    def blockwise(self, q: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        """Apply a quotient-coordinate matrix q to every image block of each
-        column of coords: one reshape and one matmul."""
-        N, k = len(self.mons), coords.shape[1]
-        dv, dw = q.shape[1], q.shape[0]
-        flat = coords.reshape(N, dv, k).transpose(1, 0, 2).reshape(dv, N * k)
-        out = linalg.matmul(q, flat, self.pc.p)
-        return out.reshape(dw, N, k).transpose(1, 0, 2).reshape(N * dw, k)
-
-
 # -- finite-length module data ---------------------------------------------
 
 
@@ -1158,22 +1090,55 @@ class FiniteModuleData:
         return FiniteModuleData(self.base, dims, actions, eps)
 
 
-def finite_module_data(M: GradedModule) -> FiniteModuleData:
-    """Explicit piece/action data of a finite-length module."""
-    if not M.is_finite_length():
-        raise NotFiniteLength(f"{M} has nonzero pieces past its regularity")
+def torsion_module_data(M: GradedModule, top: int) -> FiniteModuleData:
+    """H^0_m(M), the m-power torsion of M, as explicit piece/action data.
+
+    top is a degree past which H^0_m(M) vanishes (reg(M) will do).  Then
+    v in M_n is torsion iff x_i^c * v = 0 for i = 0..3 with c = top + 1 - n:
+    (x_0^c, ..., x_3^c) is m-primary, and m^c * v lies in the torsion past
+    top.  Each piece is the kernel of the four stacked mult_matrix(x_i^c, n),
+    in PieceCalculus coordinates; x_v and e act by mult_matrix and
+    eps_matrix_q restricted to those kernels.
+    """
+    base = M.base
+    p = base.p
     pc = PieceCalculus(M)
-    lo = pc.M.min_degree()
-    hi = pc.M.regularity() + 2
-    dims = {n: pc.dim(n) for n in range(lo, hi + 2)}
+    xs = [Poly.variable(base, v) for v in range(4)]
+    kers = {}
+    for n in range(pc.M.min_degree(), top + 1):
+        if pc.dim(n):
+            stack = np.vstack([pc.mult_matrix(x ** (top + 1 - n), n) for x in xs])
+            kers[n] = linalg.kernel_basis(stack, p)
     actions = {}
     eps = {}
-    for n in range(lo, hi + 1):
+    for n, ker in kers.items():
+        if not ker.shape[1]:
+            continue
         for v in range(4):
-            actions[(n, v)] = pc.mult_matrix(Poly.variable(M.base, v), n)
-        if M.base.dual:
-            eps[n] = pc.eps_matrix_q(n)
-    return FiniteModuleData(M.base, dims, actions, eps)
+            moved = linalg.matmul(pc.mult_matrix(xs[v], n), ker, p)
+            actions[(n, v)] = _coords_on(kers.get(n + 1, linalg.zeros(0, 0)), moved, p)
+        if base.dual:
+            eps[n] = _coords_on(ker, linalg.matmul(pc.eps_matrix_q(n), ker, p), p)
+    return FiniteModuleData(base, {n: k.shape[1] for n, k in kers.items()}, actions, eps)
+
+
+def _coords_on(basis: np.ndarray, vecs: np.ndarray, p: int) -> np.ndarray:
+    """Coefficients of the columns of vecs on the columns of basis."""
+    if not basis.shape[1]:
+        sol = None if vecs.any() else linalg.zeros(0, vecs.shape[1])
+    else:
+        sol = linalg.solve(basis, vecs, p)
+    if sol is None:
+        raise OracleMismatch("an action leaves the torsion submodule")
+    return sol
+
+
+def finite_module_data(M: GradedModule) -> FiniteModuleData:
+    """Explicit piece/action data of a finite-length module: all of M is
+    torsion, and each kernel is the identity."""
+    if not M.is_finite_length():
+        raise NotFiniteLength(f"{M} has nonzero pieces past its regularity")
+    return torsion_module_data(M, M.regularity())
 
 
 def finite_data_to_module(data: FiniteModuleData) -> GradedModule:
@@ -1288,44 +1253,30 @@ def saturation_dims(M: GradedModule, n_lo: int, n_hi: int) -> dict:
     pc = PieceCalculus(M)
     out = {}
     for n in range(n_lo, n_hi + 1):
-        t = 1
-        prev = PowerHomCalculus(pc, t).hom_dim(n)
+        prev, t = None, 1
         while True:
-            t += 1
-            cur = PowerHomCalculus(pc, t).hom_dim(n)
+            cur = _power_hom_dim(pc, _power_ideal_module(M.base, t).presentation, n)
             if cur == prev:
                 break
-            prev = cur
-        out[n] = prev
+            prev, t = cur, t + 1
+        out[n] = cur
     return out
 
 
-def torsion_dims(M: GradedModule, n_lo: int, n_hi: int) -> dict:
-    """dim of the m-power-torsion submodule piece (H^0_m(M)_n), directly."""
-    p = M.base.p
-    Mm = M.minimal_presentation()
-    reg = Mm.regularity()
-    out = {}
-    for n in range(n_lo, n_hi + 1):
-        c = max(reg + 2 - n, 1)
-        # v is torsion iff m^c * v = 0 in M for c past the regularity window
-        full = Mm.F0.piece_dim(n)
-        rows = []
-        proj = linalg.annihilator(Mm.presentation.matrix_at(n + c), p)
-        for m in monomials(c):
-            mat = np.zeros((proj.shape[0], full), dtype=np.int64)
-            for col in range(full):
-                vec = np.zeros(full, dtype=np.int64)
-                vec[col] = 1
-                elem = vector_to_element(Mm.F0, vec, n)
-                moved = tuple(f.mul_monomial(m) for f in elem)
-                w = element_to_vector(Mm.F0, moved, n + c)
-                mat[:, col] = linalg.matmul(proj, w.reshape(-1, 1), p).reshape(-1)
-            rows.append(mat)
-        big = np.vstack(rows)
-        ker = linalg.kernel_basis(big, p)
-        # torsion piece dim = dim of kernel modulo relations
-        rel = Mm.presentation.matrix_at(n)
-        joint = np.concatenate([ker, rel], axis=1) if rel.size else ker
-        out[n] = linalg.rank(joint.T, p) - linalg.rank(rel.T, p)
-    return out
+def _power_hom_dim(pc: PieceCalculus, syz: GradedMap, n: int) -> int:
+    """dim Hom(m^t, M)_n, where syz presents m^t on the degree-t monomials
+    by linear syzygies: a hom is the images of the monomials in M_{n+t},
+    one block each, killed by every syzygy in M_{n+t+1}."""
+    t = -syz.target.twists[0]
+    dv = pc.dim(n + t)
+    if not dv:
+        return 0
+    dw = pc.dim(n + t + 1)
+    N = syz.target.rank
+    mat = np.zeros((syz.source.rank * dw, N * dv), dtype=np.int64)
+    for s in range(syz.source.rank):
+        for i in range(N):
+            c = syz.matrix[i][s]
+            if not c.is_zero():
+                mat[s * dw : (s + 1) * dw, i * dv : (i + 1) * dv] = pc.mult_matrix(c, n + t)
+    return N * dv - linalg.rank(mat, pc.p)

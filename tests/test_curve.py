@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from spacecurves import linalg
-from spacecurves.curve import is_flat_family, validate_curve
+from spacecurves.curve import (
+    _candidate_forms,
+    _nonzerodivisor,
+    _rao_route_torsion,
+    is_flat_family,
+    validate_curve,
+)
 from spacecurves.errors import (
     NotFlat,
     NotPureDimensionOrNotLCM,
@@ -13,6 +19,7 @@ from spacecurves.errors import (
 )
 from spacecurves.groebner import Ideal, ideal_intersect
 from spacecurves.polyring import Poly
+from spacecurves.scalars import BaseRing
 
 
 def I(base, *texts):
@@ -64,6 +71,53 @@ def test_rao_of_two_skew_lines_is_k(corpus_curves):
     assert rao.dims() == {0: 1}
     assert rao.total_dim() == 1
     assert rao.graded_dual().dims() == {0: 1}
+
+
+def test_rao_route_retries_past_a_zero_divisor(K):
+    # curves with a component in the plane of the first candidate form: the
+    # torsion route must pass to a later candidate
+    first = next(_candidate_forms(K))
+    plane = str(first)
+    cases = [
+        (I(K, plane, "X^2 + Y^2 + Z^2 + W^2"), (2, 0), {}),
+        (ideal_intersect(I(K, plane, "Z"), I(K, "X", "Y")), (2, -1), {0: 1}),
+    ]
+    for ideal, dg, rao in cases:
+        C = validate_curve(ideal)
+        f = _nonzerodivisor(C.ideal)
+        assert f != first and f.degree() == 1
+        assert C.degree_genus() == dg
+        assert _rao_route_torsion(C).dims == rao
+        assert C.rao_module().dims() == rao
+
+
+def test_rao_route_over_f2_where_every_linear_form_is_a_zero_divisor():
+    # five pairwise skew lines over F_2 whose linear forms partition the 15
+    # nonzero forms of F_2^4: each linear form vanishes on one line
+    K2 = BaseRing(2, False)
+    lines = [("X", "Y"), ("Z", "W"), ("X+Z", "Y+W"), ("X+W", "Y+Z+W"), ("X+Z+W", "Y+Z")]
+    ideal = I(K2, *lines[0])
+    for line in lines[1:]:
+        ideal = ideal_intersect(ideal, I(K2, *line))
+    C = validate_curve(ideal)
+    assert C.degree_genus() == (5, -4)
+    assert _nonzerodivisor(C.ideal).degree() == 2
+    assert _rao_route_torsion(C).dims == {0: 4, 1: 6, 2: 5, 3: 2}
+
+
+def test_rao_module_of_double_lines_reaches_negative_degrees(K, A):
+    # the double line (X^2, XY, Y^2, X*W^a - Y*Z^a) has genus -a, and its Rao
+    # module starts in degree 1 - a: below degree 0 the torsion route needs
+    # f^t with t*deg f >= a, so t = 1 is not enough
+    cases = {
+        (K, 2): {-1: 1, 0: 2, 1: 1},
+        (K, 3): {-2: 1, -1: 2, 0: 3, 1: 2, 2: 1},
+        (A, 3): {-2: 2, -1: 4, 0: 6, 1: 4, 2: 2},
+    }
+    for (base, a), rao in cases.items():
+        C = validate_curve(I(base, "X^2", "X*Y", "Y^2", f"X*W^{a} - Y*Z^{a}"))
+        assert C.degree_genus() == (2, -a)
+        assert C.rao_module().dims() == rao
 
 
 def test_regularity_and_hilbert(corpus_curves):

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from conftest import RAO_K_NAMES
+
 from spacecurves import linalg, raoclass
 from spacecurves.gradedmod import (
     FreeModule,
     GradedMap,
     GradedModule,
     PieceCalculus,
-    PowerHomCalculus,
     _generator_multiples,
     _minimalize_map,
+    _power_hom_dim,
     _power_ideal_module,
     cohomology_table,
     element_to_vector,
@@ -22,11 +24,13 @@ from spacecurves.gradedmod import (
     is_module_iso,
     kernel_min_gens,
     min_generators,
+    torsion_module_data,
     vector_to_element,
 )
 from spacecurves.errors import MixedBase
 from spacecurves.files import load_corpus
-from spacecurves.groebner import Ideal
+from spacecurves.curve import _nonzerodivisor
+from spacecurves.groebner import Ideal, ideal_intersect, ideal_sum
 from spacecurves.polyring import Poly, graded_piece_dim, monomials
 from spacecurves.raoclass import extravertize
 from spacecurves.scalars import BaseRing
@@ -431,25 +435,6 @@ def _eps_matrix_by_columns(pc, n):
     return out
 
 
-def _multiplication_homs_by_monomials(ph, n):
-    # reference: the hom 'multiply by m' one monomial m at a time, each image
-    # block through element_to_vector; over A the 'e*m' homs follow all of them
-    pc = ph.pc
-    F0 = pc.M.F0
-    kinds = (False, True) if pc.dual else (False,)
-    out = np.zeros((len(ph.mons) * pc.dim(n + ph.t), len(kinds) * len(monomials(n))), dtype=np.int64)
-    c = 0
-    for eps in kinds:
-        for m in monomials(n):
-            col = []
-            for b in ph.mons:
-                vec = element_to_vector(F0, (Poly.monomial(ph.base, m).mul_monomial(b),), n + ph.t)
-                col.append(pc.project(linalg.eps_times(vec) if eps else vec, n + ph.t))
-            out[:, c] = np.concatenate(col)
-            c += 1
-    return out
-
-
 def _rao_modules(name):
     RI = GradedModule.quotient_by_ideal(load_corpus(name).to_ideal())
     return RI, ext_module(RI, 3, -4)
@@ -471,25 +456,6 @@ def test_quotient_multiplication_matches_column_loops(name):
                 assert (pc.mult_matrix(g, n) == _mult_matrix_by_columns(pc, g, n)).all(), (n, g)
             if base.dual:
                 assert (pc.eps_matrix_q(n) == _eps_matrix_by_columns(pc, n)).all(), n
-    pc = PieceCalculus(RI)
-    for t in (1, 2):
-        ph = PowerHomCalculus(pc, t)
-        for n in range(-2, 3):
-            assert (ph.multiplication_homs(n) == _multiplication_homs_by_monomials(ph, n)).all(), (t, n)
-
-
-def test_blockwise_matches_block_diagonal_product(K):
-    # reference: the N-fold block-diagonal copy of q times the coordinates
-    ph = PowerHomCalculus(PieceCalculus(GradedModule.quotient_by_ideal(I(K, "X*Z", "Y*W"))), 2)
-    N = len(ph.mons)
-    rng = np.random.default_rng(3)
-    for dv, dw, k in ((3, 2, 4), (1, 5, 1), (4, 4, 0)):
-        q = rng.integers(0, K.p, size=(dw, dv))
-        coords = rng.integers(0, K.p, size=(N * dv, k))
-        big = np.zeros((N * dw, N * dv), dtype=np.int64)
-        for i in range(N):
-            big[i * dw : (i + 1) * dw, i * dv : (i + 1) * dv] = q
-        assert (ph.blockwise(q, coords) == linalg.matmul(big, coords, K.p)).all()
 
 
 def _power_ideal_by_syzygies(base, t):
@@ -511,11 +477,69 @@ def test_power_ideal_presentation_matches_syzygy_computation(t, K, A, corpus_cur
         a, b = got.matrix_at(t + 1), ref.matrix_at(t + 1)
         # independent, and spanning the same degree t + 1 syzygies
         assert linalg.rank(np.concatenate([a, b], axis=1), base.p) == linalg.rank(a, base.p) == a.shape[1]
-    # the same hom spaces, to the byte
+    # the same hom dimensions under either presentation
     for name in ("skew-lines", "twisted-cubic", "quartic-from-skew-bilink", "skew-lines-dual"):
         C = corpus_curves(name)
-        ph = PowerHomCalculus(PieceCalculus(C._ri()), t)
-        ref_ph = PowerHomCalculus(ph.pc, t)
-        ref_ph.syz = _power_ideal_by_syzygies(C.base, t)
+        pc = PieceCalculus(C._ri())
+        got = _power_ideal_module(C.base, t).presentation
+        ref = _power_ideal_by_syzygies(C.base, t)
         for n in range(-2, 3):
-            assert (ph.hom_basis(n) == ref_ph.hom_basis(n)).all(), (name, n)
+            assert _power_hom_dim(pc, got, n) == _power_hom_dim(pc, ref, n), (name, n)
+
+
+def _torsion_dims_by_columns(M, n_lo, n_hi):
+    # reference: v in M_n is torsion iff every degree-c monomial kills it, c
+    # past the regularity; one cover column at a time through Poly products
+    p = M.base.p
+    Mm = M.minimal_presentation()
+    reg = Mm.regularity()
+    out = {}
+    for n in range(n_lo, n_hi + 1):
+        c = max(reg + 2 - n, 1)
+        full = Mm.F0.piece_dim(n)
+        rows = []
+        proj = linalg.annihilator(Mm.presentation.matrix_at(n + c), p)
+        for m in monomials(c):
+            mat = np.zeros((proj.shape[0], full), dtype=np.int64)
+            for col in range(full):
+                vec = np.zeros(full, dtype=np.int64)
+                vec[col] = 1
+                elem = vector_to_element(Mm.F0, vec, n)
+                moved = tuple(f.mul_monomial(m) for f in elem)
+                w = element_to_vector(Mm.F0, moved, n + c)
+                mat[:, col] = linalg.matmul(proj, w.reshape(-1, 1), p).reshape(-1)
+            rows.append(mat)
+        ker = linalg.kernel_basis(np.vstack(rows), p)
+        # the torsion piece is the kernel modulo the relations
+        rel = Mm.presentation.matrix_at(n)
+        joint = np.concatenate([ker, rel], axis=1) if rel.size else ker
+        out[n] = linalg.rank(joint.T, p) - linalg.rank(rel.T, p)
+    return out
+
+
+def _curve_ideal(name, base):
+    # a corpus curve, or three skew lines, whose Rao module {0: 2, 1: 2} is
+    # not killed by m
+    if name != "three-skew-lines":
+        return Ideal.parse(base, [str(g) for g in load_corpus(name).to_ideal().gens])
+    lines = [Ideal.parse(base, texts) for texts in (("X", "Y"), ("Z", "W"), ("X-Z", "Y-W"))]
+    return ideal_intersect(ideal_intersect(lines[0], lines[1]), lines[2])
+
+
+@pytest.mark.parametrize("p", [2, 101, 32003])
+@pytest.mark.parametrize("name", RAO_K_NAMES + ["three-skew-lines"])
+def test_torsion_reader_matches_column_reference(name, p):
+    # R/(I + f^t) has m-torsion ker(f^t on M_C)(-t*deg f), nonzero for these
+    # curves; it vanishes past reg(R/I) + t*deg f - 1
+    for dual in (False, True):
+        base = BaseRing(p, dual)
+        ideal = _curve_ideal(name, base)
+        f = _nonzerodivisor(ideal)
+        reg = GradedModule.quotient_by_ideal(ideal).regularity()
+        for t in (1, 2):
+            Q = GradedModule.quotient_by_ideal(ideal_sum(ideal, Ideal(base, [f**t])))
+            top = reg + t * f.degree() - 1
+            data = torsion_module_data(Q, top)
+            ref = _torsion_dims_by_columns(Q, 0, top + 1)
+            assert data.dims == {n: d for n, d in ref.items() if d}, (dual, t)
+            assert data.dims, (dual, t)
