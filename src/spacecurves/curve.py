@@ -30,7 +30,7 @@ from .gradedmod import (
     torsion_module_data,
 )
 from .groebner import Ideal, ideal_colon, ideal_saturate, ideal_sum
-from .polyring import Poly, monomials
+from .polyring import Poly, random_form
 from .scalars import BaseRing
 
 
@@ -174,7 +174,7 @@ def validate_curve(I: Ideal) -> CurveFamily:
     if dim != 2:
         raise WrongDimension(f"cone dimension {dim}, expected 2")
     C = CurveFamily(I, _token=_VALIDATED)
-    e3 = ext_module(C._ri(), 3, 0)
+    e3 = ext_module(C._ri(), 3)
     if e3.F0.rank and not e3.is_finite_length():
         raise NotPureDimensionOrNotLCM(
             "Ext^3(R/I, R) has infinite length: point components or "
@@ -190,11 +190,12 @@ def validate_curve(I: Ideal) -> CurveFamily:
 
 
 def _rao_route_duality(C: CurveFamily) -> FiniteModuleData:
-    """Graded dual of Ext^3(R/I, R(-4))."""
-    e3 = ext_module(C._ri(), 3, -4)
+    """Graded dual of Ext^3(R/I, R(-4)) = Ext^3(R/I, R)(-4), read off the
+    Ext^3 module that validation built and resolved."""
+    e3 = ext_module(C._ri(), 3)
     if not e3.F0.rank:
         return FiniteModuleData(C.base, {}, {}, {})
-    return finite_module_data(e3).graded_dual()
+    return finite_module_data(e3).shift(-4).graded_dual()
 
 
 def _rao_route_torsion(C: CurveFamily) -> FiniteModuleData:
@@ -226,7 +227,7 @@ def _candidate_forms(base: BaseRing):
     rng = random.Random(0)
     for d in (1, 2, 3):
         for _ in range(8):
-            yield Poly(base, {m: (rng.randrange(base.p), 0) for m in monomials(d)})
+            yield random_form(base, d, rng)
 
 
 def _nonzerodivisor(I: Ideal) -> Poly:

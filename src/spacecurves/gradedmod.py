@@ -47,9 +47,9 @@ class FreeModule:
     def shift(self, h: int) -> "FreeModule":
         return FreeModule(self.base, [t + h for t in self.twists])
 
-    def dual(self, shift: int = 0) -> "FreeModule":
-        """Hom(F, R(shift))."""
-        return FreeModule(self.base, [-t + shift for t in self.twists])
+    def dual(self) -> "FreeModule":
+        """Hom(F, R); Hom(F, R(s)) is dual().shift(s)."""
+        return FreeModule(self.base, [-t for t in self.twists])
 
     def block_dims(self, n: int):
         return [graded_piece_dim(n + t) for t in self.twists]
@@ -163,6 +163,11 @@ class GradedMap:
         )
 
     @staticmethod
+    def identity(F: FreeModule) -> "GradedMap":
+        one, z = Poly.one(F.base), Poly.zero(F.base)
+        return GradedMap(F, F, [[one if i == j else z for j in range(F.rank)] for i in range(F.rank)])
+
+    @staticmethod
     def from_columns(target: FreeModule, columns, degrees) -> "GradedMap":
         """Map whose source generators hit the given elements of target."""
         source = FreeModule(target.base, [-d for d in degrees])
@@ -199,10 +204,10 @@ class GradedMap:
     def is_zero(self) -> bool:
         return all(f.is_zero() for row in self.matrix for f in row)
 
-    def dual(self, shift: int = 0) -> "GradedMap":
-        """Hom(-, R(shift)): transposed matrix between dualized modules."""
-        src = self.target.dual(shift)
-        tgt = self.source.dual(shift)
+    def dual(self) -> "GradedMap":
+        """Hom(-, R): transposed matrix between dualized modules."""
+        src = self.target.dual()
+        tgt = self.source.dual()
         matrix = [
             [self.matrix[i][j] for i in range(self.target.rank)]
             for j in range(self.source.rank)
@@ -423,11 +428,17 @@ class GradedModule:
     # -- minimal presentation -----------------------------------------
 
     def minimal_presentation(self) -> "GradedModule":
+        """The module on a minimal presentation: the module itself when no
+        unit pivot cancels and no relation column is zero, so that both
+        share one resolution.  The cache then holds _MINIMAL, not self: a
+        module that referred to itself would outlive its last user until a
+        full garbage collection."""
         if "minpres" not in self._cache:
-            self._cache["minpres"] = GradedModule(
-                _minimalize_map(self.presentation)[0]
-            )
-        return self._cache["minpres"]
+            phi, kept, _ = _minimalize_map(self.presentation)
+            minimal = len(kept) == self.F0.rank and phi.source.rank == self.F1.rank
+            self._cache["minpres"] = _MINIMAL if minimal else GradedModule(phi)
+        mp = self._cache["minpres"]
+        return self if mp is _MINIMAL else mp
 
     def strip_free_summands(self):
         """(M0, stripped twists) with M = M0 + free part.
@@ -483,7 +494,7 @@ class GradedModule:
     def regularity(self) -> int:
         key = "reg"
         if key not in self._cache:
-            maps = self.fiber().resolution() if self.base.dual else self.resolution()
+            maps = self.tensor_residue_field().resolution()
             best = max((-t for t in maps[0].target.twists), default=0)
             for j, m in enumerate(maps, start=1):
                 best = max(
@@ -494,7 +505,7 @@ class GradedModule:
 
     def betti_twists(self):
         """Twists of the minimal fiber resolution, one tuple per step."""
-        maps = self.fiber().resolution() if self.base.dual else self.resolution()
+        maps = self.tensor_residue_field().resolution()
         out = [tuple(sorted(maps[0].target.twists))]
         for m in maps:
             if m.source.rank:
@@ -511,7 +522,7 @@ class GradedModule:
         pd = sum(1 for m in maps if m.source.rank)
         dp = 0
         for i in range(1, pd + 1):
-            E = ext_module(self, i, 0)
+            E = ext_module(self, i)
             if E.F0.rank and not E.is_finite_length():
                 dp = i
         self._cache[key] = (pd, dp)
@@ -527,9 +538,8 @@ class GradedModule:
     def kpolynomial(self) -> dict:
         """Signed twist counts of the fiber resolution: determines the
         Hilbert function in every degree."""
-        maps = self.fiber().resolution() if self.base.dual else self.resolution()
+        maps = self.tensor_residue_field().resolution()
         out = {}
-        sign = 1
         for t in maps[0].target.twists:
             out[t] = out.get(t, 0) + 1
         for j, m in enumerate(maps):
@@ -542,6 +552,9 @@ class GradedModule:
         return (
             f"GradedModule(F1={self.F1.twists} -> F0={self.F0.twists})"
         )
+
+
+_MINIMAL = object()
 
 
 def _minimalize_map(phi: GradedMap):
@@ -860,18 +873,16 @@ def is_module_iso(M: GradedModule, N: GradedModule, trials: int = 32, seed: int 
 
 # -- Ext ------------------------------------------------------------------
 
-def _dual_complex(M: GradedModule, shift: int):
+def _dual_complex(M: GradedModule):
     """Maps delta_i: F_i^dual -> F_{i+1}^dual of the dualized resolution."""
-    key = ("dualcx", shift)
-    if key not in M._cache:
-        maps = M.resolution()
-        M._cache[key] = [m.dual(shift) for m in maps]
-    return M._cache[key]
+    if "dualcx" not in M._cache:
+        M._cache["dualcx"] = [m.dual() for m in M.resolution()]
+    return M._cache["dualcx"]
 
 
-def _ext_slot(M: GradedModule, i: int, shift: int):
+def _ext_slot(M: GradedModule, i: int):
     """(into, outof, home) pieces of the dualized complex at spot i."""
-    deltas = _dual_complex(M, shift)
+    deltas = _dual_complex(M)
     pd = len(deltas)
     if i > pd or i < 0:
         return None, None, None
@@ -881,10 +892,11 @@ def _ext_slot(M: GradedModule, i: int, shift: int):
     return into, outof, home
 
 
-def ext_piece_dims(M: GradedModule, i: int, shift: int, degrees) -> dict:
-    """k-dimensions of Ext^i(M, R(shift)) in the given degrees."""
+def ext_piece_dims(M: GradedModule, i: int, degrees) -> dict:
+    """k-dimensions of Ext^i(M, R) in the given degrees.  Twists come
+    afterwards: Ext^i(M, R(s))_n = Ext^i(M, R)_{n+s}."""
     p = M.base.p
-    into, outof, home = _ext_slot(M, i, shift)
+    into, outof, home = _ext_slot(M, i)
     if home is None:
         return {n: 0 for n in degrees}
     out = {}
@@ -899,43 +911,41 @@ def ext_piece_dims(M: GradedModule, i: int, shift: int, degrees) -> dict:
     return out
 
 
-def ext_module(M: GradedModule, i: int, shift: int = 0) -> GradedModule:
-    """Ext^i_{R_A}(M, R_A(shift)) as a presented graded module.
+def ext_module(M: GradedModule, i: int) -> GradedModule:
+    """Ext^i_{R_A}(M, R_A) as a presented graded module; Ext^i(M, R(s)) is
+    ext_module(M, i).shift(s)."""
+    return _ext_with_cover(M, i)[0]
 
-    Built with a growing degree cap; the presentation is accepted once its
-    piece dimensions match direct kernel/image dimensions two degrees past
-    the cap.
+
+def _ext_with_cover(M: GradedModule, i: int):
+    """(Ext^i(M, R), K), built once per module and cached on it.
+
+    K maps a free module onto minimal generators of the cycles in F_i^dual,
+    and the Ext module is their subquotient modulo the boundaries, on the
+    cover K.source before minimalization.  K is None past the projective
+    dimension, where Ext^i is zero.  Built with a growing degree cap; the
+    presentation is accepted once its piece dimensions match direct
+    kernel/image dimensions two degrees past the cap.
     """
     if i < 0 or i > 4:
         raise ValueError("Ext index out of range")
-    key = ("ext", i, shift)
+    key = ("ext", i)
     if key in M._cache:
         return M._cache[key]
-    base = M.base
-    into, outof, home = _ext_slot(M, i, shift)
+    into, outof, home = _ext_slot(M, i)
     if home is None:
-        return GradedModule.zero(base)
+        return GradedModule.zero(M.base), None
     if into is None:
-        K = GradedMap(
-            home,
-            home,
-            [
-                [
-                    Poly.one(base) if a == b else Poly.zero(base)
-                    for b in range(home.rank)
-                ]
-                for a in range(home.rank)
-            ],
-        )
+        K = GradedMap.identity(home)
     cap = home.min_degree() + 6
     for _ in range(4):
         if into is not None:
             K = kernel_min_gens(into, cap)
         E = subquotient_module(K, outof, cap).minimal_presentation()
-        probe = ext_piece_dims(M, i, shift, [cap + 1, cap + 2])
+        probe = ext_piece_dims(M, i, [cap + 1, cap + 2])
         if all(E.piece_dim(n) == d for n, d in probe.items()):
-            M._cache[key] = E
-            return E
+            M._cache[key] = (E, K)
+            return E, K
         cap += 4
     raise CertificationError(f"Ext^{i} cap failed to stabilize")
 
@@ -1197,27 +1207,24 @@ def cohomology_table(M: GradedModule, Q: str, n_lo: int, n_hi: int) -> dict:
     """dims of H^i of the sheaf of (M tensor_A Q)(n), i = 0..3.
 
     Routed through Ext and local duality: H^i(~M(n)) = H^{i+1}_m(M)_n for
-    i >= 1, and H^{j}_m(M)_n is dual to Ext^{4-j}(M, R(-4))_{-n}; H^0 comes
-    from the four-term comparison with the module piece itself.
+    i >= 1, and H^{j}_m(M)_n is dual to Ext^{4-j}(M, R(-4))_{-n}, that is
+    to Ext^{4-j}(M, R)_{-n-4}; H^0 comes from the four-term comparison with
+    the module piece itself.
     """
     if Q == "k":
         M = M.tensor_residue_field()
     elif Q != "A":
         raise ValueError("test module must be 'A' or 'k'")
     degs = list(range(n_lo, n_hi + 1))
-    negs = [-n for n in degs]
-    e = {
-        j: ext_piece_dims(M, j, -4, negs)
-        for j in range(5)
-    }
+    e = {j: ext_piece_dims(M, j, [-n - 4 for n in degs]) for j in range(5)}
     table = {i: {} for i in range(4)}
     for n in degs:
-        h0m = e[4].get(-n, 0)
-        h1m = e[3].get(-n, 0)
+        h0m = e[4][-n - 4]
+        h1m = e[3][-n - 4]
         table[0][n] = M.piece_dim(n) - h0m + h1m
-        table[1][n] = e[2].get(-n, 0)
-        table[2][n] = e[1].get(-n, 0)
-        table[3][n] = e[0].get(-n, 0)
+        table[1][n] = e[2][-n - 4]
+        table[2][n] = e[1][-n - 4]
+        table[3][n] = e[0][-n - 4]
     return table
 
 

@@ -39,7 +39,7 @@ from .groebner import (
     ideal_saturate,
     ideal_sum,
 )
-from .polyring import Poly, monomials
+from .polyring import Poly, random_form
 
 
 class Verdict:
@@ -141,10 +141,11 @@ def member_coordinates(I: Ideal, Q: Poly):
     return vector_to_element(row.source, sol[:, 0], d)
 
 
-def ideal_mod_surface(I: Ideal, Q: Poly) -> GradedModule:
-    """I/(Q) as a graded module, for a surface Q in I."""
-    IM = GradedModule.from_ideal(I)
-    col = member_coordinates(I, Q)
+def ideal_mod_surface(C: CurveFamily, Q: Poly) -> GradedModule:
+    """I_C/(Q) as a graded module, for a surface Q through C, on the cover
+    of the curve's ideal module."""
+    IM = C.ideal_module()
+    col = member_coordinates(C.ideal, Q)
     cols = [IM.presentation.column(j) for j in range(IM.F1.rank)]
     degs = [-t for t in IM.F1.twists]
     cols.append(col)
@@ -250,8 +251,8 @@ def check_elementary_biliaison(
         return Verdict(
             "no", reason=f"degree obstruction: {dp} != {d} + {h}*{Q.degree()}"
         )
-    M = ideal_mod_surface(C.ideal, Q)
-    Mp = ideal_mod_surface(Cp.ideal, Q)
+    M = ideal_mod_surface(C, Q)
+    Mp = ideal_mod_surface(Cp, Q)
     kind, wit = find_module_iso(M.shift(-h), Mp, trials, seed)
     if kind == "yes":
         return Verdict("yes", h=h, witness=wit)
@@ -300,14 +301,6 @@ def _single_step(C, Cp, surfaces, max_height, trials, seed):
     return None
 
 
-def _random_form(base, degree, rng):
-    p = base.p
-    terms = {}
-    for m in monomials(degree):
-        terms[m] = (rng.randrange(p), 0)
-    return Poly(base, terms)
-
-
 # what a random H (or an ill-chosen Q) can make trivial_biliaison raise
 _BAD_RANDOM_FORM = (NotCoprime, NotContained, SurfaceNotFlat)
 
@@ -346,7 +339,7 @@ def connect_by_biliaisons(
         for Q in own:
             Qa = Q.lift(base) if base.dual else Q
             for _ in range(4):
-                H = _random_form(base, h1, rng)
+                H = random_form(base, h1, rng)
                 try:
                     C1, step1 = trivial_biliaison(C, Qa, H, h1)
                 except _BAD_RANDOM_FORM:
@@ -359,7 +352,7 @@ def connect_by_biliaisons(
         for Q in own_p:
             Qa = Q.lift(base) if base.dual else Q
             for _ in range(4):
-                H = _random_form(base, h1, rng)
+                H = random_form(base, h1, rng)
                 try:
                     C1p, step1 = trivial_biliaison(Cp, Qa, H, h1)
                 except _BAD_RANDOM_FORM:

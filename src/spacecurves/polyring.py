@@ -376,3 +376,9 @@ def _parse(text: str, base: BaseRing) -> Poly:
 def variables(base: BaseRing):
     """The four variables (X, Y, Z, W) over the given base."""
     return tuple(Poly.variable(base, i) for i in range(NVARS))
+
+
+def random_form(base: BaseRing, d: int, rng) -> Poly:
+    """A degree-d form with coefficients rng.randrange(p), drawn over
+    monomials(d) in order."""
+    return Poly(base, {m: (rng.randrange(base.p), 0) for m in monomials(d)})

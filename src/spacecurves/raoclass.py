@@ -31,6 +31,7 @@ from .gradedmod import (
     GradedModule,
     ModuleHom,
     _ext_slot,
+    _ext_with_cover,
     _minimalize_map,
     cohomology_table,
     element_to_vector,
@@ -76,18 +77,6 @@ def _lift_columns(phi: GradedMap, X: GradedMap, msg: str) -> GradedMap:
     return GradedMap.from_columns(phi.source, cols, [-t for t in X.source.twists])
 
 
-def _identity_map(F: FreeModule) -> GradedMap:
-    base = F.base
-    return GradedMap(
-        F,
-        F,
-        [
-            [Poly.one(base) if i == j else Poly.zero(base) for j in range(F.rank)]
-            for i in range(F.rank)
-        ],
-    )
-
-
 def direct_sum(M: GradedModule, N: GradedModule) -> GradedModule:
     base = M.base
     F0 = FreeModule(base, list(M.F0.twists) + list(N.F0.twists))
@@ -101,36 +90,17 @@ def direct_sum(M: GradedModule, N: GradedModule) -> GradedModule:
     return GradedModule(GradedMap(F1, F0, matrix))
 
 
-def dual_module(M: GradedModule, shift: int = 0):
-    """(Hom(M, R(shift)), K) with K embedding the dual's cover into the
-    dualized free cover of M; the returned module's cover equals K's source."""
-    base = M.base
-    maps = M.resolution()
-    if not maps or maps[0].source.rank == 0:
-        F0d = M.F0.dual(shift)
-        K = _identity_map(F0d)
-        return GradedModule.free(base, F0d.twists), K
-    d0 = maps[0].dual(shift)
-    cap = max(
-        [-t for t in d0.source.twists] + [-t for t in d0.target.twists]
-    ) + 6
-    p = base.p
-    for _ in range(4):
-        K = kernel_min_gens(d0, cap)
-        E = subquotient_module(K, None, cap).minimal_presentation()
-        ok = True
-        for n in (cap + 1, cap + 2):
-            mat = d0.matrix_at(n)
-            want = mat.shape[1] - linalg.rank(mat, p)
-            if E.piece_dim(n) != want:
-                ok = False
-                break
-        if ok:
-            if E.F0.twists != K.source.twists:
-                raise CertificationError("dual module cover drifted")
-            return E, K
-        cap += 4
-    raise CertificationError("dual module cap failed to stabilize")
+def dual_module(M: GradedModule):
+    """(Hom(M, R), K): Ext^0(M, R) with K embedding its cover into the
+    dualized free cover of M; the returned module's cover equals K's source.
+    A free M keeps F0's order: its dual is F0^dual and K the identity."""
+    if not M.resolution()[0].source.rank:
+        F0d = M.F0.dual()
+        return GradedModule.free(M.base, F0d.twists), GradedMap.identity(F0d)
+    E, K = _ext_with_cover(M, 0)
+    if E.F0.twists != K.source.twists:
+        raise CertificationError("dual module cover drifted")
+    return E, K
 
 
 def _times_variable(F: FreeModule, mat: np.ndarray, n: int, v: int) -> np.ndarray:
@@ -192,19 +162,19 @@ def extravertize(M: GradedModule) -> ExtravertData:
     if not maps or maps[0].source.rank == 0:
         P = FreeModule(base, [])
         return ExtravertData(
-            Mm, Mm, P, GradedMap.zero(P, Mm.F0), _identity_map(Mm.F0)
+            Mm, Mm, P, GradedMap.zero(P, Mm.F0), GradedMap.identity(Mm.F0)
         )
     phi = maps[0]
-    delta0 = phi.dual(0)
+    delta0 = phi.dual()
     if len(maps) > 1:
-        delta1 = maps[1].dual(0)
+        delta1 = maps[1].dual()
         cap = max(
             [-t for t in delta1.source.twists]
             + [-t for t in delta1.target.twists]
         ) + 6
         K = kernel_min_gens(delta1, cap)
     else:
-        K = _identity_map(phi.source.dual(0))
+        K = GradedMap.identity(phi.source.dual())
     chosen = _min_quotient_gens(K, delta0)
     F0, F1 = phi.target, phi.source
     P = FreeModule(base, [-K.source.twists[j] for j in chosen])
@@ -236,7 +206,7 @@ def extravertize(M: GradedModule) -> ExtravertData:
 
 
 def _certify_extravert(data: ExtravertData):
-    if ext_module(data.N, 1, 0).F0.rank:
+    if ext_module(data.N, 1).F0.rank:
         raise CertificationError("Ext^1 of the pushout does not vanish")
     M, N, P = data.M, data.N, data.P
     lo = min(N.min_degree(), M.min_degree())
@@ -256,7 +226,11 @@ def _certify_extravert(data: ExtravertData):
 
 
 class NTypeResolution:
-    """0 -> P -> N -> I_C -> 0 with P free and N extraverted locally free."""
+    """0 -> P -> N -> I_C -> 0 with P free and N extraverted locally free.
+
+    Like ETypeResolution it keeps the ideal, not the curve: the curve
+    caches both, and a cached object that referred back to its owner would
+    form a reference cycle."""
 
     def __init__(self, ideal: Ideal, N, P, incl, surj):
         self.ideal = ideal
@@ -268,7 +242,7 @@ class NTypeResolution:
 
     def surjection_hom(self) -> ModuleHom:
         """The map N -> I_C as a ModuleHom onto the ideal module."""
-        Im, IM = _with_minimal_gens(self.ideal)
+        Im, IM = _with_minimal_gens(self.ideal, GradedModule.from_ideal(self.ideal))
         f0 = _lift_columns(
             Im.generator_map(), self.surj, "surjection does not land in the ideal"
         )
@@ -278,10 +252,10 @@ class NTypeResolution:
         if not self.surj.compose(self.N.presentation).is_zero():
             raise CertificationError("N-type surjection keeps a relation")
         for i in (1, 2):
-            E = ext_module(self.N, i, 0)
+            E = ext_module(self.N, i)
             if E.F0.rank and not E.is_finite_length():
                 raise CertificationError("N is not locally free")
-        if ext_module(self.N, 1, 0).F0.rank:
+        if ext_module(self.N, 1).F0.rank:
             raise CertificationError("N is not extraverted")
         lo = self.N.min_degree()
         hi = _ideal_reg(self.ideal) + max(
@@ -317,7 +291,7 @@ class ETypeResolution:
             raise CertificationError("E relations do not die in F")
         pd = self.E.projective_dimension()[0]
         for i in range(1, pd + 1):
-            X = ext_module(self.E, i, 0)
+            X = ext_module(self.E, i)
             if X.F0.rank and not X.is_finite_length():
                 raise CertificationError("E is not locally free")
         lo = min(self.E.min_degree(), self.F.min_degree())
@@ -337,11 +311,10 @@ class ETypeResolution:
         return (tuple(sorted(self.E.F0.twists)), tuple(sorted(self.F.twists)))
 
 
-def _with_minimal_gens(I: Ideal):
+def _with_minimal_gens(I: Ideal, IM: GradedModule):
     """(J, GradedModule.from_ideal(J)) for J the same ideal presented by a
-    minimal subset of I's generators.  When every generator is kept, the
-    module built to find that out is the one returned."""
-    IM = GradedModule.from_ideal(I)
+    minimal subset of I's generators, given IM = GradedModule.from_ideal(I).
+    When every generator is kept, IM is the module returned."""
     _, kept, _ = _minimalize_map(IM.presentation)
     if len(kept) == len(I.gens):
         return I, IM
@@ -356,7 +329,7 @@ def _ideal_reg(I: Ideal) -> int:
 def n_type_resolution(C: CurveFamily) -> NTypeResolution:
     if "ntype" in C._cache:
         return C._cache["ntype"]
-    I, IM = _with_minimal_gens(C.ideal)
+    I, IM = _with_minimal_gens(C.ideal, C.ideal_module())
     data = extravertize(IM)
     surj = I.generator_map().compose(data.proj)
     res = NTypeResolution(C.ideal, data.N, data.P, data.incl, surj)
@@ -367,7 +340,7 @@ def n_type_resolution(C: CurveFamily) -> NTypeResolution:
 def e_type_resolution(C: CurveFamily) -> ETypeResolution:
     if "etype" in C._cache:
         return C._cache["etype"]
-    I, IM = _with_minimal_gens(C.ideal)
+    I, IM = _with_minimal_gens(C.ideal, C.ideal_module())
     maps = IM.resolution()
     base = C.base
     phi = maps[0]
@@ -381,7 +354,7 @@ def e_type_resolution(C: CurveFamily) -> ETypeResolution:
 
 
 def is_extraverted(N: GradedModule) -> bool:
-    ok = ext_module(N, 1, 0).F0.rank == 0
+    ok = ext_module(N, 1).F0.rank == 0
     if not N.base.dual:
         reg = N.regularity()
         lo = min(N.min_degree(), min(N.F0.twists, default=0)) - 5
@@ -458,10 +431,10 @@ def _ker_basis_or_full(into, home, n, p):
 def _induced_ext_ok(M, N, gdual, j, degrees, need: str) -> bool:
     """Check the induced map Ext^j(N, R) -> Ext^j(M, R) degreewise."""
     p = M.base.p
-    intoM, outofM, homeM = _ext_slot(M, j, 0)
-    intoN, outofN, homeN = _ext_slot(N, j, 0)
-    EM = ext_module(M, j, 0)
-    EN = ext_module(N, j, 0)
+    intoM, outofM, homeM = _ext_slot(M, j)
+    intoN, outofN, homeN = _ext_slot(N, j)
+    EM = ext_module(M, j)
+    EN = ext_module(N, j)
     for n in degrees:
         eM = EM.piece_dim(n)
         eN = EN.piece_dim(n)
@@ -515,15 +488,15 @@ def is_psi(f: ModuleHom) -> bool:
             if j >= len(gs):
                 # the induced map is zero that deep: the conditions reduce
                 # to vanishing of the relevant Ext pieces
-                EM = ext_module(M, j, 0)
-                EN = ext_module(N, j, 0)
+                EM = ext_module(M, j)
+                EN = ext_module(N, j)
                 for n in degrees:
                     if EM.piece_dim(n):
                         return False
                     if need == "bijective" and EN.piece_dim(n):
                         return False
                 continue
-            if not _induced_ext_ok(M, N, gs[j].dual(0), j, degrees, need):
+            if not _induced_ext_ok(M, N, gs[j].dual(), j, degrees, need):
                 return False
     return True
 
@@ -534,8 +507,8 @@ def _psi_degrees(M, N, j, need, window):
     Surjectivity onto Ext^j(M) only bites where Ext^j(M) is nonzero;
     bijectivity bites wherever either side is nonzero.  The presented Ext
     modules make these piece dimensions cheap."""
-    EM = ext_module(M, j, 0)
-    EN = ext_module(N, j, 0)
+    EM = ext_module(M, j)
+    EN = ext_module(N, j)
     degs = set()
     sides = [EM] + ([EN] if need == "bijective" else [])
     for E in sides:
@@ -647,15 +620,10 @@ def _pad_surjective(N: GradedModule, M: GradedModule, f: ModuleHom, top: int):
     """Add a free cover of M so the map becomes surjective."""
     if f.is_surjective_up_to(top):
         return N, f
-    base = N.base
-    Npad = direct_sum(N, GradedModule.free(base, M.F0.twists))
+    Npad = direct_sum(N, GradedModule.free(N.base, M.F0.twists))
+    eye = GradedMap.identity(M.F0).matrix
     f0 = GradedMap(
-        Npad.F0,
-        M.F0,
-        [
-            list(f.f0.matrix[i]) + list(_identity_map(M.F0).matrix[i])
-            for i in range(M.F0.rank)
-        ],
+        Npad.F0, M.F0, [f.f0.matrix[i] + eye[i] for i in range(M.F0.rank)]
     )
     return Npad, ModuleHom(Npad, M, f0)
 
@@ -698,8 +666,8 @@ def _stable_compare(
     k0 = N0.kpolynomial()
     k0p = N0p.kpolynomial()
     if allow_shift:
-        sa = _finite_support(ext_module(N0, 2, 0))
-        sb = _finite_support(ext_module(N0p, 2, 0))
+        sa = _finite_support(ext_module(N0, 2))
+        sb = _finite_support(ext_module(N0p, 2))
         if sa and sb:
             # Ext^2(N'(h), R) = Ext^2(N', R)(-h) sits at degrees supp + h
             cands = sorted(
@@ -735,8 +703,6 @@ def _stable_compare(
         B = N0p.shift(h)
         if pad_b:
             B = direct_sum(B, GradedModule.free(base, sorted(pad_b)))
-        if A.kpolynomial() != B.kpolynomial():
-            continue
         r = is_module_iso(A, B, trials=trials, seed=seed)
         if r == "yes":
             return Verdict("yes", h=h)
@@ -839,9 +805,9 @@ def link_transform_n_to_e(res: NTypeResolution, F: Poly, G: Poly) -> ETypeResolu
     if a1 is None or a2 is None:
         raise CertificationError("complete intersection does not lift to N")
     alpha = GradedMap.from_columns(res.N.F0, [a1, a2], [s, t])
-    Nd, K = dual_module(res.N, 0)
-    jK = res.incl.dual(0).compose(K).shift(-st)
-    aK = alpha.dual(0).compose(K).shift(-st)
+    Nd, K = dual_module(res.N)
+    jK = res.incl.dual().compose(K).shift(-st)
+    aK = alpha.dual().compose(K).shift(-st)
     E = Nd.shift(-st)
     Fmid = FreeModule(base, list(jK.target.twists) + list(aK.target.twists))
     delta = GradedMap(
@@ -895,10 +861,10 @@ def link_transform_e_to_n(res: ETypeResolution, F: Poly, G: Poly) -> NTypeResolu
             degrees=[d for d, lift in ((s, g1), (t, g2)) if lift is None],
         )
     gamma = GradedMap.from_columns(res.F, [g1, g2], [s, t])
-    Ed, KE = dual_module(res.E, 0)
-    cK = res.incl.dual(0).shift(-st)  # F^dual(-st) -> (E cover)^dual(-st)
-    gK = gamma.dual(0).shift(-st)  # F^dual(-st) -> R(-t) + R(-s)
-    P = res.F.dual(-st)
+    Ed, KE = dual_module(res.E)
+    cK = res.incl.dual().shift(-st)  # F^dual(-st) -> (E cover)^dual(-st)
+    gK = gamma.dual().shift(-st)  # F^dual(-st) -> R(-t) + R(-s)
+    P = res.F.dual().shift(-st)
     EdS = Ed.shift(-st)
     KE_S = KE.shift(-st)
     lift1 = _lift_columns(KE_S, cK, "dualized cover misses the E dual")
@@ -1048,9 +1014,10 @@ def _rao_shift_verdict(C, Cp, trials, seed) -> Verdict:
         }
     )
     saw_undecided = False
+    Am = A.to_module()
     for h in cands:
         r = is_module_iso(
-            A.to_module(),
+            Am,
             finite_data_to_module(B.data.shift(h)),
             trials=trials,
             seed=seed,
@@ -1072,7 +1039,7 @@ def liaison_parity(
     Cpf = _fiber_cached(Cp)
     even = biliaison_equivalent(Cf, Cpf, trials=trials, seed=seed)
     eres = e_type_resolution(Cpf)
-    Ed, _ = dual_module(eres.E, 0)
+    Ed, _ = dual_module(eres.E)
     odd = _stable_compare(
         _stable_n(Cf), minimal_extravert(Ed), True, trials, seed
     )

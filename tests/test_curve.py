@@ -3,10 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from spacecurves import linalg
+from spacecurves import gradedmod, linalg
 from spacecurves.curve import (
     _candidate_forms,
     _nonzerodivisor,
+    _rao_route_duality,
     _rao_route_torsion,
     is_flat_family,
     validate_curve,
@@ -17,6 +18,7 @@ from spacecurves.errors import (
     NotSaturated,
     WrongDimension,
 )
+from spacecurves.files import load_corpus
 from spacecurves.groebner import Ideal, ideal_intersect
 from spacecurves.polyring import Poly
 from spacecurves.scalars import BaseRing
@@ -71,6 +73,19 @@ def test_rao_of_two_skew_lines_is_k(corpus_curves):
     assert rao.dims() == {0: 1}
     assert rao.total_dim() == 1
     assert rao.graded_dual().dims() == {0: 1}
+
+
+@pytest.mark.parametrize("name", ["skew-lines", "skew-lines-dual"])
+def test_rao_duality_route_reuses_the_ext3_of_validation(name, monkeypatch):
+    C = validate_curve(load_corpus(name).to_ideal())
+    calls = []
+    for fn in ("kernel_min_gens", "subquotient_module"):
+        real = getattr(gradedmod, fn)
+        monkeypatch.setattr(gradedmod, fn, lambda *a, _f=real, _n=fn: calls.append(_n) or _f(*a))
+    data = _rao_route_duality(C)
+    assert not calls
+    monkeypatch.undo()
+    assert data.dims and data.dims == _rao_route_torsion(C).dims
 
 
 def test_rao_route_retries_past_a_zero_divisor(K):

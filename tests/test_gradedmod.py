@@ -59,7 +59,7 @@ def test_kpolynomial_reproduces_hilbert_function(K):
 
 def test_ext_square_of_ci_22_is_shifted_self(K):
     RI = GradedModule.quotient_by_ideal(I(K, "X*Z", "Y*W"))
-    E = ext_module(RI, 2, 0)
+    E = ext_module(RI, 2)
     assert E.kpolynomial() == {t + 4: c for t, c in RI.kpolynomial().items()}
     for n in range(-4, 5):
         assert E.piece_dim(n) == RI.piece_dim(n + 4)
@@ -68,7 +68,7 @@ def test_ext_square_of_ci_22_is_shifted_self(K):
 
 def test_ext_vanishes_above_projective_dimension(K):
     RI = GradedModule.quotient_by_ideal(I(K, "X*Z", "Y*W"))
-    assert ext_module(RI, 3, 0).F0.rank == 0
+    assert ext_module(RI, 3).F0.rank == 0
 
 
 def test_cohomology_euler_characteristic(K):
@@ -437,7 +437,7 @@ def _eps_matrix_by_columns(pc, n):
 
 def _rao_modules(name):
     RI = GradedModule.quotient_by_ideal(load_corpus(name).to_ideal())
-    return RI, ext_module(RI, 3, -4)
+    return RI, ext_module(RI, 3).shift(-4)
 
 
 @pytest.mark.parametrize("name", ["skew-lines", "twisted-cubic", "skew-lines-dual", "line-dual"])
@@ -456,6 +456,21 @@ def test_quotient_multiplication_matches_column_loops(name):
                 assert (pc.mult_matrix(g, n) == _mult_matrix_by_columns(pc, g, n)).all(), (n, g)
             if base.dual:
                 assert (pc.eps_matrix_q(n) == _eps_matrix_by_columns(pc, n)).all(), n
+
+
+@pytest.mark.parametrize("name", ["skew-lines", "quartic-from-skew-bilink", "skew-lines-dual"])
+def test_finite_module_data_commutes_with_shift(name):
+    # route (b) twists the Ext^3 that validation built by -4 after reading
+    # it, in place of reading a second Ext^3 built with the twist
+    E = ext_module(GradedModule.quotient_by_ideal(load_corpus(name).to_ideal()), 3)
+    a = finite_module_data(E.shift(-4))
+    b = finite_module_data(E).shift(-4)
+    assert a.dims == b.dims and a.dims
+    for got, want in ((a.actions, b.actions), (a.eps, b.eps)):
+        assert got.keys() == want.keys()
+        for key in got:
+            assert got[key].shape == want[key].shape, key
+            assert (got[key] == want[key]).all(), key
 
 
 def _power_ideal_by_syzygies(base, t):

@@ -1,11 +1,24 @@
 """Static checks over the package source: no unused imports, no private
 module-level function that nothing references, no method that nothing in
 the package or its tests references, and no function-local import that could
-be a top-level one."""
+be a top-level one.  One run-time check: what a curve caches forms no
+reference cycle."""
 
 import ast
+import gc
+import weakref
 from collections import Counter
 from pathlib import Path
+
+from spacecurves.curve import validate_curve
+from spacecurves.files import load_corpus
+from spacecurves.liaison import check_elementary_biliaison
+from spacecurves.raoclass import (
+    biliaison_equivalent,
+    e_type_resolution,
+    liaison_parity,
+    n_type_resolution,
+)
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "spacecurves"
@@ -118,3 +131,29 @@ def test_methods_are_referenced():
 
 def _attribute_refs(node):
     return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def test_curve_caches_form_no_reference_cycle():
+    # a curve caches its modules, resolutions and Rao module; a cached object
+    # that referred back to its owner would keep the curve and all it caches
+    # alive until a full garbage collection, so none may
+    gc.collect()
+    gc.disable()
+    try:
+        names = ("skew-lines", "skew-lines-dual", "twisted-cubic")
+        curves = [validate_curve(load_corpus(name).to_ideal()) for name in names]
+        for C in curves:
+            C.rao_module()
+            n_type_resolution(C)
+            e_type_resolution(C)
+        sk, skd, tc = curves
+        assert biliaison_equivalent(sk, tc).kind == "no"
+        assert biliaison_equivalent(skd, skd).kind == "yes"
+        assert liaison_parity(sk, tc) == "neither"
+        assert check_elementary_biliaison(tc, tc, tc.ideal.gens[0], 0).is_yes
+        refs = [weakref.ref(x) for C in curves for x in (C, C.ideal)]
+        del curves, C, sk, skd, tc
+        assert all(ref() is None for ref in refs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

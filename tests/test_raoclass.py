@@ -2,7 +2,14 @@ import pytest
 
 from spacecurves.curve import validate_curve
 from spacecurves.files import load_corpus
-from spacecurves.gradedmod import GradedMap, GradedModule, ModuleHom, ext_module
+from spacecurves.gradedmod import (
+    GradedMap,
+    GradedModule,
+    ModuleHom,
+    ext_module,
+    kernel_min_gens,
+    subquotient_module,
+)
 from spacecurves.polyring import Poly
 from spacecurves.raoclass import (
     biliaison_equivalent,
@@ -52,16 +59,23 @@ def test_each_resolution_builds_the_ideal_module_once(monkeypatch):
             calls.clear()
             resolve(C)
             assert len(calls) == builds, (name, resolve.__name__)
+        # both resolutions of one curve start from the curve's ideal module;
+        # the quartic's module on minimal generators is built by each
+        C = validate_curve(load_corpus(name).to_ideal())
+        calls.clear()
+        n_type_resolution(C)
+        e_type_resolution(C)
+        assert len(calls) == 2 * builds - 1, name
 
 
 def test_ntype_resolution_keeps_ext1_of_n(corpus_curves):
     # the extraverted check computes Ext^1(N, R) once and caches it on N, so
     # certification and later decisions reuse it
     res = n_type_resolution(corpus_curves("skew-lines"))
-    assert ("ext", 1, 0) in res.N._cache
-    E = ext_module(res.N, 1, 0)
-    assert E is res.N._cache[("ext", 1, 0)]
-    assert ext_module(res.N, 1, 0) is E
+    assert ("ext", 1) in res.N._cache
+    E = ext_module(res.N, 1)
+    assert E is res.N._cache[("ext", 1)][0]
+    assert ext_module(res.N, 1) is E
     assert E.F0.rank == 0
 
 
@@ -76,10 +90,41 @@ def test_etype_twists(corpus_curves):
         assert res.twists() == want, name
 
 
-def test_dual_of_free_module(K):
+def test_dual_of_free_module(K, corpus_curves):
     F = GradedModule.free(K, [-2, 3])
     D, _ = dual_module(F)
     assert sorted(D.F0.twists) == [-3, 2]
+    # a free N keeps F0's order and K is the identity; the kernel route
+    # would sort the generators by degree
+    N = n_type_resolution(corpus_curves("conic")).N
+    assert N.F0.twists == (-1, -2)
+    D, K0 = dual_module(N)
+    assert D.F0.twists == K0.source.twists == K0.target.twists == (1, 2)
+    assert K0.matrix == GradedMap.identity(K0.source).matrix
+
+
+def _hom_to_r_by_cap(M):
+    # reference: Hom(M, R) as the kernel of the dualized first syzygy map,
+    # built at one cap past every twist of both free modules
+    d0 = M.resolution()[0].dual()
+    cap = max(-t for t in d0.source.twists + d0.target.twists) + 6
+    K = kernel_min_gens(d0, cap)
+    return subquotient_module(K, None, cap).minimal_presentation(), K
+
+
+@pytest.mark.parametrize(
+    "name", ["skew-lines", "skew-pair-alt", "quartic-from-skew-bilink", "skew-lines-dual"]
+)
+def test_dual_module_is_ext0_with_its_cover(name, corpus_curves):
+    C = corpus_curves(name)
+    for M in (n_type_resolution(C).N, e_type_resolution(C).E):
+        assert M.resolution()[0].source.rank, "a free module takes the shortcut"
+        D, K0 = dual_module(M)
+        assert D is ext_module(M, 0)
+        ref, refK = _hom_to_r_by_cap(M)
+        assert (D.F1, D.F0, K0.source, K0.target) == (ref.F1, ref.F0, refK.source, refK.target)
+        assert D.presentation.matrix == ref.presentation.matrix
+        assert K0.matrix == refK.matrix
 
 
 def test_extravertize_dimension_count(K, corpus_curves):
