@@ -3,7 +3,6 @@
 from .curve import CurveFamily, RaoModule, is_flat_family, validate_curve
 from .errors import (
     CertificationError,
-    DegreeBoundExceeded,
     MixedBase,
     NoLift,
     NonUnit,
@@ -23,6 +22,7 @@ from .errors import (
     SpaceCurveError,
     SurfaceNotFlat,
     Undecided,
+    WrongDegree,
     WrongDimension,
 )
 from .files import CurveFile, corpus_names, load_corpus

@@ -320,6 +320,8 @@ def cmd_corpus(args) -> int:
         rep = _Report(args, {})
         rep.data["results"] = {"fixtures": names}
         return rep.emit(EXIT_YES)
+    if args.jobs < 1:
+        raise ParseError(f"--jobs must be at least 1, got {args.jobs}")
     rep = _Report(args, {})
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:

@@ -22,6 +22,7 @@ from .errors import (
 )
 from .gradedmod import (
     FiniteModuleData,
+    GradedMap,
     GradedModule,
     ext_module,
     finite_data_to_module,
@@ -85,9 +86,14 @@ class CurveFamily:
         return self._cache["ri"]
 
     def ideal_module(self) -> GradedModule:
-        if "im" not in self._cache:
-            self._cache["im"] = GradedModule.from_ideal(self.ideal)
-        return self._cache["im"]
+        """I as a graded module: the first syzygy module of R/I, resolved by
+        the rest of R/I's resolution."""
+        return self._ri().syzygy_module(1)
+
+    def ideal_cover(self) -> GradedMap:
+        """The map onto the minimal generators of I: the first map of R/I's
+        resolution, from the ideal module's cover."""
+        return self._ri().resolution()[0]
 
     def regularity(self) -> int:
         return self._ri().regularity()

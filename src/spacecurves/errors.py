@@ -41,8 +41,8 @@ class NotFiniteLength(SpaceCurveError):
     pass
 
 
-class DegreeBoundExceeded(SpaceCurveError):
-    """A request went outside the certified degree window."""
+class WrongDegree(SpaceCurveError):
+    """A form is not homogeneous of the degree the operation needs."""
 
 
 class NotRegularSequence(SpaceCurveError):

@@ -180,6 +180,15 @@ class GradedMap:
     def column(self, j: int):
         return tuple(self.matrix[i][j] for i in range(self.target.rank))
 
+    def preimage(self, elem, n: int):
+        """One element of the source that maps to elem, a degree-n element of
+        the target; None when elem is not in the image."""
+        vec = element_to_vector(self.target, elem, n)
+        sol = linalg.solve(self.matrix_at(n), vec.reshape(-1, 1), self.base.p)
+        if sol is None:
+            return None
+        return vector_to_element(self.source, sol[:, 0], n)
+
     def apply(self, elem):
         """Image of an element of the source (tuple of Polys)."""
         out = []
@@ -387,12 +396,6 @@ class GradedModule:
         return GradedModule.free(base, [])
 
     @staticmethod
-    def from_ideal(ideal) -> "GradedModule":
-        """The ideal as a graded module: generators and their syzygies."""
-        cap = max((g.degree() for g in ideal.gens), default=0) * 2 + 4
-        return GradedModule(kernel_min_gens(ideal.generator_map(), cap))
-
-    @staticmethod
     def quotient_by_ideal(ideal) -> "GradedModule":
         """R_A / I as a graded module."""
         return GradedModule(ideal.generator_map())
@@ -490,6 +493,23 @@ class GradedModule:
                 )
         self._cache[key] = maps
         return maps
+
+    def syzygy_module(self, k: int) -> "GradedModule":
+        """The k-th syzygy module (k >= 1): the cokernel of the k-th map of
+        the minimal resolution, which the rest of that resolution resolves.
+        Past the projective dimension it is the free module on the source of
+        the last map.  Over A the tail needs no fiber check of its own: the
+        twists of the whole resolution were checked against the fiber."""
+        key = ("syz", k)
+        if key not in self._cache:
+            maps = self.resolution()
+            if k < len(maps):
+                S = GradedModule(maps[k])
+                S._cache["resolution"] = maps[k:]
+            else:
+                S = GradedModule.free(self.base, maps[k - 1].source.twists)
+            self._cache[key] = S
+        return self._cache[key]
 
     def regularity(self) -> int:
         key = "reg"

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 
-from . import linalg
 from .curve import CurveFamily, validate_curve
 from .errors import (
     NotContained,
@@ -23,14 +22,9 @@ from .errors import (
     ResidualEmpty,
     SurfaceNotFlat,
     Undecided,
+    WrongDegree,
 )
-from .gradedmod import (
-    GradedMap,
-    GradedModule,
-    element_to_vector,
-    find_module_iso,
-    vector_to_element,
-)
+from .gradedmod import GradedMap, GradedModule, find_module_iso
 from .groebner import (
     Ideal,
     ideal_colon,
@@ -126,26 +120,13 @@ def link(C: CurveFamily, F: Poly, G: Poly) -> CurveFamily:
 # -- quotient by a surface --------------------------------------------------
 
 
-def member_coordinates(I: Ideal, Q: Poly):
-    """Coordinates expressing Q in terms of the generators of I.
-
-    Returns a tuple of Polys c with sum(c_i * g_i) = Q, as an element of
-    the free cover of the ideal module; raises NotContained otherwise.
-    """
-    row = I.generator_map()
-    d = Q.degree()
-    vec = element_to_vector(row.target, (Q,), d)
-    sol = linalg.solve(row.matrix_at(d), vec.reshape(-1, 1), I.base.p)
-    if sol is None:
-        raise NotContained(f"{Q} does not lie in the ideal")
-    return vector_to_element(row.source, sol[:, 0], d)
-
-
 def ideal_mod_surface(C: CurveFamily, Q: Poly) -> GradedModule:
     """I_C/(Q) as a graded module, for a surface Q through C, on the cover
     of the curve's ideal module."""
     IM = C.ideal_module()
-    col = member_coordinates(C.ideal, Q)
+    col = C.ideal_cover().preimage((Q,), Q.degree())
+    if col is None:
+        raise NotContained(f"{Q} does not lie in the ideal")
     cols = [IM.presentation.column(j) for j in range(IM.F1.rank)]
     degs = [-t for t in IM.F1.twists]
     cols.append(col)
@@ -213,11 +194,13 @@ def trivial_biliaison(C: CurveFamily, Q: Poly, H: Poly, h: int):
     I = C.ideal
     if Q.fiber().is_zero():
         raise SurfaceNotFlat(f"fiber form of {Q} vanishes")
+    if not Q.is_homogeneous():
+        raise WrongDegree(f"{Q} is not homogeneous")
     if not I.contains(Q):
         raise NotContained(f"{Q} does not contain the curve")
-    if h < 0 or (h == 0) != (H.degree() == 0) or (h > 0 and H.degree() != h):
-        raise ValueError(f"H must be homogeneous of degree h = {h}")
-    if H.fiber().is_zero() or not H.is_homogeneous():
+    if h < 0 or not H.is_homogeneous() or H.degree() != h:
+        raise WrongDegree(f"H must be homogeneous of degree h = {h}")
+    if H.fiber().is_zero():
         raise NotCoprime("H has vanishing fiber form")
     if h > 0:
         kf = base.field()

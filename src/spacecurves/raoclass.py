@@ -51,15 +51,6 @@ from .scalars import BaseRing
 # -- generic map plumbing ----------------------------------------------------
 
 
-def _solve_elem(phi: GradedMap, elem, degree: int):
-    """One preimage of a target element under phi at the given degree."""
-    vec = element_to_vector(phi.target, elem, degree)
-    sol = linalg.solve(phi.matrix_at(degree), vec.reshape(-1, 1), phi.base.p)
-    if sol is None:
-        return None
-    return vector_to_element(phi.source, sol[:, 0], degree)
-
-
 def _lift_columns(phi: GradedMap, X: GradedMap, msg: str) -> GradedMap:
     """A map Y with phi o Y = X, lifted one column of X at a time: a zero
     column lifts to zero, and a column with no preimage raises
@@ -70,7 +61,7 @@ def _lift_columns(phi: GradedMap, X: GradedMap, msg: str) -> GradedMap:
         if all(f.is_zero() for f in col):
             cols.append(phi.source.zero_element())
             continue
-        lift = _solve_elem(phi, col, -X.source.twists[j])
+        lift = phi.preimage(col, -X.source.twists[j])
         if lift is None:
             raise CertificationError(msg)
         cols.append(lift)
@@ -228,25 +219,18 @@ def _certify_extravert(data: ExtravertData):
 class NTypeResolution:
     """0 -> P -> N -> I_C -> 0 with P free and N extraverted locally free.
 
-    Like ETypeResolution it keeps the ideal, not the curve: the curve
-    caches both, and a cached object that referred back to its owner would
-    form a reference cycle."""
+    Like ETypeResolution it keeps the ideal and its regularity reg(I), not
+    the curve: the curve caches both, and a cached object that referred back
+    to its owner would form a reference cycle."""
 
-    def __init__(self, ideal: Ideal, N, P, incl, surj):
+    def __init__(self, ideal: Ideal, reg: int, N, P, incl, surj):
         self.ideal = ideal
+        self.reg = reg
         self.N = N
         self.P = P
         self.incl = incl  # GradedMap P -> N.F0
         self.surj = surj  # GradedMap N.F0 -> R, image I_C
         self.certify()
-
-    def surjection_hom(self) -> ModuleHom:
-        """The map N -> I_C as a ModuleHom onto the ideal module."""
-        Im, IM = _with_minimal_gens(self.ideal, GradedModule.from_ideal(self.ideal))
-        f0 = _lift_columns(
-            Im.generator_map(), self.surj, "surjection does not land in the ideal"
-        )
-        return ModuleHom(self.N, IM, f0)
 
     def certify(self):
         if not self.surj.compose(self.N.presentation).is_zero():
@@ -258,9 +242,7 @@ class NTypeResolution:
         if ext_module(self.N, 1).F0.rank:
             raise CertificationError("N is not extraverted")
         lo = self.N.min_degree()
-        hi = _ideal_reg(self.ideal) + max(
-            (-t for t in self.N.F0.twists), default=0
-        ) + 4
+        hi = self.reg + max((-t for t in self.N.F0.twists), default=0) + 4
         for n in range(lo, hi + 1):
             if self.N.piece_dim(n) != self.P.piece_dim(n) + self.ideal.piece_dim(n):
                 raise CertificationError(
@@ -274,8 +256,9 @@ class NTypeResolution:
 class ETypeResolution:
     """0 -> E -> F -> I_C -> 0 with F free and E locally free."""
 
-    def __init__(self, ideal: Ideal, E, F, incl, surj):
+    def __init__(self, ideal: Ideal, reg: int, E, F, incl, surj):
         self.ideal = ideal
+        self.reg = reg
         self.E = E
         self.F = F  # FreeModule
         self.incl = incl  # GradedMap E.F0 -> F
@@ -295,9 +278,7 @@ class ETypeResolution:
             if X.F0.rank and not X.is_finite_length():
                 raise CertificationError("E is not locally free")
         lo = min(self.E.min_degree(), self.F.min_degree())
-        hi = _ideal_reg(self.ideal) + max(
-            (-t for t in self.F.twists), default=0
-        ) + 4
+        hi = self.reg + max((-t for t in self.F.twists), default=0) + 4
         p = self.ideal.base.p
         for n in range(lo, hi + 1):
             if linalg.rank(self.incl.matrix_at(n), p) != self.E.piece_dim(n):
@@ -311,44 +292,28 @@ class ETypeResolution:
         return (tuple(sorted(self.E.F0.twists)), tuple(sorted(self.F.twists)))
 
 
-def _with_minimal_gens(I: Ideal, IM: GradedModule):
-    """(J, GradedModule.from_ideal(J)) for J the same ideal presented by a
-    minimal subset of I's generators, given IM = GradedModule.from_ideal(I).
-    When every generator is kept, IM is the module returned."""
-    _, kept, _ = _minimalize_map(IM.presentation)
-    if len(kept) == len(I.gens):
-        return I, IM
-    Im = Ideal(I.base, [I.gens[i] for i in sorted(kept)])
-    return Im, GradedModule.from_ideal(Im)
-
-
-def _ideal_reg(I: Ideal) -> int:
-    return GradedModule.quotient_by_ideal(I).regularity() + 1
-
-
 def n_type_resolution(C: CurveFamily) -> NTypeResolution:
     if "ntype" in C._cache:
         return C._cache["ntype"]
-    I, IM = _with_minimal_gens(C.ideal, C.ideal_module())
-    data = extravertize(IM)
-    surj = I.generator_map().compose(data.proj)
-    res = NTypeResolution(C.ideal, data.N, data.P, data.incl, surj)
+    data = extravertize(C.ideal_module())
+    surj = C.ideal_cover().compose(data.proj)
+    res = NTypeResolution(
+        C.ideal, C.regularity() + 1, data.N, data.P, data.incl, surj
+    )
     C._cache["ntype"] = res
     return res
 
 
 def e_type_resolution(C: CurveFamily) -> ETypeResolution:
+    """The start F -> I_C of the minimal resolution of I_C, with E its
+    syzygy module: E and the maps are read off the resolution of R/I."""
     if "etype" in C._cache:
         return C._cache["etype"]
-    I, IM = _with_minimal_gens(C.ideal, C.ideal_module())
-    maps = IM.resolution()
-    base = C.base
-    phi = maps[0]
-    if len(maps) > 1:
-        E = GradedModule(maps[1])
-    else:
-        E = GradedModule.free(base, phi.source.twists)
-    res = ETypeResolution(C.ideal, E, IM.F0, phi, I.generator_map())
+    cover, IM = C.ideal_cover(), C.ideal_module()
+    E = IM.syzygy_module(1)
+    res = ETypeResolution(
+        C.ideal, C.regularity() + 1, E, cover.source, IM.presentation, cover
+    )
     C._cache["etype"] = res
     return res
 
@@ -800,8 +765,8 @@ def link_transform_n_to_e(res: NTypeResolution, F: Poly, G: Poly) -> ETypeResolu
     J = C2.ideal
     s, t = ci.s, ci.t
     st = s + t
-    a1 = _solve_elem(res.surj, (F,), s)
-    a2 = _solve_elem(res.surj, (G,), t)
+    a1 = res.surj.preimage((F,), s)
+    a2 = res.surj.preimage((G,), t)
     if a1 is None or a2 is None:
         raise CertificationError("complete intersection does not lift to N")
     alpha = GradedMap.from_columns(res.N.F0, [a1, a2], [s, t])
@@ -832,7 +797,7 @@ def link_transform_n_to_e(res: NTypeResolution, F: Poly, G: Poly) -> ETypeResolu
         produced = Ideal(base, [f for f in pi + [k1, k2] if not f.is_zero()])
         if produced == J:
             surj = GradedMap(Fmid, FreeModule(base, [0]), [pi + [k1, k2]])
-            return ETypeResolution(J, E, Fmid, delta, surj)
+            return ETypeResolution(J, C2.regularity() + 1, E, Fmid, delta, surj)
     raise CertificationError("could not assemble the transformed surjection")
 
 
@@ -848,8 +813,8 @@ def link_transform_e_to_n(res: ETypeResolution, F: Poly, G: Poly) -> NTypeResolu
     J = C2.ideal
     s, t = ci.s, ci.t
     st = s + t
-    g1 = _solve_elem(res.surj, (F,), s)
-    g2 = _solve_elem(res.surj, (G,), t)
+    g1 = res.surj.preimage((F,), s)
+    g2 = res.surj.preimage((G,), t)
     if g1 is None or g2 is None:
         Ef = res.E.tensor_residue_field()
         reg = Ef.regularity()
@@ -903,7 +868,7 @@ def link_transform_e_to_n(res: ETypeResolution, F: Poly, G: Poly) -> NTypeResolu
         produced = Ideal(base, [f for f in pi + [k1, k2] if not f.is_zero()])
         if produced == J:
             surj = GradedMap(Ncover, FreeModule(base, [0]), [pi + [k1, k2]])
-            return NTypeResolution(J, N, P, incl, surj)
+            return NTypeResolution(J, C2.regularity() + 1, N, P, incl, surj)
     raise CertificationError("could not assemble the transformed surjection")
 
 
@@ -929,7 +894,7 @@ def epfn_sequence(nres: NTypeResolution, eres: ETypeResolution) -> bool:
     _lift_columns(joint, lam.compose(eres.incl), "E does not map into P through N")
     p = base.p
     lo = min(nres.N.min_degree(), eres.E.min_degree(), eres.F.min_degree())
-    hi = _ideal_reg(nres.ideal) + max(
+    hi = nres.reg + max(
         [-t for t in eres.F.twists] + [-t for t in nres.N.F0.twists]
     ) + 4
     for n in range(lo, hi + 1):

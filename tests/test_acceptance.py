@@ -8,10 +8,15 @@ import time
 
 import pytest
 
-from conftest import ACM_NAMES, FIBER_NAMES, RAO_K_NAMES
+from conftest import (
+    ACM_NAMES,
+    FIBER_NAMES,
+    RAO_K_NAMES,
+    ideal_module_by_cap,
+    surjection_hom,
+)
 from spacecurves.curve import validate_curve
 from spacecurves.gradedmod import (
-    GradedModule,
     cohomology_table,
     is_module_iso,
     saturation_dims,
@@ -172,7 +177,7 @@ def test_ntype_through_different_covers_psi_equivalent(K, corpus_curves):
         N1 = n_type_resolution(C).N
         gens = list(C.ideal.gens)
         redundant = Ideal(K, list(reversed(gens)) + [X * gens[0]])
-        N2 = extravertize(GradedModule.from_ideal(redundant)).N
+        N2 = extravertize(ideal_module_by_cap(redundant)).N
         v = psi_equivalent(N1, N2, allow_shift=False)
         assert v.kind == "yes" and (v.h in (0, None)), name
 
@@ -242,7 +247,7 @@ def test_linkage_commutes_with_fibers(A, K, corpus_curves):
     assert linked_p.fiber().ideal == fib_p.ideal
     # the N-type surjection of a dual-number family is a pseudo-isomorphism
     # for both test modules (checked degreewise over A and over k)
-    assert is_psi(n_type_resolution(tcA).surjection_hom())
+    assert is_psi(surjection_hom(tcA, n_type_resolution(tcA)))
 
 
 def test_constructive_chain_line_to_twisted_cubic(corpus_curves):

@@ -153,6 +153,25 @@ def test_corpus_jobs_give_the_same_results(capsys, monkeypatch):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize(
+    "Q, H, height",
+    [
+        ("X", "Y", "2"),  # deg H = 1, not the height 2
+        ("X", "Y", "0"),  # height 0 needs a constant H
+        ("X+Y^2", "Z", "1"),  # Q is not homogeneous
+        ("X", "Y+Z^2", "2"),  # H is not homogeneous
+    ],
+)
+def test_bilink_rejects_a_bad_form_as_a_domain_error(capsys, Q, H, height):
+    assert main(["bilink", "corpus:line", Q, H, height]) == 2
+    assert capsys.readouterr().err.startswith("WrongDegree: ")
+
+
+def test_corpus_run_rejects_jobs_below_one(capsys):
+    assert main(["corpus", "run", "--jobs", "0"]) == 3
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_dual_numbers_flag(capsys):
     code, out = run(
         capsys, "validate", "corpus:line", "--dual-numbers", "--json"

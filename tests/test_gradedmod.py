@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from conftest import RAO_K_NAMES
+from conftest import RAO_K_NAMES, ideal_module_by_cap
 
 from spacecurves import linalg, raoclass
 from spacecurves.gradedmod import (
@@ -72,9 +72,7 @@ def test_ext_vanishes_above_projective_dimension(K):
 
 
 def test_cohomology_euler_characteristic(K):
-    IM = GradedModule.from_ideal(
-        I(K, "X*Z - Y^2", "Y*W - Z^2", "X*W - Y*Z")
-    )
+    IM = ideal_module_by_cap(I(K, "X*Z - Y^2", "Y*W - Z^2", "X*W - Y*Z"))
     table = cohomology_table(IM, "k", -2, 5)
     for n in range(-2, 6):
         chi = sum((-1) ** i * table[i].get(n, 0) for i in range(4))
@@ -107,7 +105,7 @@ def test_strip_free_summands(K):
 
 
 def test_shift_semantics(K):
-    M = GradedModule.from_ideal(I(K, "X", "Y"))
+    M = ideal_module_by_cap(I(K, "X", "Y"))
     for h in (-2, 1, 3):
         S = M.shift(h)
         for n in range(0, 5):

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from spacecurves import liaison
@@ -8,6 +10,7 @@ from spacecurves.errors import (
     OracleMismatch,
     ResidualEmpty,
     Undecided,
+    WrongDegree,
 )
 from spacecurves.gradedmod import is_module_iso
 from spacecurves.groebner import Ideal
@@ -15,6 +18,7 @@ from spacecurves.liaison import (
     CompleteIntersection,
     check_elementary_biliaison,
     connect_by_biliaisons,
+    ideal_mod_surface,
     link,
     trivial_biliaison,
 )
@@ -87,8 +91,18 @@ def test_trivial_biliaison_rejects_bad_input(K, corpus_curves):
     with pytest.raises(NotCoprime):
         # H = X*Z shares the component X*Z of... it divides Q exactly
         trivial_biliaison(sk, P(K, "X*Z"), P(K, "Z"), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(WrongDegree):
         trivial_biliaison(sk, P(K, "X*Z + Y*W"), P(K, "X"), 2)
+
+
+def test_ideal_mod_surface_needs_a_surface_through_the_curve(K, corpus_curves):
+    sk = corpus_curves("skew-lines")
+    M = ideal_mod_surface(sk, P(K, "X*Z + Y*W"))
+    for n in range(0, 5):
+        # (Q)_n is a copy of R_{n-2}
+        assert M.piece_dim(n) == sk.ideal.piece_dim(n) - comb(n + 1, 3)
+    with pytest.raises(NotContained):
+        ideal_mod_surface(sk, P(K, "X^2 + Y*W"))
 
 
 def test_elementary_biliaison_decision(K, corpus_curves):

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import surjection_hom
 from spacecurves.curve import validate_curve
 from spacecurves.files import load_corpus
 from spacecurves.gradedmod import (
@@ -10,6 +11,7 @@ from spacecurves.gradedmod import (
     kernel_min_gens,
     subquotient_module,
 )
+from spacecurves.groebner import Ideal
 from spacecurves.polyring import Poly
 from spacecurves.raoclass import (
     biliaison_equivalent,
@@ -42,30 +44,60 @@ def test_ntype_twists(corpus_curves):
         assert is_extraverted(res.N), name
 
 
-def test_each_resolution_builds_the_ideal_module_once(monkeypatch):
-    # the module built to find minimal generators is the one resolved; a
-    # second is built only when a generator is redundant, as the quartic's
-    # X^2*Z = X*(X*Z + Y*W) - X*Y*W
+def test_resolutions_reuse_the_validated_resolution_of_r_mod_i(monkeypatch):
+    # after validation, both resolutions read the ideal module, its cover and
+    # E off the resolution of R/I that validation certified: no R/I is built
+    # again and no syzygies of the ideal's generators are taken
+    names = ["twisted-cubic", "skew-lines", "line-dual", "quartic-from-skew-bilink"]
+    resolves = (n_type_resolution, e_type_resolution)
+    cases = [
+        (resolve, validate_curve(load_corpus(name).to_ideal()))
+        for name in names
+        for resolve in resolves
+    ]
     calls = []
-    build = GradedModule.from_ideal
+    quotient, generator_map = GradedModule.quotient_by_ideal, Ideal.generator_map
     monkeypatch.setattr(
-        GradedModule, "from_ideal", staticmethod(lambda I: calls.append(I) or build(I))
+        GradedModule,
+        "quotient_by_ideal",
+        staticmethod(lambda I: calls.append("R/I") or quotient(I)),
     )
-    cases = [("twisted-cubic", 1), ("skew-lines", 1), ("line-dual", 1),
-             ("quartic-from-skew-bilink", 2)]
-    for name, builds in cases:
-        for resolve in (n_type_resolution, e_type_resolution):
-            C = validate_curve(load_corpus(name).to_ideal())
-            calls.clear()
-            resolve(C)
-            assert len(calls) == builds, (name, resolve.__name__)
-        # both resolutions of one curve start from the curve's ideal module;
-        # the quartic's module on minimal generators is built by each
-        C = validate_curve(load_corpus(name).to_ideal())
-        calls.clear()
-        n_type_resolution(C)
-        e_type_resolution(C)
-        assert len(calls) == 2 * builds - 1, name
+    monkeypatch.setattr(
+        Ideal, "generator_map", lambda I: calls.append("gens") or generator_map(I)
+    )
+    for resolve, C in cases:
+        resolve(C)
+        assert not calls, (resolve.__name__, C)
+
+
+@pytest.mark.parametrize(
+    "name", ["twisted-cubic", "skew-lines", "skew-lines-dual", "quartic-from-skew-bilink"]
+)
+def test_ideal_module_is_the_tail_of_the_resolution_of_r_mod_i(name, corpus_curves):
+    C = corpus_curves(name)
+    res = C._ri().resolution()
+    assert C.ideal_cover() is res[0]
+    IM = C.ideal_module()
+    assert IM is C.ideal_module()
+    assert [id(m) for m in IM.resolution()] == [id(m) for m in res[1:]]
+    E = e_type_resolution(C).E
+    if len(res) > 2:
+        assert [id(m) for m in E.resolution()] == [id(m) for m in res[2:]]
+    else:
+        # an ACM curve: past the projective dimension E is free
+        assert not E.F1.rank and E.F0.twists == res[1].source.twists
+
+
+def test_quartic_cover_drops_the_redundant_generator(corpus_curves):
+    # X^2*Z = X*(X*Z + Y*W) - X*Y*W: five generators, four minimal ones
+    C = corpus_curves("quartic-from-skew-bilink")
+    assert len(C.ideal.gens) == 5
+    assert sorted(C.ideal_cover().source.twists) == [-3, -3, -3, -2]
+    assert n_type_resolution(C).twists() == (
+        (-3, -3, -3),
+        (-3, -3, -3, -3, -3, -3, -2),
+    )
+    assert e_type_resolution(C).twists() == ((-4, -4, -4, -4), (-3, -3, -3, -2))
 
 
 def test_ntype_resolution_keeps_ext1_of_n(corpus_curves):
@@ -136,8 +168,8 @@ def test_extravertize_dimension_count(K, corpus_curves):
 
 
 def test_surjection_is_psi(corpus_curves):
-    res = n_type_resolution(corpus_curves("twisted-cubic"))
-    assert is_psi(res.surjection_hom())
+    C = corpus_curves("twisted-cubic")
+    assert is_psi(surjection_hom(C, n_type_resolution(C)))
 
 
 def test_zero_map_is_not_psi(corpus_curves):
@@ -161,8 +193,6 @@ def test_link_transform_n_to_e(K, corpus_curves):
     F = Poly.parse("X*Z - Y^2", K)
     G = Poly.parse("Y*W - Z^2", K)
     out = link_transform_n_to_e(res, F, G)
-    from spacecurves.groebner import Ideal
-
     assert out.ideal == Ideal(K, [Poly.parse("Y", K), Poly.parse("Z", K)])
     e_tw, f_tw = out.twists()
     assert f_tw == (-2, -2, -1, -1) or f_tw == (-1, -1, -2, -2) or sorted(f_tw) == [-2, -2, -1, -1]
@@ -174,15 +204,13 @@ def test_link_transform_e_to_n(K, corpus_curves):
     F = Poly.parse("X*Z - Y^2", K)
     G = Poly.parse("Y*W - Z^2", K)
     out = link_transform_e_to_n(res, F, G)
-    from spacecurves.groebner import Ideal
-
     assert out.ideal == Ideal(K, [Poly.parse("Y", K), Poly.parse("Z", K)])
 
 
 def test_psi_roof_certifies(corpus_curves):
     tc = corpus_curves("twisted-cubic")
     res = n_type_resolution(tc)
-    f = res.surjection_hom()
+    f = surjection_hom(tc, res)
     roof, p1, p2 = psi_roof(res.N, res.N, f.target, f, f)
     assert roof.F0.rank >= res.N.F0.rank
 
@@ -236,7 +264,7 @@ def test_dual_base_ntype_and_psi(corpus_curves):
     C = corpus_curves("twisted-cubic-dual")
     res = n_type_resolution(C)
     assert res.twists() == ((-3, -3), (-2, -2, -2))
-    assert is_psi(res.surjection_hom())
+    assert is_psi(surjection_hom(C, res))
 
 
 def test_direct_sum_dims(K, corpus_curves):
