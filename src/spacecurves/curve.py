@@ -10,7 +10,6 @@ repairing it.
 from __future__ import annotations
 
 import itertools
-import random
 
 from .errors import (
     NotFlat,
@@ -30,8 +29,8 @@ from .gradedmod import (
     is_module_iso,
     torsion_module_data,
 )
-from .groebner import Ideal, ideal_colon, ideal_saturate, ideal_sum
-from .polyring import Poly, random_form
+from .groebner import Ideal, _colon, _nonzerodivisor, _saturation_certificate, ideal_saturate, ideal_sum
+from .polyring import Poly
 from .scalars import BaseRing
 
 
@@ -131,6 +130,11 @@ class CurveFamily:
                 verdict = is_module_iso(
                     finite_data_to_module(a), finite_data_to_module(b)
                 )
+                if verdict == "undecided":
+                    raise Undecided(
+                        "the Rao module routes agree in dimensions, but the "
+                        "isomorphism search was exhausted"
+                    )
                 if verdict != "yes":
                     raise OracleMismatch(
                         f"Rao module structures disagree ({verdict})"
@@ -164,18 +168,19 @@ def is_flat_family(I: Ideal) -> bool:
     if not I.base.dual:
         return True
     e = Ideal(I.base, [Poly.constant(I.base, 0, 1)])
-    return ideal_colon(I, e) == ideal_sum(I, e)
+    return _colon(I, e) == ideal_sum(I, e)
 
 
 def validate_curve(I: Ideal) -> CurveFamily:
     """Validate the curve conditions; reject rather than repair."""
     if not is_flat_family(I):
         raise NotFlat("a graded piece of R_A/I is not free over A")
-    sat = ideal_saturate(I)
-    if not (sat == I):
-        raise NotSaturated(
-            f"saturation adds generators {[str(g) for g in sat.gens]}"
-        )
+    if not _saturation_certificate(I):
+        sat = ideal_saturate(I)
+        if not (sat == I):
+            raise NotSaturated(
+                f"saturation adds generators {[str(g) for g in sat.gens]}"
+            )
     dim = I.krull_dimension()
     if dim != 2:
         raise WrongDimension(f"cone dimension {dim}, expected 2")
@@ -223,22 +228,3 @@ def _rao_route_torsion(C: CurveFamily) -> FiniteModuleData:
         if data.total_dim() == prev:
             return data.shift(shift)
         prev = data.total_dim()
-
-
-def _candidate_forms(base: BaseRing):
-    """The forms tried as nonzerodivisors, in one fixed order: 3X + 5Y - 7Z
-    + 11W, then seeded random forms, eight of each degree 1, 2, 3.  Over a
-    small field every linear form can vanish on a component."""
-    yield Poly.parse("3*X + 5*Y - 7*Z + 11*W", base)
-    rng = random.Random(0)
-    for d in (1, 2, 3):
-        for _ in range(8):
-            yield random_form(base, d, rng)
-
-
-def _nonzerodivisor(I: Ideal) -> Poly:
-    """The first candidate form f with (I : f) = I."""
-    for f in _candidate_forms(I.base):
-        if not f.is_zero() and ideal_colon(I, Ideal(I.base, [f])) == I:
-            return f
-    raise Undecided("no candidate form is a nonzerodivisor on R/I")

@@ -263,6 +263,13 @@ class GradedMap:
         self._cache[n] = out
         return out
 
+    def rank_at(self, n: int) -> int:
+        """The rank of matrix_at(n), cached beside it."""
+        key = ("rank", n)
+        if key not in self._cache:
+            self._cache[key] = linalg.rank(self.matrix_at(n), self.base.p)
+        return self._cache[key]
+
     def __repr__(self):
         rows = ["[" + ", ".join(str(f) for f in row) + "]" for row in self.matrix]
         return f"GradedMap {self.source.twists} -> {self.target.twists}\n" + "\n".join(rows)
@@ -309,30 +316,39 @@ def _generator_multiples(F: FreeModule, g, d: int, n: int) -> list:
 # -- generator extraction ------------------------------------------------
 
 
-def min_generators(F: FreeModule, piece_fn, cap: int):
+def min_generators(F: FreeModule, piece_fn, dim_fn, cap: int):
     """Minimal generators of a graded submodule of F described degreewise.
 
     piece_fn(n) returns a matrix whose columns span the degree-n piece
     (closed under epsilon over A), in the coordinates of element_to_vector(F,
     ., n): the monomial blocks of F's summands, stacked (fiber; epsilon) over
-    A.  An ideal is the rank-1 case F = R.  Returns (elements, degrees).
+    A.  dim_fn(n) is the k-dimension of that piece.  An ideal is the rank-1
+    case F = R.  Returns (elements, degrees).
 
     In each degree a Span first takes the monomial multiples of the
-    generators found so far, one generator at a time (streamed, so only one
-    generator's multiples are held at once), then e times the piece over A;
+    generators found so far, and e times them over A, one generator at a
+    time (streamed, so only one generator's multiples are held at once).
+    When they fill the piece the degree has no new generator, and the piece
+    is never built.  Otherwise the Span takes e times the piece over A, and
     the piece columns that still raise the rank are the new generators.
     """
     base = F.base
     gens = []
     degs = []
     for n in range(F.min_degree(), cap + 1):
-        piece = piece_fn(n)
-        if piece.shape[1] == 0:
+        dim = dim_fn(n)
+        if dim == 0:
             continue
         span = linalg.Span(base.p)
+        half = F.fiber_dim(n)
         for g, d in zip(gens, degs):
             for vec in _generator_multiples(F, g, d, n):
+                if base.dual:  # before add consumes vec
+                    span.add({i + half: v for i, v in vec.items() if i < half})
                 span.add(vec)
+        if len(span.rows) == dim:
+            continue
+        piece = piece_fn(n)
         if base.dual:
             span.add_many(linalg.eps_times(piece))
         for j in span.add_many(piece):
@@ -347,7 +363,10 @@ def kernel_min_gens(phi: GradedMap, cap: int) -> GradedMap:
     def piece(n):
         return linalg.kernel_basis(phi.matrix_at(n), phi.base.p)
 
-    gens, degs = min_generators(phi.source, piece, cap)
+    def dim(n):
+        return phi.source.piece_dim(n) - phi.rank_at(n)
+
+    gens, degs = min_generators(phi.source, piece, dim, cap)
     return GradedMap.from_columns(phi.source, gens, degs)
 
 
@@ -358,7 +377,7 @@ def image_min_gens(phi: GradedMap, cap: int) -> GradedMap:
     def piece(n):
         return linalg.column_basis(phi.matrix_at(n), p)
 
-    gens, degs = min_generators(phi.target, piece, cap)
+    gens, degs = min_generators(phi.target, piece, phi.rank_at, cap)
     return GradedMap.from_columns(phi.target, gens, degs)
 
 
@@ -414,13 +433,7 @@ class GradedModule:
         return self.fiber() if self.base.dual else self
 
     def piece_dim(self, n: int) -> int:
-        key = ("dim", n)
-        if key not in self._cache:
-            full = self.F0.piece_dim(n)
-            self._cache[key] = full - linalg.rank(
-                self.presentation.matrix_at(n), self.base.p
-            )
-        return self._cache[key]
+        return self.F0.piece_dim(n) - self.presentation.rank_at(n)
 
     def hilbert_function(self, lo: int, hi: int) -> dict:
         return {n: self.piece_dim(n) for n in range(lo, hi + 1)}
@@ -694,7 +707,8 @@ def _resolve_at_cap(phi: GradedMap, cap: int):
 
 
 def _certify_resolution(maps, cap: int):
-    p = maps[0].base.p
+    """Every composition is zero, and ker = im in every degree up to cap,
+    read off the ranks of the maps' own matrices."""
     for a, b in zip(maps, maps[1:]):
         if not a.compose(b).is_zero():
             raise CertificationError("nonzero composition in resolution")
@@ -702,9 +716,8 @@ def _certify_resolution(maps, cap: int):
     for i, m in enumerate(maps):
         nxt = maps[i + 1] if i + 1 < len(maps) else None
         for n in range(lo, cap + 1):
-            mat = m.matrix_at(n)
-            ker = mat.shape[1] - linalg.rank(mat, p)
-            im = linalg.rank(nxt.matrix_at(n), p) if nxt else 0
+            ker = m.source.piece_dim(n) - m.rank_at(n)
+            im = nxt.rank_at(n) if nxt else 0
             if ker != im:
                 raise CertificationError(
                     f"exactness fails at step {i+1}, degree {n}: "
@@ -915,18 +928,13 @@ def _ext_slot(M: GradedModule, i: int):
 def ext_piece_dims(M: GradedModule, i: int, degrees) -> dict:
     """k-dimensions of Ext^i(M, R) in the given degrees.  Twists come
     afterwards: Ext^i(M, R(s))_n = Ext^i(M, R)_{n+s}."""
-    p = M.base.p
     into, outof, home = _ext_slot(M, i)
     if home is None:
         return {n: 0 for n in degrees}
     out = {}
     for n in degrees:
-        if into is not None:
-            mat = into.matrix_at(n)
-            ker = mat.shape[1] - linalg.rank(mat, p)
-        else:
-            ker = home.piece_dim(n)
-        im = linalg.rank(outof.matrix_at(n), p) if outof is not None else 0
+        ker = home.piece_dim(n) - (into.rank_at(n) if into is not None else 0)
+        im = outof.rank_at(n) if outof is not None else 0
         out[n] = ker - im
     return out
 

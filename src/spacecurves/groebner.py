@@ -9,21 +9,25 @@ the power of e; generators stay homogeneous in X, Y, Z, W, so standard
 monomials count the graded pieces.  Treating e as a variable avoids Groebner
 bases over a coefficient ring (Adams & Loustaunau, An Introduction to
 Groebner Bases, AMS GSM 3, 1994, ch. 4).  Intersection eliminates a tag
-variable, colon divides an intersection by the form, and saturation iterates
-the colon by (X, Y, Z, W); over A the result then gets minimal generators.
+variable, and colon divides an intersection by the form.  Saturation is
+first certified by a nonzerodivisor on R/I: W when no lead of I's basis has
+a W exponent, else the first candidate form at the cost of one colon.  Only
+when neither is one does it iterate the colon by (X, Y, Z, W).  Over A the
+result then gets minimal generators.
 """
 
 from __future__ import annotations
 
 import heapq
+import random
 from functools import lru_cache
 
 import numpy as np
 
 from . import linalg
-from .errors import CertificationError, MixedBase
+from .errors import CertificationError, MixedBase, Undecided
 from .gradedmod import FreeModule, GradedMap, min_generators
-from .polyring import NVARS, Poly, graded_piece_dim, grevlex_key, monomials, variables
+from .polyring import NVARS, Poly, graded_piece_dim, grevlex_key, monomials, random_form, variables
 from .scalars import BaseRing
 
 # -- raw engine on dict polynomials ------------------------------------
@@ -73,15 +77,15 @@ def _raw_add_scaled(f, g, c, shift, p):
     return out
 
 
-def raw_normal_form(f, basis, p, key=grevlex_key):
-    """Full normal form: no term of the result is divisible by a lead term."""
+def raw_normal_form(f, reducers, p, key=grevlex_key):
+    """Full normal form of f by the (lead exponent, poly) pairs in reducers,
+    tried in order: no term of the result is divisible by a lead."""
     f = dict(f)
-    leads = [( _lead(g, key)[0], g) for g in basis if g]
     out = {}
     while f:
         e, c = _lead(f, key)
         hit = None
-        for le, g in leads:
+        for le, g in reducers:
             if _divides(le, e):
                 hit = (le, g)
                 break
@@ -153,7 +157,7 @@ def raw_buchberger(gens, p, key=grevlex_key):
         if pending.pop((i, j), None) is None:
             continue  # dropped by the B criterion after it was queued
         h = raw_normal_form(raw_spoly(polys[i], polys[j], p, key),
-                            [polys[k] for k in active], p, key)
+                            [(leads[k], polys[k]) for k in active], p, key)
         if h:
             add(h, s)
     return raw_interreduce([polys[k] for k in active], p, key)
@@ -170,17 +174,16 @@ def raw_interreduce(basis, p, key=grevlex_key):
             for j in range(len(basis))
         ):
             keep.append(i)
-    basis = [basis[i] for i in keep]
+    pairs = [(leads[i], basis[i]) for i in keep]
     out = []
-    for i, g in enumerate(basis):
-        others = basis[:i] + basis[i + 1 :]
-        r = raw_normal_form(g, others, p, key)
+    for i, (_, g) in enumerate(pairs):
+        r = raw_normal_form(g, pairs[:i] + pairs[i + 1 :], p, key)
         if r:
             e, c = _lead(r, key)
             inv = pow(c, p - 2, p)
-            out.append({m: (a * inv) % p for m, a in r.items()})
-    out.sort(key=lambda g: key(_lead(g, key)[0]))
-    return out
+            out.append((key(e), {m: (a * inv) % p for m, a in r.items()}))
+    out.sort(key=lambda t: t[0])  # the leads are distinct
+    return [g for _, g in out]
 
 
 def _raw_divide_exact(f, g, p, key=grevlex_key):
@@ -262,6 +265,9 @@ class Ideal:
         self.gens = tuple(gens)
         self._gb = None  # (reduced basis, its lead exponents)
         self._fiber = None
+        # saturation certificate, written once: "W", the first candidate
+        # form, or False when neither is a nonzerodivisor on R/I
+        self._nzd = None
 
     @staticmethod
     def parse(base: BaseRing, texts) -> "Ideal":
@@ -291,8 +297,9 @@ class Ideal:
         """Exact membership over the base ring: f reduces to 0."""
         if f.base != self.base:
             raise MixedBase("membership across base rings")
+        gb, leads = self._groebner()
         key = _orders(self.base)[0]
-        return not raw_normal_form(poly_to_raw(f), self._groebner()[0], self.base.p, key)
+        return not raw_normal_form(poly_to_raw(f), list(zip(leads, gb)), self.base.p, key)
 
     def is_unit_ideal(self) -> bool:
         return self.contains(Poly.one(self.base))
@@ -406,6 +413,43 @@ def _saturate(I: Ideal) -> Ideal:
         cur = nxt
 
 
+def _candidate_forms(base: BaseRing):
+    """The forms tried as nonzerodivisors, in one fixed order: 3X + 5Y - 7Z
+    + 11W, then seeded random forms, eight of each degree 1, 2, 3.  Over a
+    small field every linear form can vanish on a component."""
+    yield Poly.parse("3*X + 5*Y - 7*Z + 11*W", base)
+    rng = random.Random(0)
+    for d in (1, 2, 3):
+        for _ in range(8):
+            yield random_form(base, d, rng)
+
+
+def _saturation_certificate(I: Ideal):
+    """A nonzerodivisor on R/I, which proves I saturated: m^k*g in I gives
+    f^k*g in I, hence g in I.  "W" when no lead of I's basis has a W
+    exponent: if W*g lies in I for a nonzero normal form g, some lead divides
+    W*lead(g) and so lead(g) (Bayer & Stillman, Invent. Math. 87, 1987).
+    Else the first candidate form when (I : f) = I, else False.  Over A the
+    block order compares X, Y, Z, W first, and the same holds.  Cached."""
+    if I._nzd is None:
+        if not any(e[3] for e in I._groebner()[1]):
+            I._nzd = "W"
+        else:
+            f = next(_candidate_forms(I.base))
+            I._nzd = f if _colon(I, Ideal(I.base, [f])) == I else False
+    return I._nzd
+
+
+def _nonzerodivisor(I: Ideal) -> Poly:
+    """The first candidate form f with (I : f) = I."""
+    if isinstance(I._nzd, Poly):
+        return I._nzd
+    for f in _candidate_forms(I.base):
+        if not f.is_zero() and _colon(I, Ideal(I.base, [f])) == I:
+            return f
+    raise Undecided("no candidate form is a nonzerodivisor on R/I")
+
+
 def _kernel_form(mat: np.ndarray, p: int) -> np.ndarray:
     """The basis linalg.kernel_basis gives a subspace, from columns spanning
     it: reduced with the coordinates in reverse order, then reversed back."""
@@ -420,11 +464,12 @@ def _with_min_generators(exact: Ideal, form, inside: Ideal = None) -> Ideal:
     gmap = exact.generator_map()
     top = max((g.degree() for g in exact.gens), default=0)
     gens, _ = min_generators(
-        FreeModule(base, [0]), lambda n: form(gmap.matrix_at(n), base.p), top
+        FreeModule(base, [0]), lambda n: form(gmap.matrix_at(n), base.p), gmap.rank_at, top
     )
     out = Ideal(base, [g[0] for g in gens])
     if out != exact:
         raise CertificationError("the minimal generators span a different ideal")
+    out._nzd = exact._nzd
     if inside is not None and not all(out.contains(g) for g in inside.gens):
         raise CertificationError("the result does not contain the input ideal")
     return out
@@ -439,8 +484,9 @@ def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
 
 
 def ideal_saturate(I: Ideal) -> Ideal:
-    """I : (X,Y,Z,W)^infinity over the base ring of I."""
-    out = _saturate(I)
+    """I : (X,Y,Z,W)^infinity over the base ring of I: I itself once a
+    nonzerodivisor certifies it."""
+    out = I if _saturation_certificate(I) else _saturate(I)
     return _with_min_generators(out, _kernel_form, I) if I.base.dual else out
 
 

@@ -279,9 +279,8 @@ class ETypeResolution:
                 raise CertificationError("E is not locally free")
         lo = min(self.E.min_degree(), self.F.min_degree())
         hi = self.reg + max((-t for t in self.F.twists), default=0) + 4
-        p = self.ideal.base.p
         for n in range(lo, hi + 1):
-            if linalg.rank(self.incl.matrix_at(n), p) != self.E.piece_dim(n):
+            if self.incl.rank_at(n) != self.E.piece_dim(n):
                 raise CertificationError(f"E does not inject in degree {n}")
             if self.E.piece_dim(n) != self.F.piece_dim(n) - self.ideal.piece_dim(n):
                 raise CertificationError(

@@ -1,12 +1,12 @@
 import random
+import re
 
 import numpy as np
 import pytest
 
-from spacecurves import gradedmod, linalg
+from spacecurves import curve, gradedmod, groebner, linalg
+from spacecurves.cli import main
 from spacecurves.curve import (
-    _candidate_forms,
-    _nonzerodivisor,
     _rao_route_duality,
     _rao_route_torsion,
     is_flat_family,
@@ -16,10 +16,18 @@ from spacecurves.errors import (
     NotFlat,
     NotPureDimensionOrNotLCM,
     NotSaturated,
+    OracleMismatch,
+    Undecided,
     WrongDimension,
 )
 from spacecurves.files import load_corpus
-from spacecurves.groebner import Ideal, ideal_intersect
+from spacecurves.groebner import (
+    Ideal,
+    _candidate_forms,
+    _nonzerodivisor,
+    _saturation_certificate,
+    ideal_intersect,
+)
 from spacecurves.polyring import Poly
 from spacecurves.scalars import BaseRing
 
@@ -47,9 +55,48 @@ def test_corpus_invariants(corpus_curves):
         assert C.rao_module().dims() == rao, name
 
 
-def test_rejects_unsaturated(K):
-    with pytest.raises(NotSaturated):
-        validate_curve(I(K, "X^2", "X*Y", "X*Z", "X*W"))
+def test_rejects_unsaturated(K, A):
+    # an ideal times m over F_32003, A and F_2: no certificate holds, and the
+    # message lists the generators of the saturation
+    lines = ["X + e*Z", "Y + 3*e*W"]
+    skew = ["X*Z", "X*W", "Y*Z", "Y*W"]
+    cases = [
+        (I(K, "X^2", "X*Y", "X*Z", "X*W"), "['X']"),
+        (I(A, *[f"({f})*{v}" for f in lines for v in "XYZW"]), "['X + e*Z', '10668*Y + e*W']"),
+        (I(BaseRing(2, False), *[f"({f})*{v}" for f in skew for v in "XYZW"]),
+         "['Y*W', 'X*W', 'Y*Z', 'X*Z']"),
+    ]
+    for ideal, gens in cases:
+        with pytest.raises(NotSaturated) as info:
+            validate_curve(ideal)
+        assert str(info.value) == f"saturation adds generators {gens}"
+        assert _saturation_certificate(ideal) is False
+
+
+def _count_saturations(monkeypatch):
+    calls = []
+    saturate = groebner._saturate
+
+    def counted(ideal):
+        calls.append(ideal)
+        return saturate(ideal)
+
+    monkeypatch.setattr(groebner, "_saturate", counted)
+    return calls
+
+
+def test_general_position_quartic_validates_without_saturating(K, monkeypatch):
+    # the rational quartic after a dense change of coordinates: no lead of its
+    # basis has a W exponent, so W certifies saturation
+    rng = random.Random(3)
+    forms = {v: "(" + " + ".join(f"{rng.randrange(1, K.p)}*{u}" for u in "XYZW") + ")" for v in "XYZW"}
+    gens = ["X^2*Z", "X^2*W", "X*Y*Z", "X*Y*W", "X*Z + Y*W"]
+    ideal = I(K, *[re.sub("[XYZW]", lambda m: forms[m.group()], g) for g in gens])
+    calls = _count_saturations(monkeypatch)
+    C = validate_curve(ideal)
+    assert C.degree_genus() == (4, 0)
+    assert not calls
+    assert _saturation_certificate(ideal) == "W"
 
 
 def test_rejects_wrong_dimension(K):
@@ -106,7 +153,7 @@ def test_rao_route_retries_past_a_zero_divisor(K):
         assert C.rao_module().dims() == rao
 
 
-def test_rao_route_over_f2_where_every_linear_form_is_a_zero_divisor():
+def test_rao_route_over_f2_where_every_linear_form_is_a_zero_divisor(monkeypatch):
     # five pairwise skew lines over F_2 whose linear forms partition the 15
     # nonzero forms of F_2^4: each linear form vanishes on one line
     K2 = BaseRing(2, False)
@@ -114,10 +161,29 @@ def test_rao_route_over_f2_where_every_linear_form_is_a_zero_divisor():
     ideal = I(K2, *lines[0])
     for line in lines[1:]:
         ideal = ideal_intersect(ideal, I(K2, *line))
+    # neither W nor the first candidate form certifies saturation: validation
+    # falls back to the iterated colon
+    calls = _count_saturations(monkeypatch)
     C = validate_curve(ideal)
+    assert calls == [ideal]
+    assert _saturation_certificate(ideal) is False
     assert C.degree_genus() == (5, -4)
     assert _nonzerodivisor(C.ideal).degree() == 2
     assert _rao_route_torsion(C).dims == {0: 4, 1: 6, 2: 5, 3: 2}
+
+
+@pytest.mark.parametrize(
+    "verdict, error, code", [("undecided", Undecided, 4), ("no", OracleMismatch, 2)]
+)
+def test_rao_cross_check_reports_an_exhausted_search_as_undecided(monkeypatch, capsys, verdict, error, code):
+    # an iso search that runs out of trials is Undecided; only a "no" on two
+    # routes that agree in dimensions is a bug
+    monkeypatch.setattr(curve, "is_module_iso", lambda M, N: verdict)
+    C = validate_curve(load_corpus("skew-lines").to_ideal())
+    with pytest.raises(error):
+        C.rao_module()
+    assert main(["invariants", "corpus:skew-lines", "--json"]) == code
+    assert not capsys.readouterr().out
 
 
 def test_rao_module_of_double_lines_reaches_negative_degrees(K, A):

@@ -12,6 +12,7 @@ from spacecurves.gradedmod import (
     GradedMap,
     GradedModule,
     PieceCalculus,
+    _certify_resolution,
     _generator_multiples,
     _minimalize_map,
     _power_hom_dim,
@@ -27,10 +28,9 @@ from spacecurves.gradedmod import (
     torsion_module_data,
     vector_to_element,
 )
-from spacecurves.errors import MixedBase
+from spacecurves.errors import CertificationError, MixedBase
 from spacecurves.files import load_corpus
-from spacecurves.curve import _nonzerodivisor
-from spacecurves.groebner import Ideal, ideal_intersect, ideal_sum
+from spacecurves.groebner import Ideal, _nonzerodivisor, ideal_intersect, ideal_sum
 from spacecurves.polyring import Poly, graded_piece_dim, monomials
 from spacecurves.raoclass import extravertize
 from spacecurves.scalars import BaseRing
@@ -396,10 +396,87 @@ def test_min_generators_matches_monomial_loop(name):
         def piece(n, phi=phi):
             return linalg.kernel_basis(phi.matrix_at(n), base.p)
 
-        got = min_generators(phi.source, piece, cap)
+        def dim(n, phi=phi):
+            return phi.source.piece_dim(n) - phi.rank_at(n)
+
+        got = min_generators(phi.source, piece, dim, cap)
         assert got == _min_generators_by_monomials(phi.source, piece, cap)
         assert got[0] or step  # the ideal always has first syzygies
         phi = GradedMap.from_columns(phi.source, *got)
+
+
+def _min_generators_unskipped(F, piece_fn, cap):
+    # reference: min_generators as it was before it skipped the degrees that
+    # the multiples fill, building every piece and adding every column
+    base = F.base
+    gens = []
+    degs = []
+    for n in range(F.min_degree(), cap + 1):
+        piece = piece_fn(n)
+        if piece.shape[1] == 0:
+            continue
+        span = linalg.Span(base.p)
+        for g, d in zip(gens, degs):
+            for vec in _generator_multiples(F, g, d, n):
+                span.add(vec)
+        if base.dual:
+            span.add_many(linalg.eps_times(piece))
+        for j in span.add_many(piece):
+            gens.append(vector_to_element(F, piece[:, j], n))
+            degs.append(n)
+    return gens, degs
+
+
+def _kernel_and_image_pieces(phi):
+    """(module, piece_fn, dim_fn) for ker(phi) and for im(phi)."""
+    p = phi.base.p
+    return [
+        (phi.source, lambda n: linalg.kernel_basis(phi.matrix_at(n), p),
+         lambda n: phi.source.piece_dim(n) - phi.rank_at(n)),
+        (phi.target, lambda n: linalg.column_basis(phi.matrix_at(n), p), phi.rank_at),
+    ]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_graded_map())
+@seed(13)
+def test_min_generators_skip_matches_the_unskipped_loop(phi):
+    for F, piece, dim in _kernel_and_image_pieces(phi):
+        assert min_generators(F, piece, dim, 6) == _min_generators_unskipped(F, piece, 6)
+
+
+@pytest.mark.parametrize(
+    "name", ["twisted-cubic", "skew-lines", "quartic-from-skew-bilink", "skew-lines-dual", "ci-2-2-dual"]
+)
+def test_min_generators_skip_matches_the_unskipped_loop_on_resolutions(name):
+    RI = GradedModule.quotient_by_ideal(load_corpus(name).to_ideal())
+    cap = RI.regularity() + 4
+    for phi in (RI.presentation, *RI.resolution()):
+        for F, piece, dim in _kernel_and_image_pieces(phi):
+            assert min_generators(F, piece, dim, cap) == _min_generators_unskipped(F, piece, cap)
+
+
+def test_certify_resolution_rejects_a_dropped_generator_and_a_nonzero_composition(K, A):
+    for base in (K, A):
+        RI = GradedModule.quotient_by_ideal(I(base, "X*Z - Y^2", "Y*W - Z^2", "X*W - Y*Z"))
+        maps = RI.resolution()
+        cap = RI.regularity() + 4
+        _certify_resolution(maps, cap)
+        syz = maps[1]
+        keep = list(range(syz.source.rank - 1))
+        dropped = GradedMap(
+            FreeModule(base, [syz.source.twists[j] for j in keep]),
+            syz.target,
+            [[row[j] for j in keep] for row in syz.matrix],
+        )
+        with pytest.raises(CertificationError, match="exactness fails"):
+            _certify_resolution([maps[0], dropped], cap)
+        d = syz.target.twists[0] - syz.source.twists[0]
+        bent = [list(row) for row in syz.matrix]
+        bent[0][0] = bent[0][0] + Poly.parse(f"W^{d}", base)
+        bent = GradedMap(syz.source, syz.target, bent)
+        with pytest.raises(CertificationError, match="nonzero composition"):
+            _certify_resolution([maps[0], bent], cap)
 
 
 # -- quotient-coordinate multiplication against the per-column loops --------

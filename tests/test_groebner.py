@@ -8,8 +8,11 @@ from spacecurves import linalg
 from spacecurves.errors import CertificationError
 from spacecurves.groebner import (
     Ideal,
+    _candidate_forms,
     _raw_divide_exact,
     _raw_elim_first,
+    _saturate,
+    _saturation_certificate,
     ideal_colon,
     ideal_intersect,
     ideal_saturate,
@@ -161,6 +164,11 @@ def test_exact_division_rejects_a_non_factor():
 # -- the pair-selection engine against a plain Buchberger loop -----------
 
 
+def _pairs(basis, key):
+    """The (lead exponent, poly) reducers raw_normal_form takes."""
+    return [(max(g, key=key), g) for g in basis]
+
+
 def _lifo_buchberger(gens, p, key, max_size=40, max_degree=10):
     """Reference: every pair, last in first out, only the coprime-leads
     criterion.  This order blows up on a few inputs of every size tried
@@ -176,7 +184,7 @@ def _lifo_buchberger(gens, p, key, max_size=40, max_degree=10):
         ei, ej = lead(basis[i]), lead(basis[j])
         if all(min(a, b) == 0 for a, b in zip(ei, ej)):
             continue
-        s = raw_normal_form(raw_spoly(basis[i], basis[j], p, key), basis, p, key)
+        s = raw_normal_form(raw_spoly(basis[i], basis[j], p, key), _pairs(basis, key), p, key)
         if s:
             if len(basis) == max_size or max(map(sum, s)) > max_degree:
                 return None
@@ -187,11 +195,12 @@ def _lifo_buchberger(gens, p, key, max_size=40, max_degree=10):
 
 def _assert_reduced_basis(gb, gens, p, key):
     """gb is a reduced monic Groebner basis of an ideal containing gens."""
+    reducers = _pairs(gb, key)
     for f in gens:
-        assert not raw_normal_form(f, gb, p, key)
+        assert not raw_normal_form(f, reducers, p, key)
     # Buchberger's criterion: every S-polynomial reduces to zero
     for f, g in combinations(gb, 2):
-        assert not raw_normal_form(raw_spoly(f, g, p, key), gb, p, key)
+        assert not raw_normal_form(raw_spoly(f, g, p, key), reducers, p, key)
     leads = [max(g, key=key) for g in gb]
     for g, e in zip(gb, leads):
         assert g[e] == 1
@@ -406,3 +415,41 @@ def test_dual_ops_satisfy_their_containments(case):
     )
     inter = ideal_intersect(I, J)
     assert all(I.contains(g) and J.contains(g) for g in inter.gens)
+
+
+# -- the saturation certificate against the iterated colon -----------------
+
+
+@st.composite
+def _saturation_input(draw):
+    """A small ideal over F_p or A at p = 2, 3, 101 or 32003."""
+    base = BaseRing(draw(st.sampled_from((2, 3, 101, 32003))), draw(st.booleans()))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        f = draw(_dual_poly(base, draw(st.integers(1, 2)), 3))
+        gens.append(f if base.dual else Poly(base, {m: (a or 1, 0) for m, (a, _) in f.terms.items()}))
+    return Ideal(base, gens)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(_saturation_input())
+@seed(29)
+def test_saturation_certificate_agrees_with_the_iterated_colon(ideal):
+    # the ideal and the same ideal times m, which is never saturated
+    for case in (ideal, _times_power_of_m(ideal, 1)):
+        sat = _saturate(case)
+        if _saturation_certificate(case):
+            assert sat == case
+        assert ideal_saturate(case) == sat
+
+
+def test_skew_lines_are_certified_by_the_first_candidate_form(K, A):
+    # W vanishes on the line (Z, W), so leads X*W and Y*W carry it; the first
+    # candidate form vanishes on neither line
+    for base in (K, A):
+        skew = ideal_intersect(I(base, "X", "Y"), I(base, "Z", "W"))
+        assert _saturation_certificate(skew) == next(_candidate_forms(base))
+        assert ideal_saturate(skew) == skew
+    twisted_cubic = I(K, "X*Z - Y^2", "Y*W - Z^2", "X*W - Y*Z")
+    assert _saturation_certificate(twisted_cubic) == "W"
+    assert ideal_saturate(twisted_cubic) is twisted_cubic
