@@ -234,127 +234,129 @@ class GradedMap:
             [[f.fiber() for f in row] for row in self.matrix],
         )
 
-    def matrix_at(self, n: int) -> np.ndarray:
-        """The k-linear matrix of the map on degree-n stacked pieces.
+    def cells_at(self, n: int):
+        """(rows, cols, values, shape): the nonzero cells of the k-linear
+        matrix of the map on degree-n stacked pieces, as int arrays.
 
         Column block j holds the images of the monomials of source summand
-        j, written cell by cell from _scatter_cells.  The epsilon columns
-        are e times the fiber columns.  Cached per degree.
+        j.  Each term a*x^e (+ b*e*x^e over A) of entry (i, j) fills, in
+        every column of the block, one cell of row block i: the rows
+        monomial_shift(d, e), d the block's monomial degree, with a in the
+        fiber half and b in the epsilon half.  Distinct terms hit distinct
+        cells.  Over A the epsilon columns are e times the fiber columns:
+        each fiber-half cell again, shifted into the epsilon half of both
+        rows and columns.
         """
-        if n in self._cache:
-            return self._cache[n]
+        p = self.base.p
         dual = self.base.dual
-        Dt = self.target.fiber_dim(n)
+        roffs = np.cumsum([0] + self.target.block_dims(n)).tolist()
+        Dt = roffs[-1]
         src_dims = self.source.block_dims(n)
         Ds = sum(src_dims)
-        width = 2 * Ds if dual else Ds
-        height = 2 * Dt if dual else Dt
-        out = np.zeros((height, width), dtype=np.int64)
+        cells = []  # (rows, value, cols): value at (rows[k], cols[k]) for each k
         col = 0
         for j, dim in enumerate(src_dims):
             if dim:
                 cols = np.arange(col, col + dim)
                 d = n + self.source.twists[j]
-                for rows, value in _scatter_cells(self.target, n, self.column(j), d):
-                    out[rows, cols] = value
+                for i in range(self.target.rank):
+                    for e, (a, b) in self.matrix[i][j].terms.items():
+                        rows = roffs[i] + monomial_shift(d, e)
+                        if a % p:
+                            cells.append((rows, a % p, cols))
+                        if b:
+                            if not dual:
+                                raise MixedBase("epsilon coefficient over a prime field")
+                            if b % p:
+                                cells.append((Dt + rows, b % p, cols))
             col += dim
-        if dual:
-            out[:, Ds:] = linalg.eps_times(out[:, :Ds])
-        self._cache[n] = out
+        if cells:
+            r = np.concatenate([x for x, _, _ in cells])
+            c = np.concatenate([x for _, _, x in cells])
+            values = np.array([x for _, x, _ in cells], dtype=np.int64)
+            v = np.repeat(values, [len(x) for _, _, x in cells])
+        else:
+            r = c = np.zeros(0, dtype=np.intp)
+            v = np.zeros(0, dtype=np.int64)
+        if not dual:
+            return r, c, v, (Dt, Ds)
+        fib = r < Dt
+        return (
+            np.concatenate([r, r[fib] + Dt]),
+            np.concatenate([c, c[fib] + Ds]),
+            np.concatenate([v, v[fib]]),
+            (2 * Dt, 2 * Ds),
+        )
+
+    def matrix_at(self, n: int) -> np.ndarray:
+        """The k-linear matrix of the map on degree-n stacked pieces: the
+        dense view of cells_at(n), built afresh on each call."""
+        r, c, v, shape = self.cells_at(n)
+        out = np.zeros(shape, dtype=np.int64)
+        out[r, c] = v
         return out
 
     def rank_at(self, n: int) -> int:
-        """The rank of matrix_at(n), cached beside it."""
-        key = ("rank", n)
-        if key not in self._cache:
-            self._cache[key] = linalg.rank(self.matrix_at(n), self.base.p)
-        return self._cache[key]
+        """The rank of matrix_at(n), eliminated on rows scattered straight
+        from cells_at(n) and cached per degree.  The cache holds ranks
+        only."""
+        if n not in self._cache:
+            self._cache[n] = len(linalg.cell_pivots(*self.cells_at(n), self.base.p))
+        return self._cache[n]
 
     def __repr__(self):
         rows = ["[" + ", ".join(str(f) for f in row) + "]" for row in self.matrix]
         return f"GradedMap {self.source.twists} -> {self.target.twists}\n" + "\n".join(rows)
 
 
-def _scatter_cells(F: FreeModule, n: int, elem, d: int):
-    """The cells of x^m * elem for the degree-d monomials m (elem has degree
-    n - d), in the stacked coordinates of F's degree-n piece: pairs (rows,
-    value) meaning that the column of the k-th monomial holds value at
-    rows[k].
-
-    Each term a*x^e (+ b*e*x^e over A) of summand i gives the rows
-    monomial_shift(d, e) of row block i, with a in the fiber half and b in
-    the epsilon half.  Distinct terms hit distinct cells.  Values are
-    nonzero residues.
-    """
-    p = F.base.p
-    D = F.fiber_dim(n)
-    roffs = np.cumsum([0] + F.block_dims(n)).tolist()
-    for i, f in enumerate(elem):
-        for e, (a, b) in f.terms.items():
-            rows = roffs[i] + monomial_shift(d, e)
-            if a % p:
-                yield rows, a % p
-            if b:
-                if not F.base.dual:
-                    raise MixedBase("epsilon coefficient over a prime field")
-                if b % p:
-                    yield D + rows, b % p
-
-
-def _generator_multiples(F: FreeModule, g, d: int, n: int) -> list:
-    """The vectors x^m * g for the degree-(n - d) monomials m, where g is a
-    degree-d element of F, as {index: value} dicts: the fiber columns of
-    GradedMap.from_columns(F, [g], [d]).matrix_at(n), without building the
-    map or a dense matrix."""
-    cells = list(_scatter_cells(F, n, g, n - d))
-    values = [v for _, v in cells]
-    rows = np.array([r for r, _ in cells], dtype=np.intp)
-    rows = rows.reshape(len(cells), graded_piece_dim(n - d))
-    return [dict(zip(r, values)) for r in rows.T.tolist()]
-
-
 # -- generator extraction ------------------------------------------------
 
 
-def min_generators(F: FreeModule, piece_fn, dim_fn, cap: int):
-    """Minimal generators of a graded submodule of F described degreewise.
+def min_generators(F: FreeModule, piece_fn, dim_fn, cap: int) -> GradedMap:
+    """Minimal generators of a graded submodule of F described degreewise,
+    as the map onto them from a free module (source twist -n for a degree-n
+    generator), in the order they are found.
 
     piece_fn(n) returns a matrix whose columns span the degree-n piece
     (closed under epsilon over A), in the coordinates of element_to_vector(F,
     ., n): the monomial blocks of F's summands, stacked (fiber; epsilon) over
     A.  dim_fn(n) is the k-dimension of that piece.  An ideal is the rank-1
-    case F = R.  Returns (elements, degrees).
+    case F = R.
 
-    In each degree a Span first takes the monomial multiples of the
-    generators found so far, and e times them over A, one generator at a
-    time (streamed, so only one generator's multiples are held at once).
-    When they fill the piece the degree has no new generator, and the piece
-    is never built.  Otherwise the Span takes e times the piece over A, and
-    the piece columns that still raise the rank are the new generators.
+    known is the map onto the generators found so far.  When its degree-n
+    rank fills the piece the degree has no new generator, and the piece is
+    never built.  Otherwise one elimination of [known's degree-n columns |
+    e * piece (over A) | piece] picks the new generators: the piece columns
+    outside the span of the columns before them, the piece block last.  A
+    grown map keeps known's cached ranks below n, where it has no new
+    column; every other rank is eliminated on the grown map's own cells.
     """
-    base = F.base
-    gens = []
-    degs = []
+    p = F.base.p
+    known = GradedMap.from_columns(F, [], [])
     for n in range(F.min_degree(), cap + 1):
         dim = dim_fn(n)
-        if dim == 0:
-            continue
-        span = linalg.Span(base.p)
-        half = F.fiber_dim(n)
-        for g, d in zip(gens, degs):
-            for vec in _generator_multiples(F, g, d, n):
-                if base.dual:  # before add consumes vec
-                    span.add({i + half: v for i, v in vec.items() if i < half})
-                span.add(vec)
-        if len(span.rows) == dim:
+        if dim == 0 or known.rank_at(n) == dim:
             continue
         piece = piece_fn(n)
-        if base.dual:
-            span.add_many(linalg.eps_times(piece))
-        for j in span.add_many(piece):
-            gens.append(vector_to_element(F, piece[:, j], n))
-            degs.append(n)
-    return gens, degs
+        blocks = np.concatenate([linalg.eps_times(piece), piece], axis=1) if F.base.dual else piece
+        blocks = blocks % p
+        r, c, v, (height, width) = known.cells_at(n)
+        br, bc = np.nonzero(blocks)
+        start = width + blocks.shape[1] - piece.shape[1]
+        pivots = linalg.cell_pivots(
+            np.concatenate([r, br]),
+            np.concatenate([c, bc + width]),
+            np.concatenate([v, blocks[br, bc]]),
+            (height, width + blocks.shape[1]),
+            p,
+        )
+        new = [vector_to_element(F, piece[:, j - start], n) for j in pivots if j >= start]
+        cols = [known.column(j) for j in range(known.source.rank)] + new
+        degs = [-t for t in known.source.twists] + [n] * len(new)
+        grown = GradedMap.from_columns(F, cols, degs)
+        grown._cache.update((m, rk) for m, rk in known._cache.items() if m < n)
+        known = grown
+    return known
 
 
 def kernel_min_gens(phi: GradedMap, cap: int) -> GradedMap:
@@ -366,8 +368,7 @@ def kernel_min_gens(phi: GradedMap, cap: int) -> GradedMap:
     def dim(n):
         return phi.source.piece_dim(n) - phi.rank_at(n)
 
-    gens, degs = min_generators(phi.source, piece, dim, cap)
-    return GradedMap.from_columns(phi.source, gens, degs)
+    return min_generators(phi.source, piece, dim, cap)
 
 
 def image_min_gens(phi: GradedMap, cap: int) -> GradedMap:
@@ -377,8 +378,7 @@ def image_min_gens(phi: GradedMap, cap: int) -> GradedMap:
     def piece(n):
         return linalg.column_basis(phi.matrix_at(n), p)
 
-    gens, degs = min_generators(phi.target, piece, phi.rank_at, cap)
-    return GradedMap.from_columns(phi.target, gens, degs)
+    return min_generators(phi.target, piece, phi.rank_at, cap)
 
 
 # -- graded modules ------------------------------------------------------
@@ -536,15 +536,6 @@ class GradedModule:
             self._cache[key] = best
         return self._cache[key]
 
-    def betti_twists(self):
-        """Twists of the minimal fiber resolution, one tuple per step."""
-        maps = self.tensor_residue_field().resolution()
-        out = [tuple(sorted(maps[0].target.twists))]
-        for m in maps:
-            if m.source.rank:
-                out.append(tuple(sorted(m.source.twists)))
-        return out
-
     def projective_dimension(self):
         """(module pd, sheaf dp): sheaf dp is the largest i > 0 with
         Ext^i(M, R) of infinite length (0 when none)."""
@@ -562,11 +553,32 @@ class GradedModule:
         return (pd, dp)
 
     def is_finite_length(self) -> bool:
+        """Whether the module has finite length, decided from its pieces
+        where they show it.
+
+        Let g be the top generator degree.  A zero piece M_n with n >= g
+        proves finite length, since then M_{n+1} = R_1 * M_n = 0, and the
+        top nonzero degree is the regularity (Eisenbud, The Geometry of
+        Syzygies, Cor. 4.18; over A the fiber has the same nonzero degrees,
+        by Nakayama).  It is cached for a nonzero module only: regularity()
+        of the zero module is 0.  The scan looks at the eight degrees g ..
+        g + 7, which holds the first zero piece of the Ext^3 of five skew
+        lines over F_2, three degrees past its generators.  With no zero
+        piece there the resolution decides: finite length exactly when the
+        three pieces past the regularity are zero.
+        """
+        g = max((-t for t in self.F0.twists), default=None)
+        if g is None:
+            return True
+        for n in range(g, g + 8):
+            if not self.piece_dim(n):
+                lo = self.min_degree()
+                top = next((m for m in range(n - 1, lo - 1, -1) if self.piece_dim(m)), None)
+                if top is not None:
+                    self._cache["reg"] = top
+                return True
         reg = self.regularity()
-        if any(self.piece_dim(n) for n in range(reg + 1, reg + 4)):
-            return False
-        # finitely generated with eventually-zero Hilbert function
-        return True
+        return not any(self.piece_dim(n) for n in range(reg + 1, reg + 4))
 
     def kpolynomial(self) -> dict:
         """Signed twist counts of the fiber resolution: determines the
@@ -780,11 +792,13 @@ def hom_space(M: GradedModule, N: GradedModule, d: int = 0):
     if not slots:
         return []
     rows = []
+    projs = {}  # degree -> rows annihilating im(psi) in G0, built once
     for a in range(phi.source.rank):
         col = phi.column(a)
         deg = -phi.source.twists[a]
-        # rows annihilating im(psi) in G0 at degree `deg`
-        proj = linalg.annihilator(psi.matrix_at(deg), p)
+        if deg not in projs:
+            projs[deg] = linalg.annihilator(psi.matrix_at(deg), p)
+        proj = projs[deg]
         if proj.shape[0] == 0:
             continue
         block = np.zeros((proj.shape[0], len(slots)), dtype=np.int64)
@@ -865,10 +879,12 @@ def find_module_iso(M: GradedModule, N: GradedModule, trials: int = 32, seed: in
     """(kind, witness): kind is 'yes' / 'no' / 'undecided'.
 
     'no' is certified by a Hilbert-function or K-polynomial mismatch, or by
-    an empty hom space.  'yes' is certified by an exhibited degree-0 hom, the
-    witness, that is surjective degreewise up to the generation bound;
-    combined with equal Hilbert functions in every degree this forces an
-    isomorphism.  The witness is None unless a hom was exhibited.
+    an empty hom space; over a field, two finite-length modules compare
+    their pieces in place of their K-polynomials.  'yes' is certified by an
+    exhibited degree-0 hom, the witness, that is surjective degreewise up to
+    the generation bound; combined with equal Hilbert functions in every
+    degree this forces an isomorphism.  The witness is None unless a hom was
+    exhibited.
     """
     if M.base != N.base:
         raise MixedBase("iso test across base rings")
@@ -876,7 +892,14 @@ def find_module_iso(M: GradedModule, N: GradedModule, trials: int = 32, seed: in
     Nm = N.minimal_presentation()
     if Mm.F0.rank == 0 and Nm.F0.rank == 0:
         return "yes", None
-    if Mm.kpolynomial() != Nm.kpolynomial():
+    if not M.base.dual and Mm.is_finite_length() and Nm.is_finite_length():
+        # equal pieces in every degree: the same statement as equal
+        # K-polynomials, with no resolution
+        lo = min(Mm.min_degree(), Nm.min_degree())
+        hi = max(Mm.regularity(), Nm.regularity())
+        if any(Mm.piece_dim(n) != Nm.piece_dim(n) for n in range(lo, hi + 1)):
+            return "no", None
+    elif Mm.kpolynomial() != Nm.kpolynomial():
         return "no", None
     if M.base.dual:
         lo = min(Mm.min_degree(), Nm.min_degree())

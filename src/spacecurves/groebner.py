@@ -77,26 +77,62 @@ def _raw_add_scaled(f, g, c, shift, p):
     return out
 
 
+class _Descending:
+    """A heap entry for an exponent: the largest key pops first."""
+
+    __slots__ = ("k", "e")
+
+    def __init__(self, e, key):
+        self.k = key(e)
+        self.e = e
+
+    def __lt__(self, other):
+        return self.k > other.k
+
+
 def raw_normal_form(f, reducers, p, key=grevlex_key):
     """Full normal form of f by the (lead exponent, poly) pairs in reducers,
-    tried in order: no term of the result is divisible by a lead."""
+    tried in order: no term of the result is divisible by a lead.
+
+    The remainder's exponents wait in a heap on the order key.  A reduction
+    step adds only terms below the lead it cancels, so the largest exponent
+    still in the remainder is its lead; an exponent that cancelled stays in
+    the heap and is skipped when it comes up.
+    """
     f = dict(f)
+    heap = [_Descending(e, key) for e in f]
+    heapq.heapify(heap)
     out = {}
-    while f:
-        e, c = _lead(f, key)
-        hit = None
+    while heap:
+        e = heapq.heappop(heap).e
+        c = f.pop(e, None)
+        if c is None:
+            continue
         for le, g in reducers:
             if _divides(le, e):
-                hit = (le, g)
                 break
-        if hit is None:
+        else:
             out[e] = c
-            del f[e]
             continue
-        le, g = hit
-        lc = g[le]
-        factor = (-c * pow(lc, p - 2, p)) % p
-        f = _raw_add_scaled(f, g, factor, _quot(e, le), p)
+        factor = (-c * pow(g[le], p - 2, p)) % p
+        shift = _quot(e, le)
+        # the lead term of g cancels c, which is already popped
+        for m, a in g.items():
+            if m == le:
+                continue
+            em = tuple(x + y for x, y in zip(m, shift))
+            v = f.get(em)
+            if v is None:
+                v = factor * a % p
+                if v:
+                    f[em] = v
+                    heapq.heappush(heap, _Descending(em, key))
+            else:
+                v = (v + factor * a) % p
+                if v:
+                    f[em] = v
+                else:
+                    del f[em]
     return out
 
 
@@ -309,8 +345,8 @@ class Ideal:
     def generator_map(self) -> GradedMap:
         """R(-d_1) + ... + R(-d_k) -> R sending e_i to the generator g_i.
 
-        Built afresh on each call: its matrix_at cache would otherwise live
-        as long as the ideal.
+        Built afresh on each call: its rank cache would otherwise live as
+        long as the ideal.
         """
         F = FreeModule(self.base, [-g.degree() for g in self.gens])
         return GradedMap(F, FreeModule(self.base, [0]), [list(self.gens)])
@@ -463,10 +499,10 @@ def _with_min_generators(exact: Ideal, form, inside: Ideal = None) -> Ideal:
     base = exact.base
     gmap = exact.generator_map()
     top = max((g.degree() for g in exact.gens), default=0)
-    gens, _ = min_generators(
+    gens = min_generators(
         FreeModule(base, [0]), lambda n: form(gmap.matrix_at(n), base.p), gmap.rank_at, top
     )
-    out = Ideal(base, [g[0] for g in gens])
+    out = Ideal(base, list(gens.matrix[0]))
     if out != exact:
         raise CertificationError("the minimal generators span a different ideal")
     out._nzd = exact._nzd

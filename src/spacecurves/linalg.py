@@ -54,30 +54,31 @@ def _sparse_rows(mat: np.ndarray, p: int) -> list:
     if not vals.all():
         keep = vals.nonzero()[0]
         r, c, vals = r[keep], c[keep], vals[keep]
-    out = [{} for _ in range(mat.shape[0])]
-    if r.size:
-        # r is sorted: one run of (c, vals) per nonempty row
-        starts = [0] + (np.flatnonzero(r[1:] != r[:-1]) + 1).tolist()
-        ends = starts[1:] + [r.size]
-        cols, vals = c.tolist(), vals.tolist()
-        for i, s, e in zip(r[starts].tolist(), starts, ends):
-            out[i] = dict(zip(cols[s:e], vals[s:e]))
+    return _cell_rows(r, c, vals, mat.shape[0])
+
+
+def _cell_rows(r: np.ndarray, c: np.ndarray, vals: np.ndarray, nrows: int) -> list:
+    """nrows {column: value} rows holding vals[k] at (r[k], c[k]): distinct
+    cells, nonzero residues."""
+    out = [{} for _ in range(nrows)]
+    for i, j, v in zip(r.tolist(), c.tolist(), vals.tolist()):
+        out[i][j] = v
     return out
 
 
-def _eliminate(mat: np.ndarray, p: int, full: bool) -> list:
-    """Sparse Gaussian elimination mod p: [(pivot column, row)] in column
-    order, each row a {column: value} dict that is 1 at its pivot.
+def _eliminate(rows: list, ncols: int, p: int, full: bool) -> list:
+    """Sparse Gaussian elimination mod p of {column: value} rows, which it
+    consumes: [(pivot column, row)] in column order, each row 1 at its
+    pivot.
 
     Columns are taken in order, and the pivot is the sparsest live row (one
     not yet a pivot) that hits the column; the pivot column is cleared from
-    the other live rows, which is enough for the rank.  With full, each
-    pivot row is then cleared at the later pivot columns, last row first,
-    so the rows come out as the reduced row echelon form, which is unique
-    whatever the pivot rows were.
+    the other live rows, which is enough for the rank.  So the pivot columns
+    are exactly the columns outside the span of the columns before them,
+    whatever the pivot rows.  With full, each pivot row is then cleared at
+    the later pivot columns, last row first, so the rows come out as the
+    reduced row echelon form, which is unique whatever the pivot rows were.
     """
-    rows = _sparse_rows(mat, p)
-    ncols = mat.shape[1]
     hits = [set() for _ in range(ncols)]  # column -> live rows with a nonzero there
     for r, row in enumerate(rows):
         for c in row:
@@ -136,7 +137,7 @@ def _eliminate(mat: np.ndarray, p: int, full: bool) -> list:
 
 def rref(mat: np.ndarray, p: int):
     """Row-reduce mat mod p.  Returns (reduced, pivot_columns)."""
-    pivots = _eliminate(mat, p, True)
+    pivots = _eliminate(_sparse_rows(mat, p), mat.shape[1], p, True)
     out = zeros(len(pivots), mat.shape[1])
     ri, ci, vi = [], [], []
     for i, (_, row) in enumerate(pivots):
@@ -149,7 +150,16 @@ def rref(mat: np.ndarray, p: int):
 
 def rank(mat: np.ndarray, p: int) -> int:
     """Rank mod p by forward elimination (no back substitution)."""
-    return len(_eliminate(mat, p, False))
+    return len(_eliminate(_sparse_rows(mat, p), mat.shape[1], p, False))
+
+
+def cell_pivots(r: np.ndarray, c: np.ndarray, vals: np.ndarray, shape, p: int) -> list:
+    """The pivot columns of the matrix of the given shape whose nonzero
+    cells hold vals[k] at (r[k], c[k]) (distinct cells, nonzero residues):
+    in order, the columns outside the span of the columns before them.  One
+    forward elimination on rows scattered from the cells, with no dense
+    matrix; the rank is their number."""
+    return [col for col, _ in _eliminate(_cell_rows(r, c, vals, shape[0]), shape[1], p, False)]
 
 
 class Span:

@@ -203,13 +203,6 @@ class Poly:
 
     # -- structure ----------------------------------------------------
 
-    def homogeneous_components(self):
-        """[(degree, component)] with nonzero components, ascending degree."""
-        buckets = {}
-        for e, c in self.terms.items():
-            buckets.setdefault(exp_degree(e), {})[e] = c
-        return [(d, Poly(self.base, t)) for d, t in sorted(buckets.items())]
-
     def coefficient(self, e: Exp) -> tuple:
         return self.terms.get(tuple(e), (0, 0))
 

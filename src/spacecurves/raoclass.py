@@ -52,19 +52,21 @@ from .scalars import BaseRing
 
 
 def _lift_columns(phi: GradedMap, X: GradedMap, msg: str) -> GradedMap:
-    """A map Y with phi o Y = X, lifted one column of X at a time: a zero
-    column lifts to zero, and a column with no preimage raises
-    CertificationError(msg)."""
-    cols = []
+    """A map Y with phi o Y = X, lifted one degree of X's columns at a time
+    against one matrix of phi: a zero column lifts to zero, and a column with
+    no preimage raises CertificationError(msg)."""
+    cols = [phi.source.zero_element()] * X.source.rank
+    by_degree = {}
     for j in range(X.source.rank):
-        col = X.column(j)
-        if all(f.is_zero() for f in col):
-            cols.append(phi.source.zero_element())
-            continue
-        lift = phi.preimage(col, -X.source.twists[j])
-        if lift is None:
+        if any(not f.is_zero() for f in X.column(j)):
+            by_degree.setdefault(-X.source.twists[j], []).append(j)
+    for n, js in by_degree.items():
+        rhs = np.array([element_to_vector(phi.target, X.column(j), n) for j in js]).T
+        sol = linalg.solve(phi.matrix_at(n), rhs, phi.base.p)
+        if sol is None:
             raise CertificationError(msg)
-        cols.append(lift)
+        for k, j in enumerate(js):
+            cols[j] = vector_to_element(phi.source, sol[:, k], n)
     return GradedMap.from_columns(phi.source, cols, [-t for t in X.source.twists])
 
 

@@ -153,7 +153,7 @@ def test_rao_route_retries_past_a_zero_divisor(K):
         assert C.rao_module().dims() == rao
 
 
-def test_rao_route_over_f2_where_every_linear_form_is_a_zero_divisor(monkeypatch):
+def _five_skew_lines_over_f2():
     # five pairwise skew lines over F_2 whose linear forms partition the 15
     # nonzero forms of F_2^4: each linear form vanishes on one line
     K2 = BaseRing(2, False)
@@ -161,6 +161,11 @@ def test_rao_route_over_f2_where_every_linear_form_is_a_zero_divisor(monkeypatch
     ideal = I(K2, *lines[0])
     for line in lines[1:]:
         ideal = ideal_intersect(ideal, I(K2, *line))
+    return ideal
+
+
+def test_rao_route_over_f2_where_every_linear_form_is_a_zero_divisor(monkeypatch):
+    ideal = _five_skew_lines_over_f2()
     # neither W nor the first candidate form certifies saturation: validation
     # falls back to the iterated colon
     calls = _count_saturations(monkeypatch)
@@ -170,6 +175,21 @@ def test_rao_route_over_f2_where_every_linear_form_is_a_zero_divisor(monkeypatch
     assert C.degree_genus() == (5, -4)
     assert _nonzerodivisor(C.ideal).degree() == 2
     assert _rao_route_torsion(C).dims == {0: 4, 1: 6, 2: 5, 3: 2}
+
+
+def test_validate_over_f2_decides_finite_length_without_resolving_ext(monkeypatch):
+    # Ext^3 of the five F_2 lines has a zero piece three degrees past its
+    # generators, so validation resolves R/I and nothing else
+    ideal = _five_skew_lines_over_f2()
+    resolved = []
+    real = gradedmod._resolve
+    monkeypatch.setattr(gradedmod, "_resolve", lambda phi: resolved.append(phi) or real(phi))
+    C = validate_curve(ideal)
+    assert len(resolved) == 1 and resolved[0].target.twists == (0,)
+    E3 = gradedmod.ext_module(C._ri(), 3)
+    assert E3._cache["reg"] == -4
+    monkeypatch.undo()
+    assert E3.regularity() == gradedmod.GradedModule(E3.presentation).regularity()
 
 
 @pytest.mark.parametrize(

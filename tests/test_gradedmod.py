@@ -13,7 +13,6 @@ from spacecurves.gradedmod import (
     GradedModule,
     PieceCalculus,
     _certify_resolution,
-    _generator_multiples,
     _minimalize_map,
     _power_hom_dim,
     _power_ideal_module,
@@ -40,9 +39,19 @@ def I(base, *texts):
     return Ideal(base, [Poly.parse(t, base) for t in texts])
 
 
+def _betti_twists(M):
+    """Twists of the minimal fiber resolution, one tuple per step."""
+    maps = M.tensor_residue_field().resolution()
+    out = [tuple(sorted(maps[0].target.twists))]
+    for m in maps:
+        if m.source.rank:
+            out.append(tuple(sorted(m.source.twists)))
+    return out
+
+
 def test_koszul_resolution_of_complete_intersection(K):
     RI = GradedModule.quotient_by_ideal(I(K, "X*Z", "Y*W"))
-    assert RI.betti_twists() == [(0,), (-2, -2), (-4,)]
+    assert _betti_twists(RI) == [(0,), (-2, -2), (-4,)]
     assert RI.regularity() == 2
     assert RI.projective_dimension()[0] == 2
 
@@ -161,7 +170,7 @@ def test_dual_base_free_piece_dims(A):
 
 def test_resolution_certifies_over_dual_base(A):
     RI = GradedModule.quotient_by_ideal(I(A, "X*Z", "Y*W"))
-    assert RI.betti_twists() == [(0,), (-2, -2), (-4,)]
+    assert _betti_twists(RI) == [(0,), (-2, -2), (-4,)]
 
 
 def _minimalize_untracked(phi):
@@ -289,7 +298,7 @@ def _matrix_at_by_columns(phi, n):
     return out % p
 
 
-PRIMES = (2, 101, 32003, 2**31 - 1)
+PRIMES = (2, 3, 101, 32003, 2**31 - 1)
 
 
 @st.composite
@@ -336,8 +345,27 @@ def test_matrix_at_rejects_eps_over_a_prime_field(phi):
         except MixedBase:
             with pytest.raises(MixedBase):
                 phi.matrix_at(n)
+            with pytest.raises(MixedBase):
+                phi.rank_at(n)
         else:
             assert (phi.matrix_at(n) == want).all(), n
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_graded_map())
+@seed(19)
+def test_rank_at_eliminates_the_nonzeros_of_matrix_at(phi):
+    # the rows rank_at scatters from the cells are the dense matrix's
+    # nonzeros, and its cache holds exactly the ranks it computed
+    p = phi.base.p
+    for n in range(-2, 6):
+        r, c, v, shape = phi.cells_at(n)
+        dense = phi.matrix_at(n)
+        assert shape == dense.shape
+        assert linalg._cell_rows(r, c, v, shape[0]) == linalg._sparse_rows(dense, p), n
+        assert phi.rank_at(n) == linalg.rank(dense, p), n
+    assert sorted(phi._cache) == list(range(-2, 6))
+    assert all(type(rk) is int for rk in phi._cache.values())
 
 
 def _min_generators_by_monomials(F, piece_fn, cap):
@@ -364,12 +392,23 @@ def _min_generators_by_monomials(F, piece_fn, cap):
     return gens, degs
 
 
+def _generator_multiples(F, g, d, n):
+    # reference: the vectors x^m * g for the degree-(n - d) monomials m, g a
+    # degree-d element of F, as {index: value} dicts, one generator at a
+    # time as the Span loop of min_generators took them
+    out = []
+    for m in monomials(n - d):
+        vec = element_to_vector(F, tuple(f.mul_monomial(m) for f in g), n)
+        out.append({i: int(x) % F.base.p for i, x in enumerate(vec) if x % F.base.p})
+    return out
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(_graded_map())
 @seed(11)
 def test_generator_multiples_match_a_one_column_map(phi):
-    # min_generators' scatter against the construction it replaced: the
-    # fiber columns of a one-column GradedMap's matrix_at
+    # the Span loops' multiples against the fiber columns of a one-column
+    # GradedMap's matrix_at
     F = phi.target
     for j, u in enumerate(phi.source.twists):
         g, d = phi.column(j), -u
@@ -399,10 +438,43 @@ def test_min_generators_matches_monomial_loop(name):
         def dim(n, phi=phi):
             return phi.source.piece_dim(n) - phi.rank_at(n)
 
-        got = min_generators(phi.source, piece, dim, cap)
-        assert got == _min_generators_by_monomials(phi.source, piece, cap)
-        assert got[0] or step  # the ideal always has first syzygies
-        phi = GradedMap.from_columns(phi.source, *got)
+        phi = min_generators(phi.source, piece, dim, cap)
+        assert _gens_and_degs(phi) == _min_generators_by_monomials(phi.target, piece, cap)
+        assert phi.source.rank or step  # the ideal always has first syzygies
+
+
+def _gens_and_degs(gmap):
+    """(generators, degrees) of the map min_generators returns."""
+    return [gmap.column(j) for j in range(gmap.source.rank)], [-t for t in gmap.source.twists]
+
+
+def _min_generators_by_span(F, piece_fn, dim_fn, cap):
+    # reference: min_generators as it was before it ranked the generator map,
+    # pushing every monomial multiple of every generator through a Span and
+    # building the piece only where they do not fill it
+    base = F.base
+    gens = []
+    degs = []
+    for n in range(F.min_degree(), cap + 1):
+        dim = dim_fn(n)
+        if dim == 0:
+            continue
+        span = linalg.Span(base.p)
+        half = F.fiber_dim(n)
+        for g, d in zip(gens, degs):
+            for vec in _generator_multiples(F, g, d, n):
+                if base.dual:  # before add consumes vec
+                    span.add({i + half: v for i, v in vec.items() if i < half})
+                span.add(vec)
+        if len(span.rows) == dim:
+            continue
+        piece = piece_fn(n)
+        if base.dual:
+            span.add_many(linalg.eps_times(piece))
+        for j in span.add_many(piece):
+            gens.append(vector_to_element(F, piece[:, j], n))
+            degs.append(n)
+    return gens, degs
 
 
 def _min_generators_unskipped(F, piece_fn, cap):
@@ -442,7 +514,21 @@ def _kernel_and_image_pieces(phi):
 @seed(13)
 def test_min_generators_skip_matches_the_unskipped_loop(phi):
     for F, piece, dim in _kernel_and_image_pieces(phi):
-        assert min_generators(F, piece, dim, 6) == _min_generators_unskipped(F, piece, 6)
+        assert _gens_and_degs(min_generators(F, piece, dim, 6)) == _min_generators_unskipped(F, piece, 6)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_graded_map())
+@seed(23)
+def test_min_generators_matches_the_span_loop(phi):
+    # the same generators as the Span loop, and every rank the returned map
+    # caches is the rank of its own matrix
+    p = phi.base.p
+    for F, piece, dim in _kernel_and_image_pieces(phi):
+        got = min_generators(F, piece, dim, 6)
+        assert _gens_and_degs(got) == _min_generators_by_span(F, piece, dim, 6)
+        for n, rk in got._cache.items():
+            assert rk == linalg.rank(got.matrix_at(n), p), n
 
 
 @pytest.mark.parametrize(
@@ -453,7 +539,40 @@ def test_min_generators_skip_matches_the_unskipped_loop_on_resolutions(name):
     cap = RI.regularity() + 4
     for phi in (RI.presentation, *RI.resolution()):
         for F, piece, dim in _kernel_and_image_pieces(phi):
-            assert min_generators(F, piece, dim, cap) == _min_generators_unskipped(F, piece, cap)
+            got = min_generators(F, piece, dim, cap)
+            assert _gens_and_degs(got) == _min_generators_unskipped(F, piece, cap)
+            assert _gens_and_degs(got) == _min_generators_by_span(F, piece, dim, cap)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 32003, 2**31 - 1])
+@pytest.mark.parametrize(
+    "name", ["twisted-cubic", "skew-lines", "quartic-from-skew-bilink", "skew-lines-dual", "ci-2-2-dual"]
+)
+def test_resolution_ranks_are_the_ranks_of_the_maps_own_matrices(name, p):
+    # every rank cached on a certified resolution, inherited from a smaller
+    # generator map or not, is the rank of that map's matrix computed afresh
+    dual = load_corpus(name).to_ideal().base.dual
+    base = BaseRing(p, dual)
+    RI = GradedModule.quotient_by_ideal(_curve_ideal(name, base))
+    maps = RI.resolution()
+    assert all(m._cache for m in maps)
+    for m in maps:
+        for n, rk in m._cache.items():
+            assert type(rk) is int and rk == linalg.rank(m.matrix_at(n), p), (n, rk)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 32003, 2**31 - 1])
+@pytest.mark.parametrize(
+    "name", ["twisted-cubic", "skew-lines", "quartic-from-skew-bilink", "skew-lines-dual", "ci-2-2-dual"]
+)
+def test_min_generators_matches_the_span_loop_on_resolutions(name, p):
+    dual = load_corpus(name).to_ideal().base.dual
+    RI = GradedModule.quotient_by_ideal(_curve_ideal(name, BaseRing(p, dual)))
+    cap = RI.regularity() + 4
+    for phi in (RI.presentation, *RI.resolution()):
+        for F, piece, dim in _kernel_and_image_pieces(phi):
+            got = min_generators(F, piece, dim, cap)
+            assert _gens_and_degs(got) == _min_generators_by_span(F, piece, dim, cap)
 
 
 def test_certify_resolution_rejects_a_dropped_generator_and_a_nonzero_composition(K, A):
@@ -633,3 +752,77 @@ def test_torsion_reader_matches_column_reference(name, p):
             ref = _torsion_dims_by_columns(Q, 0, top + 1)
             assert data.dims == {n: d for n, d in ref.items() if d}, (dual, t)
             assert data.dims, (dual, t)
+
+
+# -- finite length from the pieces ---------------------------------------------
+
+
+def _is_finite_length_by_regularity(M):
+    # reference: is_finite_length as it was, from the resolution alone
+    reg = M.regularity()
+    return not any(M.piece_dim(n) for n in range(reg + 1, reg + 4))
+
+
+@st.composite
+def _finite_length_module(draw):
+    """A random finite-length module presented by finite_data_to_module:
+    the data of R/J for J = (X^a, Y^b, Z^c, W^d) plus up to two quadrics,
+    shifted."""
+    p = draw(st.sampled_from((2, 3, 101)))
+    base = BaseRing(p, draw(st.booleans()))
+    powers = draw(st.lists(st.integers(1, 3), min_size=4, max_size=4))
+    gens = [Poly.monomial(base, tuple(a if v == i else 0 for v in range(4))) for i, a in enumerate(powers)]
+    for _ in range(draw(st.integers(0, 2))):
+        support = draw(st.lists(st.sampled_from(monomials(2)), min_size=1, max_size=3, unique=True))
+        terms = {}
+        for m in support:
+            a = draw(st.integers(0, p - 1))
+            b = draw(st.integers(0, p - 1)) if base.dual else 0
+            terms[m] = (a, b) if (a, b) != (0, 0) else (1, 0)
+        gens.append(Poly(base, terms))
+    RJ = GradedModule.quotient_by_ideal(Ideal(base, gens))
+    data = torsion_module_data(RJ, sum(powers) - 4)
+    return finite_data_to_module(data.shift(draw(st.integers(-3, 3))))
+
+
+def _assert_scan_agrees(M):
+    # fresh modules on the same presentation: one answers by the old test,
+    # one gives the regularity from its resolution
+    ref, fresh = GradedModule(M.presentation), GradedModule(M.presentation)
+    got = M.is_finite_length()
+    assert got == _is_finite_length_by_regularity(ref)
+    assert M.regularity() == fresh.regularity()
+    return got
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(_finite_length_module())
+@seed(29)
+def test_finite_length_scan_agrees_with_the_resolution_test(M):
+    assert _assert_scan_agrees(M)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+@pytest.mark.parametrize("name", ["twisted-cubic", "skew-lines", "skew-lines-dual"])
+def test_finite_length_scan_agrees_on_ideal_modules(name, p):
+    base = BaseRing(p, load_corpus(name).to_ideal().base.dual)
+    RI = GradedModule.quotient_by_ideal(_curve_ideal(name, base))
+    for M in (RI, RI.syzygy_module(1)):
+        assert not _assert_scan_agrees(GradedModule(M.presentation))
+    # finite length for a curve; these ideals reduced mod p need not be one
+    _assert_scan_agrees(GradedModule(ext_module(RI, 3).presentation))
+
+
+def test_iso_precheck_compares_pieces_of_finite_length_modules(K, monkeypatch):
+    # over a field, modules of finite length that differ in one degree are
+    # told apart by their pieces, with no resolution and no hom search
+    M = GradedModule.quotient_by_ideal(I(K, "X", "Y", "Z", "W^3"))
+    N = GradedModule.quotient_by_ideal(I(K, "X", "Y", "Z", "W^2"))
+    assert M.hilbert_function(0, 1) == N.hilbert_function(0, 1)
+
+    def forbidden(*args):
+        raise AssertionError("the pre-check should decide")
+
+    monkeypatch.setattr("spacecurves.gradedmod.hom_space", forbidden)
+    monkeypatch.setattr(GradedModule, "resolution", forbidden)
+    assert is_module_iso(M, N) == "no"

@@ -9,6 +9,8 @@ from spacecurves.errors import CertificationError
 from spacecurves.groebner import (
     Ideal,
     _candidate_forms,
+    _dual_elim_first,
+    _dual_key,
     _raw_divide_exact,
     _raw_elim_first,
     _saturate,
@@ -212,6 +214,63 @@ def _assert_reduced_basis(gb, gens, p, key):
 PRIMES = (2, 101, 32003, 2**31 - 1)
 
 
+def _raw_normal_form_by_max(f, reducers, p, key):
+    # reference: raw_normal_form as it was, taking the remainder's lead by a
+    # max over all of its terms at each step
+    f = dict(f)
+    out = {}
+    while f:
+        e = max(f, key=key)
+        c = f[e]
+        hit = None
+        for le, g in reducers:
+            if all(a <= b for a, b in zip(le, e)):
+                hit = (le, g)
+                break
+        if hit is None:
+            out[e] = c
+            del f[e]
+            continue
+        le, g = hit
+        factor = (-c * pow(g[le], p - 2, p)) % p
+        shift = tuple(b - a for a, b in zip(le, e))
+        for m, a in g.items():
+            em = tuple(x + y for x, y in zip(m, shift))
+            v = (f.get(em, 0) + factor * a) % p
+            if v:
+                f[em] = v
+            else:
+                f.pop(em, None)
+    return out
+
+
+# both orders of each raw ring: (key, arity)
+ORDERS = ((grevlex_key, 4), (_raw_elim_first, 5), (_dual_key, 5), (_dual_elim_first, 6))
+
+
+@st.composite
+def _normal_form_case(draw):
+    p = draw(st.sampled_from(PRIMES))
+    key, arity = draw(st.sampled_from(ORDERS))
+    exps = st.tuples(*[st.integers(0, 2)] * arity)
+
+    def poly(min_size, max_size):
+        support = draw(st.lists(exps, min_size=min_size, max_size=max_size, unique=True))
+        return {e: draw(st.integers(1, p - 1)) for e in support}
+
+    gs = [poly(1, 4) for _ in range(draw(st.integers(1, 4)))]
+    return p, key, poly(0, 10), [(max(g, key=key), g) for g in gs]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_normal_form_case())
+@seed(17)
+def test_normal_form_heap_matches_the_max_loop(case):
+    p, key, f, reducers = case
+    assert raw_normal_form(f, reducers, p, key) == _raw_normal_form_by_max(f, reducers, p, key)
+
+
+
 @st.composite
 def _homogeneous(draw, p, max_degree=3, max_terms=4):
     support = draw(
@@ -309,11 +368,19 @@ def _piece_matrix_ref(ideal, n):
     return red.T[:, : len(pivots)] if pivots else np.zeros((2 * dim, 0), dtype=np.int64)
 
 
+def _homogeneous_components(f):
+    """[(degree, component)] with nonzero components, ascending degree."""
+    buckets = {}
+    for e, c in f.terms.items():
+        buckets.setdefault(sum(e), {})[e] = c
+    return [(d, Poly(f.base, t)) for d, t in sorted(buckets.items())]
+
+
 def _contains_ref(ideal, f):
     return all(
         linalg.solve(_piece_matrix_ref(ideal, d), _poly_to_vector(comp, d), ideal.base.p)
         is not None
-        for d, comp in f.homogeneous_components()
+        for d, comp in _homogeneous_components(f)
     )
 
 

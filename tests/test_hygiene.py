@@ -1,8 +1,8 @@
 """Static checks over the package source: no unused imports, no private
 module-level function that nothing references, no method that nothing in
 the package or its tests references, and no function-local import that could
-be a top-level one.  One run-time check: what a curve caches forms no
-reference cycle."""
+be a top-level one.  Two run-time checks: what a curve caches forms no
+reference cycle, and no map it reaches caches a dense matrix."""
 
 import ast
 import gc
@@ -10,8 +10,11 @@ import weakref
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 from spacecurves.curve import validate_curve
 from spacecurves.files import load_corpus
+from spacecurves.gradedmod import GradedMap
 from spacecurves.liaison import check_elementary_biliaison
 from spacecurves.raoclass import (
     biliaison_equivalent,
@@ -157,3 +160,28 @@ def test_curve_caches_form_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _reachable(roots):
+    """Every object reachable from roots through gc referents."""
+    seen, todo = {}, list(roots)
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in seen:
+            seen[id(obj)] = obj
+            todo.extend(gc.get_referents(obj))
+    return seen.values()
+
+
+def test_maps_cache_ranks_not_matrices():
+    # a map's cache holds one int per degree; a dense matrix_at cached on a
+    # resolution map would hold megabytes for as long as the curve lives
+    curves = [validate_curve(load_corpus(name).to_ideal())
+              for name in ("skew-lines", "skew-lines-dual", "twisted-cubic", "quartic-from-skew-bilink")]
+    roots = [(C, n_type_resolution(C), e_type_resolution(C)) for C in curves]
+    maps = [x for x in _reachable(roots) if isinstance(x, GradedMap)]
+    assert len(maps) > 20
+    assert any(m._cache for m in maps)
+    held = [(m, n) for m in maps for n, v in m._cache.items() if isinstance(v, np.ndarray)]
+    assert not held
+    assert all(type(n) is int and type(v) is int for m in maps for n, v in m._cache.items())
