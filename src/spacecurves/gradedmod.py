@@ -177,6 +177,17 @@ class GradedMap:
         ]
         return GradedMap(source, target, matrix)
 
+    @staticmethod
+    def hstack(*maps) -> "GradedMap":
+        """The maps side by side, [f | g | ...]: one map into their common
+        target from the direct sum of their sources, in order."""
+        target = maps[0].target
+        if any(m.target != target for m in maps):
+            raise ValueError("maps side by side need one target")
+        source = FreeModule(target.base, [t for m in maps for t in m.source.twists])
+        rows = [sum((m.matrix[i] for m in maps), ()) for i in range(target.rank)]
+        return GradedMap(source, target, rows)
+
     def column(self, j: int):
         return tuple(self.matrix[i][j] for i in range(self.target.rank))
 
@@ -527,13 +538,7 @@ class GradedModule:
     def regularity(self) -> int:
         key = "reg"
         if key not in self._cache:
-            maps = self.tensor_residue_field().resolution()
-            best = max((-t for t in maps[0].target.twists), default=0)
-            for j, m in enumerate(maps, start=1):
-                best = max(
-                    best, max((-t - j for t in m.source.twists), default=best)
-                )
-            self._cache[key] = best
+            self._cache[key] = _twist_regularity(self.tensor_residue_field().resolution())
         return self._cache[key]
 
     def projective_dimension(self):
@@ -689,16 +694,22 @@ def _resolve(phi: GradedMap):
     attempt_cap = rel_top + 4
     for _ in range(5):
         maps = _resolve_at_cap(phi, attempt_cap)
-        reg = max((-t for t in maps[0].target.twists), default=0)
-        for j, m in enumerate(maps, start=1):
-            reg = max(reg, max((-t - j for t in m.source.twists), default=reg))
         # syzygy generators at homological step j live in degrees <= reg + j
-        needed = reg + 4
+        needed = _twist_regularity(maps) + 4
         if attempt_cap >= needed:
             _certify_resolution(maps, needed)
             return maps
         attempt_cap = needed + 2
     raise CertificationError("resolution cap failed to stabilize")
+
+
+def _twist_regularity(maps) -> int:
+    """The regularity read off the twists of a minimal resolution F_1 -> F_0,
+    F_2 -> F_1, ...: the largest -t - j over the twists t of F_j."""
+    reg = max((-t for t in maps[0].target.twists), default=0)
+    for j, m in enumerate(maps, start=1):
+        reg = max([reg] + [-t - j for t in m.source.twists])
+    return reg
 
 
 def _resolve_at_cap(phi: GradedMap, cap: int):
@@ -750,24 +761,12 @@ class ModuleHom:
         self.target = target
         self.f0 = f0
 
-    def piece_matrices(self, n: int):
-        """(map matrix on covers, source relations, target relations) at n."""
-        return (
-            self.f0.matrix_at(n),
-            self.source.presentation.matrix_at(n),
-            self.target.presentation.matrix_at(n),
-        )
-
     def is_surjective_up_to(self, top: int) -> bool:
-        p = self.f0.base.p
-        lo = self.target.min_degree()
-        for n in range(lo, top + 1):
-            f, _, psi = self.piece_matrices(n)
-            full = self.target.F0.piece_dim(n)
-            joint = np.concatenate([f, psi], axis=1) if psi.size else f
-            if linalg.rank(joint, p) != full:
-                return False
-        return True
+        """Whether [f0 | target relations] fills the target cover in every
+        degree up to top."""
+        joint = GradedMap.hstack(self.f0, self.target.presentation)
+        F0 = self.target.F0
+        return all(joint.rank_at(n) == F0.piece_dim(n) for n in range(F0.min_degree(), top + 1))
 
     def compose(self, other: "ModuleHom") -> "ModuleHom":
         return ModuleHom(other.source, self.target, self.f0.compose(other.f0))
@@ -826,9 +825,11 @@ def hom_space(M: GradedModule, N: GradedModule, d: int = 0):
                         vec[s] = c[1] if eff else c[0]
                     trivial_cols.append(vec)
     if trivial_cols:
-        span = linalg.Span(p)
-        span.add_many(np.array(trivial_cols).T)
-        sols = sols[:, span.add_many(sols)]
+        # the solutions outside the span of the trivial homs and of the
+        # solutions before them
+        k = len(trivial_cols)
+        pivots = linalg.pivots(np.concatenate([np.array(trivial_cols).T, sols], axis=1), p)
+        sols = sols[:, [c - k for c in pivots if c >= k]]
     out = []
     for c in range(sols.shape[1]):
         out.append(_hom_from_slots(M, Nd, slots, sols[:, c]))
@@ -1009,15 +1010,8 @@ def subquotient_module(K: GradedMap, B: GradedMap | None, cap: int) -> GradedMod
     [K | B] projected to H; the presentation is not minimalized, so the
     cover stays exactly H.
     """
-    base = K.base
-    F, H = K.target, K.source
-    G = B.source if B is not None else FreeModule(base, [])
-    rows = B.matrix if B is not None else [()] * F.rank
-    joint = GradedMap(
-        FreeModule(base, H.twists + G.twists),
-        F,
-        [K.matrix[i] + rows[i] for i in range(F.rank)],
-    )
+    H = K.source
+    joint = GradedMap.hstack(K, B) if B is not None else K
     syz = kernel_min_gens(joint, cap)
     rel_cols = []
     rel_degs = []

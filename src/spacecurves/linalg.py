@@ -1,9 +1,11 @@
 """Exact sparse linear algebra mod p, plus block helpers for the dual numbers.
 
 Matrices come in and go out as numpy int64 arrays with entries in [0, p).
-Elimination runs on sparse rows: each row is a {column: value} dict of
-Python ints, and every step touches only the nonzeros of the rows it
-changes.  Python ints never overflow, so elimination is exact for every
+There is one elimination, _eliminate, behind rref, rank, pivots and
+cell_pivots.  It runs on sparse rows: each row is a {column: value} dict of
+Python ints, taken from the nonzeros of a dense array or scattered straight
+from a list of cells, and every step touches only the nonzeros of the rows
+it changes.  Python ints never overflow, so elimination is exact for every
 supported prime (p <= 2^31 - 1).  matmul stays dense and splits its inner
 dimension so that no int64 accumulation can overflow.
 
@@ -14,8 +16,6 @@ block matrix [[M0, 0], [M1, M0]].  Multiplication by e sends (x0; x1) to
 """
 
 from __future__ import annotations
-
-from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -148,76 +148,23 @@ def rref(mat: np.ndarray, p: int):
     return out, [c for c, _ in pivots]
 
 
+def pivots(mat: np.ndarray, p: int) -> list:
+    """The pivot columns of mat mod p: in order, the columns outside the
+    span of the columns before them.  One forward elimination (no back
+    substitution)."""
+    return [c for c, _ in _eliminate(_sparse_rows(mat, p), mat.shape[1], p, False)]
+
+
 def rank(mat: np.ndarray, p: int) -> int:
-    """Rank mod p by forward elimination (no back substitution)."""
-    return len(_eliminate(_sparse_rows(mat, p), mat.shape[1], p, False))
+    """Rank mod p: the number of pivot columns."""
+    return len(pivots(mat, p))
 
 
 def cell_pivots(r: np.ndarray, c: np.ndarray, vals: np.ndarray, shape, p: int) -> list:
-    """The pivot columns of the matrix of the given shape whose nonzero
-    cells hold vals[k] at (r[k], c[k]) (distinct cells, nonzero residues):
-    in order, the columns outside the span of the columns before them.  One
-    forward elimination on rows scattered from the cells, with no dense
-    matrix; the rank is their number."""
+    """pivots of the matrix of the given shape whose nonzero cells hold
+    vals[k] at (r[k], c[k]) (distinct cells, nonzero residues), eliminated
+    on rows scattered from the cells, with no dense matrix."""
     return [col for col, _ in _eliminate(_cell_rows(r, c, vals, shape[0]), shape[1], p, False)]
-
-
-class Span:
-    """Incremental row space mod p on sparse rows.
-
-    One echelon row per unit of rank, in insert order.  A row is a {column:
-    value} dict of Python ints, which are exact for every p <= 2^31 - 1,
-    normalized to 1 at its pivot (its first nonzero column) and zero at the
-    pivots of the rows before it.  Rows are not back-reduced, so an insert
-    never rewrites old rows.  A vector is reduced by walking only the rows
-    whose pivot it hits, in pivot order, with a heap: a row is zero left of
-    its pivot, so subtracting it leaves the smaller pivots alone and can
-    only create entries at larger ones.
-    """
-
-    __slots__ = ("p", "rows")
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rows = {}  # pivot column -> echelon row, in insert order
-
-    def add(self, vec: dict) -> bool:
-        """Insert a {column: residue} vector, consuming it, if it is
-        independent; returns True when the rank grew."""
-        p = self.p
-        rows = self.rows
-        heap = [c for c in vec if c in rows]
-        heapify(heap)
-        while heap:
-            c = heappop(heap)
-            # the entry may have cancelled, or the pivot come round twice
-            f = vec.get(c)
-            if f is None:
-                continue
-            g = p - f
-            for k, v in rows[c].items():
-                x = vec.get(k)
-                if x is None:
-                    vec[k] = g * v % p
-                    if k in rows:
-                        heappush(heap, k)
-                else:
-                    x = (x + g * v) % p
-                    if x:
-                        vec[k] = x
-                    else:
-                        del vec[k]
-        if not vec:
-            return False
-        piv = min(vec)
-        inv = pow(vec[piv], -1, p)
-        rows[piv] = {k: v * inv % p for k, v in vec.items()}
-        return True
-
-    def add_many(self, mat: np.ndarray) -> list:
-        """Insert the columns of mat in order; returns the indices of the
-        columns that grew the rank."""
-        return [j for j, col in enumerate(_sparse_rows(mat.T, self.p)) if self.add(col)]
 
 
 def kernel_basis(mat: np.ndarray, p: int) -> np.ndarray:

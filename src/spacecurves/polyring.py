@@ -101,11 +101,6 @@ class Poly:
         e[i] = 1
         return Poly(base, {tuple(e): (1, 0)})
 
-    @staticmethod
-    def monomial(base: BaseRing, e: Exp, a: int = 1, b: int = 0) -> "Poly":
-        p = base.p
-        return Poly(base, {tuple(e): (a % p, b % p)})
-
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:

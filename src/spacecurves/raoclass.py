@@ -44,7 +44,7 @@ from .gradedmod import (
 )
 from .groebner import Ideal
 from .liaison import CompleteIntersection, Verdict, link
-from .polyring import Poly, monomial_shift
+from .polyring import Poly
 from .scalars import BaseRing
 
 
@@ -96,21 +96,6 @@ def dual_module(M: GradedModule):
     return E, K
 
 
-def _times_variable(F: FreeModule, mat: np.ndarray, n: int, v: int) -> np.ndarray:
-    """x_v times each column of mat, a matrix on F's degree-n stacked piece:
-    one row scatter into the degree-(n + 1) piece."""
-    x = tuple(int(i == v) for i in range(4))
-    offs = np.cumsum([0] + F.block_dims(n + 1))
-    rows = np.concatenate(
-        [off + monomial_shift(n + t, x) for off, t in zip(offs, F.twists)]
-    )
-    if F.base.dual:
-        rows = np.concatenate([rows, offs[-1] + rows])
-    out = np.zeros((F.piece_dim(n + 1), mat.shape[1]), dtype=np.int64)
-    out[rows] = mat
-    return out
-
-
 # -- extravertization --------------------------------------------------------
 
 
@@ -125,25 +110,36 @@ class ExtravertData:
         self.proj = proj  # GradedMap N.F0 -> M.F0
 
 
-def _min_quotient_gens(K: GradedMap, B):
-    """Indices of K columns minimally generating (im K + im B)/(im B)."""
-    base = K.base
-    p = base.p
-    F = K.target
-    degrees = sorted({-K.source.twists[j] for j in range(K.source.rank)})
+def _min_quotient_gens(K: GradedMap, B: GradedMap):
+    """Indices of K columns minimally generating (im K + im B)/(im B).
+
+    In degree d the candidates are the fiber columns of K's degree-d
+    generators; K's other degree-d columns span m * im K + e * im K.  One
+    elimination of [B | those columns | candidates] picks the candidates
+    outside the span of the columns before them.
+    """
+    p = K.base.p
     chosen = []
-    for d in degrees:
-        span = linalg.Span(p)
-        if B is not None:
-            span.add_many(B.matrix_at(d))
-        prev = K.matrix_at(d - 1)
-        for v in range(4):
-            span.add_many(_times_variable(F, prev, d - 1, v))
-        if base.dual:
-            span.add_many(linalg.eps_times(K.matrix_at(d)))
-        cands = [j for j in range(K.source.rank) if -K.source.twists[j] == d]
-        cols = np.array([element_to_vector(F, K.column(j), d) for j in cands]).T
-        chosen.extend(cands[i] for i in span.add_many(cols))
+    for d in sorted(set(-t for t in K.source.twists)):
+        cands = [j for j, t in enumerate(K.source.twists) if -t == d]
+        r, c, v, (height, width) = K.cells_at(d)
+        br, bc, bv, (_, bwidth) = B.cells_at(d)
+        # a degree-d generator spans a one-column block of the fiber half
+        last = np.cumsum([0] + K.source.block_dims(d))[cands]
+        is_cand = np.zeros(width, dtype=bool)
+        is_cand[last] = True
+        start = bwidth + width - len(cands)
+        pos = np.empty(width, dtype=np.intp)
+        pos[~is_cand] = np.arange(bwidth, start)
+        pos[last] = np.arange(start, bwidth + width)
+        pivots = linalg.cell_pivots(
+            np.concatenate([br, r]),
+            np.concatenate([bc, pos[c]]),
+            np.concatenate([bv, v]),
+            (height, bwidth + width),
+            p,
+        )
+        chosen.extend(cands[j - start] for j in pivots if j >= start)
     return chosen
 
 
@@ -410,12 +406,12 @@ def _induced_ext_ok(M, N, gdual, j, degrees, need: str) -> bool:
             continue
         eM_ker = _ker_basis_or_full(intoM, homeM, n, p)
         eN_ker = _ker_basis_or_full(intoN, homeN, n, p)
-        bM = outofM.matrix_at(n) if outofM is not None else None
-        bM_rank = linalg.rank(bM, p) if bM is not None else 0
+        bM_rank = outofM.rank_at(n) if outofM is not None else 0
         if eN_ker is None or eN_ker.shape[1] == 0:
             img_rank = 0
         else:
             img = linalg.matmul(gdual.matrix_at(n), eN_ker, p)
+            bM = outofM.matrix_at(n) if outofM is not None else None
             pieces = [x for x in (img, bM) if x is not None and x.size]
             if pieces:
                 joint = np.concatenate(pieces, axis=1)
@@ -587,11 +583,7 @@ def _pad_surjective(N: GradedModule, M: GradedModule, f: ModuleHom, top: int):
     if f.is_surjective_up_to(top):
         return N, f
     Npad = direct_sum(N, GradedModule.free(N.base, M.F0.twists))
-    eye = GradedMap.identity(M.F0).matrix
-    f0 = GradedMap(
-        Npad.F0, M.F0, [f.f0.matrix[i] + eye[i] for i in range(M.F0.rank)]
-    )
-    return Npad, ModuleHom(Npad, M, f0)
+    return Npad, ModuleHom(Npad, M, GradedMap.hstack(f.f0, GradedMap.identity(M.F0)))
 
 
 # -- stable classification ---------------------------------------------------
@@ -880,20 +872,12 @@ def epfn_sequence(nres: NTypeResolution, eres: ETypeResolution) -> bool:
     """Certify exactness of 0 -> E -> P + F -> N -> 0 for one curve."""
     if not (nres.ideal == eres.ideal):
         raise OracleMismatch("resolutions belong to different curves")
-    base = nres.ideal.base
     # lift the E-type cover through the N-type surjection
     lam = _lift_columns(nres.surj, eres.surj, "cover does not lift through N")
     # the composite lambda o incl_E lands in ker(N -> I_C) = im(P)
-    joint = GradedMap(
-        FreeModule(base, list(nres.P.twists) + list(nres.N.F1.twists)),
-        nres.N.F0,
-        [
-            list(nres.incl.matrix[i]) + list(nres.N.presentation.matrix[i])
-            for i in range(nres.N.F0.rank)
-        ],
-    )
+    joint = GradedMap.hstack(nres.incl, nres.N.presentation)
     _lift_columns(joint, lam.compose(eres.incl), "E does not map into P through N")
-    p = base.p
+    stack = GradedMap.hstack(nres.incl, lam, nres.N.presentation)
     lo = min(nres.N.min_degree(), eres.E.min_degree(), eres.F.min_degree())
     hi = nres.reg + max(
         [-t for t in eres.F.twists] + [-t for t in nres.N.F0.twists]
@@ -903,15 +887,7 @@ def epfn_sequence(nres: NTypeResolution, eres: ETypeResolution) -> bool:
         rhs = nres.P.piece_dim(n) + eres.F.piece_dim(n)
         if lhs != rhs:
             raise CertificationError(f"assembled sequence unbalanced at {n}")
-        stack = np.concatenate(
-            [
-                nres.incl.matrix_at(n),
-                lam.matrix_at(n),
-                nres.N.presentation.matrix_at(n),
-            ],
-            axis=1,
-        )
-        if linalg.rank(stack, p) != nres.N.F0.piece_dim(n):
+        if stack.rank_at(n) != nres.N.F0.piece_dim(n):
             raise CertificationError(f"P + F misses N in degree {n}")
     return True
 

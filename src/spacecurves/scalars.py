@@ -57,11 +57,6 @@ class BaseRing:
     def one(self) -> "Scalar":
         return Scalar(self, 1, 0)
 
-    def epsilon(self) -> "Scalar":
-        if not self.dual:
-            raise ValueError("epsilon only exists over the dual numbers")
-        return Scalar(self, 0, 1)
-
     def __str__(self):
         return f"F_{self.p}[e]/(e^2)" if self.dual else f"F_{self.p}"
 

@@ -1,8 +1,11 @@
+from heapq import heapify, heappop, heappush
+
 import pytest
 
 from spacecurves.curve import validate_curve
 from spacecurves.files import load_corpus
 from spacecurves.gradedmod import GradedModule, ModuleHom, kernel_min_gens
+from spacecurves.linalg import _sparse_rows
 from spacecurves.raoclass import _lift_columns
 from spacecurves.scalars import BaseRing
 
@@ -59,3 +62,53 @@ def surjection_hom(C, res):
         C.ideal_cover(), res.surj, "surjection does not land in the ideal"
     )
     return ModuleHom(res.N, C.ideal_module(), f0)
+
+
+class Span:
+    """Reference: the incremental row space mod p that the package once used
+    for its greedy column selections.  One echelon row per unit of rank, in
+    insert order: a {column: value} dict, 1 at its pivot (its first nonzero
+    column) and zero at the pivots of the rows before it.  A vector is
+    reduced by walking, with a heap, only the rows whose pivot it hits."""
+
+    def __init__(self, p):
+        self.p = p
+        self.rows = {}  # pivot column -> echelon row, in insert order
+
+    def add(self, vec):
+        """Insert a {column: residue} vector, consuming it, if it is
+        independent; returns True when the rank grew."""
+        p = self.p
+        rows = self.rows
+        heap = [c for c in vec if c in rows]
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            # the entry may have cancelled, or the pivot come round twice
+            f = vec.get(c)
+            if f is None:
+                continue
+            g = p - f
+            for k, v in rows[c].items():
+                x = vec.get(k)
+                if x is None:
+                    vec[k] = g * v % p
+                    if k in rows:
+                        heappush(heap, k)
+                else:
+                    x = (x + g * v) % p
+                    if x:
+                        vec[k] = x
+                    else:
+                        del vec[k]
+        if not vec:
+            return False
+        piv = min(vec)
+        inv = pow(vec[piv], -1, p)
+        rows[piv] = {k: v * inv % p for k, v in vec.items()}
+        return True
+
+    def add_many(self, mat):
+        """Insert the columns of mat in order; returns the indices of the
+        columns that grew the rank."""
+        return [j for j, col in enumerate(_sparse_rows(mat.T, self.p)) if self.add(col)]

@@ -1,16 +1,18 @@
+import random
 from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from conftest import RAO_K_NAMES, ideal_module_by_cap
+from conftest import RAO_K_NAMES, Span, ideal_module_by_cap
 
 from spacecurves import linalg, raoclass
 from spacecurves.gradedmod import (
     FreeModule,
     GradedMap,
     GradedModule,
+    ModuleHom,
     PieceCalculus,
     _certify_resolution,
     _minimalize_map,
@@ -21,9 +23,11 @@ from spacecurves.gradedmod import (
     ext_module,
     finite_data_to_module,
     finite_module_data,
+    hom_space,
     is_module_iso,
     kernel_min_gens,
     min_generators,
+    random_hom,
     torsion_module_data,
     vector_to_element,
 )
@@ -301,15 +305,10 @@ def _matrix_at_by_columns(phi, n):
 PRIMES = (2, 3, 101, 32003, 2**31 - 1)
 
 
-@st.composite
-def _graded_map(draw, eps_over_field=False):
-    """A random map between twisted free modules with zero entries and
-    mixed twists; eps_over_field puts e-coefficients into an F_p map."""
-    p = draw(st.sampled_from(PRIMES))
-    base = BaseRing(p, draw(st.booleans()) and not eps_over_field)
-    tgt = draw(st.lists(st.integers(-2, 1), min_size=1, max_size=3))
-    src = draw(st.lists(st.integers(-4, 0), min_size=1, max_size=3))
-    with_eps = base.dual or eps_over_field
+def _draw_entries(draw, base, tgt, src, with_eps):
+    """A random Poly matrix of a map from twists src to twists tgt, with
+    zero entries; with_eps draws e-coefficients too."""
+    p = base.p
     matrix = []
     for t in tgt:
         row = []
@@ -323,7 +322,108 @@ def _graded_map(draw, eps_over_field=False):
                     terms[m] = (a, b) if (a, b) != (0, 0) else (1, 0)
             row.append(Poly(base, terms))
         matrix.append(row)
+    return matrix
+
+
+@st.composite
+def _graded_map(draw, eps_over_field=False):
+    """A random map between twisted free modules with zero entries and
+    mixed twists; eps_over_field puts e-coefficients into an F_p map."""
+    p = draw(st.sampled_from(PRIMES))
+    base = BaseRing(p, draw(st.booleans()) and not eps_over_field)
+    tgt = draw(st.lists(st.integers(-2, 1), min_size=1, max_size=3))
+    src = draw(st.lists(st.integers(-4, 0), min_size=1, max_size=3))
+    matrix = _draw_entries(draw, base, tgt, src, base.dual or eps_over_field)
     return GradedMap(FreeModule(base, src), FreeModule(base, tgt), matrix)
+
+
+@st.composite
+def _side_by_side_maps(draw):
+    """Two or three random maps into one target, some of whose sources may
+    be empty."""
+    base = BaseRing(draw(st.sampled_from(PRIMES)), draw(st.booleans()))
+    F = FreeModule(base, draw(st.lists(st.integers(-2, 1), min_size=1, max_size=3)))
+    maps = []
+    for _ in range(draw(st.integers(2, 3))):
+        src = FreeModule(base, draw(st.lists(st.integers(-4, 0), max_size=3)))
+        maps.append(GradedMap(src, F, _draw_entries(draw, base, F.twists, src.twists, base.dual)))
+    return maps
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_side_by_side_maps())
+@seed(31)
+def test_hstack_ranks_the_dense_concatenation(maps):
+    joined = GradedMap.hstack(*maps)
+    p = joined.base.p
+    assert joined.source.twists == sum((m.source.twists for m in maps), ())
+    assert joined.target == maps[0].target
+    for j, (m, k) in enumerate((m, k) for m in maps for k in range(m.source.rank)):
+        assert joined.column(j) == m.column(k)
+    for n in range(-2, 6):
+        dense = np.concatenate([m.matrix_at(n) for m in maps], axis=1)
+        assert joined.rank_at(n) == linalg.rank(dense, p), n
+
+
+def test_hstack_needs_one_target(K):
+    F, G = FreeModule(K, [0]), FreeModule(K, [0, 1])
+    with pytest.raises(ValueError):
+        GradedMap.hstack(GradedMap.identity(F), GradedMap.identity(G))
+
+
+@pytest.mark.parametrize("name", ["twisted-cubic", "skew-lines", "ci-2-2", "skew-lines-dual"])
+def test_hom_space_counts_homs_modulo_the_trivial_ones(name):
+    # Hom(R/I, R/I)_d = (R/I)_d: f0 is a form of degree d, and a form in I
+    # gives a trivial hom
+    RI = GradedModule.quotient_by_ideal(load_corpus(name).to_ideal())
+    for d in range(4):
+        assert len(hom_space(RI, RI, d)) == RI.piece_dim(d), d
+
+
+def _is_surjective_by_dense_ranks(f, top):
+    # reference: is_surjective_up_to as it was, ranking [f0 | target
+    # relations] as one dense matrix per degree
+    p = f.f0.base.p
+    for n in range(f.target.min_degree(), top + 1):
+        fm, psi = f.f0.matrix_at(n), f.target.presentation.matrix_at(n)
+        joint = np.concatenate([fm, psi], axis=1) if psi.size else fm
+        if linalg.rank(joint, p) != f.target.F0.piece_dim(n):
+            return False
+    return True
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_side_by_side_maps(), st.booleans(), st.integers(-1, 4))
+@seed(37)
+def test_is_surjective_up_to_matches_the_dense_test(maps, onto, top):
+    # f0 is the first map, the target's relations the second; with onto, f0
+    # also carries the identity of the target cover, so it is surjective
+    f0, psi = maps[0], maps[1]
+    if onto:
+        f0 = GradedMap.hstack(f0, GradedMap.identity(f0.target))
+    f = ModuleHom(GradedModule.free(f0.base, f0.source.twists), GradedModule(psi), f0)
+    got = f.is_surjective_up_to(top)
+    assert got == _is_surjective_by_dense_ranks(f, top)
+    assert got or not onto
+
+
+@pytest.mark.parametrize("name", RAO_K_NAMES + ["skew-lines-dual"])
+def test_is_surjective_up_to_matches_the_dense_test_on_random_homs(name):
+    # random combinations of a hom basis between Rao modules, as the
+    # Monte-Carlo iso search draws them
+    _, E3 = _rao_modules(name)
+    M = E3.minimal_presentation()
+    homs = hom_space(M, M, 0)
+    assert homs
+    top = max(-t for t in M.F0.twists)
+    rng = random.Random(3)
+    seen = set()
+    for _ in range(12):
+        f = random_hom(homs, rng, M.base)
+        got = f.is_surjective_up_to(top)
+        assert got == _is_surjective_by_dense_ranks(f, top)
+        seen.add(got)
+    assert True in seen
 
 
 @settings(max_examples=80, deadline=None, database=None)
@@ -379,7 +479,7 @@ def _min_generators_by_monomials(F, piece_fn, cap):
         piece = piece_fn(n)
         if piece.shape[1] == 0:
             continue
-        span = linalg.Span(p)
+        span = Span(p)
         for g, d in zip(gens, degs):
             for m in monomials(n - d):
                 vec = element_to_vector(F, tuple(f.mul_monomial(m) for f in g), n)
@@ -459,7 +559,7 @@ def _min_generators_by_span(F, piece_fn, dim_fn, cap):
         dim = dim_fn(n)
         if dim == 0:
             continue
-        span = linalg.Span(base.p)
+        span = Span(base.p)
         half = F.fiber_dim(n)
         for g, d in zip(gens, degs):
             for vec in _generator_multiples(F, g, d, n):
@@ -487,7 +587,7 @@ def _min_generators_unskipped(F, piece_fn, cap):
         piece = piece_fn(n)
         if piece.shape[1] == 0:
             continue
-        span = linalg.Span(base.p)
+        span = Span(base.p)
         for g, d in zip(gens, degs):
             for vec in _generator_multiples(F, g, d, n):
                 span.add(vec)
@@ -672,7 +772,7 @@ def _power_ideal_by_syzygies(base, t):
     # all of them have degree t + 1, so that is the cap
     mons = monomials(t)
     row = GradedMap(FreeModule(base, [-t] * len(mons)), FreeModule(base, [0]),
-                    [[Poly.monomial(base, m) for m in mons]])
+                    [[Poly(base, {m: (1, 0)}) for m in mons]])
     return kernel_min_gens(row, t + 1)
 
 
@@ -771,7 +871,7 @@ def _finite_length_module(draw):
     p = draw(st.sampled_from((2, 3, 101)))
     base = BaseRing(p, draw(st.booleans()))
     powers = draw(st.lists(st.integers(1, 3), min_size=4, max_size=4))
-    gens = [Poly.monomial(base, tuple(a if v == i else 0 for v in range(4))) for i, a in enumerate(powers)]
+    gens = [Poly(base, {tuple(a if v == i else 0 for v in range(4)): (1, 0)}) for i, a in enumerate(powers)]
     for _ in range(draw(st.integers(0, 2))):
         support = draw(st.lists(st.sampled_from(monomials(2)), min_size=1, max_size=3, unique=True))
         terms = {}

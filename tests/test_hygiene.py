@@ -1,11 +1,14 @@
 """Static checks over the package source: no unused imports, no private
 module-level function that nothing references, no method that nothing in
-the package or its tests references, and no function-local import that could
-be a top-level one.  Two run-time checks: what a curve caches forms no
-reference cycle, and no map it reaches caches a dense matrix."""
+the package or its tests references, no function or method that only the
+tests reach unless the package exports it or README names it, and no
+function-local import that could be a top-level one.  Two run-time checks:
+what a curve caches forms no reference cycle, and no map it reaches caches a
+dense matrix."""
 
 import ast
 import gc
+import re
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -134,6 +137,49 @@ def test_methods_are_referenced():
 
 def _attribute_refs(node):
     return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def _name_refs(node):
+    """How often a subtree refers to each identifier, as in _names."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def _readme_code_names():
+    """The identifiers in README's code: fenced blocks and inline spans."""
+    parts = (TESTS.parent / "README.md").read_text().split("```")
+    code = parts[1::2] + [span for text in parts[::2] for span in re.findall(r"`([^`]+)`", text)]
+    return {word for span in code for word in re.findall(r"\w+", span)}
+
+
+def test_functions_reach_the_tool_or_its_interface():
+    # a function or method that nothing in the package calls serves only
+    # the tests, unless spacecurves/__init__.py exports it by name or README
+    # names it in its code; a use in its own body does not count
+    init = MODULES["__init__.py"]
+    exports = {alias.name for sub in ast.walk(init) if isinstance(sub, ast.ImportFrom) for alias in sub.names}
+    documented = _readme_code_names()
+    uses = sum((_name_refs(tree) for name, tree in MODULES.items() if name != "__init__.py"), Counter())
+    orphans = []
+    for name, tree in MODULES.items():
+        if name == "__init__.py":
+            continue
+        funcs = [stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef)]
+        funcs += [m for cls in tree.body if isinstance(cls, ast.ClassDef) for m in cls.body if isinstance(m, ast.FunctionDef)]
+        for f in funcs:
+            if f.name.startswith("__") and f.name.endswith("__"):
+                continue
+            if uses[f.name] > _name_refs(f)[f.name] or f.name in exports or f.name in documented:
+                continue
+            orphans.append(f"{name}:{f.name}")
+    assert not orphans
 
 
 def test_curve_caches_form_no_reference_cycle():

@@ -41,13 +41,13 @@ def test_solve_consistent_and_inconsistent():
     assert linalg.solve(m2, bad, P) is None
 
 
-def test_span_incremental_rank():
+def test_pivots_are_the_columns_that_raise_the_rank():
     rng = np.random.default_rng(2)
     m = _rand(rng, 6, 10)
-    span = linalg.Span(P)
-    assert len(span.add_many(m)) == linalg.rank(m, P)
-    assert span.add_many(m) == []
-    # add_many picks exactly the columns that raise the rank of the prefix;
+    assert len(linalg.pivots(m, P)) == linalg.rank(m, P)
+    # a second copy of m raises the rank nowhere
+    assert linalg.pivots(np.concatenate([m, m], axis=1), P) == linalg.pivots(m, P)
+    # pivots are exactly the columns that raise the rank of the prefix;
     # repeated, dependent and zero columns are skipped
     a = _rand(rng, 6, 3)
     cols = [a[:, 0], np.zeros(6, dtype=np.int64), a[:, 1], a[:, 0],
@@ -58,7 +58,7 @@ def test_span_incremental_rank():
             if linalg.rank(m[:, : j + 1], P) > linalg.rank(m[:, :j], P)
         ]
         assert grows == picks
-        assert linalg.Span(P).add_many(m) == picks
+        assert linalg.pivots(m, P) == picks
 
 
 def _random_element(rng, F, degree):
@@ -75,7 +75,7 @@ def _random_element(rng, F, degree):
     return tuple(out)
 
 
-def _span_cases(rng, p):
+def _prefix_cases(rng, p):
     """(prefix, candidates): monomial multiples of random elements, which are
     sparse, over F_p and the dual numbers; then dense seeded matrices."""
     cases = []
@@ -99,23 +99,24 @@ def _span_cases(rng, p):
 
 
 @pytest.mark.parametrize("p", [2, 2**31 - 1])
-def test_span_picks_the_columns_that_raise_the_rank_of_the_prefix(p):
+def test_pivots_after_a_prefix_are_the_columns_that_raise_its_rank(p):
     rng = np.random.default_rng(7)
-    for prefix, cand in _span_cases(rng, p):
-        span = linalg.Span(p)
-        span.add_many(prefix)
-        picks = span.add_many(cand)
+    for prefix, cand in _prefix_cases(rng, p):
+        k = prefix.shape[1]
+        joined = np.concatenate([prefix, cand], axis=1)
+        picks = [c - k for c in linalg.pivots(joined, p) if c >= k]
         ranks = [
             linalg.rank(np.concatenate([prefix, cand[:, :j]], axis=1), p)
             for j in range(cand.shape[1] + 1)
         ]
         assert picks == [j for j in range(cand.shape[1]) if ranks[j + 1] > ranks[j]]
-        # echelon rows in insert order: 1 at the own pivot, 0 left of it and
-        # at the pivots of the rows before; a {column: value} row holds only
-        # nonzero residues
-        pivots = list(span.rows)
+        # the forward rows, in pivot order: 1 at the own pivot, 0 left of it
+        # and at the pivots of the rows before; a {column: value} row holds
+        # only nonzero residues
+        rows = linalg._eliminate(linalg._sparse_rows(joined, p), joined.shape[1], p, False)
+        pivots = [piv for piv, _ in rows]
         assert len(pivots) == ranks[-1]
-        for i, (piv, row) in enumerate(span.rows.items()):
+        for i, (piv, row) in enumerate(rows):
             assert all(0 < x < p for x in row.values())
             assert row[piv] == 1 and min(row) == piv
             assert not any(q in row for q in pivots[:i])
@@ -271,10 +272,9 @@ def test_sparse_elimination_matches_reference(case, data):
     assert again.tolist() == ref_red
     # the columns that raise the rank of the prefix are the pivot columns of
     # the reduced form; after a prefix of k columns, the later ones
-    span = linalg.Span(p)
-    assert span.add_many(m) == ref_piv
+    assert linalg.pivots(m, p) == ref_piv
     k = data.draw(st.integers(0, m.shape[1]))
-    span = linalg.Span(p)
-    assert span.add_many(m[:, :k]) == [c for c in ref_piv if c < k]
-    assert span.add_many(m) == [c for c in ref_piv if c >= k]
-    assert span.add_many(m) == []
+    head = [c for c in ref_piv if c < k]
+    assert linalg.pivots(m[:, :k], p) == head
+    assert linalg.pivots(np.concatenate([m[:, :k], m], axis=1), p) == head + [k + c for c in ref_piv if c >= k]
+    assert linalg.pivots(np.concatenate([m, m], axis=1), p) == ref_piv

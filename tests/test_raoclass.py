@@ -1,18 +1,24 @@
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-from conftest import surjection_hom
+from conftest import RAO_K_NAMES, Span, surjection_hom
+from spacecurves import linalg, raoclass
 from spacecurves.curve import validate_curve
 from spacecurves.files import load_corpus
 from spacecurves.gradedmod import (
+    FreeModule,
     GradedMap,
     GradedModule,
     ModuleHom,
+    element_to_vector,
     ext_module,
     kernel_min_gens,
     subquotient_module,
 )
 from spacecurves.groebner import Ideal
-from spacecurves.polyring import Poly
+from spacecurves.polyring import Poly, monomial_shift, monomials
+from spacecurves.scalars import BaseRing
 from spacecurves.raoclass import (
     biliaison_equivalent,
     direct_sum,
@@ -165,6 +171,106 @@ def test_extravertize_dimension_count(K, corpus_curves):
     for n in range(0, 6):
         assert data.N.piece_dim(n) == data.P.piece_dim(n) + data.M.piece_dim(n)
     assert is_extraverted(data.N)
+
+
+def _times_variable(F, mat, n, v):
+    # reference: x_v times each column of mat, a matrix on F's degree-n
+    # stacked piece, by one row scatter into the degree-(n + 1) piece
+    x = tuple(int(i == v) for i in range(4))
+    offs = np.cumsum([0] + F.block_dims(n + 1))
+    rows = np.concatenate([off + monomial_shift(n + t, x) for off, t in zip(offs, F.twists)])
+    if F.base.dual:
+        rows = np.concatenate([rows, offs[-1] + rows])
+    out = np.zeros((F.piece_dim(n + 1), mat.shape[1]), dtype=np.int64)
+    out[rows] = mat
+    return out
+
+
+def _min_quotient_gens_by_span(K, B):
+    # reference: _min_quotient_gens as it was, spanning B, the variable
+    # multiples of K's previous degree and e * K before the candidates
+    base = K.base
+    F = K.target
+    chosen = []
+    for d in sorted({-t for t in K.source.twists}):
+        span = Span(base.p)
+        span.add_many(B.matrix_at(d))
+        prev = K.matrix_at(d - 1)
+        for v in range(4):
+            span.add_many(_times_variable(F, prev, d - 1, v))
+        if base.dual:
+            span.add_many(linalg.eps_times(K.matrix_at(d)))
+        cands = [j for j in range(K.source.rank) if -K.source.twists[j] == d]
+        cols = np.array([element_to_vector(F, K.column(j), d) for j in cands]).T
+        chosen.extend(cands[i] for i in span.add_many(cols))
+    return chosen
+
+
+@st.composite
+def _quotient_maps(draw):
+    """(K, B) into one free module: random K columns, then columns that
+    depend on them (a variable, e or a scalar times an earlier column), and
+    B from random columns and some of K's."""
+    p = draw(st.sampled_from([2, 3, 101, 32003, 2**31 - 1]))
+    base = BaseRing(p, draw(st.booleans()))
+    F = FreeModule(base, draw(st.lists(st.integers(-1, 1), min_size=1, max_size=3)))
+
+    def element(d):
+        out = []
+        for t in F.twists:
+            mons = monomials(d + t)
+            terms = {}
+            if mons and draw(st.booleans()):
+                for m in draw(st.lists(st.sampled_from(mons), min_size=1, max_size=3, unique=True)):
+                    a = draw(st.integers(0, p - 1))
+                    b = draw(st.integers(0, p - 1)) if base.dual else 0
+                    terms[m] = (a, b) if (a, b) != (0, 0) else (1, 0)
+            out.append(Poly(base, terms))
+        return tuple(out)
+
+    kdegs = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    kcols = [element(d) for d in kdegs]
+    for _ in range(draw(st.integers(0, 3))):
+        j = draw(st.integers(0, len(kcols) - 1))
+        kind = draw(st.sampled_from(["variable", "e", "scalar"]))
+        if kind == "variable":
+            g, d = Poly.variable(base, draw(st.integers(0, 3))), kdegs[j] + 1
+        else:
+            a = draw(st.integers(1, p - 1))
+            g, d = (Poly.constant(base, 0, a) if kind == "e" and base.dual else Poly.constant(base, a)), kdegs[j]
+        kcols.append(tuple(g * f for f in kcols[j]))
+        kdegs.append(d)
+    bdegs = draw(st.lists(st.integers(0, 3), max_size=3))
+    bcols = [element(d) for d in bdegs]
+    for j in draw(st.lists(st.integers(0, len(kcols) - 1), max_size=2)):
+        bcols.append(kcols[j])
+        bdegs.append(kdegs[j])
+    return GradedMap.from_columns(F, kcols, kdegs), GradedMap.from_columns(F, bcols, bdegs)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_quotient_maps())
+@seed(41)
+def test_min_quotient_gens_matches_the_span_loop(maps):
+    K, B = maps
+    assert raoclass._min_quotient_gens(K, B) == _min_quotient_gens_by_span(K, B)
+
+
+@pytest.mark.parametrize("name", RAO_K_NAMES + ["skew-lines-dual"])
+def test_extravertize_picks_the_span_loops_generators(name, corpus_curves, monkeypatch):
+    # the cocycle generators extravertize picks on a curve's ideal module
+    calls = []
+    pick = raoclass._min_quotient_gens
+
+    def checked(K, B):
+        got = pick(K, B)
+        calls.append(got)
+        assert got == _min_quotient_gens_by_span(K, B)
+        return got
+
+    monkeypatch.setattr(raoclass, "_min_quotient_gens", checked)
+    extravertize(GradedModule(corpus_curves(name).ideal_module().presentation))
+    assert calls and calls[0]
 
 
 def test_surjection_is_psi(corpus_curves):
