@@ -382,14 +382,21 @@ def kernel_min_gens(phi: GradedMap, cap: int) -> GradedMap:
     return min_generators(phi.source, piece, dim, cap)
 
 
-def image_min_gens(phi: GradedMap, cap: int) -> GradedMap:
-    """Map onto im(phi) from a free module on its minimal generators."""
+def image_min_gens(phi: GradedMap) -> GradedMap:
+    """Map onto im(phi) from a free module on its minimal generators.
+
+    The scan ends at t, the top degree of phi's source generators e_j of
+    degrees d_j.  Past t no degree has a new generator: for n > t every
+    d_j < n, so im(phi)_n = sum_j R_{n-d_j} * phi(e_j) = R_1 * im(phi)_{n-1},
+    which the generators found below n already generate.
+    """
     p = phi.base.p
 
     def piece(n):
         return linalg.column_basis(phi.matrix_at(n), p)
 
-    return min_generators(phi.target, piece, phi.rank_at, cap)
+    top = max((-t for t in phi.source.twists), default=phi.target.min_degree())
+    return min_generators(phi.target, piece, phi.rank_at, top)
 
 
 # -- graded modules ------------------------------------------------------
@@ -715,7 +722,7 @@ def _twist_regularity(maps) -> int:
 def _resolve_at_cap(phi: GradedMap, cap: int):
     # relations must minimally generate the relation submodule, else the
     # next syzygy step would pick up unit entries
-    rel = image_min_gens(phi, cap)
+    rel = image_min_gens(phi)
     maps = [rel]
     cur = rel
     for _ in range(4):
@@ -975,9 +982,15 @@ def _ext_with_cover(M: GradedModule, i: int):
     K maps a free module onto minimal generators of the cycles in F_i^dual,
     and the Ext module is their subquotient modulo the boundaries, on the
     cover K.source before minimalization.  K is None past the projective
-    dimension, where Ext^i is zero.  Built with a growing degree cap; the
-    presentation is accepted once its piece dimensions match direct
-    kernel/image dimensions two degrees past the cap.
+    dimension, where Ext^i is zero.
+
+    At i = pd every element of F_pd^dual is a cycle, so Ext^pd is the
+    cokernel of the last dual map F_{pd-1}^dual -> F_pd^dual, on the cover
+    F_pd^dual with K the identity.  A minimal resolution has no unit entry,
+    so minimalizing that presentation only drops zero columns and the cover
+    stays K.source.  For i < pd the module is built with a growing degree
+    cap; the presentation is accepted once its piece dimensions match
+    direct kernel/image dimensions two degrees past the cap.
     """
     if i < 0 or i > 4:
         raise ValueError("Ext index out of range")
@@ -988,11 +1001,11 @@ def _ext_with_cover(M: GradedModule, i: int):
     if home is None:
         return GradedModule.zero(M.base), None
     if into is None:
-        K = GradedMap.identity(home)
+        M._cache[key] = (GradedModule(outof).minimal_presentation(), GradedMap.identity(home))
+        return M._cache[key]
     cap = home.min_degree() + 6
     for _ in range(4):
-        if into is not None:
-            K = kernel_min_gens(into, cap)
+        K = kernel_min_gens(into, cap)
         E = subquotient_module(K, outof, cap).minimal_presentation()
         probe = ext_piece_dims(M, i, [cap + 1, cap + 2])
         if all(E.piece_dim(n) == d for n, d in probe.items()):

@@ -135,6 +135,23 @@ def test_rao_duality_route_reuses_the_ext3_of_validation(name, monkeypatch):
     assert data.dims and data.dims == _rao_route_torsion(C).dims
 
 
+@pytest.mark.parametrize("name", ["skew-lines", "skew-lines-dual"])
+def test_validation_reads_ext3_off_the_last_dual_map(name, monkeypatch):
+    # Ext^3(R/I) of a curve that is not ACM is the cokernel of the last dual
+    # map: the only kernels validation takes are those of the resolutions of
+    # R/I and, over A, of its fiber
+    calls = []
+    for fn in ("kernel_min_gens", "subquotient_module"):
+        real = getattr(gradedmod, fn)
+        monkeypatch.setattr(gradedmod, fn, lambda *a, _f=real, _n=fn: calls.append((_n, a[0])) or _f(*a))
+    C = validate_curve(load_corpus(name).to_ideal())
+    monkeypatch.undo()
+    RI = C._ri()
+    assert len(RI.resolution()) == 3 and gradedmod.ext_module(RI, 3).F0.rank
+    maps = RI.resolution() + (RI.fiber().resolution() if RI.base.dual else [])
+    assert calls and all(fn == "kernel_min_gens" and any(a is m for m in maps) for fn, a in calls)
+
+
 def test_rao_route_retries_past_a_zero_divisor(K):
     # curves with a component in the plane of the first candidate form: the
     # torsion route must pass to a later candidate

@@ -7,7 +7,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from conftest import RAO_K_NAMES, Span, ideal_module_by_cap
 
-from spacecurves import linalg, raoclass
+from spacecurves import gradedmod, linalg, raoclass
 from spacecurves.gradedmod import (
     FreeModule,
     GradedMap,
@@ -24,15 +24,17 @@ from spacecurves.gradedmod import (
     finite_data_to_module,
     finite_module_data,
     hom_space,
+    image_min_gens,
     is_module_iso,
     kernel_min_gens,
     min_generators,
     random_hom,
+    subquotient_module,
     torsion_module_data,
     vector_to_element,
 )
 from spacecurves.errors import CertificationError, MixedBase
-from spacecurves.files import load_corpus
+from spacecurves.files import corpus_names, load_corpus
 from spacecurves.groebner import Ideal, _nonzerodivisor, ideal_intersect, ideal_sum
 from spacecurves.polyring import Poly, graded_piece_dim, monomials
 from spacecurves.raoclass import extravertize
@@ -326,11 +328,13 @@ def _draw_entries(draw, base, tgt, src, with_eps):
 
 
 @st.composite
-def _graded_map(draw, eps_over_field=False):
+def _graded_map(draw, eps_over_field=False, base=None):
     """A random map between twisted free modules with zero entries and
-    mixed twists; eps_over_field puts e-coefficients into an F_p map."""
-    p = draw(st.sampled_from(PRIMES))
-    base = BaseRing(p, draw(st.booleans()) and not eps_over_field)
+    mixed twists, over base or a drawn one; eps_over_field puts
+    e-coefficients into an F_p map."""
+    if base is None:
+        p = draw(st.sampled_from(PRIMES))
+        base = BaseRing(p, draw(st.booleans()) and not eps_over_field)
     tgt = draw(st.lists(st.integers(-2, 1), min_size=1, max_size=3))
     src = draw(st.lists(st.integers(-4, 0), min_size=1, max_size=3))
     matrix = _draw_entries(draw, base, tgt, src, base.dual or eps_over_field)
@@ -675,6 +679,60 @@ def test_min_generators_matches_the_span_loop_on_resolutions(name, p):
             assert _gens_and_degs(got) == _min_generators_by_span(F, piece, dim, cap)
 
 
+def _image_min_gens_to_cap(phi):
+    # reference: image_min_gens as it was, scanning on a fresh copy of phi to
+    # rel_top + 4, the first cap a resolution tries, past its top source degree
+    phi = GradedMap(phi.source, phi.target, phi.matrix)
+    p = phi.base.p
+    cap = max(-t for t in phi.source.twists) + 4
+
+    def piece(n):
+        return linalg.column_basis(phi.matrix_at(n), p)
+
+    return min_generators(phi.target, piece, phi.rank_at, cap), cap
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=16, deadline=None, database=None)
+@given(data=st.data())
+@seed(41)
+def test_image_scan_ending_at_the_top_source_degree_matches_the_full_scan(p, dual, data):
+    phi = data.draw(_graded_map(base=BaseRing(p, dual)))
+    got = image_min_gens(phi)
+    ref, cap = _image_min_gens_to_cap(phi)
+    assert _gens_and_degs(got) == _gens_and_degs(ref)
+    for n in range(phi.target.min_degree(), cap + 1):
+        assert got.rank_at(n) == ref.rank_at(n), n
+
+
+@pytest.mark.parametrize(
+    "name", ["twisted-cubic", "skew-lines", "quartic-from-skew-bilink", "skew-lines-dual", "ci-2-2-dual"]
+)
+def test_resolving_ranks_the_presentation_only_up_to_its_top_degree(name, monkeypatch):
+    # past the top degree of the presentation's relations their image has
+    # no new generator, so the scan for them stops there
+    scanned = []
+    ranked = []
+    real_image, real_cells = gradedmod.image_min_gens, GradedMap.cells_at
+
+    def image(phi):
+        scanned.append(phi)
+        return real_image(phi)
+
+    def cells(self, n):
+        ranked.extend((phi, n) for phi in scanned if phi is self)
+        return real_cells(self, n)
+
+    monkeypatch.setattr(gradedmod, "image_min_gens", image)
+    monkeypatch.setattr(GradedMap, "cells_at", cells)
+    GradedModule.quotient_by_ideal(load_corpus(name).to_ideal()).resolution()
+    assert scanned and ranked
+    for phi in scanned:
+        top = max(-t for t in phi.source.twists)
+        assert all(n <= top for m, n in ranked if m is phi), (top, [n for m, n in ranked if m is phi])
+
+
 def test_certify_resolution_rejects_a_dropped_generator_and_a_nonzero_composition(K, A):
     for base in (K, A):
         RI = GradedModule.quotient_by_ideal(I(base, "X*Z - Y^2", "Y*W - Z^2", "X*W - Y*Z"))
@@ -752,19 +810,23 @@ def test_quotient_multiplication_matches_column_loops(name):
                 assert (pc.eps_matrix_q(n) == _eps_matrix_by_columns(pc, n)).all(), n
 
 
+def _assert_same_finite_data(a, b):
+    assert a.dims == b.dims
+    for got, want in ((a.actions, b.actions), (a.eps, b.eps)):
+        assert got.keys() == want.keys()
+        for key in got:
+            assert got[key].shape == want[key].shape, key
+            assert (got[key] == want[key]).all(), key
+
+
 @pytest.mark.parametrize("name", ["skew-lines", "quartic-from-skew-bilink", "skew-lines-dual"])
 def test_finite_module_data_commutes_with_shift(name):
     # route (b) twists the Ext^3 that validation built by -4 after reading
     # it, in place of reading a second Ext^3 built with the twist
     E = ext_module(GradedModule.quotient_by_ideal(load_corpus(name).to_ideal()), 3)
     a = finite_module_data(E.shift(-4))
-    b = finite_module_data(E).shift(-4)
-    assert a.dims == b.dims and a.dims
-    for got, want in ((a.actions, b.actions), (a.eps, b.eps)):
-        assert got.keys() == want.keys()
-        for key in got:
-            assert got[key].shape == want[key].shape, key
-            assert (got[key] == want[key]).all(), key
+    assert a.dims
+    _assert_same_finite_data(a, finite_module_data(E).shift(-4))
 
 
 def _power_ideal_by_syzygies(base, t):
@@ -926,3 +988,58 @@ def test_iso_precheck_compares_pieces_of_finite_length_modules(K, monkeypatch):
     monkeypatch.setattr("spacecurves.gradedmod.hom_space", forbidden)
     monkeypatch.setattr(GradedModule, "resolution", forbidden)
     assert is_module_iso(M, N) == "no"
+
+
+# -- the top Ext off the last dual map -------------------------------------------
+
+
+def _top_ext_by_subquotient(M):
+    # reference: Ext^pd as it was built, the subquotient of the identity on
+    # F_pd^dual modulo the image of a fresh copy of the last dual map, on a
+    # growing cap that stops once two degrees past it agree
+    delta = M.resolution()[-1].dual()
+    home = delta.target
+    identity = GradedMap.identity(home)
+    cap = home.min_degree() + 6
+    for _ in range(4):
+        E = subquotient_module(identity, delta, cap).minimal_presentation()
+        if all(E.piece_dim(n) == home.piece_dim(n) - delta.rank_at(n) for n in (cap + 1, cap + 2)):
+            return E
+        cap += 4
+    raise AssertionError("the subquotient cap did not stabilize")
+
+
+def _assert_same_top_ext(M):
+    # the same cover, the same piece dimensions and the same relation span
+    # in each degree from below the generators to past the top relation
+    # degree, above which each relation span is R_1 times the one below
+    got = ext_module(M, len(M.resolution()))
+    ref = _top_ext_by_subquotient(M)
+    assert got.F0.twists == ref.F0.twists
+    joint = GradedMap.hstack(got.presentation, ref.presentation)
+    lo = got.min_degree()
+    hi = max((-t for t in joint.source.twists), default=lo)
+    for n in range(lo - 1, hi + 2):
+        assert got.piece_dim(n) == ref.piece_dim(n), n
+        assert got.presentation.rank_at(n) == ref.presentation.rank_at(n) == joint.rank_at(n), n
+    return got, ref
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_top_ext_is_the_cokernel_of_the_last_dual_map(name):
+    RI = GradedModule.quotient_by_ideal(load_corpus(name).to_ideal())
+    got, ref = _assert_same_top_ext(RI)
+    _assert_same_top_ext(RI.syzygy_module(1))
+    if len(RI.resolution()) == 3:
+        assert got is ext_module(RI, 3)
+        _assert_same_finite_data(finite_module_data(got), finite_module_data(ref))
+    else:
+        assert not ext_module(RI, 3).F0.rank
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(_finite_length_module())
+@seed(43)
+def test_top_ext_of_a_finite_length_module_is_the_cokernel_of_the_last_dual_map(M):
+    assert len(M.resolution()) == 4
+    _assert_same_top_ext(M)
