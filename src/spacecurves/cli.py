@@ -12,6 +12,7 @@ only included when ``--timings`` is passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -337,7 +338,11 @@ def cmd_corpus(args) -> int:
 # -- argument parsing -------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    """The parser, built on the first call and reused for the life of the
+    process: parsing leaves it unchanged, and each call returns a new
+    namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--trials", type=int, default=32)

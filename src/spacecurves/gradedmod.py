@@ -479,14 +479,19 @@ class GradedModule:
 
         Free summands show up in a minimal presentation as generators whose
         relation row is identically zero: no relation touches them, and
-        minimality guarantees the splitting is canonical.
+        minimality guarantees the splitting is canonical.  With no free
+        summand M0 is the minimal presentation itself, which keeps its
+        resolution and Ext table.
         """
-        mp = self.minimal_presentation().presentation
+        minimal = self.minimal_presentation()
+        mp = minimal.presentation
         free_rows = [
             i
             for i in range(mp.target.rank)
             if all(mp.matrix[i][j].is_zero() for j in range(mp.source.rank))
         ]
+        if not free_rows:
+            return minimal, []
         keep = [i for i in range(mp.target.rank) if i not in free_rows]
         stripped = [mp.target.twists[i] for i in free_rows]
         new_target = FreeModule(self.base, [mp.target.twists[i] for i in keep])
@@ -530,13 +535,18 @@ class GradedModule:
         the minimal resolution, which the rest of that resolution resolves.
         Past the projective dimension it is the free module on the source of
         the last map.  Over A the tail needs no fiber check of its own: the
-        twists of the whole resolution were checked against the fiber."""
+        twists of the whole resolution were checked against the fiber.
+
+        Its dual complex is the tail of this module's, and for i >= 1 it
+        reads Ext^i = Ext^{i+k}(self) off this module's Ext table."""
         key = ("syz", k)
         if key not in self._cache:
             maps = self.resolution()
             if k < len(maps):
                 S = GradedModule(maps[k])
                 S._cache["resolution"] = maps[k:]
+                S._cache["dualcx"] = _dual_complex(self)[k:]
+                _share_ext_table(S, self, k, 1)
             else:
                 S = GradedModule.free(self.base, maps[k - 1].source.twists)
             self._cache[key] = S
@@ -887,8 +897,11 @@ def find_module_iso(M: GradedModule, N: GradedModule, trials: int = 32, seed: in
     """(kind, witness): kind is 'yes' / 'no' / 'undecided'.
 
     'no' is certified by a Hilbert-function or K-polynomial mismatch, or by
-    an empty hom space; over a field, two finite-length modules compare
-    their pieces in place of their K-polynomials.  'yes' is certified by an
+    an empty hom space.  Two finite-length modules compare their pieces, and
+    over A also the pieces of their fibers, in place of their K-polynomials:
+    a finite-length fiber's Hilbert function and its K-polynomial determine
+    each other, and the fiber has the nonzero degrees of the module (graded
+    Nakayama).  'yes' is certified by an
     exhibited degree-0 hom, the witness, that is surjective degreewise up to
     the generation bound; combined with equal Hilbert functions in every
     degree this forces an isomorphism.  The witness is None unless a hom was
@@ -900,21 +913,19 @@ def find_module_iso(M: GradedModule, N: GradedModule, trials: int = 32, seed: in
     Nm = N.minimal_presentation()
     if Mm.F0.rank == 0 and Nm.F0.rank == 0:
         return "yes", None
-    if not M.base.dual and Mm.is_finite_length() and Nm.is_finite_length():
-        # equal pieces in every degree: the same statement as equal
-        # K-polynomials, with no resolution
-        lo = min(Mm.min_degree(), Nm.min_degree())
+    lo = min(Mm.min_degree(), Nm.min_degree())
+    if Mm.is_finite_length() and Nm.is_finite_length():
+        # equal pieces in every degree, with no resolution
         hi = max(Mm.regularity(), Nm.regularity())
-        if any(Mm.piece_dim(n) != Nm.piece_dim(n) for n in range(lo, hi + 1)):
+        pairs = [(Mm, Nm)] + ([(Mm.fiber(), Nm.fiber())] if M.base.dual else [])
+        if any(X.piece_dim(n) != Y.piece_dim(n) for X, Y in pairs for n in range(lo, hi + 1)):
             return "no", None
     elif Mm.kpolynomial() != Nm.kpolynomial():
         return "no", None
-    if M.base.dual:
-        lo = min(Mm.min_degree(), Nm.min_degree())
+    elif M.base.dual:
         hi = max(Mm.regularity(), Nm.regularity()) + 2
-        for n in range(lo, hi + 1):
-            if Mm.piece_dim(n) != Nm.piece_dim(n):
-                return "no", None
+        if any(Mm.piece_dim(n) != Nm.piece_dim(n) for n in range(lo, hi + 1)):
+            return "no", None
     homs = hom_space(Mm, Nm, 0)
     if not homs:
         return "no", None
@@ -942,6 +953,29 @@ def _dual_complex(M: GradedModule):
     if "dualcx" not in M._cache:
         M._cache["dualcx"] = [m.dual() for m in M.resolution()]
     return M._cache["dualcx"]
+
+
+def _ext_entry(M: GradedModule, i: int):
+    """(dict, key) under which Ext^i(M, R) is kept.
+
+    M's cache holds (table, offset, first): Ext^i for i >= first is kept in
+    the dict table under i + offset, and Ext^i for i < first in M's own
+    cache.  A module starts its own table.  A module whose dual complex
+    agrees with X's from spot first - 1 on, up to a shift of the spots,
+    reads X's table (see _share_ext_table), so each Ext module of one
+    resolution is built once.  The table holds only Ext modules and their
+    covers, so sharing it forms no reference cycle."""
+    table, offset, first = M._cache.setdefault("exts", ({}, 0, 0))
+    return (table, i + offset) if i >= first else (M._cache, ("ext", i))
+
+
+def _share_ext_table(S: GradedModule, X: GradedModule, k: int, first: int):
+    """Let S read Ext^i(S) = Ext^{i+k}(X) for i >= first off X's table: the
+    k-th syzygy module for i >= 1, and the extraverted N (k = 0) for i >= 2.
+    The caller guarantees that spots first - 1, first, ... of S's dual
+    complex are the maps at spots first - 1 + k, ... of X's."""
+    table, offset, _ = X._cache.setdefault("exts", ({}, 0, 0))
+    S._cache["exts"] = (table, offset + k, first)
 
 
 def _ext_slot(M: GradedModule, i: int):
@@ -990,26 +1024,27 @@ def _ext_with_cover(M: GradedModule, i: int):
     so minimalizing that presentation only drops zero columns and the cover
     stays K.source.  For i < pd the module is built with a growing degree
     cap; the presentation is accepted once its piece dimensions match
-    direct kernel/image dimensions two degrees past the cap.
+    direct kernel/image dimensions two degrees past the cap.  Each module is
+    kept in M's Ext table (see _ext_entry).
     """
     if i < 0 or i > 4:
         raise ValueError("Ext index out of range")
-    key = ("ext", i)
-    if key in M._cache:
-        return M._cache[key]
+    store, key = _ext_entry(M, i)
+    if key in store:
+        return store[key]
     into, outof, home = _ext_slot(M, i)
     if home is None:
         return GradedModule.zero(M.base), None
     if into is None:
-        M._cache[key] = (GradedModule(outof).minimal_presentation(), GradedMap.identity(home))
-        return M._cache[key]
+        store[key] = (GradedModule(outof).minimal_presentation(), GradedMap.identity(home))
+        return store[key]
     cap = home.min_degree() + 6
     for _ in range(4):
         K = kernel_min_gens(into, cap)
         E = subquotient_module(K, outof, cap).minimal_presentation()
         probe = ext_piece_dims(M, i, [cap + 1, cap + 2])
         if all(E.piece_dim(n) == d for n, d in probe.items()):
-            M._cache[key] = (E, K)
+            store[key] = (E, K)
             return E, K
         cap += 4
     raise CertificationError(f"Ext^{i} cap failed to stabilize")

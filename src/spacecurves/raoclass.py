@@ -16,11 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .curve import CurveFamily, validate_curve
+from .curve import CurveFamily
 from .errors import (
     CertificationError,
     NoLift,
-    NotContained,
     NotPsi,
     OracleMismatch,
     Undecided,
@@ -30,9 +29,12 @@ from .gradedmod import (
     GradedMap,
     GradedModule,
     ModuleHom,
+    _dual_complex,
+    _ext_entry,
     _ext_slot,
     _ext_with_cover,
     _minimalize_map,
+    _share_ext_table,
     cohomology_table,
     element_to_vector,
     ext_module,
@@ -43,7 +45,7 @@ from .gradedmod import (
     vector_to_element,
 )
 from .groebner import Ideal
-from .liaison import CompleteIntersection, Verdict, link
+from .liaison import Verdict, link
 from .polyring import Poly
 from .scalars import BaseRing
 
@@ -144,7 +146,19 @@ def _min_quotient_gens(K: GradedMap, B: GradedMap):
 
 
 def extravertize(M: GradedModule) -> ExtravertData:
-    """Push M out along a free module so that Ext^1 of the result vanishes."""
+    """Push M out along a free module so that Ext^1 of the result vanishes.
+
+    N = coker([phi; -c]: F1 -> F0 + P), with phi the first map of M's
+    minimal resolution and c: F1 -> P dual to minimal generators of
+    Ext^1(M, R), cocycles read off K, the map onto the generators of
+    ker(delta1) up to a cap.  _certify_extravert shows that
+    [phi; -c], d2, d3, ... resolves N, so when minimalizing [phi; -c]
+    cancels nothing, N keeps that resolution and reads Ext^i(N) =
+    Ext^i(M) for i >= 2 off M's Ext table.  When a unit pair cancels (N
+    free, as on an ACM curve) N is resolved on its own.  Over A the kept
+    resolution needs no fiber check: N is an extension of the flat M by the
+    free P, so it is flat.  Ext^1(N) = 0 is cached once certified.
+    """
     base = M.base
     Mm = M.minimal_presentation()
     maps = Mm.resolution()
@@ -153,29 +167,33 @@ def extravertize(M: GradedModule) -> ExtravertData:
         return ExtravertData(
             Mm, Mm, P, GradedMap.zero(P, Mm.F0), GradedMap.identity(Mm.F0)
         )
-    phi = maps[0]
-    delta0 = phi.dual()
-    if len(maps) > 1:
-        delta1 = maps[1].dual()
+    deltas = _dual_complex(Mm)
+    if len(deltas) > 1:
+        delta1 = deltas[1]
         cap = max(
             [-t for t in delta1.source.twists]
             + [-t for t in delta1.target.twists]
         ) + 6
         K = kernel_min_gens(delta1, cap)
     else:
-        K = GradedMap.identity(phi.source.dual())
-    chosen = _min_quotient_gens(K, delta0)
-    F0, F1 = phi.target, phi.source
-    P = FreeModule(base, [-K.source.twists[j] for j in chosen])
-    # cocycle c: F1 -> P from the selected kernel columns
-    c_rows = [[K.matrix[i][j] for i in range(F1.rank)] for j in chosen]
+        K = GradedMap.identity(deltas[0].target)
+    chosen = _min_quotient_gens(K, deltas[0])
+    cocycles = GradedMap.from_columns(
+        K.target, [K.column(j) for j in chosen], [-K.source.twists[j] for j in chosen]
+    )
+    _certify_extravert(deltas, K, cocycles)
+    phi, c = maps[0], cocycles.dual()
+    F0, F1, P = phi.target, phi.source, c.target
     big_target = FreeModule(base, list(F0.twists) + list(P.twists))
-    rows = [list(phi.matrix[i]) for i in range(F0.rank)]
-    for a in range(P.rank):
-        rows.append([-f for f in c_rows[a]])
-    pres_raw = GradedMap(F1, big_target, rows)
-    pres_min, kept, exprs = _minimalize_map(pres_raw)
+    rows = [list(row) for row in phi.matrix] + [[-f for f in row] for row in c.matrix]
+    pres_min, kept, exprs = _minimalize_map(GradedMap(F1, big_target, rows))
     N = GradedModule(pres_min)
+    if pres_min.source.rank == F1.rank and len(kept) == big_target.rank:
+        N._cache["resolution"] = [pres_min] + maps[1:]
+        N._cache["dualcx"] = [pres_min.dual()] + deltas[1:]
+        _share_ext_table(N, Mm, 0, 2)
+    store, key = _ext_entry(N, 1)
+    store[key] = (GradedModule.zero(base), None)
     incl = GradedMap.from_columns(
         pres_min.target,
         [exprs[F0.rank + a] for a in range(P.rank)],
@@ -189,26 +207,34 @@ def extravertize(M: GradedModule) -> ExtravertData:
         for i in range(F0.rank)
     ]
     proj = GradedMap(pres_min.target, F0, proj_matrix)
-    data = ExtravertData(Mm, N, P, incl, proj)
-    _certify_extravert(data)
-    return data
-
-
-def _certify_extravert(data: ExtravertData):
-    if ext_module(data.N, 1).F0.rank:
-        raise CertificationError("Ext^1 of the pushout does not vanish")
-    M, N, P = data.M, data.N, data.P
-    lo = min(N.min_degree(), M.min_degree())
-    hi = max(M.regularity(), -min(P.twists, default=0)) + 4
-    for n in range(lo, hi + 1):
-        if N.piece_dim(n) != P.piece_dim(n) + M.piece_dim(n):
-            raise CertificationError(
-                f"extravert sequence not exact in degree {n}"
-            )
     # the composite P -> N -> M must be the zero module map
-    _lift_columns(
-        M.presentation, data.proj.compose(data.incl), "P maps onto M nontrivially"
-    )
+    _lift_columns(Mm.presentation, proj.compose(incl), "P maps onto M nontrivially")
+    return ExtravertData(Mm, N, P, incl, proj)
+
+
+def _certify_extravert(deltas, K: GradedMap, cocycles: GradedMap):
+    """Certify the pushout N = coker([phi; -c]) of extravertize from the dual
+    complex delta_0, delta_1, ... of M's resolution, K and the cocycles c^dual.
+
+    One zero composite, delta1 o c^dual = 0 (the dual of c o d2 = 0), makes
+    [phi; -c], d2, d3, ... a resolution of N: the kernel of [phi; -c] is
+    ker(phi) cap ker(c) = im(d2), as ker(phi) = im(d2) lies in ker(c), and
+    the rest is M's certified resolution.  It also makes 0 -> P -> N -> M -> 0 exact:
+    (0, p) = (phi(x), -c(x)) forces x into im(d2), so p = -c(x) = 0.  On
+    that resolution Ext^1(N) = ker(delta1) / im[delta0 | c^dual], a quotient
+    of ker(delta1) (both composites with delta1 are zero), so it vanishes
+    once each degree n of K's generators has dim ker(delta1)_n =
+    rank [delta0 | c^dual]_n.  That rests on K generating ker(delta1), which
+    kernel_min_gens takes only up to extravertize's cap.
+    """
+    delta0 = deltas[0]
+    if len(deltas) > 1 and not deltas[1].compose(cocycles).is_zero():
+        raise CertificationError("a chosen class of Ext^1 is not a cocycle")
+    killed = GradedMap.hstack(delta0, cocycles)
+    for n in sorted({-t for t in K.source.twists}):
+        cycles = delta0.target.piece_dim(n) - (deltas[1].rank_at(n) if len(deltas) > 1 else 0)
+        if killed.rank_at(n) != cycles:
+            raise CertificationError(f"Ext^1 of the pushout does not vanish in degree {n}")
 
 
 # -- resolution packages -----------------------------------------------------
@@ -219,7 +245,12 @@ class NTypeResolution:
 
     Like ETypeResolution it keeps the ideal and its regularity reg(I), not
     the curve: the curve caches both, and a cached object that referred back
-    to its owner would form a reference cycle."""
+    to its owner would form a reference cycle.
+
+    certify() checks the zero composites and that N is locally free and
+    extraverted.  Exactness is the constructor's: from extravertize it is a
+    theorem (see _certify_extravert), and link_transform_e_to_n checks it
+    degreewise."""
 
     def __init__(self, ideal: Ideal, reg: int, N, P, incl, surj):
         self.ideal = ideal
@@ -233,19 +264,14 @@ class NTypeResolution:
     def certify(self):
         if not self.surj.compose(self.N.presentation).is_zero():
             raise CertificationError("N-type surjection keeps a relation")
+        if not self.surj.compose(self.incl).is_zero():
+            raise CertificationError("P does not map into the kernel")
         for i in (1, 2):
             E = ext_module(self.N, i)
             if E.F0.rank and not E.is_finite_length():
                 raise CertificationError("N is not locally free")
         if ext_module(self.N, 1).F0.rank:
             raise CertificationError("N is not extraverted")
-        lo = self.N.min_degree()
-        hi = self.reg + max((-t for t in self.N.F0.twists), default=0) + 4
-        for n in range(lo, hi + 1):
-            if self.N.piece_dim(n) != self.P.piece_dim(n) + self.ideal.piece_dim(n):
-                raise CertificationError(
-                    f"N-type sequence not exact in degree {n}"
-                )
 
     def twists(self):
         return (tuple(sorted(self.P.twists)), tuple(sorted(self.N.F0.twists)))
@@ -264,6 +290,11 @@ class ETypeResolution:
         self.certify()
 
     def certify(self):
+        """Zero composites, E locally free, and injectivity and exactness in
+        each degree up to reg(I) + 3 = reg(R/I) + 4, the cap at which
+        _certify_resolution certified the resolution of R/I.  Read off that
+        resolution, incl and E's relations are its second and third maps,
+        so the window ranks nothing that certification did not rank."""
         if not self.surj.compose(self.incl).is_zero():
             raise CertificationError("E does not map into the kernel")
         if self.E.F1.rank and not self.incl.compose(
@@ -276,8 +307,7 @@ class ETypeResolution:
             if X.F0.rank and not X.is_finite_length():
                 raise CertificationError("E is not locally free")
         lo = min(self.E.min_degree(), self.F.min_degree())
-        hi = self.reg + max((-t for t in self.F.twists), default=0) + 4
-        for n in range(lo, hi + 1):
+        for n in range(lo, self.reg + 4):
             if self.incl.rank_at(n) != self.E.piece_dim(n):
                 raise CertificationError(f"E does not inject in degree {n}")
             if self.E.piece_dim(n) != self.F.piece_dim(n) - self.ideal.piece_dim(n):
@@ -746,17 +776,13 @@ def _koszul_sign_choices(F: Poly, G: Poly, base: BaseRing):
             )
 
 
-def link_transform_n_to_e(res: NTypeResolution, F: Poly, G: Poly) -> ETypeResolution:
-    """E-type resolution of the linked curve from an N-type resolution."""
-    ci = CompleteIntersection(F, G)
-    base = ci.base
-    I1 = res.ideal
-    for f in (F, G):
-        if not I1.contains(f):
-            raise NotContained(f"{f} does not lie in the curve ideal")
-    C2 = link(validate_curve(I1), F, G)
-    J = C2.ideal
-    s, t = ci.s, ci.t
+def link_transform_n_to_e(C: CurveFamily, F: Poly, G: Poly) -> ETypeResolution:
+    """E-type resolution of the link of C in (F, G), from the N-type
+    resolution of C."""
+    C2 = link(C, F, G)
+    res = n_type_resolution(C)
+    base, J = C.base, C2.ideal
+    s, t = F.degree(), G.degree()
     st = s + t
     a1 = res.surj.preimage((F,), s)
     a2 = res.surj.preimage((G,), t)
@@ -794,17 +820,13 @@ def link_transform_n_to_e(res: NTypeResolution, F: Poly, G: Poly) -> ETypeResolu
     raise CertificationError("could not assemble the transformed surjection")
 
 
-def link_transform_e_to_n(res: ETypeResolution, F: Poly, G: Poly) -> NTypeResolution:
-    """N-type resolution of the linked curve from an E-type resolution."""
-    ci = CompleteIntersection(F, G)
-    base = ci.base
-    I1 = res.ideal
-    for f in (F, G):
-        if not I1.contains(f):
-            raise NotContained(f"{f} does not lie in the curve ideal")
-    C2 = link(validate_curve(I1), F, G)
-    J = C2.ideal
-    s, t = ci.s, ci.t
+def link_transform_e_to_n(C: CurveFamily, F: Poly, G: Poly) -> NTypeResolution:
+    """N-type resolution of the link of C in (F, G), from the E-type
+    resolution of C."""
+    C2 = link(C, F, G)
+    res = e_type_resolution(C)
+    base, J = C.base, C2.ideal
+    s, t = F.degree(), G.degree()
     st = s + t
     g1 = res.surj.preimage((F,), s)
     g2 = res.surj.preimage((G,), t)
@@ -861,7 +883,13 @@ def link_transform_e_to_n(res: ETypeResolution, F: Poly, G: Poly) -> NTypeResolu
         produced = Ideal(base, [f for f in pi + [k1, k2] if not f.is_zero()])
         if produced == J:
             surj = GradedMap(Ncover, FreeModule(base, [0]), [pi + [k1, k2]])
-            return NTypeResolution(J, C2.regularity() + 1, N, P, incl, surj)
+            out = NTypeResolution(J, C2.regularity() + 1, N, P, incl, surj)
+            # no theorem certifies this assembly: check exactness degreewise
+            hi = out.reg + max((-tw for tw in N.F0.twists), default=0) + 4
+            for n in range(N.min_degree(), hi + 1):
+                if N.piece_dim(n) != P.piece_dim(n) + J.piece_dim(n):
+                    raise CertificationError(f"N-type sequence not exact in degree {n}")
+            return out
     raise CertificationError("could not assemble the transformed surjection")
 
 

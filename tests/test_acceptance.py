@@ -186,10 +186,10 @@ def test_link_transforms_match_linkage(K, corpus_curves):
     tc = corpus_curves("twisted-cubic")
     F, G = _pp(K, "X*Z - Y^2"), _pp(K, "Y*W - Z^2")
     target = link(tc, F, G).ideal
-    eres = link_transform_n_to_e(n_type_resolution(tc), F, G)
+    eres = link_transform_n_to_e(tc, F, G)
     assert eres.ideal == target
     line = validate_curve(target)
-    nres = link_transform_e_to_n(e_type_resolution(line), F, G)
+    nres = link_transform_e_to_n(line, F, G)
     assert nres.ideal == tc.ideal
 
 

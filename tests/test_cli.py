@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from spacecurves import cli
 from spacecurves.cli import load_chain, main
 from spacecurves.curve import validate_curve
 from spacecurves.errors import ParseError
@@ -191,3 +196,36 @@ def test_saturate_dual_family_times_a_power_of_m(capsys, tmp_path):
     assert code == 0
     results = json.loads(out)["results"]
     assert results == {"already_saturated": False, "gens": ["X", "Y"]}
+
+
+def _usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, capsys.readouterr()
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; a usage error after a successful
+    # call, and a successful call after it, read as on a fresh parser
+    code, first = run(capsys, "validate", "corpus:line", "--json")
+    assert code == 0
+    parser = cli._build_parser()
+    err = _usage_error(capsys, ["validate", "--bogus", "corpus:line"])
+    assert cli._build_parser() is parser
+    fresh = cli._build_parser.__wrapped__()
+    with pytest.raises(SystemExit) as exc:
+        fresh.parse_args(["validate", "--bogus", "corpus:line"])
+    assert err == (exc.value.code, capsys.readouterr()) and err[0] == 2
+    assert run(capsys, "validate", "corpus:line", "--json") == (code, first)
+    assert _usage_error(capsys, ["validate", "--bogus", "corpus:line"]) == err
+
+
+def test_python_dash_m_runs_the_tool():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "spacecurves", "corpus", "list"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "twisted-cubic" in done.stdout

@@ -975,19 +975,32 @@ def test_finite_length_scan_agrees_on_ideal_modules(name, p):
     _assert_scan_agrees(GradedModule(ext_module(RI, 3).presentation))
 
 
-def test_iso_precheck_compares_pieces_of_finite_length_modules(K, monkeypatch):
-    # over a field, modules of finite length that differ in one degree are
-    # told apart by their pieces, with no resolution and no hom search
-    M = GradedModule.quotient_by_ideal(I(K, "X", "Y", "Z", "W^3"))
-    N = GradedModule.quotient_by_ideal(I(K, "X", "Y", "Z", "W^2"))
+@pytest.mark.parametrize("dual", [False, True])
+def test_iso_precheck_compares_pieces_of_finite_length_modules(dual, monkeypatch):
+    # modules of finite length that differ in one degree are told apart by
+    # their pieces, with no resolution and no hom search; over A so are
+    # A = R_A/m and k + k = (R_A/(m, e))^2, whose pieces agree and whose
+    # fibers do not (only the first is flat)
+    base = BaseRing(32003, dual)
+    M = GradedModule.quotient_by_ideal(I(base, "X", "Y", "Z", "W^3"))
+    N = GradedModule.quotient_by_ideal(I(base, "X", "Y", "Z", "W^2"))
     assert M.hilbert_function(0, 1) == N.hilbert_function(0, 1)
+    pairs = [(M, N)]
+    if dual:
+        m = I(base, "X", "Y", "Z", "W")
+        k = GradedModule.quotient_by_ideal(Ideal(base, list(m.gens) + [Poly.constant(base, 0, 1)]))
+        Am, kk = GradedModule.quotient_by_ideal(m), raoclass.direct_sum(k, k)
+        assert Am.hilbert_function(-1, 1) == kk.hilbert_function(-1, 1)
+        pairs.append((Am, kk))
 
     def forbidden(*args):
         raise AssertionError("the pre-check should decide")
 
-    monkeypatch.setattr("spacecurves.gradedmod.hom_space", forbidden)
     monkeypatch.setattr(GradedModule, "resolution", forbidden)
-    assert is_module_iso(M, N) == "no"
+    assert is_module_iso(M, M) == "yes"
+    monkeypatch.setattr("spacecurves.gradedmod.hom_space", forbidden)
+    for X, Y in pairs:
+        assert is_module_iso(X, Y) == is_module_iso(Y, X) == "no"
 
 
 # -- the top Ext off the last dual map -------------------------------------------

@@ -1,25 +1,28 @@
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from conftest import RAO_K_NAMES, Span, surjection_hom
-from spacecurves import linalg, raoclass
+from spacecurves import gradedmod, linalg, raoclass
 from spacecurves.curve import validate_curve
+from spacecurves.errors import CertificationError, SpaceCurveError
 from spacecurves.files import load_corpus
 from spacecurves.gradedmod import (
     FreeModule,
     GradedMap,
     GradedModule,
     ModuleHom,
+    _minimalize_map,
     element_to_vector,
     ext_module,
     kernel_min_gens,
     subquotient_module,
 )
-from spacecurves.groebner import Ideal
+from spacecurves.groebner import Ideal, ideal_intersect
 from spacecurves.polyring import Poly, monomial_shift, monomials
 from spacecurves.scalars import BaseRing
 from spacecurves.raoclass import (
+    ETypeResolution,
     biliaison_equivalent,
     direct_sum,
     dual_module,
@@ -107,7 +110,7 @@ def test_quartic_cover_drops_the_redundant_generator(corpus_curves):
 
 
 def test_ntype_resolution_keeps_ext1_of_n(corpus_curves):
-    # the extraverted check computes Ext^1(N, R) once and caches it on N, so
+    # extravertize certifies Ext^1(N, R) = 0 and caches it on N, so
     # certification and later decisions reuse it
     res = n_type_resolution(corpus_curves("skew-lines"))
     assert ("ext", 1) in res.N._cache
@@ -295,10 +298,9 @@ def test_epfn_assembly(corpus_curves):
 
 def test_link_transform_n_to_e(K, corpus_curves):
     tc = corpus_curves("twisted-cubic")
-    res = n_type_resolution(tc)
     F = Poly.parse("X*Z - Y^2", K)
     G = Poly.parse("Y*W - Z^2", K)
-    out = link_transform_n_to_e(res, F, G)
+    out = link_transform_n_to_e(tc, F, G)
     assert out.ideal == Ideal(K, [Poly.parse("Y", K), Poly.parse("Z", K)])
     e_tw, f_tw = out.twists()
     assert f_tw == (-2, -2, -1, -1) or f_tw == (-1, -1, -2, -2) or sorted(f_tw) == [-2, -2, -1, -1]
@@ -306,10 +308,9 @@ def test_link_transform_n_to_e(K, corpus_curves):
 
 def test_link_transform_e_to_n(K, corpus_curves):
     tc = corpus_curves("twisted-cubic")
-    res = e_type_resolution(tc)
     F = Poly.parse("X*Z - Y^2", K)
     G = Poly.parse("Y*W - Z^2", K)
-    out = link_transform_e_to_n(res, F, G)
+    out = link_transform_e_to_n(tc, F, G)
     assert out.ideal == Ideal(K, [Poly.parse("Y", K), Poly.parse("Z", K)])
 
 
@@ -379,3 +380,167 @@ def test_direct_sum_dims(K, corpus_curves):
     S = direct_sum(A, B)
     for n in range(0, 5):
         assert S.piece_dim(n) == A.piece_dim(n) + B.piece_dim(n)
+
+
+# -- the N- and E-type certificates ---------------------------------------------
+
+
+@pytest.mark.parametrize("name", RAO_K_NAMES + [name + "-dual" for name in RAO_K_NAMES])
+def test_ntype_and_etype_read_the_validated_resolution_and_its_ext(name, monkeypatch):
+    # N keeps M's syzygies and, like E, reads Ext off the table of R/I that
+    # validation filled: after validation nothing is resolved again and no
+    # Ext is built through a subquotient, including the stable N's Ext^2
+    C = validate_curve(load_corpus(name).to_ideal())
+    calls = []
+    for fn in ("_resolve", "subquotient_module"):
+        real = getattr(gradedmod, fn)
+        monkeypatch.setattr(gradedmod, fn, lambda *a, real=real, fn=fn: calls.append(fn) or real(*a))
+    nres, eres = n_type_resolution(C), e_type_resolution(C)
+    stable = raoclass._stable_n(C)
+    ext3 = ext_module(C._ri(), 3)
+    assert ext_module(stable, 2) is ext3
+    assert not calls
+    IM = C.ideal_module()
+    assert [id(m) for m in nres.N.resolution()[1:]] == [id(m) for m in IM.resolution()[1:]]
+    assert stable is nres.N
+    assert ext3.F0.rank and ext_module(nres.N, 2) is ext_module(IM, 2) is ext_module(eres.E, 1) is ext3
+
+
+def _extravert_certificate(C, monkeypatch):
+    """(deltas, K, cocycles) as extravertize hands them to its certificate
+    on C's ideal module, and the certificate itself."""
+    certify, seen = raoclass._certify_extravert, []
+    monkeypatch.setattr(raoclass, "_certify_extravert", lambda *args: seen.append(args) or certify(*args))
+    extravertize(C.ideal_module())
+    return seen[0], certify
+
+
+def _not_a_cycle(delta1, degree):
+    """A monomial element of delta1's source in the given degree off its kernel."""
+    F = delta1.source
+    for i, t in enumerate(F.twists):
+        for m in monomials(degree + t):
+            elem = [Poly.zero(F.base)] * F.rank
+            elem[i] = Poly(F.base, {m: (1, 0)})
+            if any(not f.is_zero() for f in delta1.apply(tuple(elem))):
+                return tuple(elem)
+    raise AssertionError("every element of that degree is a cycle")
+
+
+@pytest.mark.parametrize("name", RAO_K_NAMES + ["skew-lines-dual"])
+def test_extravert_certificate_rejects_mutants(name, corpus_curves, monkeypatch):
+    (deltas, K, cocycles), certify = _extravert_certificate(corpus_curves(name), monkeypatch)
+    certify(deltas, K, cocycles)
+    F = cocycles.target
+    cols = [cocycles.column(j) for j in range(cocycles.source.rank)]
+    degs = [-t for t in cocycles.source.twists]
+
+    def mutant(cols, degs):
+        return GradedMap.from_columns(F, cols, degs)
+
+    # a dropped generator of P
+    for j in range(len(cols)):
+        with pytest.raises(CertificationError, match="does not vanish"):
+            certify(deltas, K, mutant(cols[:j] + cols[j + 1 :], degs[:j] + degs[j + 1 :]))
+    # a wrong twist on P: the cocycle times X, one degree up
+    x = Poly.variable(F.base, 0)
+    with pytest.raises(CertificationError, match="does not vanish"):
+        certify(deltas, K, mutant([tuple(x * f for f in cols[0])] + cols[1:], [degs[0] + 1] + degs[1:]))
+    # a c that is not a cocycle
+    bad = tuple(f + g for f, g in zip(cols[0], _not_a_cycle(deltas[1], degs[0])))
+    with pytest.raises(CertificationError, match="not a cocycle"):
+        certify(deltas, K, mutant([bad] + cols[1:], degs))
+
+
+@pytest.mark.parametrize("name", ["twisted-cubic", "skew-lines", "skew-lines-dual", "quartic-from-skew-bilink"])
+def test_etype_certificate_rejects_an_incl_that_is_not_injective(name, corpus_curves):
+    # E + R(t) with the new generator sent to zero: every composite is zero
+    # and E + R(t) is locally free, but incl kills a degree -t element
+    res = e_type_resolution(corpus_curves(name))
+    t = res.E.F0.twists[0]
+    E2 = direct_sum(res.E, GradedModule.free(res.E.base, [t]))
+    incl2 = GradedMap.hstack(res.incl, GradedMap.zero(FreeModule(res.E.base, [t]), res.F))
+    with pytest.raises(CertificationError, match=f"does not inject in degree {-t}"):
+        ETypeResolution(res.ideal, res.reg, E2, res.F, incl2, res.surj)
+
+
+def _pushout_by_resolving(M):
+    # reference: extravertize's pushout as it was built before N kept M's
+    # resolution: fresh dual maps and the cocycles of ker(delta1) to the
+    # same cap; returns the minimal presentation of N and P's twists
+    maps = M.minimal_presentation().resolution()
+    phi = maps[0]
+    if len(maps) > 1:
+        delta1 = maps[1].dual()
+        K = kernel_min_gens(delta1, max(-t for t in delta1.source.twists + delta1.target.twists) + 6)
+    else:
+        K = GradedMap.identity(phi.source.dual())
+    chosen = raoclass._min_quotient_gens(K, phi.dual())
+    F0, F1 = phi.target, phi.source
+    P = FreeModule(M.base, [-K.source.twists[j] for j in chosen])
+    rows = [list(phi.matrix[i]) for i in range(F0.rank)]
+    rows += [[-K.matrix[i][j] for i in range(F1.rank)] for j in chosen]
+    target = FreeModule(M.base, list(F0.twists) + list(P.twists))
+    return _minimalize_map(GradedMap(F1, target, rows))[0], P.twists
+
+
+@st.composite
+def _general_lines(draw):
+    """A union of lines with random coefficients, each line the zero set of
+    two linear forms: 2 or 3 lines over F_p, 2 over A, where 3 lines take
+    seconds."""
+    p = draw(st.sampled_from([2, 3, 101, 32003]))
+    dual = draw(st.booleans())
+    base = BaseRing(p, dual)
+    coef = st.integers(0, p - 1)
+    I = None
+    for _ in range(2 if dual else draw(st.integers(2, 3))):
+        forms = []
+        for _ in range(2):
+            terms = {}
+            for v in range(4):
+                terms[tuple(int(i == v) for i in range(4))] = (draw(coef), draw(coef) if dual else 0)
+            forms.append(Poly(base, terms))
+        L = Ideal(base, forms)
+        I = L if I is None else ideal_intersect(I, L)
+    try:
+        return validate_curve(I)
+    except SpaceCurveError:
+        assume(False)
+
+
+def _ext1_dims_of_a_fresh_copy(N):
+    # Ext^1 of a copy of N resolved afresh, in each degree of a generator of
+    # the cycles of its own dual complex, where it is generated
+    fresh = GradedModule(N.presentation)
+    deltas = [m.dual() for m in fresh.resolution()]
+    if len(deltas) > 1:
+        d1 = deltas[1]
+        K = kernel_min_gens(d1, max(-t for t in d1.source.twists + d1.target.twists) + 6)
+        degrees = {-t for t in K.source.twists}
+    else:
+        degrees = {-t for t in deltas[0].target.twists}
+    return gradedmod.ext_piece_dims(fresh, 1, sorted(degrees)), fresh
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(_general_lines())
+@seed(28)
+def test_inherited_ntype_resolution_passes_the_checks_it_replaces(C):
+    # the same N, P and twists as the pushout built and resolved afresh, and
+    # the deleted checks hold: Ext^1 = 0 on a fresh resolution of N, and the
+    # N-type piece window
+    res = n_type_resolution(C)
+    pres, p_twists = _pushout_by_resolving(C.ideal_module())
+    N = res.N
+    assert (N.F1, N.F0, N.presentation.matrix) == (pres.source, pres.target, pres.matrix)
+    assert res.P.twists == p_twists
+    assert res.twists() == (tuple(sorted(p_twists)), tuple(sorted(pres.target.twists)))
+    dims, fresh = _ext1_dims_of_a_fresh_copy(N)
+    assert not any(dims.values())
+    assert [sorted(m.source.twists) for m in fresh.resolution()] == [
+        sorted(m.source.twists) for m in N.resolution()
+    ]
+    hi = res.reg + max((-t for t in N.F0.twists), default=0) + 4
+    for n in range(N.min_degree(), hi + 1):
+        assert N.piece_dim(n) == res.P.piece_dim(n) + res.ideal.piece_dim(n), n
