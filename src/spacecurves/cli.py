@@ -205,10 +205,21 @@ def cmd_etype(args) -> int:
     return rep.emit(EXIT_YES)
 
 
-def cmd_compare(args) -> int:
+def _read_pair(args):
+    """(curve file A, curve file B, report) of a two-curve command, once its
+    search bounds are checked: a search needs at least one trial and a
+    height of at least 0."""
+    if args.trials < 1:
+        raise ParseError(f"--trials must be at least 1, got {args.trials}")
+    if getattr(args, "max_height", 0) < 0:
+        raise ParseError(f"--max-height must be at least 0, got {args.max_height}")
     ca = _read_curve(args.fileA, args)
     cb = _read_curve(args.fileB, args)
-    rep = _Report(args, {"curveA": _digest(ca), "curveB": _digest(cb)})
+    return ca, cb, _Report(args, {"curveA": _digest(ca), "curveB": _digest(cb)})
+
+
+def cmd_compare(args) -> int:
+    ca, cb, rep = _read_pair(args)
     v = biliaison_equivalent(
         _curve(ca), _curve(cb), trials=args.trials, seed=args.seed
     )
@@ -218,9 +229,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_parity(args) -> int:
-    ca = _read_curve(args.fileA, args)
-    cb = _read_curve(args.fileB, args)
-    rep = _Report(args, {"curveA": _digest(ca), "curveB": _digest(cb)})
+    ca, cb, rep = _read_pair(args)
     par = liaison_parity(
         _curve(ca), _curve(cb), trials=args.trials, seed=args.seed
     )
@@ -235,9 +244,7 @@ def cmd_parity(args) -> int:
 
 
 def cmd_connect(args) -> int:
-    ca = _read_curve(args.fileA, args)
-    cb = _read_curve(args.fileB, args)
-    rep = _Report(args, {"curveA": _digest(ca), "curveB": _digest(cb)})
+    ca, cb, rep = _read_pair(args)
     A, B = _curve(ca), _curve(cb)
     chain = connect_by_biliaisons(
         A, B, max_height=args.max_height, trials=args.trials, seed=args.seed

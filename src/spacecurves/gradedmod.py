@@ -191,14 +191,31 @@ class GradedMap:
     def column(self, j: int):
         return tuple(self.matrix[i][j] for i in range(self.target.rank))
 
+    def lift(self, X: "GradedMap"):
+        """A map Y with self o Y = X, X a map into self's target, lifted one
+        degree of X's columns at a time against one matrix of self: a zero
+        column lifts to zero.  None when a column has no preimage."""
+        if X.target != self.target:
+            raise ValueError("a lift needs a map into the target")
+        cols = [self.source.zero_element()] * X.source.rank
+        by_degree = {}
+        for j in range(X.source.rank):
+            if any(not f.is_zero() for f in X.column(j)):
+                by_degree.setdefault(-X.source.twists[j], []).append(j)
+        for n, js in by_degree.items():
+            rhs = np.array([element_to_vector(self.target, X.column(j), n) for j in js]).T
+            sol = linalg.solve(self.matrix_at(n), rhs, self.base.p)
+            if sol is None:
+                return None
+            for k, j in enumerate(js):
+                cols[j] = vector_to_element(self.source, sol[:, k], n)
+        return GradedMap.from_columns(self.source, cols, [-t for t in X.source.twists])
+
     def preimage(self, elem, n: int):
         """One element of the source that maps to elem, a degree-n element of
         the target; None when elem is not in the image."""
-        vec = element_to_vector(self.target, elem, n)
-        sol = linalg.solve(self.matrix_at(n), vec.reshape(-1, 1), self.base.p)
-        if sol is None:
-            return None
-        return vector_to_element(self.source, sol[:, 0], n)
+        Y = self.lift(GradedMap.from_columns(self.target, [elem], [n]))
+        return None if Y is None else Y.column(0)
 
     def apply(self, elem):
         """Image of an element of the source (tuple of Polys)."""
@@ -368,6 +385,39 @@ def min_generators(F: FreeModule, piece_fn, dim_fn, cap: int) -> GradedMap:
         grown._cache.update((m, rk) for m, rk in known._cache.items() if m < n)
         known = grown
     return known
+
+
+def _min_quotient_gens(K: GradedMap, B: GradedMap):
+    """Indices of K columns minimally generating (im K + im B)/(im B).
+
+    In degree d the candidates are the fiber columns of K's degree-d
+    generators; K's other degree-d columns span m * im K + e * im K.  One
+    elimination of [B | those columns | candidates] picks the candidates
+    outside the span of the columns before them.
+    """
+    p = K.base.p
+    chosen = []
+    for d in sorted(set(-t for t in K.source.twists)):
+        cands = [j for j, t in enumerate(K.source.twists) if -t == d]
+        r, c, v, (height, width) = K.cells_at(d)
+        br, bc, bv, (_, bwidth) = B.cells_at(d)
+        # a degree-d generator spans a one-column block of the fiber half
+        last = np.cumsum([0] + K.source.block_dims(d))[cands]
+        is_cand = np.zeros(width, dtype=bool)
+        is_cand[last] = True
+        start = bwidth + width - len(cands)
+        pos = np.empty(width, dtype=np.intp)
+        pos[~is_cand] = np.arange(bwidth, start)
+        pos[last] = np.arange(start, bwidth + width)
+        pivots = linalg.cell_pivots(
+            np.concatenate([br, r]),
+            np.concatenate([bc, pos[c]]),
+            np.concatenate([bv, v]),
+            (height, bwidth + width),
+            p,
+        )
+        chosen.extend(cands[j - start] for j in pivots if j >= start)
+    return chosen
 
 
 def kernel_min_gens(phi: GradedMap, cap: int) -> GradedMap:
@@ -586,8 +636,10 @@ class GradedModule:
         of the zero module is 0.  The scan looks at the eight degrees g ..
         g + 7, which holds the first zero piece of the Ext^3 of five skew
         lines over F_2, three degrees past its generators.  With no zero
-        piece there the resolution decides: finite length exactly when the
-        three pieces past the regularity are zero.
+        piece there the resolution decides with one piece: the regularity
+        reg is at least g, so M_{reg+1} = 0 forces every later piece to
+        vanish, and a module of finite length has its top nonzero piece at
+        reg, by the same corollary.
         """
         g = max((-t for t in self.F0.twists), default=None)
         if g is None:
@@ -599,8 +651,7 @@ class GradedModule:
                 if top is not None:
                     self._cache["reg"] = top
                 return True
-        reg = self.regularity()
-        return not any(self.piece_dim(n) for n in range(reg + 1, reg + 4))
+        return not self.piece_dim(self.regularity() + 1)
 
     def kpolynomial(self) -> dict:
         """Signed twist counts of the fiber resolution: determines the

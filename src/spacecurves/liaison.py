@@ -14,6 +14,7 @@ import random
 
 from .curve import CurveFamily, validate_curve
 from .errors import (
+    MixedBase,
     NotContained,
     NotCoprime,
     NotEquivalent,
@@ -296,6 +297,8 @@ def connect_by_biliaisons(
     seed: int = 0,
 ):
     """A verified chain of biliaison steps from C to C'."""
+    if C.base != Cp.base:
+        raise MixedBase("biliaison chain across base rings")
     if C.ideal == Cp.ideal:
         return []
     from .raoclass import biliaison_equivalent

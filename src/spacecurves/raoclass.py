@@ -13,12 +13,10 @@ curve with the dualized E-side of the other.
 
 from __future__ import annotations
 
-import numpy as np
-
-from . import linalg
 from .curve import CurveFamily
 from .errors import (
     CertificationError,
+    MixedBase,
     NoLift,
     NotPsi,
     OracleMismatch,
@@ -33,43 +31,30 @@ from .gradedmod import (
     _ext_entry,
     _ext_slot,
     _ext_with_cover,
+    _min_quotient_gens,
     _minimalize_map,
     _share_ext_table,
     cohomology_table,
-    element_to_vector,
     ext_module,
     finite_data_to_module,
     is_module_iso,
     kernel_min_gens,
     subquotient_module,
-    vector_to_element,
 )
 from .groebner import Ideal
 from .liaison import Verdict, link
 from .polyring import Poly
-from .scalars import BaseRing
 
 
 # -- generic map plumbing ----------------------------------------------------
 
 
 def _lift_columns(phi: GradedMap, X: GradedMap, msg: str) -> GradedMap:
-    """A map Y with phi o Y = X, lifted one degree of X's columns at a time
-    against one matrix of phi: a zero column lifts to zero, and a column with
-    no preimage raises CertificationError(msg)."""
-    cols = [phi.source.zero_element()] * X.source.rank
-    by_degree = {}
-    for j in range(X.source.rank):
-        if any(not f.is_zero() for f in X.column(j)):
-            by_degree.setdefault(-X.source.twists[j], []).append(j)
-    for n, js in by_degree.items():
-        rhs = np.array([element_to_vector(phi.target, X.column(j), n) for j in js]).T
-        sol = linalg.solve(phi.matrix_at(n), rhs, phi.base.p)
-        if sol is None:
-            raise CertificationError(msg)
-        for k, j in enumerate(js):
-            cols[j] = vector_to_element(phi.source, sol[:, k], n)
-    return GradedMap.from_columns(phi.source, cols, [-t for t in X.source.twists])
+    """phi.lift(X), or CertificationError(msg) when a column has no preimage."""
+    Y = phi.lift(X)
+    if Y is None:
+        raise CertificationError(msg)
+    return Y
 
 
 def direct_sum(M: GradedModule, N: GradedModule) -> GradedModule:
@@ -110,39 +95,6 @@ class ExtravertData:
         self.P = P  # FreeModule
         self.incl = incl  # GradedMap P -> N.F0
         self.proj = proj  # GradedMap N.F0 -> M.F0
-
-
-def _min_quotient_gens(K: GradedMap, B: GradedMap):
-    """Indices of K columns minimally generating (im K + im B)/(im B).
-
-    In degree d the candidates are the fiber columns of K's degree-d
-    generators; K's other degree-d columns span m * im K + e * im K.  One
-    elimination of [B | those columns | candidates] picks the candidates
-    outside the span of the columns before them.
-    """
-    p = K.base.p
-    chosen = []
-    for d in sorted(set(-t for t in K.source.twists)):
-        cands = [j for j, t in enumerate(K.source.twists) if -t == d]
-        r, c, v, (height, width) = K.cells_at(d)
-        br, bc, bv, (_, bwidth) = B.cells_at(d)
-        # a degree-d generator spans a one-column block of the fiber half
-        last = np.cumsum([0] + K.source.block_dims(d))[cands]
-        is_cand = np.zeros(width, dtype=bool)
-        is_cand[last] = True
-        start = bwidth + width - len(cands)
-        pos = np.empty(width, dtype=np.intp)
-        pos[~is_cand] = np.arange(bwidth, start)
-        pos[last] = np.arange(start, bwidth + width)
-        pivots = linalg.cell_pivots(
-            np.concatenate([br, r]),
-            np.concatenate([bc, pos[c]]),
-            np.concatenate([bv, v]),
-            (height, bwidth + width),
-            p,
-        )
-        chosen.extend(cands[j - start] for j in pivots if j >= start)
-    return chosen
 
 
 def extravertize(M: GradedModule) -> ExtravertData:
@@ -266,10 +218,8 @@ class NTypeResolution:
             raise CertificationError("N-type surjection keeps a relation")
         if not self.surj.compose(self.incl).is_zero():
             raise CertificationError("P does not map into the kernel")
-        for i in (1, 2):
-            E = ext_module(self.N, i)
-            if E.F0.rank and not E.is_finite_length():
-                raise CertificationError("N is not locally free")
+        if self.N.projective_dimension()[1]:
+            raise CertificationError("N is not locally free")
         if ext_module(self.N, 1).F0.rank:
             raise CertificationError("N is not extraverted")
 
@@ -301,11 +251,8 @@ class ETypeResolution:
             self.E.presentation
         ).is_zero():
             raise CertificationError("E relations do not die in F")
-        pd = self.E.projective_dimension()[0]
-        for i in range(1, pd + 1):
-            X = ext_module(self.E, i)
-            if X.F0.rank and not X.is_finite_length():
-                raise CertificationError("E is not locally free")
+        if self.E.projective_dimension()[1]:
+            raise CertificationError("E is not locally free")
         lo = min(self.E.min_degree(), self.F.min_degree())
         for n in range(lo, self.reg + 4):
             if self.incl.rank_at(n) != self.E.piece_dim(n):
@@ -412,45 +359,23 @@ def _psi_window(M: GradedModule, N: GradedModule):
     return range(-(spread + 4), spread + 5)
 
 
-def _ker_basis_or_full(into, home, n, p):
-    if home is None:
-        return None
-    if into is None:
-        return linalg.identity(home.piece_dim(n))
-    return linalg.kernel_basis(into.matrix_at(n), p)
+def _induced_ext_ok(M, N, g, j, degrees, bijective: bool) -> bool:
+    """Whether the map Ext^j(N, R) -> Ext^j(M, R) induced by g^dual, g: F_j
+    -> G_j a chain map's spot j between the resolutions of M and N (None:
+    zero), is onto, and one-to-one when bijective, in each degree given.
 
-
-def _induced_ext_ok(M, N, gdual, j, degrees, need: str) -> bool:
-    """Check the induced map Ext^j(N, R) -> Ext^j(M, R) degreewise."""
-    p = M.base.p
-    intoM, outofM, homeM = _ext_slot(M, j)
-    intoN, outofN, homeN = _ext_slot(N, j)
-    EM = ext_module(M, j)
-    EN = ext_module(N, j)
+    g^dual sends N's cycles into M's cycles and N's boundaries into M's
+    boundaries.  N's cycles are the image of K, the cover of Ext^j(N) (the
+    identity at j = pd, None past it), and M's boundaries the image of B, so
+    the image has dimension rank [g^dual o K | B]_n - rank B_n in degree n.
+    """
+    EM, EN = ext_module(M, j), ext_module(N, j)
+    K = _ext_with_cover(N, j)[1]
+    B = _ext_slot(M, j)[1]
+    joint = None if g is None or K is None else GradedMap.hstack(g.dual().compose(K), B)
     for n in degrees:
-        eM = EM.piece_dim(n)
-        eN = EN.piece_dim(n)
-        if eM == 0 and eN == 0:
-            continue
-        if need == "surjective" and eM == 0:
-            continue
-        eM_ker = _ker_basis_or_full(intoM, homeM, n, p)
-        eN_ker = _ker_basis_or_full(intoN, homeN, n, p)
-        bM_rank = outofM.rank_at(n) if outofM is not None else 0
-        if eN_ker is None or eN_ker.shape[1] == 0:
-            img_rank = 0
-        else:
-            img = linalg.matmul(gdual.matrix_at(n), eN_ker, p)
-            bM = outofM.matrix_at(n) if outofM is not None else None
-            pieces = [x for x in (img, bM) if x is not None and x.size]
-            if pieces:
-                joint = np.concatenate(pieces, axis=1)
-                img_rank = linalg.rank(joint, p) - bM_rank
-            else:
-                img_rank = 0
-        if need in ("surjective", "bijective") and img_rank != eM:
-            return False
-        if need in ("injective", "bijective") and img_rank != eN:
+        image = joint.rank_at(n) - B.rank_at(n) if joint is not None else 0
+        if image != EM.piece_dim(n) or (bijective and image != EN.piece_dim(n)):
             return False
     return True
 
@@ -475,25 +400,15 @@ def is_psi(f: ModuleHom) -> bool:
             raise Undecided("sheaf projective dimension above 2")
         gs = _lift_chain(f0, M.resolution(), N.resolution())
         window = _psi_window(M, N)
-        for j, need in ((2, "bijective"), (1, "surjective")):
-            degrees = _psi_degrees(M, N, j, need, window)
-            if j >= len(gs):
-                # the induced map is zero that deep: the conditions reduce
-                # to vanishing of the relevant Ext pieces
-                EM = ext_module(M, j)
-                EN = ext_module(N, j)
-                for n in degrees:
-                    if EM.piece_dim(n):
-                        return False
-                    if need == "bijective" and EN.piece_dim(n):
-                        return False
-                continue
-            if not _induced_ext_ok(M, N, gs[j].dual(), j, degrees, need):
+        for j, bijective in ((2, True), (1, False)):
+            degrees = _psi_degrees(M, N, j, bijective, window)
+            g = gs[j] if j < len(gs) else None
+            if not _induced_ext_ok(M, N, g, j, degrees, bijective):
                 return False
     return True
 
 
-def _psi_degrees(M, N, j, need, window):
+def _psi_degrees(M, N, j, bijective, window):
     """Degrees inside the window where the Ext^j condition is not vacuous.
 
     Surjectivity onto Ext^j(M) only bites where Ext^j(M) is nonzero;
@@ -502,7 +417,7 @@ def _psi_degrees(M, N, j, need, window):
     EM = ext_module(M, j)
     EN = ext_module(N, j)
     degs = set()
-    sides = [EM] + ([EN] if need == "bijective" else [])
+    sides = [EM] + ([EN] if bijective else [])
     for E in sides:
         if E.F0.rank == 0:
             continue
@@ -673,32 +588,38 @@ def _stable_compare(
             cands = sorted({t1 - t2 for t1 in k0 for t2 in k0p})
     else:
         cands = [0]
-    saw_undecided = False
     base = N0.base
-    for h in cands:
-        shifted = {t + h: c for t, c in k0p.items()}
-        diff = {
-            t: k0.get(t, 0) - shifted.get(t, 0)
-            for t in set(k0) | set(shifted)
-        }
-        pad_a = [t for t, c in diff.items() for _ in range(max(-c, 0))]
-        pad_b = [t for t, c in diff.items() for _ in range(max(c, 0))]
-        A = (
-            direct_sum(N0, GradedModule.free(base, sorted(pad_a)))
-            if pad_a
-            else N0
-        )
-        B = N0p.shift(h)
-        if pad_b:
-            B = direct_sum(B, GradedModule.free(base, sorted(pad_b)))
-        r = is_module_iso(A, B, trials=trials, seed=seed)
+
+    def padded():
+        for h in cands:
+            shifted = {t + h: c for t, c in k0p.items()}
+            diff = {t: k0.get(t, 0) - shifted.get(t, 0) for t in set(k0) | set(shifted)}
+            pad_a = [t for t, c in diff.items() for _ in range(max(-c, 0))]
+            pad_b = [t for t, c in diff.items() for _ in range(max(c, 0))]
+            A = direct_sum(N0, GradedModule.free(base, sorted(pad_a))) if pad_a else N0
+            B = N0p.shift(h)
+            if pad_b:
+                B = direct_sum(B, GradedModule.free(base, sorted(pad_b)))
+            yield h, A, B
+
+    return _first_iso(
+        padded(), trials, seed, "iso test inconclusive", "no candidate shift yields an isomorphism"
+    )
+
+
+def _first_iso(candidates, trials, seed, undecided: str, no: str) -> Verdict:
+    """Yes at the shift h of the first (h, X, Y) with X isomorphic to Y;
+    else undecided (reason undecided) when some iso test was inconclusive,
+    and no (reason no) when every test said no."""
+    saw_undecided = False
+    for h, X, Y in candidates:
+        r = is_module_iso(X, Y, trials=trials, seed=seed)
         if r == "yes":
             return Verdict("yes", h=h)
-        if r == "undecided":
-            saw_undecided = True
+        saw_undecided |= r == "undecided"
     if saw_undecided:
-        return Verdict("undecided", reason="iso test inconclusive")
-    return Verdict("no", reason="no candidate shift yields an isomorphism")
+        return Verdict("undecided", reason=undecided)
+    return Verdict("no", reason=no)
 
 
 def psi_equivalent(
@@ -709,6 +630,8 @@ def psi_equivalent(
     seed: int = 0,
 ) -> Verdict:
     """Stable psi equivalence via minimal extraverted representatives."""
+    if N.base != Np.base:
+        raise MixedBase("psi equivalence across base rings")
     return _stable_compare(
         minimal_extravert(N), minimal_extravert(Np), allow_shift, trials, seed
     )
@@ -717,63 +640,24 @@ def psi_equivalent(
 # -- link transforms ---------------------------------------------------------
 
 
-def _solve_surjection_entries(A_matrix, rhs_polys, entry_degs, base):
-    """Solve sum_a pi[a] * A[a][c] = rhs[c] for polynomials pi[a] of the
-    given degrees; returns the list pi, or None when unsolvable."""
-    p = base.p
-    R1 = FreeModule(base, [0])
-    widths = [R1.piece_dim(d) if d >= 0 else 0 for d in entry_degs]
-    offs = np.cumsum([0] + widths)
-    total = int(offs[-1])
-    blocks = []
-    rhs_rows = []
-    for c in range(len(rhs_polys)):
-        e = None
-        for a in range(len(entry_degs)):
-            f = A_matrix[a][c]
-            if not f.is_zero():
-                e = entry_degs[a] + f.degree()
-                break
-        if e is None:
-            if not rhs_polys[c].is_zero():
-                return None
-            continue
-        height = R1.piece_dim(e)
-        block = np.zeros((height, total), dtype=np.int64)
-        for a in range(len(entry_degs)):
-            f = A_matrix[a][c]
-            if f.is_zero() or widths[a] == 0:
+def _koszul_surjection(J: Ideal, A: GradedMap, B: GradedMap, F: Poly, G: Poly) -> GradedMap:
+    """The surjection [pi | k1 k2]: A.target + B.target -> R onto J that
+    kills the image of [A; B], with (k1, k2) = (+-G, +-F), tried +G before
+    -G and +F before -F within each: pi solves pi o A = -(k1, k2) o B, lifted
+    as A.dual().lift(rhs.dual()).  The first choice whose entries generate J
+    is taken."""
+    base = J.base
+    R = FreeModule(base, [0])
+    for k1 in (G, -G):
+        for k2 in (F, -F):
+            rhs = GradedMap(B.target, R, [[-k1, -k2]]).compose(B)
+            pi = A.dual().lift(rhs.dual())
+            if pi is None:
                 continue
-            block[:, offs[a] : offs[a + 1]] = GradedMap(
-                FreeModule(base, [-f.degree()]), R1, [[f]]
-            ).matrix_at(entry_degs[a] + f.degree())
-        blocks.append(block)
-        rhs_rows.append(element_to_vector(R1, (rhs_polys[c],), e))
-    if not blocks:
-        return [Poly.zero(base)] * len(entry_degs)
-    sol = linalg.solve(
-        np.vstack(blocks), np.concatenate(rhs_rows).reshape(-1, 1), p
-    )
-    if sol is None:
-        return None
-    out = []
-    for a in range(len(entry_degs)):
-        if widths[a] == 0:
-            out.append(Poly.zero(base))
-        else:
-            vec = sol[offs[a] : offs[a + 1], 0]
-            out.append(vector_to_element(R1, vec, entry_degs[a])[0])
-    return out
-
-
-def _koszul_sign_choices(F: Poly, G: Poly, base: BaseRing):
-    neg = base.p - 1
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            yield (
-                G if s1 == 1 else G.scale_int(neg),
-                F if s2 == 1 else F.scale_int(neg),
-            )
+            row = pi.dual().matrix[0] + (k1, k2)
+            if Ideal(base, [f for f in row if not f.is_zero()]) == J:
+                return GradedMap(FreeModule(base, A.target.twists + B.target.twists), R, [row])
+    raise CertificationError("could not assemble the transformed surjection")
 
 
 def link_transform_n_to_e(C: CurveFamily, F: Poly, G: Poly) -> ETypeResolution:
@@ -781,7 +665,7 @@ def link_transform_n_to_e(C: CurveFamily, F: Poly, G: Poly) -> ETypeResolution:
     resolution of C."""
     C2 = link(C, F, G)
     res = n_type_resolution(C)
-    base, J = C.base, C2.ideal
+    J = C2.ideal
     s, t = F.degree(), G.degree()
     st = s + t
     a1 = res.surj.preimage((F,), s)
@@ -792,32 +676,9 @@ def link_transform_n_to_e(C: CurveFamily, F: Poly, G: Poly) -> ETypeResolution:
     Nd, K = dual_module(res.N)
     jK = res.incl.dual().compose(K).shift(-st)
     aK = alpha.dual().compose(K).shift(-st)
-    E = Nd.shift(-st)
-    Fmid = FreeModule(base, list(jK.target.twists) + list(aK.target.twists))
-    delta = GradedMap(
-        jK.source,
-        Fmid,
-        [list(r) for r in jK.matrix] + [list(r) for r in aK.matrix],
-    )
-    npd = jK.target.rank
-    entry_degs = [-tw for tw in jK.target.twists]
-    for k1, k2 in _koszul_sign_choices(F, G, base):
-        rhs = []
-        for c in range(delta.source.rank):
-            acc = k1 * delta.matrix[npd][c] + k2 * delta.matrix[npd + 1][c]
-            rhs.append(-acc)
-        A = [
-            [delta.matrix[a][c] for c in range(delta.source.rank)]
-            for a in range(npd)
-        ]
-        pi = _solve_surjection_entries(A, rhs, entry_degs, base)
-        if pi is None:
-            continue
-        produced = Ideal(base, [f for f in pi + [k1, k2] if not f.is_zero()])
-        if produced == J:
-            surj = GradedMap(Fmid, FreeModule(base, [0]), [pi + [k1, k2]])
-            return ETypeResolution(J, C2.regularity() + 1, E, Fmid, delta, surj)
-    raise CertificationError("could not assemble the transformed surjection")
+    surj = _koszul_surjection(J, jK, aK, F, G)
+    delta = GradedMap(jK.source, surj.source, jK.matrix + aK.matrix)
+    return ETypeResolution(J, C2.regularity() + 1, Nd.shift(-st), surj.source, delta, surj)
 
 
 def link_transform_e_to_n(C: CurveFamily, F: Poly, G: Poly) -> NTypeResolution:
@@ -825,7 +686,7 @@ def link_transform_e_to_n(C: CurveFamily, F: Poly, G: Poly) -> NTypeResolution:
     resolution of C."""
     C2 = link(C, F, G)
     res = e_type_resolution(C)
-    base, J = C.base, C2.ideal
+    J = C2.ideal
     s, t = F.degree(), G.degree()
     st = s + t
     g1 = res.surj.preimage((F,), s)
@@ -846,51 +707,19 @@ def link_transform_e_to_n(C: CurveFamily, F: Poly, G: Poly) -> NTypeResolution:
     gK = gamma.dual().shift(-st)  # F^dual(-st) -> R(-t) + R(-s)
     P = res.F.dual().shift(-st)
     EdS = Ed.shift(-st)
-    KE_S = KE.shift(-st)
-    lift1 = _lift_columns(KE_S, cK, "dualized cover misses the E dual")
-    free_part = gK.target
-    Ncover = FreeModule(base, list(EdS.F0.twists) + list(free_part.twists))
-    z = Poly.zero(base)
-    Nrel = GradedMap(
-        FreeModule(base, list(EdS.F1.twists)),
-        Ncover,
-        [list(EdS.presentation.matrix[i]) for i in range(EdS.F0.rank)]
-        + [[z] * EdS.F1.rank for _ in range(free_part.rank)],
-    )
-    N = GradedModule(Nrel)
-    incl = GradedMap(
-        P,
-        Ncover,
-        [list(row) for row in lift1.matrix]
-        + [
-            [gK.matrix[b][i] for i in range(P.rank)]
-            for b in range(free_part.rank)
-        ],
-    )
-    entry_degs = [-tw for tw in EdS.F0.twists]
-    nEd = EdS.F0.rank
-    for k1, k2 in _koszul_sign_choices(F, G, base):
-        rhs = []
-        A = [[None] * P.rank for _ in range(nEd)]
-        for i in range(P.rank):
-            acc = k1 * incl.matrix[nEd][i] + k2 * incl.matrix[nEd + 1][i]
-            rhs.append(-acc)
-            for a in range(nEd):
-                A[a][i] = incl.matrix[a][i]
-        pi = _solve_surjection_entries(A, rhs, entry_degs, base)
-        if pi is None:
-            continue
-        produced = Ideal(base, [f for f in pi + [k1, k2] if not f.is_zero()])
-        if produced == J:
-            surj = GradedMap(Ncover, FreeModule(base, [0]), [pi + [k1, k2]])
-            out = NTypeResolution(J, C2.regularity() + 1, N, P, incl, surj)
-            # no theorem certifies this assembly: check exactness degreewise
-            hi = out.reg + max((-tw for tw in N.F0.twists), default=0) + 4
-            for n in range(N.min_degree(), hi + 1):
-                if N.piece_dim(n) != P.piece_dim(n) + J.piece_dim(n):
-                    raise CertificationError(f"N-type sequence not exact in degree {n}")
-            return out
-    raise CertificationError("could not assemble the transformed surjection")
+    lift1 = _lift_columns(KE.shift(-st), cK, "dualized cover misses the E dual")
+    surj = _koszul_surjection(J, lift1, gK, F, G)
+    Ncover = surj.source
+    zero = GradedMap.zero(EdS.F1, gK.target)
+    N = GradedModule(GradedMap(EdS.F1, Ncover, EdS.presentation.matrix + zero.matrix))
+    incl = GradedMap(P, Ncover, lift1.matrix + gK.matrix)
+    out = NTypeResolution(J, C2.regularity() + 1, N, P, incl, surj)
+    # no theorem certifies this assembly: check exactness degreewise
+    hi = out.reg + max((-tw for tw in N.F0.twists), default=0) + 4
+    for n in range(N.min_degree(), hi + 1):
+        if N.piece_dim(n) != P.piece_dim(n) + J.piece_dim(n):
+            raise CertificationError(f"N-type sequence not exact in degree {n}")
+    return out
 
 
 # -- assembled comparison sequence -------------------------------------------
@@ -942,6 +771,8 @@ def biliaison_equivalent(
     C: CurveFamily, Cp: CurveFamily, trials: int = 32, seed: int = 0
 ) -> Verdict:
     """Same biliaison class, decided by two independent routes."""
+    if C.base != Cp.base:
+        raise MixedBase("biliaison comparison across base rings")
     n_route = _stable_compare(_stable_n(C), _stable_n(Cp), True, trials, seed)
     rao_route = _rao_shift_verdict(C, Cp, trials, seed)
     if n_route.kind == "undecided":
@@ -983,28 +814,22 @@ def _rao_shift_verdict(C, Cp, trials, seed) -> Verdict:
             if {n - h: d for n, d in db.items()} == da
         }
     )
-    saw_undecided = False
     Am = A.to_module()
-    for h in cands:
-        r = is_module_iso(
-            Am,
-            finite_data_to_module(B.data.shift(h)),
-            trials=trials,
-            seed=seed,
-        )
-        if r == "yes":
-            return Verdict("yes", h=h)
-        if r == "undecided":
-            saw_undecided = True
-    if saw_undecided:
-        return Verdict("undecided", reason="Rao iso test inconclusive")
-    return Verdict("no", reason="Rao modules differ at every shift")
+    return _first_iso(
+        ((h, Am, finite_data_to_module(B.data.shift(h))) for h in cands),
+        trials,
+        seed,
+        "Rao iso test inconclusive",
+        "Rao modules differ at every shift",
+    )
 
 
 def liaison_parity(
     C: CurveFamily, Cp: CurveFamily, trials: int = 32, seed: int = 0
 ) -> str:
     """'even' / 'odd' / 'both' / 'neither' / 'undecided' for linkage chains."""
+    if C.base != Cp.base:
+        raise MixedBase("liaison parity across base rings")
     Cf = _fiber_cached(C)
     Cpf = _fiber_cached(Cp)
     even = biliaison_equivalent(Cf, Cpf, trials=trials, seed=seed)

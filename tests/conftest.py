@@ -6,7 +6,6 @@ from spacecurves.curve import validate_curve
 from spacecurves.files import load_corpus
 from spacecurves.gradedmod import GradedModule, ModuleHom, kernel_min_gens
 from spacecurves.linalg import _sparse_rows
-from spacecurves.raoclass import _lift_columns
 from spacecurves.scalars import BaseRing
 
 FIBER_NAMES = [
@@ -58,9 +57,8 @@ def ideal_module_by_cap(ideal):
 def surjection_hom(C, res):
     """The N-type surjection N -> I_C as a ModuleHom onto the curve's ideal
     module, lifted through the curve's cover."""
-    f0 = _lift_columns(
-        C.ideal_cover(), res.surj, "surjection does not land in the ideal"
-    )
+    f0 = C.ideal_cover().lift(res.surj)
+    assert f0 is not None, "surjection does not land in the ideal"
     return ModuleHom(res.N, C.ideal_module(), f0)
 
 

@@ -369,6 +369,40 @@ def test_hstack_ranks_the_dense_concatenation(maps):
         assert joined.rank_at(n) == linalg.rank(dense, p), n
 
 
+@st.composite
+def _lift_problems(draw):
+    """(phi, X, inside): X = phi o Y0 for a random Y0 (its columns zero at
+    random), then one more column, a random target element that inside
+    tells lies in the image of phi or not, read off the dense ranks."""
+    base = BaseRing(draw(st.sampled_from((2, 101, 32003))), draw(st.booleans()))
+    phi = draw(_graded_map(base=base))
+    G = FreeModule(base, draw(st.lists(st.integers(-4, 1), min_size=1, max_size=3)))
+    Y0 = GradedMap(G, phi.source, _draw_entries(draw, base, phi.source.twists, G.twists, base.dual))
+    d = draw(st.integers(-1, 3))
+    v = GradedMap(FreeModule(base, [-d]), phi.target, _draw_entries(draw, base, phi.target.twists, [-d], base.dual))
+    joint = np.concatenate([phi.matrix_at(d), v.matrix_at(d)], axis=1)
+    inside = linalg.rank(joint, base.p) == phi.rank_at(d)
+    return phi, GradedMap.hstack(phi.compose(Y0), v), inside
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_lift_problems())
+@seed(43)
+def test_lift_solves_phi_y_equals_x_or_reports_a_missing_preimage(problem):
+    phi, X, inside = problem
+    Y = phi.lift(X)
+    head = GradedMap.from_columns(X.target, [X.column(j) for j in range(X.source.rank - 1)], [-t for t in X.source.twists[:-1]])
+    if not inside:
+        assert Y is None
+        Y = phi.lift(head)
+        X = head
+    assert Y is not None and Y.source == X.source and Y.target == phi.source
+    assert phi.compose(Y).matrix == X.matrix
+    for j in range(X.source.rank):
+        if all(f.is_zero() for f in X.column(j)):
+            assert all(f.is_zero() for f in Y.column(j))
+
+
 def test_hstack_needs_one_target(K):
     F, G = FreeModule(K, [0]), FreeModule(K, [0, 1])
     with pytest.raises(ValueError):

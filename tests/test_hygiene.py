@@ -103,6 +103,22 @@ def test_local_imports_break_a_cycle():
     assert not needless
 
 
+def test_only_the_algebra_layers_know_piece_coordinates():
+    # the stacked (fiber; e) coordinates of graded pieces live in linalg and
+    # gradedmod; the layers above them work with maps and modules
+    known = []
+    for name in ("raoclass.py", "curve.py", "liaison.py", "cli.py"):
+        for sub in ast.walk(MODULES[name]):
+            if isinstance(sub, ast.Import):
+                known += [f"{name} {alias.name}" for alias in sub.names if alias.name.split(".")[0] == "numpy"]
+            elif isinstance(sub, ast.ImportFrom):
+                names = {alias.name for alias in sub.names}
+                if sub.module in ("numpy", "linalg") or "linalg" in names:
+                    known.append(f"{name} {sub.module}")
+                known += [f"{name} {n}" for n in names & {"element_to_vector", "vector_to_element"}]
+    assert not known
+
+
 def test_private_functions_are_referenced():
     # a function's own body does not count as a reference to it
     statements = [stmt for tree in MODULES.values() for stmt in tree.body]

@@ -5,7 +5,7 @@ from hypothesis import assume, given, seed, settings, strategies as st
 from conftest import RAO_K_NAMES, Span, surjection_hom
 from spacecurves import gradedmod, linalg, raoclass
 from spacecurves.curve import validate_curve
-from spacecurves.errors import CertificationError, SpaceCurveError
+from spacecurves.errors import CertificationError, MixedBase, SpaceCurveError
 from spacecurves.files import load_corpus
 from spacecurves.gradedmod import (
     FreeModule,
@@ -19,6 +19,7 @@ from spacecurves.gradedmod import (
     subquotient_module,
 )
 from spacecurves.groebner import Ideal, ideal_intersect
+from spacecurves.liaison import connect_by_biliaisons
 from spacecurves.polyring import Poly, monomial_shift, monomials
 from spacecurves.scalars import BaseRing
 from spacecurves.raoclass import (
@@ -256,7 +257,7 @@ def _quotient_maps(draw):
 @seed(41)
 def test_min_quotient_gens_matches_the_span_loop(maps):
     K, B = maps
-    assert raoclass._min_quotient_gens(K, B) == _min_quotient_gens_by_span(K, B)
+    assert gradedmod._min_quotient_gens(K, B) == _min_quotient_gens_by_span(K, B)
 
 
 @pytest.mark.parametrize("name", RAO_K_NAMES + ["skew-lines-dual"])
@@ -289,6 +290,24 @@ def test_zero_map_is_not_psi(corpus_curves):
     assert not is_psi(zero)
 
 
+@pytest.mark.parametrize("name", RAO_K_NAMES + ["skew-lines-dual"])
+def test_psi_on_ideal_modules_with_a_rao_module(name, corpus_curves):
+    # the N-type surjection and the identity are psi; X times the ideal
+    # module kills its Ext^2, the dual of the Rao module, so it is not.  The
+    # identity meets the boundaries of the infinite-length Ext^1 in each
+    # degree of the window: an induced rank that left them out would count
+    # them as image
+    C = corpus_curves(name)
+    IM = C.ideal_module()
+    F0 = IM.F0
+    z = Poly.zero(C.base)
+    x = Poly.variable(C.base, 0)
+    times_x = GradedMap(F0.shift(-1), F0, [[x if i == j else z for j in range(F0.rank)] for i in range(F0.rank)])
+    assert is_psi(surjection_hom(C, n_type_resolution(C)))
+    assert is_psi(ModuleHom(IM, IM, GradedMap.identity(F0)))
+    assert not is_psi(ModuleHom(IM.shift(-1), IM, times_x))
+
+
 def test_epfn_assembly(corpus_curves):
     for name in ("line", "twisted-cubic", "skew-lines"):
         nres = n_type_resolution(corpus_curves(name))
@@ -296,22 +315,29 @@ def test_epfn_assembly(corpus_curves):
         assert epfn_sequence(nres, eres), name
 
 
-def test_link_transform_n_to_e(K, corpus_curves):
-    tc = corpus_curves("twisted-cubic")
+@pytest.mark.parametrize("name", ["twisted-cubic", "twisted-cubic-dual"])
+def test_link_transform_n_to_e(name, corpus_curves):
+    tc = corpus_curves(name)
+    K = tc.base
     F = Poly.parse("X*Z - Y^2", K)
     G = Poly.parse("Y*W - Z^2", K)
     out = link_transform_n_to_e(tc, F, G)
     assert out.ideal == Ideal(K, [Poly.parse("Y", K), Poly.parse("Z", K)])
+    # the Koszul entries are tried (G, F), (G, -F), (-G, F), (-G, -F)
+    assert out.surj.matrix[0][-2:] == (G, -F)
     e_tw, f_tw = out.twists()
     assert f_tw == (-2, -2, -1, -1) or f_tw == (-1, -1, -2, -2) or sorted(f_tw) == [-2, -2, -1, -1]
 
 
-def test_link_transform_e_to_n(K, corpus_curves):
-    tc = corpus_curves("twisted-cubic")
+@pytest.mark.parametrize("name", ["twisted-cubic", "twisted-cubic-dual"])
+def test_link_transform_e_to_n(name, corpus_curves):
+    tc = corpus_curves(name)
+    K = tc.base
     F = Poly.parse("X*Z - Y^2", K)
     G = Poly.parse("Y*W - Z^2", K)
     out = link_transform_e_to_n(tc, F, G)
     assert out.ideal == Ideal(K, [Poly.parse("Y", K), Poly.parse("Z", K)])
+    assert out.surj.matrix[0][-2:] == (G, -F)
 
 
 def test_psi_roof_certifies(corpus_curves):
@@ -354,6 +380,18 @@ def test_biliaison_equivalent_decisions(corpus_curves):
         corpus_curves("skew-lines"), corpus_curves("skew-pair-alt")
     )
     assert v.kind == "yes"
+
+
+def test_decisions_reject_curves_over_different_base_rings(corpus_curves, monkeypatch):
+    # before any work: neither side's N, fiber or Rao module is built
+    for fn in ("_stable_n", "_fiber_cached", "minimal_extravert", "biliaison_equivalent"):
+        monkeypatch.setattr(raoclass, fn, lambda *args, **kw: pytest.fail("a decision started work"))
+    field, family = corpus_curves("skew-lines"), corpus_curves("skew-lines-dual")
+    for decide in (biliaison_equivalent, liaison_parity, connect_by_biliaisons):
+        with pytest.raises(MixedBase):
+            decide(field, family)
+    with pytest.raises(MixedBase):
+        psi_equivalent(field.ideal_module(), family.ideal_module())
 
 
 def test_liaison_parity(corpus_curves):
