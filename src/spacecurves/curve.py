@@ -3,8 +3,8 @@
 A curve family is a saturated homogeneous ideal whose quotient has
 2-dimensional support (a cone over a curve), is locally Cohen-Macaulay with
 no point components (finite-length Ext^3 criterion), and over the dual
-numbers is flat, (I : e) = I + (e).  Validation rejects bad input instead of
-repairing it.
+numbers is flat: every graded piece of R_A/I is free over A.  Validation
+rejects bad input instead of repairing it.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from .gradedmod import (
     is_module_iso,
     torsion_module_data,
 )
-from .groebner import Ideal, _colon, _nonzerodivisor, _saturation_certificate, ideal_saturate, ideal_sum
-from .polyring import Poly
+from .groebner import Ideal, _nonzerodivisor, _saturation_certificate, ideal_saturate, ideal_sum
 from .scalars import BaseRing
 
 
@@ -163,12 +162,13 @@ _VALIDATED = object()
 
 
 def is_flat_family(I: Ideal) -> bool:
-    """True iff R_A/I is flat over A: multiplication by e has kernel e*R_A/I
-    exactly, that is (I : e) = I + (e)."""
+    """True iff R_A/I is flat over A, that is each piece (R_A/I)_n is free.
+    A finite A-module M is A^a + k^b, free exactly when dim_k M = 2*dim_k
+    M/eM, and M/eM = (R/I_fiber)_n; so the family is flat exactly when
+    HS(R_A/I) = 2*HS(R/I_fiber), which compares two Hilbert numerators."""
     if not I.base.dual:
         return True
-    e = Ideal(I.base, [Poly.constant(I.base, 0, 1)])
-    return _colon(I, e) == ideal_sum(I, e)
+    return I.hilbert_numerator() == tuple(2 * k for k in I.fiber().hilbert_numerator())
 
 
 def validate_curve(I: Ideal) -> CurveFamily:

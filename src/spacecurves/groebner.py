@@ -9,16 +9,24 @@ the power of e; generators stay homogeneous in X, Y, Z, W, so standard
 monomials count the graded pieces.  Treating e as a variable avoids Groebner
 bases over a coefficient ring (Adams & Loustaunau, An Introduction to
 Groebner Bases, AMS GSM 3, 1994, ch. 4).  Intersection eliminates a tag
-variable, and colon divides an intersection by the form.  Saturation is
-first certified by a nonzerodivisor on R/I: W when no lead of I's basis has
-a W exponent, else the first candidate form at the cost of one colon.  Only
-when neither is one does it iterate the colon by (X, Y, Z, W).  Over A the
-result then gets minimal generators.
+variable, and colon divides an intersection by the form.
+
+Whether a form f of degree d is a nonzerodivisor on R_A/I, (I : f) = I, is
+read off Hilbert series instead of a colon: the exact sequence
+0 -> ((I : f)/I)(-d) -> (R_A/I)(-d) -> R_A/I -> R_A/(I + f) -> 0 gives
+HS(R_A/(I + f)) = (1 - t^d)*HS(R_A/I) + t^d*HS((I : f)/I) in k-dimensions,
+so (I : f) = I exactly when the Hilbert numerators of the lead ideals
+satisfy K(I + f) = (1 - t^d)*K(I) (Bayer & Stillman, J. Symbolic Comput.
+14, 1992).  Saturation is first certified by a nonzerodivisor on R/I: W
+when no lead of I's basis has a W exponent, else the first candidate form
+by that test.  Only when neither is one does it iterate the colon by
+(X, Y, Z, W).  Over A the result then gets minimal generators.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from functools import lru_cache
 
@@ -27,7 +35,7 @@ import numpy as np
 from . import linalg
 from .errors import CertificationError, MixedBase, Undecided
 from .gradedmod import FreeModule, GradedMap, min_generators
-from .polyring import NVARS, Poly, graded_piece_dim, grevlex_key, monomials, random_form, variables
+from .polyring import Poly, graded_piece_dim, grevlex_key, random_form, variables
 from .scalars import BaseRing
 
 # -- raw engine on dict polynomials ------------------------------------
@@ -300,6 +308,7 @@ class Ideal:
                 raise ValueError(f"non-homogeneous generator {g}")
         self.gens = tuple(gens)
         self._gb = None  # (reduced basis, its lead exponents)
+        self._hs = None  # Hilbert numerator of the quotient
         self._fiber = None
         # saturation certificate, written once: "W", the first candidate
         # form, or False when neither is a nonzerodivisor on R/I
@@ -351,17 +360,16 @@ class Ideal:
         F = FreeModule(self.base, [-g.degree() for g in self.gens])
         return GradedMap(F, FreeModule(self.base, [0]), [list(self.gens)])
 
+    def hilbert_numerator(self) -> tuple:
+        """K(t) with HS(R_A/I) = K(t)/(1 - t)^4 over k, read off the leads of
+        the basis; () for the unit ideal.  Cached."""
+        if self._hs is None:
+            self._hs = _numerator(self._groebner()[1], self.base.dual)
+        return self._hs
+
     def quotient_piece_dim(self, n: int) -> int:
-        """k-dimension of (R_A/I)_n: the standard monomials x^a*e^b of
-        degree n with b <= 1."""
-        leads = self._groebner()[1]
-        if not self.base.dual:
-            return _standard_monomial_count(leads, n)
-        # x^a is standard iff no e-free lead divides it, x^a*e iff no lead
-        # with e-exponent at most 1 does
-        plain = tuple(e[:4] for e in leads if e[4] == 0)
-        linear = tuple(e[:4] for e in leads if e[4] <= 1)
-        return _standard_monomial_count(plain, n) + _standard_monomial_count(linear, n)
+        """k-dimension of (R_A/I)_n."""
+        return _standard_monomial_count(self.hilbert_numerator(), n)
 
     def piece_dim(self, n: int) -> int:
         """k-dimension of the degree-n piece of the ideal."""
@@ -374,18 +382,16 @@ class Ideal:
         return [fib.quotient_piece_dim(n) for n in range(n_max + 1)]
 
     def krull_dimension(self) -> int:
-        """Krull dimension of R_k / (fiber ideal), which is that of R_A/I."""
-        fib = self.fiber()
-        if fib.is_unit_ideal():
+        """Krull dimension of R_k / (fiber ideal), which is that of R_A/I:
+        4 minus the order of (1 - t) in the Hilbert numerator."""
+        K = self.fiber().hilbert_numerator()
+        if not K:
             return -1
-        supports = [frozenset(i for i, x in enumerate(e) if x) for e in fib._groebner()[1]]
-        best = 0
-        for mask in range(16):
-            s = frozenset(i for i in range(NVARS) if mask & (1 << i))
-            if any(sup <= s for sup in supports):
-                continue
-            best = max(best, len(s))
-        return best
+        dim = 4
+        while not sum(K):  # K(1) = 0: divide by 1 - t
+            K = tuple(itertools.accumulate(K))[:-1]
+            dim -= 1
+        return dim
 
     def __eq__(self, other):
         return (
@@ -402,10 +408,59 @@ class Ideal:
 
 
 @lru_cache(maxsize=None)
-def _standard_monomial_count(leads: tuple, n: int) -> int:
-    return sum(
-        1 for m in monomials(n) if not any(_divides(e, m) for e in leads)
-    )
+def _standard_monomial_count(numerator: tuple, n: int) -> int:
+    """The coefficient of t^n in numerator(t)/(1 - t)^4: the number of
+    standard monomials of degree n of a monomial ideal with that Hilbert
+    numerator.  perfbench's tracer reports this cache's hits and misses."""
+    return sum(k * graded_piece_dim(n - i) for i, k in enumerate(numerator))
+
+
+def _plus_shifted(a, b, d: int, c: int = 1) -> tuple:
+    """a(t) + c*t^d*b(t) on coefficient tuples, lowest degree first, with
+    no trailing zero."""
+    out = list(a) + [0] * max(0, len(b) + d - len(a))
+    for i, x in enumerate(b):
+        out[i + d] += c * x
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _hilbert_numerator(leads) -> tuple:
+    """K(t) with HS(k[x_1..x_n]/(leads)) = K(t)/(1 - t)^n, n the arity of the
+    exponents; () for the unit ideal.
+
+    Pivot on a variable x that two minimal generators share:
+    0 -> k[x]/(I : x)(-1) -> k[x]/I -> k[x]/(I + x) -> 0 gives
+    K(I) = K(I + x) + t*K(I : x).  Pairwise coprime generators give
+    K = prod(1 - t^|g|) (Bayer & Stillman, J. Symbolic Comput. 14, 1992).
+    """
+    gens = []
+    for g in sorted(set(leads), key=sum):
+        if not any(_divides(h, g) for h in gens):
+            gens.append(g)
+    arity = len(gens[0]) if gens else 0
+    shared = [sum(1 for g in gens if g[v]) for v in range(arity)]
+    if max(shared, default=0) < 2:
+        out = (1,)
+        for g in gens:
+            out = _plus_shifted(out, out, sum(g), -1)
+        return out
+    v = shared.index(max(shared))
+    x = tuple(int(u == v) for u in range(arity))
+    plus = [g for g in gens if not g[v]] + [x]
+    colon = [g[:v] + (max(g[v] - 1, 0),) + g[v + 1 :] for g in gens]
+    return _plus_shifted(_hilbert_numerator(plus), _hilbert_numerator(colon), 1)
+
+
+def _numerator(leads, dual: bool) -> tuple:
+    """The Hilbert numerator of R_A/I over k from the leads of I's basis.
+    Over A the standard monomials are x^a (no e-free lead divides x^a) and
+    x^a*e (no lead of e-exponent at most 1 divides x^a): two series."""
+    if not dual:
+        return _hilbert_numerator(leads)
+    plain = _hilbert_numerator([e[:4] for e in leads if e[4] == 0])
+    return _plus_shifted(plain, _hilbert_numerator([e[:4] for e in leads if e[4] <= 1]), 0)
 
 
 # -- ideal operations: one route over both base rings ---------------------
@@ -460,28 +515,52 @@ def _candidate_forms(base: BaseRing):
             yield random_form(base, d, rng)
 
 
+def is_nonzerodivisor(I: Ideal, f: Poly) -> bool:
+    """True iff the form f is a nonzerodivisor on R_A/I, that is (I : f) = I.
+
+    With d = deg f, 0 -> ((I : f)/I)(-d) -> (R_A/I)(-d) -> R_A/I
+    -> R_A/(I + f) -> 0 is exact, so HS(R_A/(I + f)) = (1 - t^d)*HS(R_A/I)
+    + t^d*HS((I : f)/I) in k-dimensions, and (I : f) = I exactly when the
+    Hilbert numerators satisfy K(I + f) = (1 - t^d)*K(I).  One Groebner
+    basis of I + (f), seeded with the basis of I, in the order of I.
+    """
+    if f.base != I.base:
+        raise MixedBase("nonzerodivisor test across base rings")
+    K = I.hilbert_numerator()
+    if f.is_zero():  # (I : 0) is the unit ideal
+        return not K
+    gb, leads = I._groebner()
+    p = I.base.p
+    key = _orders(I.base)[0]
+    h = raw_normal_form(poly_to_raw(f), list(zip(leads, gb)), p, key)
+    if h:
+        leads = tuple(_lead(g, key)[0] for g in raw_buchberger(gb + [h], p, key))
+    return _numerator(leads, I.base.dual) == _plus_shifted(K, K, f.degree(), -1)
+
+
 def _saturation_certificate(I: Ideal):
     """A nonzerodivisor on R/I, which proves I saturated: m^k*g in I gives
     f^k*g in I, hence g in I.  "W" when no lead of I's basis has a W
     exponent: if W*g lies in I for a nonzero normal form g, some lead divides
     W*lead(g) and so lead(g) (Bayer & Stillman, Invent. Math. 87, 1987).
-    Else the first candidate form when (I : f) = I, else False.  Over A the
-    block order compares X, Y, Z, W first, and the same holds.  Cached."""
+    Else the first candidate form when is_nonzerodivisor certifies it, else
+    False.  Over A the block order compares X, Y, Z, W first, and the same
+    holds.  Cached."""
     if I._nzd is None:
         if not any(e[3] for e in I._groebner()[1]):
             I._nzd = "W"
         else:
             f = next(_candidate_forms(I.base))
-            I._nzd = f if _colon(I, Ideal(I.base, [f])) == I else False
+            I._nzd = f if is_nonzerodivisor(I, f) else False
     return I._nzd
 
 
 def _nonzerodivisor(I: Ideal) -> Poly:
-    """The first candidate form f with (I : f) = I."""
+    """The first candidate form that is a nonzerodivisor on R/I."""
     if isinstance(I._nzd, Poly):
         return I._nzd
     for f in _candidate_forms(I.base):
-        if not f.is_zero() and _colon(I, Ideal(I.base, [f])) == I:
+        if is_nonzerodivisor(I, f):
             return f
     raise Undecided("no candidate form is a nonzerodivisor on R/I")
 

@@ -33,6 +33,7 @@ from .groebner import (
     ideal_product_poly,
     ideal_saturate,
     ideal_sum,
+    is_nonzerodivisor,
 )
 from .polyring import Poly, random_form
 
@@ -74,9 +75,7 @@ class CompleteIntersection:
                 raise NotRegularSequence(f"fiber form of {f} vanishes")
             if not f.is_homogeneous() or f.degree() < 1:
                 raise NotRegularSequence(f"{f} is not homogeneous of positive degree")
-        kf = base.field()
-        Ff = Ideal(kf, [F.fiber()])
-        if not (ideal_colon(Ff, Ideal(kf, [G.fiber()])) == Ff):
+        if not is_nonzerodivisor(Ideal(base.field(), [F.fiber()]), G.fiber()):
             raise NotRegularSequence(
                 f"{G} is a zero divisor modulo {F} in the fiber"
             )
@@ -203,11 +202,8 @@ def trivial_biliaison(C: CurveFamily, Q: Poly, H: Poly, h: int):
         raise WrongDegree(f"H must be homogeneous of degree h = {h}")
     if H.fiber().is_zero():
         raise NotCoprime("H has vanishing fiber form")
-    if h > 0:
-        kf = base.field()
-        Qf = Ideal(kf, [Q.fiber()])
-        if not (ideal_colon(Qf, Ideal(kf, [H.fiber()])) == Qf):
-            raise NotCoprime(f"{H} shares a component with {Q}")
+    if h > 0 and not is_nonzerodivisor(Ideal(base.field(), [Q.fiber()]), H.fiber()):
+        raise NotCoprime(f"{H} shares a component with {Q}")
     J = ideal_saturate(ideal_sum(ideal_product_poly(H, I), Ideal(base, [Q])))
     Cp = validate_curve(J)
     d, _ = C.degree_genus()

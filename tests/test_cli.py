@@ -262,3 +262,32 @@ def test_python_dash_m_runs_the_tool():
     )
     assert done.returncode == 0, done.stderr
     assert "twisted-cubic" in done.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["link", "corpus:line", "X*Y", "X*Z"],
+         "NotRegularSequence: X*Z is a zero divisor modulo X*Y in the fiber\n"),
+        (["link", "corpus:skew-lines", "X*Z", "X*Z*W"],
+         "NotRegularSequence: X*Z*W is a zero divisor modulo X*Z in the fiber\n"),
+        (["link", "corpus:line-dual", "X*Y", "X*Z"],
+         "NotRegularSequence: X*Z is a zero divisor modulo X*Y in the fiber\n"),
+        (["bilink", "corpus:line", "X*Y", "Y^2", "2"], "NotCoprime: Y^2 shares a component with X*Y\n"),
+        (["bilink", "corpus:line", "X", "X", "1"], "NotCoprime: X shares a component with X\n"),
+        (["bilink", "corpus:skew-lines-dual", "X*Z", "X", "1"], "NotCoprime: X shares a component with X*Z\n"),
+    ],
+)
+def test_zero_divisors_in_links_and_bilinks_are_domain_errors(capsys, argv, message):
+    # the regular-sequence and coprimality checks read Hilbert series; the
+    # exit code and the message are those of the colon test they replace
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("gens", [["X", "e*Y^10"], ["X^2", "X*Y + e*Z^2", "Y^2"]])
+def test_a_family_that_is_not_flat_is_a_domain_error(capsys, tmp_path, gens):
+    path = tmp_path / "family.curve"
+    path.write_text("ring p=32003 base=dual\ngens:\n" + "\n".join(gens) + "\n")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == "NotFlat: a graded piece of R_A/I is not free over A\n"

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from spacecurves import linalg
+from spacecurves.curve import is_flat_family
 from spacecurves.errors import CertificationError
 from spacecurves.groebner import (
     Ideal,
     _candidate_forms,
+    _colon,
+    _divides,
     _dual_elim_first,
     _dual_key,
     _raw_divide_exact,
@@ -19,6 +22,7 @@ from spacecurves.groebner import (
     ideal_intersect,
     ideal_saturate,
     ideal_sum,
+    is_nonzerodivisor,
     raw_buchberger,
     raw_interreduce,
     raw_normal_form,
@@ -520,3 +524,96 @@ def test_skew_lines_are_certified_by_the_first_candidate_form(K, A):
     twisted_cubic = I(K, "X*Z - Y^2", "Y*W - Z^2", "X*W - Y*Z")
     assert _saturation_certificate(twisted_cubic) == "W"
     assert ideal_saturate(twisted_cubic) is twisted_cubic
+
+
+# -- Hilbert numerators against the colon and the standard monomials -------
+
+
+def _standard_monomial_count_ref(leads, n):
+    return sum(1 for m in monomials(n) if not any(_divides(e, m) for e in leads))
+
+
+def _quotient_piece_dim_ref(ideal, n):
+    """dim_k (R_A/I)_n by listing standard monomials: over A, x^a when no
+    e-free lead divides it and x^a*e when no lead of e-exponent <= 1 does."""
+    leads = ideal._groebner()[1]
+    if not ideal.base.dual:
+        return _standard_monomial_count_ref(leads, n)
+    plain = [e[:4] for e in leads if e[4] == 0]
+    linear = [e[:4] for e in leads if e[4] <= 1]
+    return _standard_monomial_count_ref(plain, n) + _standard_monomial_count_ref(linear, n)
+
+
+def _krull_dimension_ref(ideal):
+    """The largest set of variables no lead of the fiber's basis lives in."""
+    fib = ideal.fiber()
+    if fib.is_unit_ideal():
+        return -1
+    supports = [{i for i, x in enumerate(e) if x} for e in fib._groebner()[1]]
+    return max(
+        bin(mask).count("1")
+        for mask in range(16)
+        if not any(sup <= {i for i in range(4) if mask >> i & 1} for sup in supports)
+    )
+
+
+def _is_flat_by_colon_ref(ideal):
+    """(I : e) = I + (e)."""
+    e = Ideal(ideal.base, [Poly.constant(ideal.base, 0, 1)])
+    return _colon(ideal, e) == ideal_sum(ideal, e)
+
+
+@st.composite
+def _hilbert_input(draw, dual=None):
+    """(ideal, form) at p = 2, 3, 101 or 32003 over F_p or A: 1-3 sparse
+    generators of degree 1-2, half the time times a power of one variable,
+    and a sparse form of degree 1-3."""
+    base = BaseRing(draw(st.sampled_from((2, 3, 101, 32003))), draw(st.booleans()) if dual is None else dual)
+
+    def poly(degree):
+        f = draw(_dual_poly(base, degree, 3))
+        return f if base.dual else Poly(base, {m: (a or 1, 0) for m, (a, _) in f.terms.items()})
+
+    gens = [poly(draw(st.integers(1, 2))) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        power = tuple(draw(st.integers(1, 2)) * x for x in draw(st.sampled_from(monomials(1))))
+        gens = [g.mul_monomial(power) for g in gens]
+    return Ideal(base, gens), poly(draw(st.integers(1, 3)))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_hilbert_input())
+@seed(31)
+def test_nonzerodivisor_test_agrees_with_the_colon(case):
+    ideal, f = case
+    assert is_nonzerodivisor(ideal, f) == (_colon(ideal, Ideal(ideal.base, [f])) == ideal)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_hilbert_input(dual=True))
+@seed(37)
+def test_flatness_from_hilbert_series_agrees_with_the_colon_by_e(case):
+    ideal, f = case
+    for family in (ideal, ideal_sum(ideal, Ideal(ideal.base, [f]))):
+        assert is_flat_family(family) == _is_flat_by_colon_ref(family)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_hilbert_input())
+@seed(41)
+def test_piece_dims_and_krull_dimension_from_the_hilbert_numerator(case):
+    ideal, f = case
+    for J in (ideal, ideal_sum(ideal, Ideal(ideal.base, [f]))):
+        assert [J.quotient_piece_dim(n) for n in range(16)] == [_quotient_piece_dim_ref(J, n) for n in range(16)]
+        assert J.krull_dimension() == _krull_dimension_ref(J)
+
+
+def test_hilbert_numerators_of_small_ideals(K):
+    # (1 - t)^4 HS: the twisted cubic 1 - 3t^2 + 2t^3, a complete
+    # intersection of degrees 1 and 2, the unit ideal and the zero ideal
+    assert I(K, "X*Z - Y^2", "Y*W - Z^2", "X*W - Y*Z").hilbert_numerator() == (1, 0, -3, 2)
+    assert I(K, "X", "Y^2").hilbert_numerator() == (1, -1, -1, 1)
+    assert I(K, "X", "1").hilbert_numerator() == ()
+    assert Ideal(K, []).hilbert_numerator() == (1,)
+    assert I(K, "X*Y", "X*Z").krull_dimension() == 3
+    assert I(K, "X^2", "X*Y", "X*Z", "X*W").krull_dimension() == 3

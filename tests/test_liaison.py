@@ -2,7 +2,8 @@ from math import comb
 
 import pytest
 
-from spacecurves import liaison
+from spacecurves import groebner, liaison
+from spacecurves.curve import validate_curve
 from spacecurves.errors import (
     NotContained,
     NotCoprime,
@@ -12,8 +13,9 @@ from spacecurves.errors import (
     Undecided,
     WrongDegree,
 )
+from spacecurves.files import corpus_names, load_corpus
 from spacecurves.gradedmod import is_module_iso
-from spacecurves.groebner import Ideal
+from spacecurves.groebner import Ideal, _colon, _saturation_certificate
 from spacecurves.liaison import (
     CompleteIntersection,
     check_elementary_biliaison,
@@ -139,3 +141,48 @@ def test_connect_search_skips_only_bad_random_forms(corpus_curves, monkeypatch):
     monkeypatch.setattr(liaison, "trivial_biliaison", raising(OracleMismatch))
     with pytest.raises(OracleMismatch):
         connect_by_biliaisons(line, tc)
+
+
+def test_certified_curves_take_no_colon(monkeypatch):
+    # nonzerodivisors, regular sequences, coprimality and flatness are read
+    # off Hilbert series: with the colon patched to fail, validation, the Rao
+    # module, complete intersections and trivial biliaisons still decide
+    # every fixture that W or the first candidate form certifies, and their
+    # answers are the colon's
+    cases = []
+    for name in corpus_names():
+        ideal = load_corpus(name).to_ideal()
+        if not _saturation_certificate(Ideal(ideal.base, ideal.gens)):
+            continue
+        k = ideal.base.field()
+
+        def regular(F, G):
+            Ff = Ideal(k, [F.fiber()])
+            return _colon(Ff, Ideal(k, [G.fiber()])) == Ff
+
+        pairs = [(F, G, regular(F, G)) for F in ideal.gens for G in ideal.gens if F is not G]
+        forms = [(H, regular(ideal.gens[0], H)) for H in (P(ideal.base, "X"), P(ideal.base, "Y + W"))]
+        cases.append((name, ideal, pairs, forms))
+    assert len(cases) == len(corpus_names())
+
+    def fail(*args):
+        raise AssertionError("colon taken")
+
+    monkeypatch.setattr(groebner, "_colon", fail)
+    for name, ideal, pairs, forms in cases:
+        C = validate_curve(ideal)
+        C.rao_module()
+        for F, G, regular in pairs:
+            if regular:
+                CompleteIntersection(F, G)
+            else:
+                with pytest.raises(NotRegularSequence):
+                    CompleteIntersection(F, G)
+        for H, coprime in forms:
+            if coprime:
+                trivial_biliaison(C, ideal.gens[0], H, 1)
+            else:
+                with pytest.raises(NotCoprime):
+                    trivial_biliaison(C, ideal.gens[0], H, 1)
+        assert any(regular for _, _, regular in pairs), name
+    assert not all(regular for _, _, pairs, _ in cases for _, _, regular in pairs)
