@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 
@@ -488,7 +489,11 @@ class GradedModule:
         return GradedModule(ideal.generator_map())
 
     def shift(self, h: int) -> "GradedModule":
-        return GradedModule(self.presentation.shift(h))
+        """M(h), with a known K-polynomial carried: K(M(h)) = {t + h: c}."""
+        out = GradedModule(self.presentation.shift(h))
+        if "kpoly" in self._cache:
+            out._cache["kpoly"] = {t + h: c for t, c in self._cache["kpoly"].items()}
+        return out
 
     def fiber(self) -> "GradedModule":
         """The fiber module, cached so that its resolution is computed once."""
@@ -602,10 +607,15 @@ class GradedModule:
             self._cache[key] = S
         return self._cache[key]
 
+    def _betti_maps(self):
+        """A minimal resolution with the fiber's twists: the cached one,
+        which has them over A too (see kpolynomial), else the fiber's."""
+        return self._cache.get("resolution") or self.tensor_residue_field().resolution()
+
     def regularity(self) -> int:
         key = "reg"
         if key not in self._cache:
-            self._cache[key] = _twist_regularity(self.tensor_residue_field().resolution())
+            self._cache[key] = _twist_regularity(self._betti_maps())
         return self._cache[key]
 
     def projective_dimension(self):
@@ -625,8 +635,13 @@ class GradedModule:
         return (pd, dp)
 
     def is_finite_length(self) -> bool:
-        """Whether the module has finite length, decided from its pieces
-        where they show it.
+        """Whether the module has finite length, decided by a witness point
+        or from its pieces where they show it.
+
+        A witness point P (_support_witness) with M tensor k(P) = coker
+        phi(P) nonzero lies in the support of M's sheaf, so M has infinite
+        length.  That test only ever answers "infinite"; a module whose
+        support misses every point tried falls through to the scan.
 
         Let g be the top generator degree.  A zero piece M_n with n >= g
         proves finite length, since then M_{n+1} = R_1 * M_n = 0, and the
@@ -644,6 +659,8 @@ class GradedModule:
         g = max((-t for t in self.F0.twists), default=None)
         if g is None:
             return True
+        if _support_witness(self.presentation):
+            return False
         for n in range(g, g + 8):
             if not self.piece_dim(n):
                 lo = self.min_degree()
@@ -655,16 +672,34 @@ class GradedModule:
 
     def kpolynomial(self) -> dict:
         """Signed twist counts of the fiber resolution: determines the
-        Hilbert function in every degree."""
-        maps = self.tensor_residue_field().resolution()
-        out = {}
-        for t in maps[0].target.twists:
-            out[t] = out.get(t, 0) + 1
-        for j, m in enumerate(maps):
-            s = -1 if j % 2 == 0 else 1
-            for t in m.source.twists:
-                out[t] = out.get(t, 0) + s
-        return {t: c for t, c in out.items() if c}
+        Hilbert function in every degree.  Cached, and carried by shift,
+        direct_sum and ideal_mod_surface.  A module with no relations counts
+        its own twists, one with a cached resolution F reads them off F.
+        Over A, F has the fiber's twists: resolution() certified them equal,
+        and a syzygy module or extravertize's N is flat, so F tensor_A k
+        resolves M tensor_A k minimally (Tor_i^A(M, k) = 0 for i > 0).
+        """
+        if "kpoly" not in self._cache:
+            if not self.F1.rank:
+                steps = [self.F0.twists]
+            else:
+                maps = self._betti_maps()
+                steps = [maps[0].target.twists] + [m.source.twists for m in maps]
+            out = {}
+            for j, twists in enumerate(steps):
+                for t in twists:
+                    out[t] = out.get(t, 0) + (-1) ** j
+            self._cache["kpoly"] = {t: c for t, c in out.items() if c}
+        return self._cache["kpoly"]
+
+    def carry_kpolynomial(self, src: "GradedModule", twists=(), sign: int = 1):
+        """Set K(self) = K(src) + sign * sum of t^t over twists, proved by the
+        caller, when K(src) needs no resolution of its own."""
+        if "kpoly" in src._cache or "resolution" in src._cache or not src.F1.rank:
+            k = dict(src.kpolynomial())
+            for t in twists:
+                k[t] = k.get(t, 0) + sign
+            self._cache["kpoly"] = {t: c for t, c in k.items() if c}
 
     def __repr__(self):
         return (
@@ -673,6 +708,33 @@ class GradedModule:
 
 
 _MINIMAL = object()
+
+_WITNESS_POINTS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 2, 3, 5))
+
+
+def _support_witness(phi: GradedMap) -> bool:
+    """Whether the fiber of phi, evaluated at one of the coordinate points
+    or (1, 2, 3, 5), has rank below rank F0.  At such a point P coker(phi)
+    tensor k(P) is not zero, so by Nakayama P is in the support of its
+    sheaf.  One elimination ranks the five evaluations as blocks of one
+    block-diagonal matrix."""
+    p = phi.base.p
+    m, n = phi.target.rank, phi.source.rank
+    rows, cols, vals = [], [], []
+    for i, row in enumerate(phi.matrix):
+        for j, f in enumerate(row):
+            at = [0] * len(_WITNESS_POINTS)
+            for e, (a, _) in f.terms.items():
+                for k, P in enumerate(_WITNESS_POINTS):
+                    at[k] += a * prod(pow(c, x, p) for c, x in zip(P, e))
+            for k, v in enumerate(at):
+                if v % p:
+                    rows.append(k * m + i)
+                    cols.append(k * n + j)
+                    vals.append(v % p)
+    shape = (len(_WITNESS_POINTS) * m, len(_WITNESS_POINTS) * n)
+    cells = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(vals, dtype=np.int64))
+    return len(linalg.cell_pivots(*cells, shape, p)) < shape[0]
 
 
 def _minimalize_map(phi: GradedMap):
@@ -952,9 +1014,11 @@ def find_module_iso(M: GradedModule, N: GradedModule, trials: int = 32, seed: in
     over A also the pieces of their fibers, in place of their K-polynomials:
     a finite-length fiber's Hilbert function and its K-polynomial determine
     each other, and the fiber has the nonzero degrees of the module (graded
-    Nakayama).  'yes' is certified by an
-    exhibited degree-0 hom, the witness, that is surjective degreewise up to
-    the generation bound; combined with equal Hilbert functions in every
+    Nakayama).  Other modules compare K-polynomials, which are read, not
+    resolved, where known (kpolynomial); a witness point shows infinite
+    length with no piece ranked (is_finite_length).  'yes' is certified by
+    an exhibited degree-0 hom, the witness, that is surjective degreewise up
+    to the generation bound; combined with equal Hilbert functions in every
     degree this forces an isomorphism.  The witness is None unless a hom was
     exhibited.
     """

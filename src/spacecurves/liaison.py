@@ -122,7 +122,9 @@ def link(C: CurveFamily, F: Poly, G: Poly) -> CurveFamily:
 
 def ideal_mod_surface(C: CurveFamily, Q: Poly) -> GradedModule:
     """I_C/(Q) as a graded module, for a surface Q through C, on the cover
-    of the curve's ideal module."""
+    of the curve's ideal module.  It carries K(I_C) - t^{-deg Q}: with q0
+    the fiber of Q, 0 -> R(-deg Q) -q0-> I_C tensor_A k -> (I_C/(Q))
+    tensor_A k -> 0 is exact."""
     IM = C.ideal_module()
     col = C.ideal_cover().preimage((Q,), Q.degree())
     if col is None:
@@ -132,7 +134,10 @@ def ideal_mod_surface(C: CurveFamily, Q: Poly) -> GradedModule:
     cols.append(col)
     degs.append(Q.degree())
     pres = GradedMap.from_columns(IM.F0, cols, degs)
-    return GradedModule(pres).minimal_presentation()
+    M = GradedModule(pres).minimal_presentation()
+    if not Q.fiber().is_zero():
+        M.carry_kpolynomial(IM, [-Q.degree()], -1)
+    return M
 
 
 # -- biliaison moves --------------------------------------------------------

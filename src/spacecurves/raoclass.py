@@ -58,6 +58,7 @@ def _lift_columns(phi: GradedMap, X: GradedMap, msg: str) -> GradedMap:
 
 
 def direct_sum(M: GradedModule, N: GradedModule) -> GradedModule:
+    """M + N; with N free it carries K(M) plus N's twists."""
     base = M.base
     F0 = FreeModule(base, list(M.F0.twists) + list(N.F0.twists))
     F1 = FreeModule(base, list(M.F1.twists) + list(N.F1.twists))
@@ -67,7 +68,10 @@ def direct_sum(M: GradedModule, N: GradedModule) -> GradedModule:
         matrix.append(list(M.presentation.matrix[i]) + [z] * N.F1.rank)
     for i in range(N.F0.rank):
         matrix.append([z] * M.F1.rank + list(N.presentation.matrix[i]))
-    return GradedModule(GradedMap(F1, F0, matrix))
+    S = GradedModule(GradedMap(F1, F0, matrix))
+    if not N.F1.rank:
+        S.carry_kpolynomial(M, N.F0.twists)
+    return S
 
 
 def dual_module(M: GradedModule):
@@ -103,7 +107,7 @@ def extravertize(M: GradedModule) -> ExtravertData:
     N = coker([phi; -c]: F1 -> F0 + P), with phi the first map of M's
     minimal resolution and c: F1 -> P dual to minimal generators of
     Ext^1(M, R), cocycles read off K, the map onto the generators of
-    ker(delta1) up to a cap.  _certify_extravert shows that
+    ker(delta1) up to _cycles_cap.  _certify_extravert shows that
     [phi; -c], d2, d3, ... resolves N, so when minimalizing [phi; -c]
     cancels nothing, N keeps that resolution and reads Ext^i(N) =
     Ext^i(M) for i >= 2 off M's Ext table.  When a unit pair cancels (N
@@ -121,12 +125,7 @@ def extravertize(M: GradedModule) -> ExtravertData:
         )
     deltas = _dual_complex(Mm)
     if len(deltas) > 1:
-        delta1 = deltas[1]
-        cap = max(
-            [-t for t in delta1.source.twists]
-            + [-t for t in delta1.target.twists]
-        ) + 6
-        K = kernel_min_gens(delta1, cap)
+        K = kernel_min_gens(deltas[1], _cycles_cap(Mm, deltas))
     else:
         K = GradedMap.identity(deltas[0].target)
     chosen = _min_quotient_gens(K, deltas[0])
@@ -164,6 +163,29 @@ def extravertize(M: GradedModule) -> ExtravertData:
     return ExtravertData(Mm, N, P, incl, proj)
 
 
+def _cycles_cap(M: GradedModule, deltas) -> int:
+    """A degree by which ker(delta1: F1^dual -> F2^dual) is generated.
+
+    When pd M = 2 and Ext^2(M) = coker(delta1) has finite length, with top
+    degree r, 0 -> ker(delta1) -> F1^dual -> F2^dual -> Ext^2(M) -> 0 is
+    exact, and reg A <= max(reg B, reg C + 1) on 0 -> A -> B -> C -> 0
+    (Eisenbud, The Geometry of Syzygies, Thm 4.3 and Cor. 4.18), applied
+    twice, gives reg ker(delta1) <= max(r + 2, top(F1^dual), top(F2^dual) +
+    1).  Over A read F1^dual, F2^dual as free k[X, Y, Z, W]-modules of twice
+    the rank.  That covers an ideal module (validation cached r on Ext^3(R/I))
+    and liaison_parity's dual of E; another module given to psi_equivalent
+    keeps the rule max twist + 6, which is not a proof.
+    """
+    d1 = deltas[1]
+    top1 = max(-t for t in d1.source.twists)
+    top2 = max(-t for t in d1.target.twists)
+    if len(deltas) == 2:
+        E = ext_module(M, 2)
+        if E.is_finite_length():
+            return max(E.regularity() + 2, top1, top2 + 1)
+    return max(top1, top2) + 6
+
+
 def _certify_extravert(deltas, K: GradedMap, cocycles: GradedMap):
     """Certify the pushout N = coker([phi; -c]) of extravertize from the dual
     complex delta_0, delta_1, ... of M's resolution, K and the cocycles c^dual.
@@ -177,7 +199,7 @@ def _certify_extravert(deltas, K: GradedMap, cocycles: GradedMap):
     of ker(delta1) (both composites with delta1 are zero), so it vanishes
     once each degree n of K's generators has dim ker(delta1)_n =
     rank [delta0 | c^dual]_n.  That rests on K generating ker(delta1), which
-    kernel_min_gens takes only up to extravertize's cap.
+    _cycles_cap proves for an ideal module.
     """
     delta0 = deltas[0]
     if len(deltas) > 1 and not deltas[1].compose(cocycles).is_zero():
@@ -535,7 +557,8 @@ def _pad_surjective(N: GradedModule, M: GradedModule, f: ModuleHom, top: int):
 
 
 def minimal_extravert(M: GradedModule) -> GradedModule:
-    """The extraverted representative with free summands stripped."""
+    """The extraverted representative with free summands stripped; its
+    Ext^1 = 0 is proved where _cycles_cap's bound applies."""
     N = extravertize(M).N
     N0, _ = N.strip_free_summands()
     return N0.minimal_presentation()

@@ -1,11 +1,15 @@
 from heapq import heapify, heappop, heappush
 
 import pytest
+from hypothesis import assume, strategies as st
 
 from spacecurves.curve import validate_curve
+from spacecurves.errors import SpaceCurveError
 from spacecurves.files import load_corpus
 from spacecurves.gradedmod import GradedModule, ModuleHom, kernel_min_gens
+from spacecurves.groebner import Ideal, ideal_intersect
 from spacecurves.linalg import _sparse_rows
+from spacecurves.polyring import Poly
 from spacecurves.scalars import BaseRing
 
 FIBER_NAMES = [
@@ -110,3 +114,29 @@ class Span:
         """Insert the columns of mat in order; returns the indices of the
         columns that grew the rank."""
         return [j for j, col in enumerate(_sparse_rows(mat.T, self.p)) if self.add(col)]
+
+
+@st.composite
+def general_lines(draw, primes=(2, 3, 101, 32003), field_lines=(2, 3), dual_lines=(2, 2)):
+    """A validated union of lines with random coefficients, each line the
+    zero set of two linear forms, over F_p or A: field_lines and dual_lines
+    bound the number of lines on each base."""
+    p = draw(st.sampled_from(primes))
+    dual = draw(st.booleans())
+    base = BaseRing(p, dual)
+    coef = st.integers(0, p - 1)
+    lo, hi = dual_lines if dual else field_lines
+    I = None
+    for _ in range(lo if lo == hi else draw(st.integers(lo, hi))):
+        forms = []
+        for _ in range(2):
+            terms = {}
+            for v in range(4):
+                terms[tuple(int(i == v) for i in range(4))] = (draw(coef), draw(coef) if dual else 0)
+            forms.append(Poly(base, terms))
+        L = Ideal(base, forms)
+        I = L if I is None else ideal_intersect(I, L)
+    try:
+        return validate_curve(I)
+    except SpaceCurveError:
+        assume(False)

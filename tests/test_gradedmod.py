@@ -1,5 +1,6 @@
 import random
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from spacecurves.gradedmod import (
 from spacecurves.errors import CertificationError, MixedBase
 from spacecurves.files import corpus_names, load_corpus
 from spacecurves.groebner import Ideal, _nonzerodivisor, ideal_intersect, ideal_sum
+from spacecurves.liaison import ideal_mod_surface
 from spacecurves.polyring import Poly, graded_piece_dim, monomials
 from spacecurves.raoclass import extravertize
 from spacecurves.scalars import BaseRing
@@ -960,12 +962,13 @@ def _is_finite_length_by_regularity(M):
 
 
 @st.composite
-def _finite_length_module(draw):
+def _finite_length_module(draw, base=None):
     """A random finite-length module presented by finite_data_to_module:
     the data of R/J for J = (X^a, Y^b, Z^c, W^d) plus up to two quadrics,
-    shifted."""
-    p = draw(st.sampled_from((2, 3, 101)))
-    base = BaseRing(p, draw(st.booleans()))
+    shifted, over base or a drawn one."""
+    if base is None:
+        base = BaseRing(draw(st.sampled_from((2, 3, 101))), draw(st.booleans()))
+    p = base.p
     powers = draw(st.lists(st.integers(1, 3), min_size=4, max_size=4))
     gens = [Poly(base, {tuple(a if v == i else 0 for v in range(4)): (1, 0)}) for i, a in enumerate(powers)]
     for _ in range(draw(st.integers(0, 2))):
@@ -1035,6 +1038,86 @@ def test_iso_precheck_compares_pieces_of_finite_length_modules(dual, monkeypatch
     monkeypatch.setattr("spacecurves.gradedmod.hom_space", forbidden)
     for X, Y in pairs:
         assert is_module_iso(X, Y) == is_module_iso(Y, X) == "no"
+
+
+# -- infinite length from a witness point -----------------------------------------
+
+
+def _scan_alone(M):
+    # is_finite_length of a fresh module on M's presentation with the
+    # witness switched off: the piece scan and the resolution decide
+    with mock.patch.object(gradedmod, "_support_witness", return_value=False):
+        return GradedModule(M.presentation).is_finite_length()
+
+
+@st.composite
+def _module_for_the_witness(draw):
+    """(module, of finite length by construction): finite_data_to_module
+    data, or the cokernel of a random map, over F_p or A for p = 2, 3, 101
+    and 32003."""
+    base = BaseRing(draw(st.sampled_from((2, 3, 101, 32003))), draw(st.booleans()))
+    if draw(st.booleans()):
+        return draw(_finite_length_module(base=base)), True
+    return GradedModule(draw(_graded_map(base=base))), False
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(_module_for_the_witness())
+@seed(47)
+def test_a_witness_point_proves_infinite_length_and_the_scan_agrees(case):
+    M, finite = case
+    witness = gradedmod._support_witness(M.presentation)
+    if finite:
+        assert not witness
+    if witness:
+        assert not M.is_finite_length()
+        assert not _scan_alone(M)
+    else:
+        assert M.is_finite_length() == _scan_alone(M)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("p", [2, 3, 101, 32003])
+def test_the_scan_decides_a_line_that_misses_every_witness_point(p, dual):
+    # the line X = Y, Z = W passes through none of the coordinate points
+    # and not through (1, 2, 3, 5): X - Y = -1 there at every p
+    base = BaseRing(p, dual)
+    M = GradedModule.quotient_by_ideal(I(base, "X - Y", "Z - W"))
+    assert not gradedmod._support_witness(M.presentation)
+    assert not M.is_finite_length()
+    # the line X = Y = 0 passes through (0, 0, 1, 0)
+    assert gradedmod._support_witness(GradedModule.quotient_by_ideal(I(base, "X", "Y")).presentation)
+
+
+# -- K-polynomials carried, not resolved -------------------------------------------
+
+
+def _assert_carried(M):
+    # a carried K-polynomial equals the one a fresh module on the same
+    # presentation resolves for
+    assert "kpoly" in M._cache
+    assert M.kpolynomial() == GradedModule(M.presentation).kpolynomial()
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_carried_kpolynomials_equal_the_resolved_ones(name, corpus_curves):
+    C = corpus_curves(name)
+    IM = C.ideal_module()
+    N = raoclass.n_type_resolution(C).N
+    E = raoclass.e_type_resolution(C).E
+    # read off a cached resolution, over A included
+    for X in (IM, N, E):
+        X.kpolynomial()
+        _assert_carried(X)
+        assert X.regularity() == GradedModule(X.presentation).regularity()
+    for h in (-2, 1, 3):
+        _assert_carried(IM.shift(h))
+    S = raoclass.direct_sum(N, GradedModule.free(C.base, [-1, 0, 2]))
+    _assert_carried(S)
+    _assert_carried(S.shift(-1))
+    for Q in C.ideal.gens:
+        _assert_carried(ideal_mod_surface(C, Q))
+        _assert_carried(ideal_mod_surface(C, Q).shift(2))
 
 
 # -- the top Ext off the last dual map -------------------------------------------

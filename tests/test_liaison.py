@@ -1,8 +1,10 @@
 from math import comb
 
 import pytest
+from hypothesis import assume, given, seed, settings, strategies as st
 
-from spacecurves import groebner, liaison
+from conftest import general_lines
+from spacecurves import gradedmod, groebner, liaison
 from spacecurves.curve import validate_curve
 from spacecurves.errors import (
     NotContained,
@@ -14,7 +16,7 @@ from spacecurves.errors import (
     WrongDegree,
 )
 from spacecurves.files import corpus_names, load_corpus
-from spacecurves.gradedmod import is_module_iso
+from spacecurves.gradedmod import GradedModule, is_module_iso
 from spacecurves.groebner import Ideal, _colon, _saturation_certificate
 from spacecurves.liaison import (
     CompleteIntersection,
@@ -25,6 +27,7 @@ from spacecurves.liaison import (
     trivial_biliaison,
 )
 from spacecurves.polyring import Poly
+from spacecurves.raoclass import biliaison_equivalent
 
 
 def P(base, t):
@@ -186,3 +189,75 @@ def test_certified_curves_take_no_colon(monkeypatch):
                     trivial_biliaison(C, ideal.gens[0], H, 1)
         assert any(regular for _, _, regular in pairs), name
     assert not all(regular for _, _, pairs, _ in cases for _, _, regular in pairs)
+
+
+# -- the biliaison comparison reads what is already proved ----------------------
+
+
+def _skew_lines_and_a_height_one_biliaison(corpus_curves):
+    C = corpus_curves("skew-lines")
+    K = C.base
+    Cp, _ = trivial_biliaison(C, P(K, "X*Z + Y*W"), P(K, "X"), 1)
+    return C, Cp
+
+
+def test_compare_ranks_no_piece_above_the_top_generator_plus_one(corpus_curves, monkeypatch):
+    # the stable N is locally free: a witness point says "infinite length"
+    # before the scan ranks its pieces g .. g + 7
+    C, Cp = _skew_lines_and_a_height_one_biliaison(corpus_curves)
+    seen = []
+    piece_dim = GradedModule.piece_dim
+
+    def spy(M, n):
+        seen.append(n - max(-t for t in M.F0.twists))
+        return piece_dim(M, n)
+
+    monkeypatch.setattr(GradedModule, "piece_dim", spy)
+    v = biliaison_equivalent(C, Cp)
+    assert (v.kind, v.h) == ("yes", 1)
+    assert seen and max(seen) <= 1
+
+
+def test_padded_modules_and_surface_quotients_are_never_resolved(corpus_curves, monkeypatch):
+    # once both curves are validated, the comparison and the elementary
+    # biliaison check read every K-polynomial off a cached resolution or
+    # carry it over from one
+    C, Cp = _skew_lines_and_a_height_one_biliaison(corpus_curves)
+
+    def fail(*args):
+        raise AssertionError("a module was resolved")
+
+    monkeypatch.setattr(gradedmod, "_resolve", fail)
+    v = biliaison_equivalent(C, Cp)
+    assert (v.kind, v.h) == ("yes", 1)
+    assert biliaison_equivalent(Cp, C).h == -1
+    assert check_elementary_biliaison(C, Cp, P(C.base, "X*Z + Y*W"), 1).is_yes
+
+
+@st.composite
+def _lines_and_a_height_one_biliaison(draw):
+    """A union of 2 or 3 general lines over F_p or A, p = 101 or 32003, and
+    its trivial biliaison of height 1 on the lowest-degree generator, by a
+    random linear form."""
+    C = draw(general_lines(primes=(101, 32003), field_lines=(2, 3), dual_lines=(2, 3)))
+    base = C.base
+    Q = min(C.ideal.gens, key=lambda f: f.degree())
+    coef = st.integers(1, base.p - 1)
+    H = Poly(base, {tuple(int(i == v) for i in range(4)): (draw(coef), 0) for v in range(4)})
+    try:
+        Cp, _ = trivial_biliaison(C, Q, H, 1)
+    except NotCoprime:
+        assume(False)
+    return C, Cp
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(_lines_and_a_height_one_biliaison())
+@seed(53)
+def test_generated_curves_are_biliaison_equivalent_to_their_height_one_biliaisons(case):
+    # reflexive with shift 0, and symmetric with the shift changing sign; an
+    # OracleMismatch between the N-side and the Rao side fails the test
+    C, Cp = case
+    for X, Y, h in ((C, C, 0), (C, Cp, 1), (Cp, C, -1)):
+        v = biliaison_equivalent(X, Y)
+        assert (v.kind, v.h) == ("yes", h)

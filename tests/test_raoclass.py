@@ -1,11 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
-from conftest import RAO_K_NAMES, Span, surjection_hom
+from conftest import RAO_K_NAMES, Span, general_lines, surjection_hom
 from spacecurves import gradedmod, linalg, raoclass
 from spacecurves.curve import validate_curve
-from spacecurves.errors import CertificationError, MixedBase, SpaceCurveError
+from spacecurves.errors import CertificationError, MixedBase
 from spacecurves.files import load_corpus
 from spacecurves.gradedmod import (
     FreeModule,
@@ -18,7 +20,7 @@ from spacecurves.gradedmod import (
     kernel_min_gens,
     subquotient_module,
 )
-from spacecurves.groebner import Ideal, ideal_intersect
+from spacecurves.groebner import Ideal
 from spacecurves.liaison import connect_by_biliaisons
 from spacecurves.polyring import Poly, monomial_shift, monomials
 from spacecurves.scalars import BaseRing
@@ -522,31 +524,6 @@ def _pushout_by_resolving(M):
     return _minimalize_map(GradedMap(F1, target, rows))[0], P.twists
 
 
-@st.composite
-def _general_lines(draw):
-    """A union of lines with random coefficients, each line the zero set of
-    two linear forms: 2 or 3 lines over F_p, 2 over A, where 3 lines take
-    seconds."""
-    p = draw(st.sampled_from([2, 3, 101, 32003]))
-    dual = draw(st.booleans())
-    base = BaseRing(p, dual)
-    coef = st.integers(0, p - 1)
-    I = None
-    for _ in range(2 if dual else draw(st.integers(2, 3))):
-        forms = []
-        for _ in range(2):
-            terms = {}
-            for v in range(4):
-                terms[tuple(int(i == v) for i in range(4))] = (draw(coef), draw(coef) if dual else 0)
-            forms.append(Poly(base, terms))
-        L = Ideal(base, forms)
-        I = L if I is None else ideal_intersect(I, L)
-    try:
-        return validate_curve(I)
-    except SpaceCurveError:
-        assume(False)
-
-
 def _ext1_dims_of_a_fresh_copy(N):
     # Ext^1 of a copy of N resolved afresh, in each degree of a generator of
     # the cycles of its own dual complex, where it is generated
@@ -562,7 +539,7 @@ def _ext1_dims_of_a_fresh_copy(N):
 
 
 @settings(max_examples=8, deadline=None, database=None)
-@given(_general_lines())
+@given(general_lines())
 @seed(28)
 def test_inherited_ntype_resolution_passes_the_checks_it_replaces(C):
     # the same N, P and twists as the pushout built and resolved afresh, and
@@ -582,3 +559,84 @@ def test_inherited_ntype_resolution_passes_the_checks_it_replaces(C):
     hi = res.reg + max((-t for t in N.F0.twists), default=0) + 4
     for n in range(N.min_degree(), hi + 1):
         assert N.piece_dim(n) == res.P.piece_dim(n) + res.ideal.piece_dim(n), n
+
+
+# -- a proved cap on the generators of ker(delta1) ------------------------------
+
+
+def _cycles_by_the_old_rule(delta1):
+    # reference: ker(delta1) on a fresh copy of delta1, taken up to the rule
+    # extravertize used before the bound, max twist + 6
+    fresh = GradedMap(delta1.source, delta1.target, delta1.matrix)
+    return kernel_min_gens(fresh, max(-t for t in delta1.source.twists + delta1.target.twists) + 6)
+
+
+def _extravertize_spying_on_the_cycles(C):
+    # (delta1, cap, K) of extravertize's kernel_min_gens call on the ideal
+    # module, and the bound max(r + 2, top F1^dual, top F2^dual + 1), with r
+    # the top degree of Ext^3(R/I), read off the Rao module by duality:
+    # Ext^3(R/I)_n is dual to (M_C)_{-n-4}
+    calls = []
+
+    def spy(phi, cap):
+        K = kernel_min_gens(phi, cap)
+        calls.append((phi, cap, K))
+        return K
+
+    with mock.patch.object(raoclass, "kernel_min_gens", spy):
+        extravertize(C.ideal_module())
+    (delta1, cap, K), = calls
+    r = -min(C.rao_module().dims()) - 4
+    bound = max(r + 2, max(-t for t in delta1.source.twists), max(-t for t in delta1.target.twists) + 1)
+    return delta1, cap, K, bound
+
+
+def _assert_cycles_match_the_old_rule(C):
+    delta1, cap, K, bound = _extravertize_spying_on_the_cycles(C)
+    assert cap <= bound
+    ref = _cycles_by_the_old_rule(delta1)
+    assert (K.source.twists, K.matrix) == (ref.source.twists, ref.matrix)
+    return K, bound
+
+
+@pytest.mark.parametrize("name", RAO_K_NAMES + [name + "-dual" for name in RAO_K_NAMES])
+def test_extravertize_takes_the_cycles_to_the_proved_cap(name):
+    # a fresh curve, so that extravertize runs; K is the old rule's, column
+    # for column
+    _assert_cycles_match_the_old_rule(validate_curve(load_corpus(name).to_ideal()))
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(general_lines(field_lines=(2, 4), dual_lines=(2, 2)))
+@seed(59)
+def test_the_proved_cap_gives_the_old_rules_cycles_on_general_lines(C):
+    if len(C.ideal_module().resolution()) == 2:
+        _assert_cycles_match_the_old_rule(C)
+
+
+@pytest.mark.parametrize(
+    "names",
+    [("quartic-from-skew-bilink", "skew-lines"), ("quartic-from-skew-bilink-dual", "skew-pair-alt-dual")],
+)
+def test_stable_compare_pads_with_carried_kpolynomials(names, corpus_curves, monkeypatch):
+    # the padded and shifted modules _stable_compare hands to the iso
+    # search carry K-polynomials equal to those of fresh modules on the same
+    # presentations, which resolve for them
+    seen = []
+    first_iso = raoclass._first_iso
+
+    def spy(candidates, trials, seed, undecided, no):
+        candidates = list(candidates)
+        if undecided == "iso test inconclusive":
+            seen.extend(candidates)
+        return first_iso(candidates, trials, seed, undecided, no)
+
+    monkeypatch.setattr(raoclass, "_first_iso", spy)
+    v = biliaison_equivalent(*map(corpus_curves, names))
+    assert (v.kind, v.h) == ("yes", -1)
+    padded = [Z for _, X, Y in seen for Z in (X, Y) if any(not any(row) for row in Z.presentation.matrix)]
+    assert padded
+    for _, X, Y in seen:
+        for Z in (X, Y):
+            assert "kpoly" in Z._cache
+            assert Z.kpolynomial() == GradedModule(Z.presentation).kpolynomial()
