@@ -654,21 +654,11 @@ class GradedModule:
         piece there the resolution decides with one piece: the regularity
         reg is at least g, so M_{reg+1} = 0 forces every later piece to
         vanish, and a module of finite length has its top nonzero piece at
-        reg, by the same corollary.
+        reg, by the same corollary.  The answer is cached.
         """
-        g = max((-t for t in self.F0.twists), default=None)
-        if g is None:
-            return True
-        if _support_witness(self.presentation):
-            return False
-        for n in range(g, g + 8):
-            if not self.piece_dim(n):
-                lo = self.min_degree()
-                top = next((m for m in range(n - 1, lo - 1, -1) if self.piece_dim(m)), None)
-                if top is not None:
-                    self._cache["reg"] = top
-                return True
-        return not self.piece_dim(self.regularity() + 1)
+        if "finite" not in self._cache:
+            self._cache["finite"] = _finite_length(self)
+        return self._cache["finite"]
 
     def kpolynomial(self) -> dict:
         """Signed twist counts of the fiber resolution: determines the
@@ -710,6 +700,23 @@ class GradedModule:
 _MINIMAL = object()
 
 _WITNESS_POINTS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 2, 3, 5))
+
+
+def _finite_length(M: GradedModule) -> bool:
+    """GradedModule.is_finite_length, uncached."""
+    g = max((-t for t in M.F0.twists), default=None)
+    if g is None:
+        return True
+    if _support_witness(M.presentation):
+        return False
+    for n in range(g, g + 8):
+        if not M.piece_dim(n):
+            lo = M.min_degree()
+            top = next((m for m in range(n - 1, lo - 1, -1) if M.piece_dim(m)), None)
+            if top is not None:
+                M._cache["reg"] = top
+            return True
+    return not M.piece_dim(M.regularity() + 1)
 
 
 def _support_witness(phi: GradedMap) -> bool:
@@ -1163,6 +1170,36 @@ def _ext_with_cover(M: GradedModule, i: int):
             return E, K
         cap += 4
     raise CertificationError(f"Ext^{i} cap failed to stabilize")
+
+
+def cycles_cover(M: GradedModule) -> GradedMap:
+    """K: the map onto minimal generators of the cycles ker(delta1: F1^dual
+    -> F2^dual) of M's minimal resolution, cached on M; the identity on
+    F1^dual when pd M = 1.  extravertize reads Ext^1(M)'s cocycles off it,
+    and link a residual off the ideal module's, ker(L2^dual -> L3^dual).
+
+    When pd M = 2 and Ext^2(M) = coker(delta1) has finite length, with top
+    degree r, reg A <= max(reg B, reg C + 1) on 0 -> A -> B -> C -> 0
+    (Eisenbud, The Geometry of Syzygies, Thm 4.3 and Cor. 4.18), applied
+    twice to 0 -> ker(delta1) -> F1^dual -> F2^dual -> Ext^2(M) -> 0, bounds
+    the generators of ker(delta1) by max(r + 2, top(F1^dual), top(F2^dual) +
+    1); over A read F1^dual, F2^dual over k[X, Y, Z, W].  That covers an
+    ideal module and liaison_parity's dual of E.  Another module given to
+    psi_equivalent keeps the rule max twist + 6, which is not a proof.
+    """
+    if "cycles" not in M._cache:
+        deltas = _dual_complex(M)
+        if len(deltas) == 1:
+            M._cache["cycles"] = GradedMap.identity(deltas[0].target)
+            return M._cache["cycles"]
+        d1 = deltas[1]
+        top1 = max(-t for t in d1.source.twists)
+        top2 = max(-t for t in d1.target.twists)
+        cap = max(top1, top2) + 6
+        if len(deltas) == 2 and ext_module(M, 2).is_finite_length():
+            cap = max(ext_module(M, 2).regularity() + 2, top1, top2 + 1)
+        M._cache["cycles"] = kernel_min_gens(d1, cap)
+    return M._cache["cycles"]
 
 
 def subquotient_module(K: GradedMap, B: GradedMap | None, cap: int) -> GradedModule:

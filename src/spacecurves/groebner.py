@@ -9,7 +9,7 @@ the power of e; generators stay homogeneous in X, Y, Z, W, so standard
 monomials count the graded pieces.  Treating e as a variable avoids Groebner
 bases over a coefficient ring (Adams & Loustaunau, An Introduction to
 Groebner Bases, AMS GSM 3, 1994, ch. 4).  Intersection eliminates a tag
-variable, and colon divides an intersection by the form.
+variable, the one elimination here; there is no colon.
 
 Whether a form f of degree d is a nonzerodivisor on R_A/I, (I : f) = I, is
 read off Hilbert series instead of a colon: the exact sequence
@@ -19,8 +19,9 @@ so (I : f) = I exactly when the Hilbert numerators of the lead ideals
 satisfy K(I + f) = (1 - t^d)*K(I) (Bayer & Stillman, J. Symbolic Comput.
 14, 1992).  Saturation is first certified by a nonzerodivisor on R/I: W
 when no lead of I's basis has a W exponent, else the first candidate form
-by that test.  Only when neither is one does it iterate the colon by
-(X, Y, Z, W).  Over A the result then gets minimal generators.
+by that test.  Only when neither is one is it the intersection of the
+four saturations by one variable, each read off one basis with that
+variable last.  Over A the result then gets minimal generators.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from . import linalg
 from .errors import CertificationError, MixedBase, Undecided
 from .gradedmod import FreeModule, GradedMap, min_generators
-from .polyring import Poly, graded_piece_dim, grevlex_key, random_form, variables
+from .polyring import Poly, graded_piece_dim, grevlex_key, random_form
 from .scalars import BaseRing
 
 # -- raw engine on dict polynomials ------------------------------------
@@ -228,24 +229,6 @@ def raw_interreduce(basis, p, key=grevlex_key):
             out.append((key(e), {m: (a * inv) % p for m, a in r.items()}))
     out.sort(key=lambda t: t[0])  # the leads are distinct
     return [g for _, g in out]
-
-
-def _raw_divide_exact(f, g, p, key=grevlex_key):
-    """Exact division f / g of raw polynomials; raises CertificationError
-    when g does not divide f."""
-    q = {}
-    f = dict(f)
-    eg, cg = _lead(g, key)
-    inv = pow(cg, p - 2, p)
-    while f:
-        e, c = _lead(f, key)
-        if not _divides(eg, e):
-            raise CertificationError("inexact division")
-        shift = _quot(e, eg)
-        coeff = (c * inv) % p
-        q[shift] = coeff
-        f = _raw_add_scaled(f, g, (-coeff) % p, shift, p)
-    return q
 
 
 # -- conversion between Poly and raw form -------------------------------
@@ -476,32 +459,23 @@ def _elim_intersection_raw(gens_i, gens_j, p, elim):
     return [_strip_tag(g) for g in gb if all(e[0] == 0 for e in g)]
 
 
-def _colon(I: Ideal, J: Ideal) -> Ideal:
-    """(I : J) as the intersection of the colons (I : g) = (I cap (g)) / g
-    over the generators g of J."""
-    base = I.base
-    p = base.p
-    key, elim = _orders(base)
-    gens = I._raw_gens()
+def _saturate_by_variables(I: Ideal) -> Ideal:
+    """I : (X,Y,Z,W)^infinity as the intersection of the four I : x_i^infinity,
+    since x_i^N*f in I for each i puts m^(4N)*f in I; I itself when it is
+    saturated.  I : x_i^infinity is a basis of I in grevlex with x_i last,
+    each element divided by its largest power of x_i (Bayer & Stillman,
+    Invent. Math. 87, 1987).  That needs only that x_i divides the lead of a
+    form exactly when it divides the form, which grevlex on X, Y, Z, W gives
+    first in the block order over A too.  e^2 stays in every basis."""
     out = None
-    for g in J.gens:
-        f = poly_to_raw(g)
-        quots = [_raw_divide_exact(h, f, p, key) for h in _elim_intersection_raw(gens, [f], p, elim)]
-        out = quots if out is None else _elim_intersection_raw(out, quots, p, elim)
-    if out is None:  # J = 0
-        return Ideal(base, [Poly.one(base)])
-    return Ideal(base, [raw_to_poly(q, base) for q in out])
-
-
-def _saturate(I: Ideal) -> Ideal:
-    """I : (X,Y,Z,W)^infinity, by iterating I : m until it stops growing."""
-    m = Ideal(I.base, variables(I.base))
-    cur = I
-    while True:
-        nxt = _colon(cur, m)
-        if nxt == cur:
-            return cur
-        cur = nxt
+    for i in range(4):
+        order = [j for j in range(4) if j != i] + [i]
+        gb = raw_buchberger(I._raw_gens(), I.base.p, lambda e: (grevlex_key([e[j] for j in order]), e[4:]))
+        powers = [min(e[i] for e in g) for g in gb]
+        sat = [{e[:i] + (e[i] - a,) + e[i + 1 :]: c for e, c in g.items()} for g, a in zip(gb, powers)]
+        out = sat if out is None else _elim_intersection_raw(out, sat, I.base.p, _orders(I.base)[1])
+    out = Ideal(I.base, [raw_to_poly(g, I.base) for g in out])
+    return I if out == I else out
 
 
 def _candidate_forms(base: BaseRing):
@@ -590,18 +564,21 @@ def _with_min_generators(exact: Ideal, form, inside: Ideal = None) -> Ideal:
     return out
 
 
-def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
-    """(I : J) over the base ring of I."""
-    if I.base != J.base:
-        raise MixedBase("colon across base rings")
-    out = _colon(I, J)
-    return _with_min_generators(out, _kernel_form, I) if I.base.dual else out
+def reduced_generators(I: Ideal) -> Ideal:
+    """I on generators that depend only on the ideal, as ideal_saturate
+    writes a saturation: its reduced basis over F_p, minimal generators in
+    the kernel_basis form over A."""
+    if I.base.dual:
+        return _with_min_generators(I, _kernel_form)
+    out = Ideal(I.base, [raw_to_poly(g, I.base) for g in I._groebner()[0]])
+    out._gb = I._gb
+    return out
 
 
 def ideal_saturate(I: Ideal) -> Ideal:
     """I : (X,Y,Z,W)^infinity over the base ring of I: I itself once a
     nonzerodivisor certifies it."""
-    out = I if _saturation_certificate(I) else _saturate(I)
+    out = I if _saturation_certificate(I) else _saturate_by_variables(I)
     return _with_min_generators(out, _kernel_form, I) if I.base.dual else out
 
 

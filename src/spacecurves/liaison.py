@@ -1,11 +1,12 @@
 """Linkage by complete intersections and biliaison moves.
 
 A link replaces a curve C by the residual curve C' of a complete
-intersection (F, G) containing it: I_{C'} = (F,G) : I_C.  A trivial
-biliaison replaces C by the curve with ideal sat(H * I_C + (Q)) for a
-surface Q through C and a form H coprime to Q.  An elementary biliaison of
-height h on Q is witnessed by a graded isomorphism I_{C'}/(Q) = (I_C/(Q))(-h);
-chains of such moves are searched for and replayed by connect_by_biliaisons.
+intersection (F, G) containing it: I_{C'} = (F,G) : I_C, read off the
+resolution of R/I_C with no colon.  A trivial biliaison replaces C by the
+curve with ideal sat(H * I_C + (Q)) for a surface Q through C and a form H
+coprime to Q.  An elementary biliaison of height h on Q is witnessed by a
+graded isomorphism I_{C'}/(Q) = (I_C/(Q))(-h); chains of such moves are
+searched for and replayed by connect_by_biliaisons.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import random
 
 from .curve import CurveFamily, validate_curve
 from .errors import (
+    CertificationError,
     MixedBase,
     NotContained,
     NotCoprime,
@@ -25,15 +27,15 @@ from .errors import (
     Undecided,
     WrongDegree,
 )
-from .gradedmod import GradedMap, GradedModule, find_module_iso
+from .gradedmod import FreeModule, GradedMap, GradedModule, cycles_cover, find_module_iso
 from .groebner import (
     Ideal,
-    ideal_colon,
     ideal_intersect,
     ideal_product_poly,
     ideal_saturate,
     ideal_sum,
     is_nonzerodivisor,
+    reduced_generators,
 )
 from .polyring import Poly, random_form
 
@@ -64,7 +66,7 @@ class Verdict:
 
 
 class CompleteIntersection:
-    """A regular sequence (F, G) of surfaces, with its Koszul resolution."""
+    """A regular sequence (F, G) of surfaces."""
 
     def __init__(self, F: Poly, G: Poly):
         base = F.base
@@ -76,44 +78,58 @@ class CompleteIntersection:
             if not f.is_homogeneous() or f.degree() < 1:
                 raise NotRegularSequence(f"{f} is not homogeneous of positive degree")
         if not is_nonzerodivisor(Ideal(base.field(), [F.fiber()]), G.fiber()):
-            raise NotRegularSequence(
-                f"{G} is a zero divisor modulo {F} in the fiber"
-            )
+            raise NotRegularSequence(f"{G} is a zero divisor modulo {F} in the fiber")
         self.F = F
         self.G = G
         self.s = F.degree()
         self.t = G.degree()
         self.base = base
 
-    def ideal(self) -> Ideal:
-        return Ideal(self.base, [self.F, self.G])
-
-    def twists(self):
-        return ((-self.s - self.t,), (-self.s, -self.t))
-
 
 # -- linkage ---------------------------------------------------------------
 
 
 def link(C: CurveFamily, F: Poly, G: Poly) -> CurveFamily:
-    """The residual curve of C in the complete intersection (F, G)."""
+    """The residual curve of C in the complete intersection D = (F, G) of
+    degrees s, t, read off the resolution L1 -> R, L2 -> L1, L3 -> L2 of R/I
+    that validation certified (Peskine & Szpiro, Invent. Math. 26, 1974).
+
+    Lift (F, G) to alpha1: R(-s) + R(-t) -> L1 and solve d2 o alpha2 =
+    alpha1 o (G, -F)^T.  As (D : I)/D = Hom(R/I, R/D) = Ext^2(R/I, R)(-s-t),
+    D : I is D plus alpha2^dual of the cycles ker(L2^dual -> L3^dual), which
+    the ideal module's cycles_cover generates.
+
+    Certificate: g*h lies in D for the generators g of I and h of the result
+    J, so J <= D : I; J passes validate_curve; d + d' = st.  Over F_p, D : I
+    and J are saturated and define locally Cohen-Macaulay curves of degree
+    st - d, so the sheaf of (D : I)/J lives on points inside O_V(J), which
+    has no such subsheaf: they agree.  Over A, R/J_0 = e*(R_A/J) by
+    flatness, so J_0 is such a curve and J_0 = D_0 : I_0.  For f = g + e*h
+    in D : I with g in J, e*h*I <= D and R_A/D is flat, so h_0*I_0 <= D_0,
+    h_0 lies in J_0 and e*h in J.  D : I is saturated, as D is unmixed.
+    """
     ci = CompleteIntersection(F, G)
     I = C.ideal
     for f in (F, G):
         if not I.contains(f):
             raise NotContained(f"{f} does not lie in the curve ideal")
-    D = ci.ideal()
-    J = ideal_colon(D, I)
+    base, s, t = ci.base, ci.s, ci.t
+    koszul = GradedMap(FreeModule(base, [-s - t]), FreeModule(base, [-s, -t]), [[G], [-F]])
+    a1 = C.ideal_cover().lift(GradedMap(koszul.target, FreeModule(base, [0]), [[F, G]]))
+    a2 = None if a1 is None else C.ideal_module().presentation.lift(a1.compose(koszul))
+    if a2 is None:
+        raise CertificationError("the Koszul relation does not lift to the resolution")
+    residual = a2.dual().compose(cycles_cover(C.ideal_module())).matrix[0]
+    J = Ideal(base, [F, G, *residual])
+    D = Ideal(base, [F, G])
+    if not all(D.contains(g * h) for g in I.gens for h in J.gens):
+        raise CertificationError("the residual does not multiply the curve into (F, G)")
     if J.is_unit_ideal():
         raise ResidualEmpty("the curve equals the complete intersection")
-    J = ideal_saturate(J)
-    Cp = validate_curve(J)
-    d, _ = C.degree_genus()
-    dp, _ = Cp.degree_genus()
-    if d + dp != ci.s * ci.t:
-        raise OracleMismatch(
-            f"degree additivity fails: {d} + {dp} != {ci.s} * {ci.t}"
-        )
+    Cp = validate_curve(reduced_generators(J))
+    d, dp = C.degree_genus()[0], Cp.degree_genus()[0]
+    if d + dp != s * t:
+        raise OracleMismatch(f"degree additivity fails: {d} + {dp} != {s} * {t}")
     return Cp
 
 

@@ -16,7 +16,6 @@ from .errors import MixedBase, ParseError
 from .scalars import BaseRing, Scalar
 
 VARS = ("X", "Y", "Z", "W")
-NVARS = 4
 
 Exp = tuple  # (eX, eY, eZ, eW)
 
@@ -359,11 +358,6 @@ def _parse(text: str, base: BaseRing) -> Poly:
     if parser.pos != len(tokens):
         raise ParseError(f"trailing tokens in {text!r}")
     return out
-
-
-def variables(base: BaseRing):
-    """The four variables (X, Y, Z, W) over the given base."""
-    return tuple(Poly.variable(base, i) for i in range(NVARS))
 
 
 def random_form(base: BaseRing, d: int, rng) -> Poly:

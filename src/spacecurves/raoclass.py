@@ -35,6 +35,7 @@ from .gradedmod import (
     _minimalize_map,
     _share_ext_table,
     cohomology_table,
+    cycles_cover,
     ext_module,
     finite_data_to_module,
     is_module_iso,
@@ -107,7 +108,7 @@ def extravertize(M: GradedModule) -> ExtravertData:
     N = coker([phi; -c]: F1 -> F0 + P), with phi the first map of M's
     minimal resolution and c: F1 -> P dual to minimal generators of
     Ext^1(M, R), cocycles read off K, the map onto the generators of
-    ker(delta1) up to _cycles_cap.  _certify_extravert shows that
+    ker(delta1) (cycles_cover).  _certify_extravert shows that
     [phi; -c], d2, d3, ... resolves N, so when minimalizing [phi; -c]
     cancels nothing, N keeps that resolution and reads Ext^i(N) =
     Ext^i(M) for i >= 2 off M's Ext table.  When a unit pair cancels (N
@@ -124,10 +125,7 @@ def extravertize(M: GradedModule) -> ExtravertData:
             Mm, Mm, P, GradedMap.zero(P, Mm.F0), GradedMap.identity(Mm.F0)
         )
     deltas = _dual_complex(Mm)
-    if len(deltas) > 1:
-        K = kernel_min_gens(deltas[1], _cycles_cap(Mm, deltas))
-    else:
-        K = GradedMap.identity(deltas[0].target)
+    K = cycles_cover(Mm)
     chosen = _min_quotient_gens(K, deltas[0])
     cocycles = GradedMap.from_columns(
         K.target, [K.column(j) for j in chosen], [-K.source.twists[j] for j in chosen]
@@ -163,29 +161,6 @@ def extravertize(M: GradedModule) -> ExtravertData:
     return ExtravertData(Mm, N, P, incl, proj)
 
 
-def _cycles_cap(M: GradedModule, deltas) -> int:
-    """A degree by which ker(delta1: F1^dual -> F2^dual) is generated.
-
-    When pd M = 2 and Ext^2(M) = coker(delta1) has finite length, with top
-    degree r, 0 -> ker(delta1) -> F1^dual -> F2^dual -> Ext^2(M) -> 0 is
-    exact, and reg A <= max(reg B, reg C + 1) on 0 -> A -> B -> C -> 0
-    (Eisenbud, The Geometry of Syzygies, Thm 4.3 and Cor. 4.18), applied
-    twice, gives reg ker(delta1) <= max(r + 2, top(F1^dual), top(F2^dual) +
-    1).  Over A read F1^dual, F2^dual as free k[X, Y, Z, W]-modules of twice
-    the rank.  That covers an ideal module (validation cached r on Ext^3(R/I))
-    and liaison_parity's dual of E; another module given to psi_equivalent
-    keeps the rule max twist + 6, which is not a proof.
-    """
-    d1 = deltas[1]
-    top1 = max(-t for t in d1.source.twists)
-    top2 = max(-t for t in d1.target.twists)
-    if len(deltas) == 2:
-        E = ext_module(M, 2)
-        if E.is_finite_length():
-            return max(E.regularity() + 2, top1, top2 + 1)
-    return max(top1, top2) + 6
-
-
 def _certify_extravert(deltas, K: GradedMap, cocycles: GradedMap):
     """Certify the pushout N = coker([phi; -c]) of extravertize from the dual
     complex delta_0, delta_1, ... of M's resolution, K and the cocycles c^dual.
@@ -199,7 +174,7 @@ def _certify_extravert(deltas, K: GradedMap, cocycles: GradedMap):
     of ker(delta1) (both composites with delta1 are zero), so it vanishes
     once each degree n of K's generators has dim ker(delta1)_n =
     rank [delta0 | c^dual]_n.  That rests on K generating ker(delta1), which
-    _cycles_cap proves for an ideal module.
+    cycles_cover proves for an ideal module.
     """
     delta0 = deltas[0]
     if len(deltas) > 1 and not deltas[1].compose(cocycles).is_zero():
@@ -558,7 +533,7 @@ def _pad_surjective(N: GradedModule, M: GradedModule, f: ModuleHom, top: int):
 
 def minimal_extravert(M: GradedModule) -> GradedModule:
     """The extraverted representative with free summands stripped; its
-    Ext^1 = 0 is proved where _cycles_cap's bound applies."""
+    Ext^1 = 0 is proved where cycles_cover's bound applies."""
     N = extravertize(M).N
     N0, _ = N.strip_free_summands()
     return N0.minimal_presentation()

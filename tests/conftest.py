@@ -4,12 +4,23 @@ import pytest
 from hypothesis import assume, strategies as st
 
 from spacecurves.curve import validate_curve
-from spacecurves.errors import SpaceCurveError
+from spacecurves.errors import CertificationError, SpaceCurveError
 from spacecurves.files import load_corpus
 from spacecurves.gradedmod import GradedModule, ModuleHom, kernel_min_gens
-from spacecurves.groebner import Ideal, ideal_intersect
+from spacecurves.groebner import (
+    Ideal,
+    _divides,
+    _elim_intersection_raw,
+    _lead,
+    _orders,
+    _quot,
+    _raw_add_scaled,
+    ideal_intersect,
+    poly_to_raw,
+    raw_to_poly,
+)
 from spacecurves.linalg import _sparse_rows
-from spacecurves.polyring import Poly
+from spacecurves.polyring import Poly, grevlex_key
 from spacecurves.scalars import BaseRing
 
 FIBER_NAMES = [
@@ -140,3 +151,65 @@ def general_lines(draw, primes=(2, 3, 101, 32003), field_lines=(2, 3), dual_line
         return validate_curve(I)
     except SpaceCurveError:
         assume(False)
+
+
+def five_skew_lines_over_f2(dual=False):
+    """Five pairwise skew lines over F_2 (or the constant family over
+    F_2[e]/(e^2)) whose linear forms partition the 15 nonzero forms of
+    F_2^4: each linear form vanishes on one line."""
+    base = BaseRing(2, dual)
+    lines = [("X", "Y"), ("Z", "W"), ("X+Z", "Y+W"), ("X+W", "Y+Z+W"), ("X+Z+W", "Y+Z")]
+    ideal = None
+    for line in lines:
+        L = Ideal.parse(base, line)
+        ideal = L if ideal is None else ideal_intersect(ideal, L)
+    return ideal
+
+# -- the colon, kept as a reference oracle ------------------------------------
+
+
+def divide_exact_ref(f, g, p, key=grevlex_key):
+    """Exact division f / g of raw polynomials; CertificationError when g
+    does not divide f."""
+    q = {}
+    eg, cg = _lead(g, key)
+    inv = pow(cg, p - 2, p)
+    while f:
+        e, c = _lead(f, key)
+        if not _divides(eg, e):
+            raise CertificationError("inexact division")
+        shift = _quot(e, eg)
+        q[shift] = c * inv % p
+        f = _raw_add_scaled(f, g, -q[shift] % p, shift, p)
+    return q
+
+
+def colon_ref(I, J):
+    """(I : J) as the intersection of the colons (I : g) = (I cap (g))/g over
+    the generators g of J, one tag elimination and one exact division per
+    generator: the route links and saturations took before they read the
+    resolution and the variables.  Over F_p its generators are the reduced
+    grevlex basis."""
+    base = I.base
+    key, elim = _orders(base)
+    out = None
+    for g in J.gens:
+        f = poly_to_raw(g)
+        inter = _elim_intersection_raw(I._raw_gens(), [f], base.p, elim)
+        quots = [divide_exact_ref(h, f, base.p, key) for h in inter]
+        out = quots if out is None else _elim_intersection_raw(out, quots, base.p, elim)
+    if out is None:  # J = 0
+        return Ideal(base, [Poly.one(base)])
+    return Ideal(base, [raw_to_poly(q, base) for q in out])
+
+
+def saturate_ref(I):
+    """I : (X,Y,Z,W)^infinity by iterating colon_ref by m until it stops
+    growing: I itself when I is saturated."""
+    m = Ideal(I.base, [Poly.variable(I.base, i) for i in range(4)])
+    cur = I
+    while True:
+        nxt = colon_ref(cur, m)
+        if nxt == cur:
+            return cur
+        cur = nxt

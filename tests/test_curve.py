@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import five_skew_lines_over_f2
 from spacecurves import curve, gradedmod, groebner, linalg
 from spacecurves.cli import main
 from spacecurves.curve import (
@@ -75,13 +76,13 @@ def test_rejects_unsaturated(K, A):
 
 def _count_saturations(monkeypatch):
     calls = []
-    saturate = groebner._saturate
+    saturate = groebner._saturate_by_variables
 
     def counted(ideal):
         calls.append(ideal)
         return saturate(ideal)
 
-    monkeypatch.setattr(groebner, "_saturate", counted)
+    monkeypatch.setattr(groebner, "_saturate_by_variables", counted)
     return calls
 
 
@@ -170,21 +171,10 @@ def test_rao_route_retries_past_a_zero_divisor(K):
         assert C.rao_module().dims() == rao
 
 
-def _five_skew_lines_over_f2():
-    # five pairwise skew lines over F_2 whose linear forms partition the 15
-    # nonzero forms of F_2^4: each linear form vanishes on one line
-    K2 = BaseRing(2, False)
-    lines = [("X", "Y"), ("Z", "W"), ("X+Z", "Y+W"), ("X+W", "Y+Z+W"), ("X+Z+W", "Y+Z")]
-    ideal = I(K2, *lines[0])
-    for line in lines[1:]:
-        ideal = ideal_intersect(ideal, I(K2, *line))
-    return ideal
-
-
 def test_rao_route_over_f2_where_every_linear_form_is_a_zero_divisor(monkeypatch):
-    ideal = _five_skew_lines_over_f2()
+    ideal = five_skew_lines_over_f2()
     # neither W nor the first candidate form certifies saturation: validation
-    # falls back to the iterated colon
+    # falls back to the saturation by variables
     calls = _count_saturations(monkeypatch)
     C = validate_curve(ideal)
     assert calls == [ideal]
@@ -197,7 +187,7 @@ def test_rao_route_over_f2_where_every_linear_form_is_a_zero_divisor(monkeypatch
 def test_validate_over_f2_decides_finite_length_without_resolving_ext(monkeypatch):
     # Ext^3 of the five F_2 lines has a zero piece three degrees past its
     # generators, so validation resolves R/I and nothing else
-    ideal = _five_skew_lines_over_f2()
+    ideal = five_skew_lines_over_f2()
     resolved = []
     real = gradedmod._resolve
     monkeypatch.setattr(gradedmod, "_resolve", lambda phi: resolved.append(phi) or real(phi))

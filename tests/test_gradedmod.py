@@ -34,10 +34,11 @@ from spacecurves.gradedmod import (
     torsion_module_data,
     vector_to_element,
 )
+from spacecurves.curve import validate_curve
 from spacecurves.errors import CertificationError, MixedBase
 from spacecurves.files import corpus_names, load_corpus
 from spacecurves.groebner import Ideal, _nonzerodivisor, ideal_intersect, ideal_sum
-from spacecurves.liaison import ideal_mod_surface
+from spacecurves.liaison import ideal_mod_surface, link
 from spacecurves.polyring import Poly, graded_piece_dim, monomials
 from spacecurves.raoclass import extravertize
 from spacecurves.scalars import BaseRing
@@ -1087,6 +1088,18 @@ def test_the_scan_decides_a_line_that_misses_every_witness_point(p, dual):
     assert not M.is_finite_length()
     # the line X = Y = 0 passes through (0, 0, 1, 0)
     assert gradedmod._support_witness(GradedModule.quotient_by_ideal(I(base, "X", "Y")).presentation)
+
+
+def test_a_curve_and_its_link_decide_each_finite_length_once(corpus_curves):
+    # validation, the Rao duality route, cycles_cover and link all ask
+    # whether Ext^3(R/I) has finite length: each module is decided once
+    calls = []
+    real = gradedmod._finite_length
+    with mock.patch.object(gradedmod, "_finite_length", lambda M: calls.append(M) or real(M)):
+        C = validate_curve(load_corpus("skew-lines").to_ideal())
+        C.rao_module()
+        link(C, Poly.parse("X*Z", C.base), Poly.parse("Y*W", C.base))
+    assert calls and len(calls) == len({id(M) for M in calls})
 
 
 # -- K-polynomials carried, not resolved -------------------------------------------

@@ -4,21 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from conftest import colon_ref, divide_exact_ref, five_skew_lines_over_f2, saturate_ref
+
 from spacecurves import linalg
 from spacecurves.curve import is_flat_family
 from spacecurves.errors import CertificationError
 from spacecurves.groebner import (
     Ideal,
     _candidate_forms,
-    _colon,
     _divides,
     _dual_elim_first,
     _dual_key,
-    _raw_divide_exact,
+    _kernel_form,
     _raw_elim_first,
-    _saturate,
+    _saturate_by_variables,
     _saturation_certificate,
-    ideal_colon,
+    _with_min_generators,
     ideal_intersect,
     ideal_saturate,
     ideal_sum,
@@ -96,10 +97,10 @@ def test_saturation_strips_irrelevant_power(K):
 def test_colon_residual_of_skew_lines(K):
     ci = I(K, "X*Z", "Y*W")
     skew = I(K, "X*Z", "X*W", "Y*Z", "Y*W")
-    res = ideal_colon(ci, skew)
+    res = colon_ref(ci, skew)
     assert res == I(K, "X*Y", "X*Z", "W*Y", "W*Z")
     # colon back returns the original curve
-    assert ideal_colon(ci, res) == skew
+    assert colon_ref(ci, res) == skew
 
 
 def test_intersect_of_two_lines(K):
@@ -135,7 +136,7 @@ def test_dual_saturation_and_colon_strip_the_irrelevant_ideal(A):
     assert len(J.gens) == 8
     assert J != L
     assert ideal_saturate(J) == L
-    assert ideal_colon(J, I(A, "X", "Y", "Z", "W")) == L
+    assert colon_ref(J, I(A, "X", "Y", "Z", "W")) == L
 
 
 def _times_power_of_m(ideal, k):
@@ -154,7 +155,7 @@ def test_dual_saturation_of_ideals_times_a_power_of_m(A):
 
 def test_dual_colon_keeps_generators_far_above_the_fiber(A):
     # e*Y^10 lies in the colon, eight degrees above the fiber colon (X)
-    got = ideal_colon(I(A, "X", "e*Y^10"), I(A, "Z"))
+    got = colon_ref(I(A, "X", "e*Y^10"), I(A, "Z"))
     assert got == I(A, "X", "e*Y^10")
     assert got.contains(Poly.parse("e*Y^10", A))
 
@@ -162,9 +163,9 @@ def test_dual_colon_keeps_generators_far_above_the_fiber(A):
 def test_exact_division_rejects_a_non_factor():
     p = 101
     x, y = (1, 0, 0, 0), (0, 1, 0, 0)
-    assert _raw_divide_exact({(2, 0, 0, 0): 3, (1, 1, 0, 0): 3}, {x: 1, y: 1}, p) == {x: 3}
+    assert divide_exact_ref({(2, 0, 0, 0): 3, (1, 1, 0, 0): 3}, {x: 1, y: 1}, p) == {x: 3}
     with pytest.raises(CertificationError):
-        _raw_divide_exact({(2, 0, 0, 0): 1, (0, 2, 0, 0): 1}, {y: 1}, p)
+        divide_exact_ref({(2, 0, 0, 0): 1, (0, 2, 0, 0): 1}, {y: 1}, p)
 
 
 # -- the pair-selection engine against a plain Buchberger loop -----------
@@ -455,7 +456,7 @@ def _field_pair(draw):
 def test_dual_ops_on_constant_families_match_the_field_ops(case):
     I, J, A = case
     IA, JA = _lift(I, A), _lift(J, A)
-    assert ideal_colon(IA, JA) == _lift(ideal_colon(I, J), A)
+    assert colon_ref(IA, JA) == _lift(colon_ref(I, J), A)
     assert ideal_intersect(IA, JA) == _lift(ideal_intersect(I, J), A)
     assert ideal_saturate(IA) == _lift(ideal_saturate(I), A)
 
@@ -476,7 +477,7 @@ def _dual_pair(draw):
 @seed(23)
 def test_dual_ops_satisfy_their_containments(case):
     I, J = case
-    colon = ideal_colon(I, J)
+    colon = colon_ref(I, J)
     assert all(I.contains(g * h) for g in J.gens for h in colon.gens)
     sat = ideal_saturate(I)
     assert all(sat.contains(g) for g in I.gens)
@@ -492,9 +493,8 @@ def test_dual_ops_satisfy_their_containments(case):
 
 
 @st.composite
-def _saturation_input(draw):
-    """A small ideal over F_p or A at p = 2, 3, 101 or 32003."""
-    base = BaseRing(draw(st.sampled_from((2, 3, 101, 32003))), draw(st.booleans()))
+def _saturation_input(draw, base):
+    """A small ideal over base: 1-3 generators of degree 1 or 2."""
     gens = []
     for _ in range(draw(st.integers(1, 3))):
         f = draw(_dual_poly(base, draw(st.integers(1, 2)), 3))
@@ -502,16 +502,56 @@ def _saturation_input(draw):
     return Ideal(base, gens)
 
 
-@settings(max_examples=30, deadline=None, database=None)
-@given(_saturation_input())
+def _assert_saturates_as_the_iterated_colon(ideal):
+    # generator for generator: the reduced basis over F_p, minimal generators
+    # over A; a saturated input comes back as itself
+    ref = saturate_ref(ideal)
+    saturated = ref is ideal
+    if ideal.base.dual:
+        ref = _with_min_generators(ref, _kernel_form, ideal)
+    sat = ideal_saturate(ideal)
+    assert [str(g) for g in sat.gens] == [str(g) for g in ref.gens]
+    if saturated:
+        assert _saturate_by_variables(ideal) is ideal
+        assert sat is ideal or ideal.base.dual
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("p", [2, 3, 101, 32003])
+@settings(max_examples=6, deadline=None, database=None)
+@given(data=st.data())
 @seed(29)
-def test_saturation_certificate_agrees_with_the_iterated_colon(ideal):
-    # the ideal and the same ideal times m, which is never saturated
-    for case in (ideal, _times_power_of_m(ideal, 1)):
-        sat = _saturate(case)
+def test_saturation_certificate_agrees_with_the_iterated_colon(p, dual, data):
+    # the ideal and the same ideal times m^k, k = 1..3, which is never
+    # saturated
+    ideal = data.draw(_saturation_input(BaseRing(p, dual)))
+    for case in (ideal, _times_power_of_m(ideal, data.draw(st.integers(1, 3)))):
         if _saturation_certificate(case):
-            assert sat == case
-        assert ideal_saturate(case) == sat
+            assert ideal_saturate(case) == case
+        _assert_saturates_as_the_iterated_colon(case)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_the_five_f2_lines_times_a_form_saturate_as_the_iterated_colon(dual):
+    # every linear form over F_2 vanishes on one of the lines, so neither W
+    # nor a candidate form certifies these ideals
+    lines = five_skew_lines_over_f2(dual)
+    for factor in ("X", "(X+Y+Z+W)^2"):
+        f = Poly.parse(factor, lines.base)
+        _assert_saturates_as_the_iterated_colon(Ideal(lines.base, [g * f for g in lines.gens]))
+    _assert_saturates_as_the_iterated_colon(lines)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("i", range(4))
+def test_a_point_at_each_coordinate_point_keeps_its_variable_saturation(i, dual):
+    # the union of a line and the point where only x_i is nonzero: the
+    # saturation by the other three variables alone would drop the point
+    base = BaseRing(101, dual)
+    point = Ideal(base, [Poly.variable(base, j) for j in range(4) if j != i])
+    ideal = ideal_intersect(I(base, "X + Y + Z", "Y + 2*Z + 3*W"), point)
+    _assert_saturates_as_the_iterated_colon(ideal)
+    _assert_saturates_as_the_iterated_colon(_times_power_of_m(ideal, 1))
 
 
 def test_skew_lines_are_certified_by_the_first_candidate_form(K, A):
@@ -560,7 +600,7 @@ def _krull_dimension_ref(ideal):
 def _is_flat_by_colon_ref(ideal):
     """(I : e) = I + (e)."""
     e = Ideal(ideal.base, [Poly.constant(ideal.base, 0, 1)])
-    return _colon(ideal, e) == ideal_sum(ideal, e)
+    return colon_ref(ideal, e) == ideal_sum(ideal, e)
 
 
 @st.composite
@@ -586,7 +626,7 @@ def _hilbert_input(draw, dual=None):
 @seed(31)
 def test_nonzerodivisor_test_agrees_with_the_colon(case):
     ideal, f = case
-    assert is_nonzerodivisor(ideal, f) == (_colon(ideal, Ideal(ideal.base, [f])) == ideal)
+    assert is_nonzerodivisor(ideal, f) == (colon_ref(ideal, Ideal(ideal.base, [f])) == ideal)
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -617,3 +657,4 @@ def test_hilbert_numerators_of_small_ideals(K):
     assert Ideal(K, []).hilbert_numerator() == (1,)
     assert I(K, "X*Y", "X*Z").krull_dimension() == 3
     assert I(K, "X^2", "X*Y", "X*Z", "X*W").krull_dimension() == 3
+

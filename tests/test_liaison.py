@@ -1,10 +1,12 @@
+import random
 from math import comb
 
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
-from conftest import general_lines
+from conftest import colon_ref, general_lines
 from spacecurves import gradedmod, groebner, liaison
+from spacecurves.cli import main
 from spacecurves.curve import validate_curve
 from spacecurves.errors import (
     NotContained,
@@ -12,12 +14,13 @@ from spacecurves.errors import (
     NotRegularSequence,
     OracleMismatch,
     ResidualEmpty,
+    SpaceCurveError,
     Undecided,
     WrongDegree,
 )
 from spacecurves.files import corpus_names, load_corpus
-from spacecurves.gradedmod import GradedModule, is_module_iso
-from spacecurves.groebner import Ideal, _colon, _saturation_certificate
+from spacecurves.gradedmod import GradedMap, GradedModule, is_module_iso
+from spacecurves.groebner import Ideal, _saturation_certificate
 from spacecurves.liaison import (
     CompleteIntersection,
     check_elementary_biliaison,
@@ -26,8 +29,9 @@ from spacecurves.liaison import (
     link,
     trivial_biliaison,
 )
-from spacecurves.polyring import Poly
+from spacecurves.polyring import Poly, random_form
 from spacecurves.raoclass import biliaison_equivalent
+from spacecurves.scalars import BaseRing
 
 
 def P(base, t):
@@ -148,10 +152,10 @@ def test_connect_search_skips_only_bad_random_forms(corpus_curves, monkeypatch):
 
 def test_certified_curves_take_no_colon(monkeypatch):
     # nonzerodivisors, regular sequences, coprimality and flatness are read
-    # off Hilbert series: with the colon patched to fail, validation, the Rao
-    # module, complete intersections and trivial biliaisons still decide
-    # every fixture that W or the first candidate form certifies, and their
-    # answers are the colon's
+    # off Hilbert series: with the saturation fallback patched to fail,
+    # validation, the Rao module, complete intersections and trivial
+    # biliaisons still decide every fixture that W or the first candidate
+    # form certifies, and their answers are the colon oracle's
     cases = []
     for name in corpus_names():
         ideal = load_corpus(name).to_ideal()
@@ -161,7 +165,7 @@ def test_certified_curves_take_no_colon(monkeypatch):
 
         def regular(F, G):
             Ff = Ideal(k, [F.fiber()])
-            return _colon(Ff, Ideal(k, [G.fiber()])) == Ff
+            return colon_ref(Ff, Ideal(k, [G.fiber()])) == Ff
 
         pairs = [(F, G, regular(F, G)) for F in ideal.gens for G in ideal.gens if F is not G]
         forms = [(H, regular(ideal.gens[0], H)) for H in (P(ideal.base, "X"), P(ideal.base, "Y + W"))]
@@ -169,9 +173,9 @@ def test_certified_curves_take_no_colon(monkeypatch):
     assert len(cases) == len(corpus_names())
 
     def fail(*args):
-        raise AssertionError("colon taken")
+        raise AssertionError("saturation computed")
 
-    monkeypatch.setattr(groebner, "_colon", fail)
+    monkeypatch.setattr(groebner, "_saturate_by_variables", fail)
     for name, ideal, pairs, forms in cases:
         C = validate_curve(ideal)
         C.rao_module()
@@ -261,3 +265,109 @@ def test_generated_curves_are_biliaison_equivalent_to_their_height_one_biliaison
     for X, Y, h in ((C, C, 0), (C, Cp, 1), (Cp, C, -1)):
         v = biliaison_equivalent(X, Y)
         assert (v.kind, v.h) == ("yes", h)
+
+
+# -- the residual from one lift of the resolution ------------------------------
+
+
+def _combination(C, d, rng):
+    """A form of degree d in the curve's ideal: its generators of degree at
+    most d times random forms of the complementary degrees."""
+    out = Poly.zero(C.base)
+    for g in C.ideal.gens:
+        if g.degree() <= d:
+            out = out + g * random_form(C.base, d - g.degree(), rng)
+    return out
+
+
+@st.composite
+def _seeded_link(draw):
+    """(C, F, G): a fixture read at p = 101 or 32003, or a union of 2-4
+    general lines over F_p (2 over A) at those primes, and a complete
+    intersection through it from random combinations of its generators, of
+    degrees (s, s) with s the degree of its second generator by degree, or
+    (s, s + 1) when the curve is itself a complete intersection."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(corpus_names()))
+        cf = load_corpus(name)
+        base = BaseRing(draw(st.sampled_from((101, 32003))), cf.base.dual)
+        try:
+            C = validate_curve(Ideal.parse(base, [str(g) for g in cf.to_ideal().gens]))
+        except SpaceCurveError:
+            assume(False)
+    else:
+        C = draw(general_lines(primes=(101, 32003), field_lines=(2, 4), dual_lines=(2, 2)))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    s = sorted(g.degree() for g in C.ideal.gens)[1]
+    # a complete intersection curve lies in no other complete intersection
+    # of degrees (s, s)
+    t = s if len(C.ideal.gens) > 2 else s + 1
+    F, G = _combination(C, s, rng), _combination(C, t, rng)
+    try:
+        CompleteIntersection(F, G)
+    except NotRegularSequence:
+        assume(False)
+    return C, F, G
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(_seeded_link())
+@seed(61)
+def test_link_is_the_colon_generator_for_generator_and_links_back(case):
+    # the residual equals the colon oracle's, on its reduced basis over F_p
+    # and its minimal generators over A, and linking it again in the same
+    # complete intersection returns the curve's ideal
+    C, F, G = case
+    ref = colon_ref(Ideal(C.base, [F, G]), C.ideal)
+    if ref.is_unit_ideal():
+        with pytest.raises(ResidualEmpty):
+            link(C, F, G)
+        return
+    if C.base.dual:
+        ref = groebner._with_min_generators(ref, groebner._kernel_form)
+    Cp = link(C, F, G)
+    assert [str(g) for g in Cp.ideal.gens] == [str(g) for g in ref.gens]
+    assert link(Cp, F, G).ideal == C.ideal
+
+
+@pytest.mark.parametrize(
+    "name, F, G",
+    [
+        ("twisted-cubic", "X*Z - Y^2", "Y*W - Z^2"),
+        ("twisted-cubic-dual", "X*Z - Y^2", "Y*W - Z^2"),
+        ("line", "X*Z", "Y*W"),
+        ("line-dual", "X^3", "Y^3"),
+        ("conic", "X*W", "Y^2 - Z*W"),
+    ],
+)
+def test_a_residual_missing_a_cycle_is_a_typed_error(name, F, G, corpus_curves, monkeypatch):
+    # on an ACM curve every cycle gives a minimal generator of the residual
+    # modulo (F, G): without the last one the certificate fails
+    C = corpus_curves(name)
+    F, G = P(C.base, F), P(C.base, G)
+    link(C, F, G)
+    cover = gradedmod.cycles_cover
+
+    def without_the_last(M):
+        K = cover(M)
+        n = K.source.rank - 1
+        return GradedMap.from_columns(K.target, [K.column(j) for j in range(n)], [-t for t in K.source.twists[:n]])
+
+    monkeypatch.setattr(liaison, "cycles_cover", without_the_last)
+    with pytest.raises(SpaceCurveError):
+        link(C, F, G)
+
+
+def test_link_failures_keep_their_exit_codes(capsys, monkeypatch):
+    cases = [
+        (["link", "corpus:twisted-cubic", "X^2", "Y*W - Z^2"], "NotContained: X^2 does not lie in the curve ideal\n"),
+        (["link", "corpus:ci-2-2", "X*Z", "Y*W"], "ResidualEmpty: the curve equals the complete intersection\n"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message
+    # a residual of the wrong degree is a self-check that fails
+    conic = validate_curve(load_corpus("conic").to_ideal())
+    monkeypatch.setattr(liaison, "validate_curve", lambda J: conic)
+    assert main(["link", "corpus:twisted-cubic", "X*Z - Y^2", "Y*W - Z^2"]) == 2
+    assert capsys.readouterr().err == "OracleMismatch: degree additivity fails: 3 + 2 != 2 * 2\n"

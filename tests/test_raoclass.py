@@ -583,7 +583,7 @@ def _extravertize_spying_on_the_cycles(C):
         calls.append((phi, cap, K))
         return K
 
-    with mock.patch.object(raoclass, "kernel_min_gens", spy):
+    with mock.patch.object(gradedmod, "kernel_min_gens", spy):
         extravertize(C.ideal_module())
     (delta1, cap, K), = calls
     r = -min(C.rao_module().dims()) - 4
