@@ -489,10 +489,15 @@ class GradedModule:
         return GradedModule(ideal.generator_map())
 
     def shift(self, h: int) -> "GradedModule":
-        """M(h), with a known K-polynomial carried: K(M(h)) = {t + h: c}."""
+        """M(h), with a known K-polynomial and regularity carried: the
+        minimal resolution of M(h) is M's shifted, so K(M(h)) = {t + h: c}
+        and reg M(h) = reg M - h."""
         out = GradedModule(self.presentation.shift(h))
         if "kpoly" in self._cache:
             out._cache["kpoly"] = {t + h: c for t, c in self._cache["kpoly"].items()}
+        reg = self.known_regularity()
+        if reg is not None:
+            out._cache["reg"] = reg - h
         return out
 
     def fiber(self) -> "GradedModule":
@@ -617,6 +622,16 @@ class GradedModule:
         if key not in self._cache:
             self._cache[key] = _twist_regularity(self._betti_maps())
         return self._cache[key]
+
+    def known_regularity(self):
+        """The regularity when no resolution is needed for it, else None; None
+        too for the zero module, whose regularity 0 no shift or sum carries.
+        A "reg" cached with no resolution beside it belongs to a nonzero
+        module: is_finite_length, shift and direct_sum keep only those."""
+        maps = self._cache.get("resolution") or self._cache.get("fiber", self)._cache.get("resolution")
+        if maps is None:
+            return self._cache.get("reg")
+        return _twist_regularity(maps) if maps[0].target.rank else None
 
     def projective_dimension(self):
         """(module pd, sheaf dp): sheaf dp is the largest i > 0 with
@@ -909,91 +924,48 @@ class ModuleHom:
         return ModuleHom(other.source, self.target, self.f0.compose(other.f0))
 
 
-def hom_space(M: GradedModule, N: GradedModule, d: int = 0):
-    """Basis of Hom(M, N)_d as ModuleHoms M -> N(d), exact dimension."""
-    Nd = N.shift(d)
-    base = M.base
-    p = base.p
-    phi, psi = M.presentation, Nd.presentation
-    F0, G0 = M.F0, Nd.F0
-    # unknown coordinates: monomial coefficients of each entry of f0
-    slots = []  # (i, j, monomial, eps_flag)
-    for i in range(G0.rank):
-        for j in range(F0.rank):
-            deg = G0.twists[i] - F0.twists[j]
-            for m in monomials(deg):
-                slots.append((i, j, m, 0))
-                if base.dual:
-                    slots.append((i, j, m, 1))
-    if not slots:
-        return []
-    rows = []
-    projs = {}  # degree -> rows annihilating im(psi) in G0, built once
-    for a in range(phi.source.rank):
-        col = phi.column(a)
-        deg = -phi.source.twists[a]
-        if deg not in projs:
-            projs[deg] = linalg.annihilator(psi.matrix_at(deg), p)
-        proj = projs[deg]
-        if proj.shape[0] == 0:
-            continue
-        block = np.zeros((proj.shape[0], len(slots)), dtype=np.int64)
-        for s, (i, j, m, ef) in enumerate(slots):
-            elem = [Poly.zero(base)] * G0.rank
-            elem[i] = col[j].mul_monomial(m, (0, 1) if ef else (1, 0))
-            vec = element_to_vector(G0, tuple(elem), deg)
-            block[:, s] = linalg.matmul(proj, vec.reshape(-1, 1), p).reshape(-1)
-        rows.append(block)
-    mat = np.vstack(rows) if rows else np.zeros((0, len(slots)), dtype=np.int64)
-    sols = linalg.kernel_basis(mat, p)
-    # quotient by homs landing inside im(psi): f0 = psi o g
-    trivial_cols = []
-    for l in range(psi.source.rank):
-        for j in range(F0.rank):
-            deg = psi.source.twists[l] - F0.twists[j]
-            for m in monomials(deg):
-                for ef in range(2 if base.dual else 1):
-                    vec = np.zeros(len(slots), dtype=np.int64)
-                    for s, (i, jj, mm, eff) in enumerate(slots):
-                        if jj != j:
-                            continue
-                        entry = psi.matrix[i][l].mul_monomial(m, (0, 1) if ef else (1, 0))
-                        c = entry.coefficient(mm)
-                        vec[s] = c[1] if eff else c[0]
-                    trivial_cols.append(vec)
-    if trivial_cols:
-        # the solutions outside the span of the trivial homs and of the
-        # solutions before them
-        k = len(trivial_cols)
-        pivots = linalg.pivots(np.concatenate([np.array(trivial_cols).T, sols], axis=1), p)
-        sols = sols[:, [c - k for c in pivots if c >= k]]
+def hom_space(M: GradedModule, N: GradedModule):
+    """Basis of Hom(M, N)_0 as ModuleHoms onto N's minimal presentation, the
+    one PieceCalculus(N) works on (find_module_iso passes minimal ones).
+
+    Hom is left exact, Hom(M, N) = ker(Hom(F0, N) -> Hom(F1, N)): generator
+    e_j of degree d_j goes to any v_j in N_{d_j} that kills every relation of
+    M.  Piece coordinates are N_n itself, so the kernel of _hom_matrix is
+    Hom(M, N)_0 exactly, with nothing to quotient out; v_j sits on the
+    non-pivot cover coordinates of f0(e_j).
+    """
+    pc = PieceCalculus(N)
+    mat, offs = _hom_matrix(pc, M.presentation, 0)
+    degs = [-t for t in M.F0.twists]
+    G0 = pc.M.F0
     out = []
-    for c in range(sols.shape[1]):
-        out.append(_hom_from_slots(M, Nd, slots, sols[:, c]))
+    for sol in linalg.kernel_basis(mat, pc.p).T:
+        cols = []
+        for j, d in enumerate(degs):
+            vec = np.zeros(G0.piece_dim(d), dtype=np.int64)
+            vec[pc._reducer(d)[2]] = sol[offs[j] : offs[j + 1]]
+            cols.append(vector_to_element(G0, vec, d))
+        out.append(ModuleHom(M, pc.M, GradedMap.from_columns(G0, cols, degs)))
     return out
 
 
-def _hom_from_slots(M, Nd, slots, coeffs) -> ModuleHom:
-    base = M.base
-    p = base.p
-    F0, G0 = M.F0, Nd.F0
-    entries = [
-        [dict() for _ in range(F0.rank)] for _ in range(G0.rank)
-    ]
-    for s, (i, j, m, ef) in enumerate(slots):
-        c = int(coeffs[s]) % p
-        if not c:
-            continue
-        a, b = entries[i][j].get(m, (0, 0))
-        if ef:
-            entries[i][j][m] = (a, (b + c) % p)
-        else:
-            entries[i][j][m] = ((a + c) % p, b)
-    matrix = [
-        [Poly(base, entries[i][j]) for j in range(F0.rank)]
-        for i in range(G0.rank)
-    ]
-    return ModuleHom(M, Nd, GradedMap(F0, G0, matrix))
+def _hom_matrix(pc: PieceCalculus, phi: GradedMap, n: int):
+    """(matrix, column offsets) whose kernel is Hom(coker phi, N)_n, N the
+    module of pc: a column block for the image v_j in N_{d_j + n} of each
+    generator of degree d_j, and a row block for each relation
+    sum_j phi_ja e_j of degree e_a, which must vanish in N_{e_a + n}:
+    sum_j mult_matrix(phi_ja, d_j + n) v_j = 0."""
+    gens = [n - t for t in phi.target.twists]
+    rels = [n - t for t in phi.source.twists]
+    offs = np.cumsum([0] + [pc.dim(d) for d in gens])
+    rows = np.cumsum([0] + [pc.dim(e) for e in rels])
+    mat = np.zeros((rows[-1], offs[-1]), dtype=np.int64)
+    for a in range(len(rels)):
+        for j, d in enumerate(gens):
+            f = phi.matrix[j][a]
+            if not f.is_zero() and offs[j] < offs[j + 1] and rows[a] < rows[a + 1]:
+                mat[rows[a] : rows[a + 1], offs[j] : offs[j + 1]] = pc.mult_matrix(f, d)
+    return mat, offs
 
 
 def random_hom(homs, rng, base) -> ModuleHom:
@@ -1023,11 +995,12 @@ def find_module_iso(M: GradedModule, N: GradedModule, trials: int = 32, seed: in
     each other, and the fiber has the nonzero degrees of the module (graded
     Nakayama).  Other modules compare K-polynomials, which are read, not
     resolved, where known (kpolynomial); a witness point shows infinite
-    length with no piece ranked (is_finite_length).  'yes' is certified by
-    an exhibited degree-0 hom, the witness, that is surjective degreewise up
-    to the generation bound; combined with equal Hilbert functions in every
-    degree this forces an isomorphism.  The witness is None unless a hom was
-    exhibited.
+    length with no piece ranked (is_finite_length); hom_space's basis of
+    Hom(M, N)_0 is exact.  'yes' is certified by an exhibited degree-0 hom,
+    the witness, onto N's minimal presentation, that is surjective
+    degreewise up to the generation bound; combined with equal Hilbert
+    functions in every degree this forces an isomorphism.  The witness is
+    None unless a hom was exhibited.
     """
     if M.base != N.base:
         raise MixedBase("iso test across base rings")
@@ -1048,7 +1021,7 @@ def find_module_iso(M: GradedModule, N: GradedModule, trials: int = 32, seed: in
         hi = max(Mm.regularity(), Nm.regularity()) + 2
         if any(Mm.piece_dim(n) != Nm.piece_dim(n) for n in range(lo, hi + 1)):
             return "no", None
-    homs = hom_space(Mm, Nm, 0)
+    homs = hom_space(Mm, Nm)
     if not homs:
         return "no", None
     top = max(
@@ -1498,37 +1471,21 @@ def _power_ideal_module(base: BaseRing, t: int) -> GradedModule:
 
 
 def saturation_dims(M: GradedModule, n_lo: int, n_hi: int) -> dict:
-    """Independent H^0 oracle: dim Hom(m^t, M)_n stabilized over t.
+    """Independent H^0 oracle: dim Hom(m^t, M)_n stabilized over t, with
+    Hom(m^t, M)_n the kernel of _hom_matrix on m^t's linear syzygies.
 
-    For the sheaf of M this is dim H^0(~M(n)) = dim Gamma(~M(n)).
+    For the sheaf of M this is dim H^0(~M(n)) = dim Gamma(~M(n)); it checks
+    cohomology_table's route through Ext, not hom_space.
     """
     pc = PieceCalculus(M)
     out = {}
     for n in range(n_lo, n_hi + 1):
         prev, t = None, 1
         while True:
-            cur = _power_hom_dim(pc, _power_ideal_module(M.base, t).presentation, n)
+            mat, _ = _hom_matrix(pc, _power_ideal_module(M.base, t).presentation, n)
+            cur = mat.shape[1] - linalg.rank(mat, pc.p)
             if cur == prev:
                 break
             prev, t = cur, t + 1
         out[n] = cur
     return out
-
-
-def _power_hom_dim(pc: PieceCalculus, syz: GradedMap, n: int) -> int:
-    """dim Hom(m^t, M)_n, where syz presents m^t on the degree-t monomials
-    by linear syzygies: a hom is the images of the monomials in M_{n+t},
-    one block each, killed by every syzygy in M_{n+t+1}."""
-    t = -syz.target.twists[0]
-    dv = pc.dim(n + t)
-    if not dv:
-        return 0
-    dw = pc.dim(n + t + 1)
-    N = syz.target.rank
-    mat = np.zeros((syz.source.rank * dw, N * dv), dtype=np.int64)
-    for s in range(syz.source.rank):
-        for i in range(N):
-            c = syz.matrix[i][s]
-            if not c.is_zero():
-                mat[s * dw : (s + 1) * dw, i * dv : (i + 1) * dv] = pc.mult_matrix(c, n + t)
-    return N * dv - linalg.rank(mat, pc.p)

@@ -466,11 +466,15 @@ def _saturate_by_variables(I: Ideal) -> Ideal:
     each element divided by its largest power of x_i (Bayer & Stillman,
     Invent. Math. 87, 1987).  That needs only that x_i divides the lead of a
     form exactly when it divides the form, which grevlex on X, Y, Z, W gives
-    first in the block order over A too.  e^2 stays in every basis."""
+    first in the block order over A too.  e^2 stays in every basis.  With W
+    last that order is the ring order, so that basis is the one I keeps."""
     out = None
     for i in range(4):
         order = [j for j in range(4) if j != i] + [i]
-        gb = raw_buchberger(I._raw_gens(), I.base.p, lambda e: (grevlex_key([e[j] for j in order]), e[4:]))
+        if i < 3:
+            gb = raw_buchberger(I._raw_gens(), I.base.p, lambda e: (grevlex_key([e[j] for j in order]), e[4:]))
+        else:
+            gb = I._groebner()[0]
         powers = [min(e[i] for e in g) for g in gb]
         sat = [{e[:i] + (e[i] - a,) + e[i + 1 :]: c for e, c in g.items()} for g, a in zip(gb, powers)]
         out = sat if out is None else _elim_intersection_raw(out, sat, I.base.p, _orders(I.base)[1])

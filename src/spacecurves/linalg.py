@@ -206,13 +206,6 @@ def column_basis(mat: np.ndarray, p: int) -> np.ndarray:
     return rref(mat.T, p)[0].T
 
 
-def annihilator(mat: np.ndarray, p: int) -> np.ndarray:
-    """Rows whose kernel is exactly the column space of mat."""
-    if mat.shape[1] == 0:
-        return identity(mat.shape[0])
-    return kernel_basis(mat.T % p, p).T
-
-
 # -- dual-number block form -------------------------------------------
 
 

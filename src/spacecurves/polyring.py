@@ -178,17 +178,6 @@ class Poly:
             self.base, {e: ((c * a) % p, (c * b) % p) for e, (a, b) in self.terms.items()}
         )
 
-    def mul_monomial(self, m: Exp, coeff=(1, 0)) -> "Poly":
-        p = self.base.p
-        ca, cb = coeff
-        return Poly(
-            self.base,
-            {
-                exp_mul(e, m): ((ca * a) % p, (ca * b + cb * a) % p)
-                for e, (a, b) in self.terms.items()
-            },
-        )
-
     def __pow__(self, k: int) -> "Poly":
         out = Poly.one(self.base)
         for _ in range(k):

@@ -59,7 +59,9 @@ def _lift_columns(phi: GradedMap, X: GradedMap, msg: str) -> GradedMap:
 
 
 def direct_sum(M: GradedModule, N: GradedModule) -> GradedModule:
-    """M + N; with N free it carries K(M) plus N's twists."""
+    """M + N; with N free it carries K(M) plus N's twists, and a known
+    regularity of M raised to N's top generator: the minimal resolution of
+    the sum is M's plus N."""
     base = M.base
     F0 = FreeModule(base, list(M.F0.twists) + list(N.F0.twists))
     F1 = FreeModule(base, list(M.F1.twists) + list(N.F1.twists))
@@ -72,6 +74,9 @@ def direct_sum(M: GradedModule, N: GradedModule) -> GradedModule:
     S = GradedModule(GradedMap(F1, F0, matrix))
     if not N.F1.rank:
         S.carry_kpolynomial(M, N.F0.twists)
+        reg = M.known_regularity()
+        if reg is not None:
+            S._cache["reg"] = max([reg] + [-t for t in N.F0.twists])
     return S
 
 

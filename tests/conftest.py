@@ -1,12 +1,14 @@
 from heapq import heapify, heappop, heappush
 
+import numpy as np
 import pytest
 from hypothesis import assume, strategies as st
 
+from spacecurves import linalg
 from spacecurves.curve import validate_curve
 from spacecurves.errors import CertificationError, SpaceCurveError
 from spacecurves.files import load_corpus
-from spacecurves.gradedmod import GradedModule, ModuleHom, kernel_min_gens
+from spacecurves.gradedmod import GradedMap, GradedModule, ModuleHom, element_to_vector, kernel_min_gens
 from spacecurves.groebner import (
     Ideal,
     _divides,
@@ -20,7 +22,7 @@ from spacecurves.groebner import (
     raw_to_poly,
 )
 from spacecurves.linalg import _sparse_rows
-from spacecurves.polyring import Poly, grevlex_key
+from spacecurves.polyring import Poly, grevlex_key, monomials
 from spacecurves.scalars import BaseRing
 
 FIBER_NAMES = [
@@ -213,3 +215,79 @@ def saturate_ref(I):
         if nxt == cur:
             return cur
         cur = nxt
+
+
+# -- Hom by monomial slots, kept as a reference oracle ---------------------------
+
+
+def annihilator_ref(mat, p):
+    """Rows whose kernel is exactly the column space of mat."""
+    if mat.shape[1] == 0:
+        return linalg.identity(mat.shape[0])
+    return linalg.kernel_basis(mat.T % p, p).T
+
+
+def hom_space_ref(M, N):
+    """Basis of Hom(M, N)_0 as ModuleHoms M -> N, built the way hom_space
+    built it before it solved in piece coordinates: one unknown per monomial
+    coefficient (and e-coefficient over A) of each entry of f0, the
+    conditions that each relation of M lands in the relations of N, and the
+    solutions kept that are independent of the trivial homs f0 = psi o g."""
+    base = M.base
+    p = base.p
+    phi, psi = M.presentation, N.presentation
+    F0, G0 = M.F0, N.F0
+    # unknown coordinates: monomial coefficients of each entry of f0
+    slots = []  # (i, j, monomial, eps_flag)
+    for i in range(G0.rank):
+        for j in range(F0.rank):
+            for m in monomials(G0.twists[i] - F0.twists[j]):
+                slots.append((i, j, m, 0))
+                if base.dual:
+                    slots.append((i, j, m, 1))
+    if not slots:
+        return []
+
+    def times(f, m, ef):
+        return f * Poly(base, {m: (0, 1) if ef else (1, 0)})
+
+    rows = []
+    for a in range(phi.source.rank):
+        col = phi.column(a)
+        deg = -phi.source.twists[a]
+        proj = annihilator_ref(psi.matrix_at(deg), p)
+        block = np.zeros((proj.shape[0], len(slots)), dtype=np.int64)
+        for s, (i, j, m, ef) in enumerate(slots):
+            elem = [Poly.zero(base)] * G0.rank
+            elem[i] = times(col[j], m, ef)
+            vec = element_to_vector(G0, tuple(elem), deg)
+            block[:, s] = linalg.matmul(proj, vec.reshape(-1, 1), p).reshape(-1)
+        rows.append(block)
+    mat = np.vstack(rows) if rows else np.zeros((0, len(slots)), dtype=np.int64)
+    sols = linalg.kernel_basis(mat, p)
+    # quotient by homs landing inside im(psi): f0 = psi o g
+    trivial_cols = []
+    for l in range(psi.source.rank):
+        for j in range(F0.rank):
+            for m in monomials(psi.source.twists[l] - F0.twists[j]):
+                for ef in range(2 if base.dual else 1):
+                    vec = np.zeros(len(slots), dtype=np.int64)
+                    for s, (i, jj, mm, eff) in enumerate(slots):
+                        if jj == j:
+                            c = times(psi.matrix[i][l], m, ef).coefficient(mm)
+                            vec[s] = c[1] if eff else c[0]
+                    trivial_cols.append(vec)
+    if trivial_cols:
+        k = len(trivial_cols)
+        pivots = linalg.pivots(np.concatenate([np.array(trivial_cols).T, sols], axis=1), p)
+        sols = sols[:, [c - k for c in pivots if c >= k]]
+    out = []
+    for c in range(sols.shape[1]):
+        entries = [[{} for _ in range(F0.rank)] for _ in range(G0.rank)]
+        for s, (i, j, m, ef) in enumerate(slots):
+            a, b = entries[i][j].get(m, (0, 0))
+            entries[i][j][m] = (a, (b + sols[s, c]) % p) if ef else ((a + sols[s, c]) % p, b)
+        matrix = [[Poly(base, {m: (int(a), int(b)) for m, (a, b) in entries[i][j].items() if a or b})
+                   for j in range(F0.rank)] for i in range(G0.rank)]
+        out.append(ModuleHom(M, N, GradedMap(F0, G0, matrix)))
+    return out

@@ -1,12 +1,13 @@
 import random
+from functools import lru_cache
 from math import comb
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
-from conftest import RAO_K_NAMES, Span, ideal_module_by_cap
+from conftest import RAO_K_NAMES, Span, annihilator_ref, hom_space_ref, ideal_module_by_cap
 
 from spacecurves import gradedmod, linalg, raoclass
 from spacecurves.gradedmod import (
@@ -17,7 +18,7 @@ from spacecurves.gradedmod import (
     PieceCalculus,
     _certify_resolution,
     _minimalize_map,
-    _power_hom_dim,
+    _hom_matrix,
     _power_ideal_module,
     cohomology_table,
     element_to_vector,
@@ -35,7 +36,7 @@ from spacecurves.gradedmod import (
     vector_to_element,
 )
 from spacecurves.curve import validate_curve
-from spacecurves.errors import CertificationError, MixedBase
+from spacecurves.errors import CertificationError, MixedBase, SpaceCurveError
 from spacecurves.files import corpus_names, load_corpus
 from spacecurves.groebner import Ideal, _nonzerodivisor, ideal_intersect, ideal_sum
 from spacecurves.liaison import ideal_mod_surface, link
@@ -285,7 +286,7 @@ def test_minimalize_tracks_generators_through_unit_pivots(K, A):
 
 
 def _matrix_at_by_columns(phi, n):
-    # reference: one mul_monomial -> element_to_vector per source monomial
+    # reference: one monomial product -> element_to_vector per source monomial
     p = phi.base.p
     dual = phi.base.dual
     Dt = phi.target.fiber_dim(n)
@@ -299,7 +300,7 @@ def _matrix_at_by_columns(phi, n):
         d = n + phi.source.twists[j]
         column = phi.column(j)
         for m in monomials(d):
-            elem = tuple(f.mul_monomial(m) for f in column)
+            elem = tuple(f * Poly(f.base, {m: (1, 0)}) for f in column)
             out[:, col] = element_to_vector(phi.target, elem, n)
             col += 1
     if dual:
@@ -414,11 +415,11 @@ def test_hstack_needs_one_target(K):
 
 @pytest.mark.parametrize("name", ["twisted-cubic", "skew-lines", "ci-2-2", "skew-lines-dual"])
 def test_hom_space_counts_homs_modulo_the_trivial_ones(name):
-    # Hom(R/I, R/I)_d = (R/I)_d: f0 is a form of degree d, and a form in I
+    # Hom(R/I, R/I(d))_0 = (R/I)_d: f0 is a form of degree d, and a form in I
     # gives a trivial hom
     RI = GradedModule.quotient_by_ideal(load_corpus(name).to_ideal())
     for d in range(4):
-        assert len(hom_space(RI, RI, d)) == RI.piece_dim(d), d
+        assert len(hom_space(RI, RI.shift(d))) == RI.piece_dim(d), d
 
 
 def _is_surjective_by_dense_ranks(f, top):
@@ -454,7 +455,7 @@ def test_is_surjective_up_to_matches_the_dense_test_on_random_homs(name):
     # Monte-Carlo iso search draws them
     _, E3 = _rao_modules(name)
     M = E3.minimal_presentation()
-    homs = hom_space(M, M, 0)
+    homs = hom_space(M, M)
     assert homs
     top = max(-t for t in M.F0.twists)
     rng = random.Random(3)
@@ -510,7 +511,7 @@ def test_rank_at_eliminates_the_nonzeros_of_matrix_at(phi):
 
 
 def _min_generators_by_monomials(F, piece_fn, cap):
-    # reference: span.add of one mul_monomial -> element_to_vector per multiple
+    # reference: span.add of one monomial product -> element_to_vector per multiple
     base = F.base
     p = base.p
     dual = base.dual
@@ -523,7 +524,7 @@ def _min_generators_by_monomials(F, piece_fn, cap):
         span = Span(p)
         for g, d in zip(gens, degs):
             for m in monomials(n - d):
-                vec = element_to_vector(F, tuple(f.mul_monomial(m) for f in g), n)
+                vec = element_to_vector(F, tuple(f * Poly(base, {m: (1, 0)}) for f in g), n)
                 span.add({i: int(x) for i, x in enumerate(vec) if x})
         if dual:
             span.add_many(linalg.eps_times(piece))
@@ -539,7 +540,7 @@ def _generator_multiples(F, g, d, n):
     # time as the Span loop of min_generators took them
     out = []
     for m in monomials(n - d):
-        vec = element_to_vector(F, tuple(f.mul_monomial(m) for f in g), n)
+        vec = element_to_vector(F, tuple(f * Poly(F.base, {m: (1, 0)}) for f in g), n)
         out.append({i: int(x) % F.base.p for i, x in enumerate(vec) if x % F.base.p})
     return out
 
@@ -892,7 +893,13 @@ def test_power_ideal_presentation_matches_syzygy_computation(t, K, A, corpus_cur
         got = _power_ideal_module(C.base, t).presentation
         ref = _power_ideal_by_syzygies(C.base, t)
         for n in range(-2, 3):
-            assert _power_hom_dim(pc, got, n) == _power_hom_dim(pc, ref, n), (name, n)
+            assert _hom_dim(pc, got, n) == _hom_dim(pc, ref, n), (name, n)
+
+
+def _hom_dim(pc, phi, n):
+    # dim Hom(coker phi, M)_n, M the module of pc
+    mat, _ = _hom_matrix(pc, phi, n)
+    return mat.shape[1] - linalg.rank(mat, pc.p)
 
 
 def _torsion_dims_by_columns(M, n_lo, n_hi):
@@ -906,14 +913,14 @@ def _torsion_dims_by_columns(M, n_lo, n_hi):
         c = max(reg + 2 - n, 1)
         full = Mm.F0.piece_dim(n)
         rows = []
-        proj = linalg.annihilator(Mm.presentation.matrix_at(n + c), p)
+        proj = annihilator_ref(Mm.presentation.matrix_at(n + c), p)
         for m in monomials(c):
             mat = np.zeros((proj.shape[0], full), dtype=np.int64)
             for col in range(full):
                 vec = np.zeros(full, dtype=np.int64)
                 vec[col] = 1
                 elem = vector_to_element(Mm.F0, vec, n)
-                moved = tuple(f.mul_monomial(m) for f in elem)
+                moved = tuple(f * Poly(Mm.base, {m: (1, 0)}) for f in elem)
                 w = element_to_vector(Mm.F0, moved, n + c)
                 mat[:, col] = linalg.matmul(proj, w.reshape(-1, 1), p).reshape(-1)
             rows.append(mat)
@@ -1186,3 +1193,73 @@ def test_top_ext_is_the_cokernel_of_the_last_dual_map(name):
 def test_top_ext_of_a_finite_length_module_is_the_cokernel_of_the_last_dual_map(M):
     assert len(M.resolution()) == 4
     _assert_same_top_ext(M)
+
+
+# -- the one Hom construction against the slot reference ---------------------
+
+@lru_cache(maxsize=None)
+def _hom_module(name, base, kind):
+    """A corpus curve's Rao module, Ext^2 or stable N read over base (the
+    dual fixture over A), built once; None when the reduced ideal is not a
+    curve there."""
+    ideal = _curve_ideal(name + "-dual" if base.dual and name != "three-skew-lines" else name, base)
+    try:
+        if kind == "stable":
+            return raoclass._stable_n(validate_curve(ideal))
+        return ext_module(GradedModule.quotient_by_ideal(ideal), 3 if kind == "rao" else 2)
+    except SpaceCurveError:
+        return None
+
+
+@st.composite
+def _hom_pair(draw):
+    """(M, N) over F_p or A, p = 2, 3, 101 or 32003: Rao and Ext^2 modules
+    and stable N's of the corpus curves and three skew lines, and
+    finite_data_to_module modules; N is M shifted by -1, 0 or 1 or a second
+    draw."""
+    base = BaseRing(draw(st.sampled_from((2, 3, 101, 32003))), draw(st.booleans()))
+
+    def module():
+        kind = draw(st.sampled_from(("rao", "ext2", "stable", "finite")))
+        if kind == "finite":
+            return draw(_finite_length_module(base=base))
+        M = _hom_module(draw(st.sampled_from(RAO_K_NAMES + ["three-skew-lines", "twisted-cubic"])), base, kind)
+        assume(M is not None and M.F0.rank)
+        return M
+
+    M = module()
+    N = M.shift(draw(st.integers(-1, 1))) if draw(st.booleans()) else module()
+    # the reference's time grows with its unknowns, one per monomial of each
+    # entry of f0
+    assume(sum(graded_piece_dim(t - u) for t in N.F0.twists for u in M.F0.twists) <= 400)
+    return M, N
+
+
+def _independent_modulo_trivial_homs(homs):
+    # f0 = psi o g exactly when each f0(e_j) lies in im(psi) in degree d_j:
+    # the homs stay independent of the block diagonal of those images
+    T = homs[0].target
+    degs = [-t for t in homs[0].source.F0.twists]
+    cols = [np.concatenate([element_to_vector(T.F0, h.f0.column(j), d) for j, d in enumerate(degs)]) for h in homs]
+    blocks = [T.presentation.matrix_at(d) for d in degs]
+    trivial = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)), dtype=np.int64)
+    r = c = 0
+    for b in blocks:
+        trivial[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    p = T.base.p
+    joint = np.concatenate([trivial, np.array(cols).T], axis=1)
+    return linalg.rank(joint, p) == linalg.rank(trivial, p) + len(homs)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_hom_pair())
+@seed(53)
+def test_hom_space_matches_the_slot_reference(pair):
+    M, N = pair
+    homs = hom_space(M, N)
+    assert len(homs) == len(hom_space_ref(M, N))
+    for h in homs:
+        assert h.source is M and h.target is N.minimal_presentation()
+        assert h.target.presentation.lift(h.f0.compose(M.presentation)) is not None
+    assert not homs or _independent_modulo_trivial_homs(homs)

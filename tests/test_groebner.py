@@ -6,7 +6,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from conftest import colon_ref, divide_exact_ref, five_skew_lines_over_f2, saturate_ref
 
-from spacecurves import linalg
+from spacecurves import groebner, linalg
 from spacecurves.curve import is_flat_family
 from spacecurves.errors import CertificationError
 from spacecurves.groebner import (
@@ -141,7 +141,7 @@ def test_dual_saturation_and_colon_strip_the_irrelevant_ideal(A):
 
 def _times_power_of_m(ideal, k):
     """ideal * (X,Y,Z,W)^k, on the products of generators and monomials."""
-    return Ideal(ideal.base, [g.mul_monomial(m) for g in ideal.gens for m in monomials(k)])
+    return Ideal(ideal.base, [g * Poly(ideal.base, {m: (1, 0)}) for g in ideal.gens for m in monomials(k)])
 
 
 def test_dual_saturation_of_ideals_times_a_power_of_m(A):
@@ -482,7 +482,7 @@ def test_dual_ops_satisfy_their_containments(case):
     sat = ideal_saturate(I)
     assert all(sat.contains(g) for g in I.gens)
     assert any(
-        all(I.contains(g.mul_monomial(m)) for g in sat.gens for m in monomials(k))
+        all(I.contains(g * Poly(I.base, {m: (1, 0)})) for g in sat.gens for m in monomials(k))
         for k in range(10)
     )
     inter = ideal_intersect(I, J)
@@ -540,6 +540,26 @@ def test_the_five_f2_lines_times_a_form_saturate_as_the_iterated_colon(dual):
         f = Poly.parse(factor, lines.base)
         _assert_saturates_as_the_iterated_colon(Ideal(lines.base, [g * f for g in lines.gens]))
     _assert_saturates_as_the_iterated_colon(lines)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_the_saturation_by_w_reads_the_basis_the_ideal_keeps(dual, monkeypatch):
+    # with W last the order is the ring order: X, Y and Z each run one
+    # Buchberger on the generators, W runs none
+    lines = five_skew_lines_over_f2(dual)
+    ideal = _times_power_of_m(lines, 1)
+    gb = ideal._groebner()[0]
+    runs = []
+    real = groebner.raw_buchberger
+
+    def spy(gens, p, key=grevlex_key):
+        runs.append(list(gens))
+        return real(gens, p, key)
+
+    monkeypatch.setattr(groebner, "raw_buchberger", spy)
+    assert _saturate_by_variables(ideal) == lines
+    assert sum(gens == ideal._raw_gens() for gens in runs) == 3
+    assert ideal._groebner()[0] is gb
 
 
 @pytest.mark.parametrize("dual", [False, True])
@@ -617,7 +637,7 @@ def _hilbert_input(draw, dual=None):
     gens = [poly(draw(st.integers(1, 2))) for _ in range(draw(st.integers(1, 3)))]
     if draw(st.booleans()):
         power = tuple(draw(st.integers(1, 2)) * x for x in draw(st.sampled_from(monomials(1))))
-        gens = [g.mul_monomial(power) for g in gens]
+        gens = [g * Poly(base, {power: (1, 0)}) for g in gens]
     return Ideal(base, gens), poly(draw(st.integers(1, 3)))
 
 

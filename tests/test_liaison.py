@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
 from conftest import colon_ref, general_lines
-from spacecurves import gradedmod, groebner, liaison
+from spacecurves import gradedmod, groebner, liaison, raoclass
 from spacecurves.cli import main
 from spacecurves.curve import validate_curve
 from spacecurves.errors import (
@@ -236,6 +236,22 @@ def test_padded_modules_and_surface_quotients_are_never_resolved(corpus_curves, 
     assert (v.kind, v.h) == ("yes", 1)
     assert biliaison_equivalent(Cp, C).h == -1
     assert check_elementary_biliaison(C, Cp, P(C.base, "X*Z + Y*W"), 1).is_yes
+
+
+def test_stable_compare_over_a_resolves_no_padded_or_shifted_module(corpus_curves, monkeypatch):
+    # over A the shifted and padded stable N's carry their regularity, so
+    # the iso search's piece window resolves none of their fibers
+    C = corpus_curves("skew-lines-dual")
+    Cp, _ = trivial_biliaison(C, P(C.base, "X*Z + Y*W"), P(C.base, "X"), 1)
+    N, Np = raoclass._stable_n(C), raoclass._stable_n(Cp)
+
+    def fail(*args):
+        raise AssertionError("a module was resolved")
+
+    monkeypatch.setattr(gradedmod, "_resolve", fail)
+    for X, Y, h in ((N, N, 0), (N, Np, 1), (Np, N, -1)):
+        v = raoclass._stable_compare(X, Y, True, 32, 0)
+        assert (v.kind, v.h) == ("yes", h)
 
 
 @st.composite

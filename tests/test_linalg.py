@@ -216,10 +216,6 @@ def test_elimination_matches_reference(p):
         assert red.tolist() == ref_red
         assert linalg.rank(m, p) == len(ref_piv)
         assert linalg.kernel_basis(m, p).tolist() == _ref_kernel(rows, m.shape[1], p)
-        want = np.array(_ref_kernel(m.T.tolist(), m.shape[0], p), dtype=np.int64)
-        got = linalg.annihilator(m, p)
-        assert got.shape == want.T.shape
-        assert (got == want.T).all()
         # an already reduced matrix is its own reduced form
         again, again_piv = linalg.rref(red, p)
         assert again_piv == piv
