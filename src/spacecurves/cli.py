@@ -20,7 +20,7 @@ import time
 
 from .curve import validate_curve
 from .errors import ParseError, SpaceCurveError, Undecided
-from .files import CurveFile, check_prime, corpus_names, load_corpus
+from .files import CurveFile, check_prime, corpus_names, load_corpus, read_text, write_text
 from .groebner import Ideal, ideal_saturate
 from .liaison import (
     BiliaisonStep,
@@ -267,32 +267,28 @@ def cmd_connect(args) -> int:
         "length": len(chain),
     }
     if args.output:
-        with open(args.output, "w") as f:
-            json.dump(
-                {
-                    "schema": "spacecurves-chain/1",
-                    "p": ca.base.p,
-                    "dual": ca.base.dual,
-                    "steps": rep.data["results"]["steps"],
-                },
-                f,
-                sort_keys=True,
-                indent=2,
-            )
-            f.write("\n")
+        chain = {
+            "schema": "spacecurves-chain/1",
+            "p": ca.base.p,
+            "dual": ca.base.dual,
+            "steps": rep.data["results"]["steps"],
+        }
+        write_text(args.output, json.dumps(chain, sort_keys=True, indent=2) + "\n")
     return rep.emit(EXIT_YES)
 
 
 def load_chain(path) -> list:
-    """Reconstruct the steps recorded by ``connect --output``."""
-    with open(path) as f:
-        data = json.load(f)
-    if data.get("schema") != "spacecurves-chain/1":
+    """Reconstruct the steps recorded by ``connect --output``; ParseError
+    when the file is not JSON or lacks a key of the format."""
+    try:
+        data = json.loads(read_text(path))
+    except ValueError as e:
+        raise ParseError(f"{path} is not JSON: {e}") from e
+    if not isinstance(data, dict) or data.get("schema") != "spacecurves-chain/1":
         raise ParseError("not a spacecurves chain file")
-    base = BaseRing(check_prime(data["p"]), data["dual"])
-    steps = []
-    for s in data["steps"]:
-        steps.append(
+    try:
+        base = BaseRing(check_prime(data["p"]), data["dual"])
+        return [
             BiliaisonStep(
                 s["kind"],
                 Poly.parse(s["Q"], base),
@@ -301,8 +297,10 @@ def load_chain(path) -> list:
                 Ideal(base, [Poly.parse(g, base) for g in s["target_gens"]]),
                 H=None if s["H"] is None else Poly.parse(s["H"], base),
             )
-        )
-    return steps
+            for s in data["steps"]
+        ]
+    except KeyError as e:
+        raise ParseError(f"chain file has no key {e}") from e
 
 
 def _corpus_one(name: str, seed: int):
@@ -319,10 +317,8 @@ def _corpus_one(name: str, seed: int):
 
 
 def cmd_corpus(args) -> int:
-    # imported here so that the other commands do not load multiprocessing
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
+    """corpus list / run.  run --jobs 1 validates in this process, so a
+    script that calls main needs no __main__ guard; more jobs spawn a pool."""
     names = corpus_names()
     if args.action == "list":
         rep = _Report(args, {})
@@ -331,13 +327,20 @@ def cmd_corpus(args) -> int:
     if args.jobs < 1:
         raise ParseError(f"--jobs must be at least 1, got {args.jobs}")
     rep = _Report(args, {})
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
-        futs = [
-            pool.submit(_corpus_one, name, args.seed + i)
-            for i, name in enumerate(names)
-        ]
-        results = dict(f.result() for f in futs)
+    if args.jobs == 1:
+        results = dict(_corpus_one(name, args.seed + i) for i, name in enumerate(names))
+    else:
+        # imported here so that the other commands do not load multiprocessing
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
+            futs = [
+                pool.submit(_corpus_one, name, args.seed + i)
+                for i, name in enumerate(names)
+            ]
+            results = dict(f.result() for f in futs)
     rep.data["results"] = {name: results[name] for name in names}
     return rep.emit(EXIT_YES)
 
@@ -417,9 +420,6 @@ def main(argv=None) -> int:
     except SpaceCurveError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_DOMAIN
-    except FileNotFoundError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -34,6 +34,28 @@ def check_prime(p) -> int:
     return p
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of the file at path; ParseError when it cannot be
+    read (missing, a directory, unreadable) or is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except OSError as e:
+        raise ParseError(str(e)) from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8 text: {e}") from e
+
+
+def write_text(path, text: str) -> None:
+    """Write text to the file at path; ParseError when it cannot be written
+    (its directory is missing, or path is a directory)."""
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as e:
+        raise ParseError(str(e)) from e
+
+
 class CurveFile:
     """A parsed curve file: a base ring and a list of generators."""
 
@@ -68,8 +90,7 @@ class CurveFile:
 
     @classmethod
     def load(cls, path) -> "CurveFile":
-        with open(path, "r") as f:
-            return cls.parse(f.read())
+        return cls.parse(read_text(path))
 
     @classmethod
     def from_ideal(cls, I: Ideal) -> "CurveFile":
@@ -85,8 +106,7 @@ class CurveFile:
         return "\n".join(out) + "\n"
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            f.write(self.text())
+        write_text(path, self.text())
 
     def __eq__(self, other):
         return (

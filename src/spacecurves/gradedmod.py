@@ -359,6 +359,10 @@ def min_generators(F: FreeModule, piece_fn, dim_fn, cap: int) -> GradedMap:
     outside the span of the columns before them, the piece block last.  A
     grown map keeps known's cached ranks below n, where it has no new
     column; every other rank is eliminated on the grown map's own cells.
+
+    dim_fn may read a dimension off a theorem instead of an elimination (see
+    _resolve), so a piece that is built must have dim_fn(n) columns, or
+    CertificationError.
     """
     p = F.base.p
     known = GradedMap.from_columns(F, [], [])
@@ -367,6 +371,8 @@ def min_generators(F: FreeModule, piece_fn, dim_fn, cap: int) -> GradedMap:
         if dim == 0 or known.rank_at(n) == dim:
             continue
         piece = piece_fn(n)
+        if piece.shape[1] != dim:
+            raise CertificationError(f"the degree-{n} piece has dimension {piece.shape[1]}, not {dim}")
         blocks = np.concatenate([linalg.eps_times(piece), piece], axis=1) if F.base.dual else piece
         blocks = blocks % p
         r, c, v, (height, width) = known.cells_at(n)
@@ -440,6 +446,10 @@ def image_min_gens(phi: GradedMap) -> GradedMap:
     degrees d_j.  Past t no degree has a new generator: for n > t every
     d_j < n, so im(phi)_n = sum_j R_{n-d_j} * phi(e_j) = R_1 * im(phi)_{n-1},
     which the generators found below n already generate.
+
+    The piece dimensions are phi's ranks, eliminated or, when phi's image is
+    an ideal, read off its Hilbert numerator and cached on phi by _resolve;
+    min_generators checks each piece it builds against them.
     """
     p = phi.base.p
 
@@ -485,8 +495,13 @@ class GradedModule:
 
     @staticmethod
     def quotient_by_ideal(ideal) -> "GradedModule":
-        """R_A / I as a graded module."""
-        return GradedModule(ideal.generator_map())
+        """R_A / I as a graded module.  It keeps the ideal, so its pieces and
+        the ranks of its resolution's first map are read off the ideal's
+        Hilbert numerator (piece_dim, _resolve); the ideal refers to no
+        module, so that forms no reference cycle."""
+        M = GradedModule(ideal.generator_map())
+        M._cache["ideal"] = ideal
+        return M
 
     def shift(self, h: int) -> "GradedModule":
         """M(h), with a known K-polynomial and regularity carried: the
@@ -501,9 +516,13 @@ class GradedModule:
         return out
 
     def fiber(self) -> "GradedModule":
-        """The fiber module, cached so that its resolution is computed once."""
+        """The fiber module, cached so that its resolution is computed once;
+        the fiber of R_A/I is R/I_fiber, and keeps the fiber ideal."""
         if "fiber" not in self._cache:
-            self._cache["fiber"] = GradedModule(self.presentation.fiber())
+            fib = GradedModule(self.presentation.fiber())
+            if "ideal" in self._cache:
+                fib._cache["ideal"] = self._cache["ideal"].fiber()
+            self._cache["fiber"] = fib
         return self._cache["fiber"]
 
     def tensor_residue_field(self) -> "GradedModule":
@@ -511,7 +530,10 @@ class GradedModule:
         return self.fiber() if self.base.dual else self
 
     def piece_dim(self, n: int) -> int:
-        return self.F0.piece_dim(n) - self.presentation.rank_at(n)
+        """k-dimension of M_n; for R/I, F0_n minus Ideal.piece_dim(n), with
+        no elimination."""
+        ideal = self._cache.get("ideal")
+        return self.F0.piece_dim(n) - (self.presentation.rank_at(n) if ideal is None else ideal.piece_dim(n))
 
     def hilbert_function(self, lo: int, hi: int) -> dict:
         return {n: self.piece_dim(n) for n in range(lo, hi + 1)}
@@ -572,12 +594,21 @@ class GradedModule:
         """Minimal free resolution as a list of GradedMaps F1->F0, F2->F1, ...
 
         Exactness is certified degreewise up to the final cap; compositions
-        are checked symbolically.
+        are checked symbolically.  R/I reads the first map's ranks off its
+        ideal (_resolve).  Its relations must lie in the ideal, and its
+        twists must count the ideal's Hilbert numerator, the one those ranks
+        were read from, or CertificationError; over A, R/I_fiber checks its
+        twists against the fiber ideal's.
         """
         key = "resolution"
         if key in self._cache:
             return self._cache[key]
-        maps = _resolve(self.presentation)
+        ideal = self._cache.get("ideal")
+        # a relation outside the ideal would raise the rank in its degree past
+        # the ideal's, where min_generators builds no piece to see it
+        if ideal is not None and not all(ideal.contains(f) for f in self.presentation.matrix[0]):
+            raise CertificationError("a relation of R/I lies outside its ideal")
+        maps = _resolve(self.presentation, None if ideal is None else ideal.piece_dim)
         if self.base.dual:
             fiber_maps = self.fiber().resolution()
             mine = [m.source.twists for m in maps]
@@ -587,6 +618,14 @@ class GradedModule:
                     f"resolution over the dual numbers has twists {mine}, "
                     f"fiber has {theirs}; the module is not flat"
                 )
+        if ideal is not None:
+            # R_A(t) has twice the k-dimensions of R(t): over A each twist
+            # counts twice, and the fiber resolved above checked its own
+            # twists against the fiber ideal's numerator
+            scale = 2 if self.base.dual else 1
+            twists = {-t: scale * c for t, c in _twist_kpolynomial(maps).items()}
+            if twists != {n: k for n, k in enumerate(ideal.hilbert_numerator()) if k}:
+                raise CertificationError("the twists of the resolution of R/I do not count its Hilbert numerator")
         self._cache[key] = maps
         return maps
 
@@ -685,16 +724,7 @@ class GradedModule:
         resolves M tensor_A k minimally (Tor_i^A(M, k) = 0 for i > 0).
         """
         if "kpoly" not in self._cache:
-            if not self.F1.rank:
-                steps = [self.F0.twists]
-            else:
-                maps = self._betti_maps()
-                steps = [maps[0].target.twists] + [m.source.twists for m in maps]
-            out = {}
-            for j, twists in enumerate(steps):
-                for t in twists:
-                    out[t] = out.get(t, 0) + (-1) ** j
-            self._cache["kpoly"] = {t: c for t, c in out.items() if c}
+            self._cache["kpoly"] = _twist_kpolynomial(self._betti_maps() if self.F1.rank else [self.presentation])
         return self._cache["kpoly"]
 
     def carry_kpolynomial(self, src: "GradedModule", twists=(), sign: int = 1):
@@ -838,14 +868,39 @@ def _minimalize_map(phi: GradedMap):
     return phi_min, live, exprs
 
 
-def _resolve(phi: GradedMap):
-    """Minimal free resolution of coker(phi) with self-consistent cap."""
+def _resolve(phi: GradedMap, rank=None):
+    """Minimal free resolution of coker(phi) with self-consistent cap.
+
+    rank, when given, maps n to dim_k im(phi)_n for a phi whose image is an
+    ideal I of R_A: Ideal.piece_dim, read off the Hilbert numerator of I's
+    Groebner basis, since the standard monomials of its lead ideal are a
+    k-basis of R_A/I (Macaulay; Eisenbud, Commutative Algebra, Thm 15.3;
+    over A on k[X,Y,Z,W,e]/(I + e^2)).  The relations rel that
+    image_min_gens picks span im(phi) = I too, so phi and rel get those
+    ranks, as ints in their rank caches, in every degree up to the cap, and
+    neither is eliminated for a rank.  Two cross-checks stand in for the
+    eliminations.  min_generators compares each piece it builds, of im(phi)
+    or of ker(rel), with the given dimension.  And _certify_resolution
+    makes the alternating sum of the free modules' pieces in each degree
+    n <= cap equal dim_k R_n - rank(n), so resolution() compares the twists
+    with the Hilbert numerator the ranks were read from.
+    """
     phi = _minimalize_map(phi)[0]
+    if not phi.target.rank:
+        rank = None  # a unit pivot cancelled R: R/I = 0
     gen_top = max((-t for t in phi.target.twists), default=0)
     rel_top = max((-t for t in phi.source.twists), default=gen_top)
+    lo = phi.target.min_degree()
+    if rank is not None:
+        phi._cache.update((n, rank(n)) for n in range(lo, rel_top + 1))
+    # relations must minimally generate the relation submodule, else the
+    # next syzygy step would pick up unit entries
+    rel = image_min_gens(phi)
     attempt_cap = rel_top + 4
     for _ in range(5):
-        maps = _resolve_at_cap(phi, attempt_cap)
+        if rank is not None:
+            rel._cache.update((n, rank(n)) for n in range(lo, attempt_cap + 1))
+        maps = _resolve_at_cap(rel, attempt_cap)
         # syzygy generators at homological step j live in degrees <= reg + j
         needed = _twist_regularity(maps) + 4
         if attempt_cap >= needed:
@@ -864,10 +919,19 @@ def _twist_regularity(maps) -> int:
     return reg
 
 
-def _resolve_at_cap(phi: GradedMap, cap: int):
-    # relations must minimally generate the relation submodule, else the
-    # next syzygy step would pick up unit entries
-    rel = image_min_gens(phi)
+def _twist_kpolynomial(maps) -> dict:
+    """{t: sum over j of (-1)^j times the number of twists t of F_j}, with no
+    zero, for the free modules F_0, F_1, ... of maps F_1 -> F_0, ...."""
+    steps = [maps[0].target.twists] + [m.source.twists for m in maps]
+    out = {}
+    for j, twists in enumerate(steps):
+        for t in twists:
+            out[t] = out.get(t, 0) + (-1) ** j
+    return {t: c for t, c in out.items() if c}
+
+
+def _resolve_at_cap(rel: GradedMap, cap: int):
+    """rel followed by its syzygy maps, each up to cap."""
     maps = [rel]
     cur = rel
     for _ in range(4):
@@ -883,7 +947,11 @@ def _resolve_at_cap(phi: GradedMap, cap: int):
 
 def _certify_resolution(maps, cap: int):
     """Every composition is zero, and ker = im in every degree up to cap,
-    read off the ranks of the maps' own matrices."""
+    read off the ranks of the maps' own matrices.  Each image rank is
+    eliminated.  Each kernel dimension is eliminated too, except that of
+    R/I's first map, whose cached ranks _resolve read off the ideal's
+    Hilbert numerator (Macaulay's theorem); resolution() cross-checks them
+    against the twists."""
     for a, b in zip(maps, maps[1:]):
         if not a.compose(b).is_zero():
             raise CertificationError("nonzero composition in resolution")

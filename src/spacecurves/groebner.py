@@ -552,12 +552,13 @@ def _kernel_form(mat: np.ndarray, p: int) -> np.ndarray:
 def _with_min_generators(exact: Ideal, form, inside: Ideal = None) -> Ideal:
     """exact over A on minimal generators, which min_generators picks from
     the pieces of exact in the given basis form up to its top generator
-    degree.  Certified by equal Groebner bases, and inside <= exact."""
+    degree, with their dimensions read off exact's Hilbert numerator, not
+    eliminated.  Certified by equal Groebner bases, and inside <= exact."""
     base = exact.base
     gmap = exact.generator_map()
     top = max((g.degree() for g in exact.gens), default=0)
     gens = min_generators(
-        FreeModule(base, [0]), lambda n: form(gmap.matrix_at(n), base.p), gmap.rank_at, top
+        FreeModule(base, [0]), lambda n: form(gmap.matrix_at(n), base.p), exact.piece_dim, top
     )
     out = Ideal(base, list(gens.matrix[0]))
     if out != exact:

@@ -291,3 +291,57 @@ def test_a_family_that_is_not_flat_is_a_domain_error(capsys, tmp_path, gens):
     path.write_text("ring p=32003 base=dual\ngens:\n" + "\n".join(gens) + "\n")
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr().err == "NotFlat: a graded piece of R_A/I is not free over A\n"
+
+
+def test_unreadable_inputs_and_outputs_are_parse_errors(capsys, tmp_path):
+    # a file that cannot be read or written ends in exit 3, not in a
+    # traceback (whose exit 1 would read as a "No")
+    binary = tmp_path / "binary.curve"
+    binary.write_bytes(b"ring p=32003 base=field\ngens:\n\xff\xfe\n")
+    for argv in (
+        ["validate", str(tmp_path)],
+        ["validate", str(binary)],
+        ["link", "corpus:twisted-cubic", "X*Z - Y^2", "Y*W - Z^2", "--output", str(tmp_path)],
+        ["connect", "corpus:line", "corpus:twisted-cubic", "--output", str(tmp_path / "no" / "chain.json")],
+    ):
+        assert main(argv) == 3, argv
+        assert capsys.readouterr().err.startswith("parse error: "), argv
+    with pytest.raises(ParseError, match="not UTF-8"):
+        CurveFile.load(binary)
+    with pytest.raises(ParseError, match="Is a directory"):
+        CurveFile.load(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"schema": "spacecurves-chain/1", "dual": false, "steps": []}', "no key 'p'"),
+        ('{"schema": "spacecurves-chain/1", "p": 101, "dual": false}', "no key 'steps'"),
+        ("ring p=101 base=field\n", "is not JSON"),
+        ('["spacecurves-chain/1"]', "not a spacecurves chain file"),
+    ],
+)
+def test_a_malformed_chain_file_is_a_parse_error(tmp_path, text, message):
+    path = tmp_path / "chain.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        load_chain(path)
+    with pytest.raises(ParseError):
+        load_chain(tmp_path)
+
+
+def test_corpus_run_with_one_job_starts_no_process(capsys, monkeypatch):
+    # --jobs 1 validates in-process, so a script without a __main__ guard
+    # can call it; more jobs still use the pool
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(cli, "corpus_names", lambda: ["line"])
+    code, out = run(capsys, "corpus", "run", "--json")
+    assert code == 0
+    assert json.loads(out)["results"]["line"]["degree"] == 1
+    with pytest.raises(AssertionError, match="process pool"):
+        main(["corpus", "run", "--jobs", "2"])

@@ -1,4 +1,7 @@
 import pytest
+from hypothesis import given, seed, settings, strategies as st
+
+from conftest import general_lines
 
 from spacecurves.curve import validate_curve
 from spacecurves.errors import ParseError
@@ -36,6 +39,23 @@ def test_round_trip(tmp_path):
     path = tmp_path / "out.curve"
     cf.save(path)
     assert CurveFile.load(path) == cf
+
+
+@pytest.mark.parametrize("p", [2, 101, 32003])
+@settings(max_examples=5, deadline=None, database=None)
+@given(data=st.data())
+@seed(73)
+def test_generated_curves_round_trip_through_their_text(p, data):
+    # a curve's file text parses back to the same file and the same text,
+    # and the parsed curve has the same degree, genus and Rao module
+    C = data.draw(general_lines(primes=(p,)))
+    cf = CurveFile.from_ideal(C.ideal)
+    text = cf.text()
+    again = CurveFile.parse(text)
+    assert again == cf and again.text() == text
+    D = validate_curve(again.to_ideal())
+    assert D.degree_genus() == C.degree_genus()
+    assert D.rao_module().dims() == C.rao_module().dims()
 
 
 def test_parse_errors():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
-from conftest import RAO_K_NAMES, Span, annihilator_ref, hom_space_ref, ideal_module_by_cap
+from conftest import RAO_K_NAMES, Span, annihilator_ref, general_lines, hom_space_ref, ideal_module_by_cap
 
 from spacecurves import gradedmod, linalg, raoclass
 from spacecurves.gradedmod import (
@@ -749,26 +749,166 @@ def test_image_scan_ending_at_the_top_source_degree_matches_the_full_scan(p, dua
 )
 def test_resolving_ranks_the_presentation_only_up_to_its_top_degree(name, monkeypatch):
     # past the top degree of the presentation's relations their image has
-    # no new generator, so the scan for them stops there
+    # no new generator, so the scan for them stops there; R/I ranks its
+    # presentation in no degree at all, reading each rank off the ideal
     scanned = []
-    ranked = []
-    real_image, real_cells = gradedmod.image_min_gens, GradedMap.cells_at
+    built = []  # (map, degree) of each matrix built from a scanned map's cells
+    eliminated = []  # (map, degree) of each rank of a scanned map not cached
+    real_image, real_cells, real_rank = gradedmod.image_min_gens, GradedMap.cells_at, GradedMap.rank_at
 
     def image(phi):
         scanned.append(phi)
         return real_image(phi)
 
     def cells(self, n):
-        ranked.extend((phi, n) for phi in scanned if phi is self)
+        built.extend((phi, n) for phi in scanned if phi is self)
         return real_cells(self, n)
+
+    def rank(self, n):
+        if n not in self._cache:
+            eliminated.extend((phi, n) for phi in scanned if phi is self)
+        return real_rank(self, n)
 
     monkeypatch.setattr(gradedmod, "image_min_gens", image)
     monkeypatch.setattr(GradedMap, "cells_at", cells)
-    GradedModule.quotient_by_ideal(load_corpus(name).to_ideal()).resolution()
-    assert scanned and ranked
+    monkeypatch.setattr(GradedMap, "rank_at", rank)
+    ideal = load_corpus(name).to_ideal()
+    maps = GradedModule.quotient_by_ideal(ideal).resolution()
+    assert len(scanned) == 1 + ideal.base.dual and not eliminated
+    # the same presentation with no ideal kept, and the ideal module on its
+    # first syzygies, are ranked up to the top degree only
+    scanned.clear()
+    GradedModule(ideal.generator_map()).resolution()
+    GradedModule(maps[1]).resolution()
+    assert scanned and eliminated
     for phi in scanned:
         top = max(-t for t in phi.source.twists)
-        assert all(n <= top for m, n in ranked if m is phi), (top, [n for m, n in ranked if m is phi])
+        assert all(n <= top for m, n in built if m is phi), (top, [n for m, n in built if m is phi])
+
+
+def _rank_off_by_one(degree, sign):
+    """Ideal.piece_dim with sign added in one degree, for every ideal."""
+    real = Ideal.piece_dim
+
+    def piece_dim(self, n):
+        return real(self, n) + (sign if n == degree else 0)
+
+    return piece_dim
+
+
+def _resolution_eliminating_every_rank(ideal):
+    """Reference: R/I as the cokernel of a generator map with no ideal kept,
+    so that each rank of each map of its resolution is eliminated."""
+    M = GradedModule(ideal.generator_map())
+    return M, M.resolution()
+
+
+def _same_resolution(got, ref):
+    assert len(got) == len(ref)
+    for m, r in zip(got, ref):
+        assert (m.source, m.target, m.matrix) == (r.source, r.target, r.matrix)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 32003])
+@pytest.mark.parametrize("kind", ["fixture", "lines"])
+@settings(max_examples=6, deadline=None, database=None)
+@given(data=st.data())
+@seed(83)
+def test_r_mod_i_resolves_as_the_reference_that_eliminates_every_rank(kind, p, data):
+    # a fixture read at p over its own base, or 2-4 general lines over F_p
+    # or 2 over A
+    if kind == "fixture":
+        cf = load_corpus(data.draw(st.sampled_from(corpus_names())))
+        ideal = Ideal.parse(BaseRing(p, cf.base.dual), [str(g) for g in cf.gens])
+    else:
+        ideal = data.draw(general_lines(primes=(p,), field_lines=(2, 4), dual_lines=(2, 2))).ideal
+    # the ranks read off the Hilbert numerator change no map of the
+    # resolution, its regularity or its K-polynomial
+    RI = GradedModule.quotient_by_ideal(ideal)
+    try:
+        M, ref = _resolution_eliminating_every_rank(ideal)
+    except SpaceCurveError as e:  # a family that is not flat, on both sides
+        with pytest.raises(type(e)):
+            RI.resolution()
+        return
+    _same_resolution(RI.resolution(), ref)
+    if ideal.base.dual:
+        _same_resolution(RI.fiber().resolution(), M.fiber().resolution())
+    assert RI.regularity() == M.regularity()
+    assert RI.kpolynomial() == M.kpolynomial()
+    assert all(RI.piece_dim(n) == M.piece_dim(n) for n in range(-1, RI.regularity() + 3))
+
+
+@pytest.mark.parametrize("gens", [["1"], ["X", "1"], [], ["0"]])
+def test_r_mod_i_of_the_unit_and_the_zero_ideal_resolves_as_the_reference(K, A, gens):
+    # minimalizing cancels R itself against a unit: R/I = 0 takes no rank
+    # off the ideal, whose degree-0 piece is all of R_0
+    for base in (K, A):
+        ideal = Ideal.parse(base, gens)
+        RI = GradedModule.quotient_by_ideal(ideal)
+        M, ref = _resolution_eliminating_every_rank(ideal)
+        _same_resolution(RI.resolution(), ref)
+        assert RI.kpolynomial() == M.kpolynomial() == ({} if "1" in gens else {0: 1})
+
+
+_OFF_BY_ONE_NAMES = ["line", "twisted-cubic", "skew-lines", "ci-2-2", "quartic-from-skew-bilink", "skew-lines-dual"]
+
+
+def _off_by_one_cases():
+    # kernels are taken up to 4 past the top generator degree, and exactness
+    # certified up to 4 past the regularity
+    for name in _OFF_BY_ONE_NAMES:
+        ideal = load_corpus(name).to_ideal()
+        cap = max(GradedModule.quotient_by_ideal(ideal).regularity(), max(g.degree() for g in ideal.gens)) + 4
+        for degree in range(cap + 1):
+            for sign in (1, -1):
+                yield name, degree, sign
+
+
+@pytest.mark.parametrize("name, degree, sign", list(_off_by_one_cases()))
+def test_a_rank_off_by_one_up_to_the_cap_is_a_certification_error(name, degree, sign, monkeypatch):
+    # every degree up to the cap at which the resolution is certified is
+    # read, so a numerator-read rank one off there ends in
+    # CertificationError, never in a resolution
+    monkeypatch.setattr(Ideal, "piece_dim", _rank_off_by_one(degree, sign))
+    with pytest.raises(CertificationError):
+        GradedModule.quotient_by_ideal(load_corpus(name).to_ideal()).resolution()
+
+
+def test_min_generators_rejects_a_piece_of_the_wrong_dimension(K, A):
+    for base in (K, A):
+        phi = I(base, "X*Z - Y^2", "Y*W - Z^2", "X*W - Y*Z").generator_map()
+
+        def piece(n):
+            return linalg.column_basis(phi.matrix_at(n), base.p)
+
+        assert min_generators(phi.target, piece, phi.rank_at, 2).source.rank == 3
+        with pytest.raises(CertificationError, match="degree-2 piece has dimension"):
+            min_generators(phi.target, piece, lambda n: phi.rank_at(n) - (n == 2), 2)
+
+
+@pytest.mark.parametrize(
+    "image, ideal, check",
+    [
+        (("X", "Y"), ("X", "Y", "Z"), "piece has dimension"),
+        (("X*Z - Y^2", "Y*W - Z^2"), ("X*Z - Y^2", "Y*W - Z^2", "X*W - Y*Z"), "piece has dimension"),
+        (("X", "Y"), ("X", "Y", "Z^20"), "do not count its Hilbert numerator"),
+        (("X", "Y", "Z^20"), ("X", "Y"), "outside its ideal"),
+        (("X", "Y"), ("X", "Y", "e*Z^20"), "do not count its Hilbert numerator"),
+    ],
+)
+def test_ranks_read_off_an_ideal_that_is_not_the_image_are_a_certification_error(A, image, ideal, check):
+    # a presentation whose image is not the kept ideal gets that ideal's
+    # ranks; the resolution ends in CertificationError, never in a resolution
+    M = GradedModule(I(A, *image).generator_map())
+    M._cache["ideal"] = I(A, *ideal)
+    with pytest.raises(CertificationError, match=check):
+        M.resolution()
+    if "e*Z^20" not in ideal:
+        M = GradedModule(I(A, *image).fiber().generator_map())
+        M._cache["ideal"] = I(A, *ideal).fiber()
+        with pytest.raises(CertificationError, match=check):
+            M.resolution()
 
 
 def test_certify_resolution_rejects_a_dropped_generator_and_a_nonzero_composition(K, A):
