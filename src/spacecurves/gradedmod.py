@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from math import prod
+from math import inf, prod
 
 import numpy as np
 
@@ -65,6 +65,11 @@ class FreeModule:
     def min_degree(self) -> int:
         """Lowest degree with a nonzero piece; 0 when rank 0."""
         return min((-t for t in self.twists), default=0)
+
+    def top_degree(self):
+        """Highest degree of a generator, its regularity; -inf when rank 0,
+        the regularity of the zero module in reg A <= max(reg B, reg C + 1)."""
+        return max((-t for t in self.twists), default=-inf)
 
     def zero_element(self):
         return tuple(Poly.zero(self.base) for _ in range(self.rank))
@@ -1118,18 +1123,22 @@ def _dual_complex(M: GradedModule):
     return M._cache["dualcx"]
 
 
-def _ext_entry(M: GradedModule, i: int):
-    """(dict, key) under which Ext^i(M, R) is kept.
+def _ext_entry(M: GradedModule, i: int, kind: str = "ext"):
+    """(dict, key) under which Ext^i(M, R) (kind "ext") or the cover of the
+    cycles at spot i (kind "cycles", see cycles_cover) is kept.
 
     M's cache holds (table, offset, first): Ext^i for i >= first is kept in
-    the dict table under i + offset, and Ext^i for i < first in M's own
-    cache.  A module starts its own table.  A module whose dual complex
+    the dict table under (kind, i + offset), and Ext^i for i < first in M's
+    own cache.  A module starts its own table.  A module whose dual complex
     agrees with X's from spot first - 1 on, up to a shift of the spots,
     reads X's table (see _share_ext_table), so each Ext module of one
-    resolution is built once.  The table holds only Ext modules and their
-    covers, so sharing it forms no reference cycle."""
+    resolution is built once.  Ext^i reads delta_{i-1} and delta_i, the
+    cycles at spot i only delta_i and the Ext^j with j > i, so the cycles
+    are shared from spot first - 1 on.  The table holds only Ext modules and
+    maps, so sharing it forms no reference cycle."""
     table, offset, first = M._cache.setdefault("exts", ({}, 0, 0))
-    return (table, i + offset) if i >= first else (M._cache, ("ext", i))
+    shared = i >= (first - 1 if kind == "cycles" else first)
+    return (table, (kind, i + offset)) if shared else (M._cache, (kind, i))
 
 
 def _share_ext_table(S: GradedModule, X: GradedModule, k: int, first: int):
@@ -1174,73 +1183,95 @@ def ext_module(M: GradedModule, i: int) -> GradedModule:
 
 
 def _ext_with_cover(M: GradedModule, i: int):
-    """(Ext^i(M, R), K), built once per module and cached on it.
+    """(Ext^i(M, R), K), built once per module and kept in M's Ext table
+    (see _ext_entry).
 
-    K maps a free module onto minimal generators of the cycles in F_i^dual,
-    and the Ext module is their subquotient modulo the boundaries, on the
-    cover K.source before minimalization.  K is None past the projective
-    dimension, where Ext^i is zero.
+    K = cycles_cover(M, i) maps a free module onto minimal generators of the
+    cycles Z_i in F_i^dual, and the Ext module is their subquotient modulo
+    the boundaries, on the cover K.source before minimalization.  K is None
+    past the projective dimension, where Ext^i is zero.
 
     At i = pd every element of F_pd^dual is a cycle, so Ext^pd is the
     cokernel of the last dual map F_{pd-1}^dual -> F_pd^dual, on the cover
     F_pd^dual with K the identity.  A minimal resolution has no unit entry,
     so minimalizing that presentation only drops zero columns and the cover
-    stays K.source.  For i < pd the module is built with a growing degree
-    cap; the presentation is accepted once its piece dimensions match
-    direct kernel/image dimensions two degrees past the cap.  Each module is
-    kept in M's Ext table (see _ext_entry).
+    stays K.source.  For i < pd the relations are the kernel of [K |
+    delta_{i-1}], which maps onto Z_i, so by reg A <= max(reg B, reg C + 1)
+    they are generated in degrees up to max(top F_{i-1}^dual, cap + 1), cap
+    the bound _cycles_cap proves on reg Z_i.
     """
     if i < 0 or i > 4:
         raise ValueError("Ext index out of range")
     store, key = _ext_entry(M, i)
     if key in store:
         return store[key]
-    into, outof, home = _ext_slot(M, i)
-    if home is None:
+    deltas = _dual_complex(M)
+    if i > len(deltas):
         return GradedModule.zero(M.base), None
-    if into is None:
-        store[key] = (GradedModule(outof).minimal_presentation(), GradedMap.identity(home))
-        return store[key]
-    cap = home.min_degree() + 6
-    for _ in range(4):
-        K = kernel_min_gens(into, cap)
+    K = cycles_cover(M, i)
+    outof = deltas[i - 1] if i else None
+    if i == len(deltas):
+        E = GradedModule(outof).minimal_presentation()
+    else:
+        cap = max(_cycles_cap(M, i) + 1, outof.source.top_degree() if outof else -inf)
         E = subquotient_module(K, outof, cap).minimal_presentation()
-        probe = ext_piece_dims(M, i, [cap + 1, cap + 2])
-        if all(E.piece_dim(n) == d for n, d in probe.items()):
-            store[key] = (E, K)
-            return E, K
-        cap += 4
-    raise CertificationError(f"Ext^{i} cap failed to stabilize")
+    store[key] = (E, K)
+    return E, K
 
 
-def cycles_cover(M: GradedModule) -> GradedMap:
-    """K: the map onto minimal generators of the cycles ker(delta1: F1^dual
-    -> F2^dual) of M's minimal resolution, cached on M; the identity on
-    F1^dual when pd M = 1.  extravertize reads Ext^1(M)'s cocycles off it,
-    and link a residual off the ideal module's, ker(L2^dual -> L3^dual).
-
-    When pd M = 2 and Ext^2(M) = coker(delta1) has finite length, with top
-    degree r, reg A <= max(reg B, reg C + 1) on 0 -> A -> B -> C -> 0
-    (Eisenbud, The Geometry of Syzygies, Thm 4.3 and Cor. 4.18), applied
-    twice to 0 -> ker(delta1) -> F1^dual -> F2^dual -> Ext^2(M) -> 0, bounds
-    the generators of ker(delta1) by max(r + 2, top(F1^dual), top(F2^dual) +
-    1); over A read F1^dual, F2^dual over k[X, Y, Z, W].  That covers an
-    ideal module and liaison_parity's dual of E.  Another module given to
-    psi_equivalent keeps the rule max twist + 6, which is not a proof.
-    """
-    if "cycles" not in M._cache:
+def cycles_cover(M: GradedModule, i: int) -> GradedMap:
+    """K: the map onto minimal generators of the cycles Z_i = ker(delta_i:
+    F_i^dual -> F_{i+1}^dual) of M's dualized minimal resolution, 0 <= i <=
+    pd; the identity on F_pd^dual at i = pd.  It is kept in M's Ext table
+    (see _ext_entry), so every module whose dual complex holds delta_i reads
+    one object: the ideal module at spot 1 is R/I's at spot 2, the E-type E's
+    at spot 0 and the extraverted N's at spot 1.  It covers Ext^i(M)
+    (_ext_with_cover); extravertize reads Ext^1(M)'s cocycles off spot 1,
+    and link a residual off the ideal module's.  Below pd, Z_i is taken up
+    to the degree _cycles_cap proves."""
+    store, key = _ext_entry(M, i, "cycles")
+    if key not in store:
         deltas = _dual_complex(M)
-        if len(deltas) == 1:
-            M._cache["cycles"] = GradedMap.identity(deltas[0].target)
-            return M._cache["cycles"]
-        d1 = deltas[1]
-        top1 = max(-t for t in d1.source.twists)
-        top2 = max(-t for t in d1.target.twists)
-        cap = max(top1, top2) + 6
-        if len(deltas) == 2 and ext_module(M, 2).is_finite_length():
-            cap = max(ext_module(M, 2).regularity() + 2, top1, top2 + 1)
-        M._cache["cycles"] = kernel_min_gens(d1, cap)
-    return M._cache["cycles"]
+        if i == len(deltas):
+            store[key] = GradedMap.identity(deltas[-1].target)
+        else:
+            store[key] = kernel_min_gens(deltas[i], _cycles_cap(M, i))
+    return store[key]
+
+
+def _cycles_cap(M: GradedModule, i: int) -> int:
+    """A bound on reg Z_i, so on the degrees of the generators of Z_i, the
+    cycles at spot i < pd of M's dual complex, with B_j the boundaries.
+
+    On 0 -> A -> B -> C -> 0, reg A <= max(reg B, reg C + 1) (Eisenbud, The
+    Geometry of Syzygies, Thm 4.3 and Cor. 4.18).  Start at Z_pd = F_pd^dual
+    and walk down: 0 -> B_j -> Z_j -> Ext^j -> 0 gives reg B_j <= max(reg
+    Z_j, reg Ext^j + 1), and 0 -> Z_{j-1} -> F_{j-1}^dual -> B_j -> 0 gives
+    reg Z_{j-1} <= max(top F_{j-1}^dual, reg B_j + 1).  Regularity is taken
+    over k[X, Y, Z, W]: over A, R_A(t) = R(t)^2, and the minimal
+    R_A-generators of a module lie in degrees that its minimal R-generators
+    occupy.  For the ideal module this is max(r + 2, top F1^dual, top
+    F2^dual + 1), r the top degree of the finite-length Ext^2."""
+    deltas = _dual_complex(M)
+    reg = deltas[-1].target.top_degree()
+    for j in range(len(deltas), i, -1):
+        boundaries = max(reg, _ext_regularity(ext_module(M, j)) + 1)
+        reg = max(deltas[j - 1].source.top_degree(), boundaries + 1)
+    # -inf only when F_i^dual is zero, with no cycles to take
+    return max(reg, deltas[i].source.min_degree() - 1)
+
+
+def _ext_regularity(E: GradedModule):
+    """reg E over k[X, Y, Z, W], -inf for E = 0.  A finite-length E has it at
+    its top nonzero degree, over A too (Nakayama); another E reads it off its
+    resolution, which over A certifies that E is flat (or raises
+    NotLiftable): then 0 -> eE -> E -> E/eE -> 0 with eE = E/eE the fiber,
+    whose regularity is the resolution's."""
+    if not E.F0.rank:
+        return -inf
+    if not E.is_finite_length():
+        E.resolution()
+    return E.regularity()
 
 
 def subquotient_module(K: GradedMap, B: GradedMap | None, cap: int) -> GradedModule:
@@ -1248,20 +1279,25 @@ def subquotient_module(K: GradedMap, B: GradedMap | None, cap: int) -> GradedMod
 
     K: H -> F picks generators, B: G -> F (or None, for B = 0) spans the
     submodule to quotient by.  Relations are the minimal kernel elements of
-    [K | B] projected to H; the presentation is not minimalized, so the
-    cover stays exactly H.
+    [K | B], taken up to cap, projected to H; the presentation is not
+    minimalized, so the cover stays exactly H.
     """
-    H = K.source
     joint = GradedMap.hstack(K, B) if B is not None else K
-    syz = kernel_min_gens(joint, cap)
-    rel_cols = []
-    rel_degs = []
+    return GradedModule(kernel_head(joint, K.source, cap))
+
+
+def kernel_head(phi: GradedMap, head: FreeModule, cap: int) -> GradedMap:
+    """The minimal generators of ker(phi), taken up to cap, projected onto
+    head, the first head.rank summands of phi's source: the map onto them
+    from a free module, with the generators that project to zero dropped."""
+    syz = kernel_min_gens(phi, cap)
+    cols, degs = [], []
     for j in range(syz.source.rank):
-        head = syz.column(j)[: H.rank]
-        if any(not f.is_zero() for f in head):
-            rel_cols.append(head)
-            rel_degs.append(-syz.source.twists[j])
-    return GradedModule(GradedMap.from_columns(H, rel_cols, rel_degs))
+        col = syz.column(j)[: head.rank]
+        if any(not f.is_zero() for f in col):
+            cols.append(col)
+            degs.append(-syz.source.twists[j])
+    return GradedMap.from_columns(head, cols, degs)
 
 
 # -- piece-level calculus ---------------------------------------------------

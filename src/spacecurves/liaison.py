@@ -119,7 +119,7 @@ def link(C: CurveFamily, F: Poly, G: Poly) -> CurveFamily:
     a2 = None if a1 is None else C.ideal_module().presentation.lift(a1.compose(koszul))
     if a2 is None:
         raise CertificationError("the Koszul relation does not lift to the resolution")
-    residual = a2.dual().compose(cycles_cover(C.ideal_module())).matrix[0]
+    residual = a2.dual().compose(cycles_cover(C.ideal_module(), 1)).matrix[0]
     J = Ideal(base, [F, G, *residual])
     D = Ideal(base, [F, G])
     if not all(D.contains(g * h) for g in I.gens for h in J.gens):

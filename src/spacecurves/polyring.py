@@ -284,20 +284,22 @@ class _Parser:
         return tok
 
     def expr(self) -> Poly:
-        sign = 1
-        kind, _ = self.peek()
-        if kind in "+-":
-            self.take()
-            sign = -1 if kind == "-" else 1
-        out = self.term().scale_int(sign)
+        """A signed sum of terms, summed into one coefficient dict: linear
+        in the number of terms."""
+        p = self.base.p
+        acc = {}
+        kind = self.peek()[0]
         while True:
-            kind, _ = self.peek()
+            sign = 1
+            if kind in ("+", "-"):
+                self.take()
+                sign = -1 if kind == "-" else 1
+            for e, (a, b) in self.term().terms.items():
+                ca, cb = acc.get(e, (0, 0))
+                acc[e] = ((ca + sign * a) % p, (cb + sign * b) % p)
+            kind = self.peek()[0]
             if kind not in ("+", "-"):
-                break
-            self.take()
-            t = self.term()
-            out = out + (t if kind == "+" else -t)
-        return out
+                return Poly(self.base, acc)
 
     def term(self) -> Poly:
         out = self.factor()

@@ -34,12 +34,13 @@ from .gradedmod import (
     _min_quotient_gens,
     _minimalize_map,
     _share_ext_table,
+    _twist_regularity,
     cohomology_table,
     cycles_cover,
     ext_module,
     finite_data_to_module,
     is_module_iso,
-    kernel_min_gens,
+    kernel_head,
     subquotient_module,
 )
 from .groebner import Ideal
@@ -113,8 +114,8 @@ def extravertize(M: GradedModule) -> ExtravertData:
     N = coker([phi; -c]: F1 -> F0 + P), with phi the first map of M's
     minimal resolution and c: F1 -> P dual to minimal generators of
     Ext^1(M, R), cocycles read off K, the map onto the generators of
-    ker(delta1) (cycles_cover).  _certify_extravert shows that
-    [phi; -c], d2, d3, ... resolves N, so when minimalizing [phi; -c]
+    ker(delta1) (cycles_cover, on a proved cap).  _certify_extravert shows
+    that [phi; -c], d2, d3, ... resolves N, so when minimalizing [phi; -c]
     cancels nothing, N keeps that resolution and reads Ext^i(N) =
     Ext^i(M) for i >= 2 off M's Ext table.  When a unit pair cancels (N
     free, as on an ACM curve) N is resolved on its own.  Over A the kept
@@ -130,7 +131,7 @@ def extravertize(M: GradedModule) -> ExtravertData:
             Mm, Mm, P, GradedMap.zero(P, Mm.F0), GradedMap.identity(Mm.F0)
         )
     deltas = _dual_complex(Mm)
-    K = cycles_cover(Mm)
+    K = cycles_cover(Mm, 1)
     chosen = _min_quotient_gens(K, deltas[0])
     cocycles = GradedMap.from_columns(
         K.target, [K.column(j) for j in chosen], [-K.source.twists[j] for j in chosen]
@@ -179,7 +180,7 @@ def _certify_extravert(deltas, K: GradedMap, cocycles: GradedMap):
     of ker(delta1) (both composites with delta1 are zero), so it vanishes
     once each degree n of K's generators has dim ker(delta1)_n =
     rank [delta0 | c^dual]_n.  That rests on K generating ker(delta1), which
-    cycles_cover proves for an ideal module.
+    cycles_cover proves for every module (_cycles_cap).
     """
     delta0 = deltas[0]
     if len(deltas) > 1 and not deltas[1].compose(cocycles).is_zero():
@@ -310,29 +311,17 @@ def is_extraverted(N: GradedModule) -> bool:
 
 
 def _minimal_hom(M: GradedModule, N: GradedModule, f0: GradedMap):
-    """Transport a hom onto minimal presentations of both sides."""
-    Mm_pres, keptM, _ = _minimalize_map(M.presentation)
-    Nm_pres, _, exprsN = _minimalize_map(N.presentation)
-    Mm = GradedModule(Mm_pres)
-    Nm = GradedModule(Nm_pres)
-    exprN = GradedMap.from_columns(
-        Nm_pres.target,
-        [exprsN[r] for r in range(N.F0.rank)],
-        [-t for t in N.F0.twists],
-    )
-    incl_kept = GradedMap.from_columns(
-        M.F0,
-        [
-            tuple(
-                Poly.one(M.base) if i == r else Poly.zero(M.base)
-                for i in range(M.F0.rank)
-            )
-            for r in keptM
-        ],
-        [-M.F0.twists[r] for r in keptM],
-    )
-    f0m = exprN.compose(f0).compose(incl_kept)
-    return Mm, Nm, f0m
+    """Transport a hom onto the minimal presentations of both sides, the
+    modules M.minimal_presentation() and N.minimal_presentation(), so that
+    their resolutions and Ext modules are built once."""
+    keptM = _minimalize_map(M.presentation)[1]
+    exprsN = _minimalize_map(N.presentation)[2]
+    Mm = M.minimal_presentation()
+    Nm = N.minimal_presentation()
+    exprN = GradedMap.from_columns(Nm.F0, exprsN, [-t for t in N.F0.twists])
+    unit = GradedMap.identity(M.F0)
+    kept = GradedMap.from_columns(M.F0, [unit.column(r) for r in keptM], [-M.F0.twists[r] for r in keptM])
+    return Mm, Nm, exprN.compose(f0).compose(kept)
 
 
 def _lift_chain(f0: GradedMap, res_src, res_tgt):
@@ -367,14 +356,13 @@ def _induced_ext_ok(M, N, g, j, degrees, bijective: bool) -> bool:
     zero), is onto, and one-to-one when bijective, in each degree given.
 
     g^dual sends N's cycles into M's cycles and N's boundaries into M's
-    boundaries.  N's cycles are the image of K, the cover of Ext^j(N) (the
-    identity at j = pd, None past it), and M's boundaries the image of B, so
-    the image has dimension rank [g^dual o K | B]_n - rank B_n in degree n.
+    boundaries.  N's cycles are the image of K = cycles_cover(N, j), and
+    M's boundaries the image of B, so the image has dimension rank [g^dual o
+    K | B]_n - rank B_n in degree n.  A zero g maps nothing.
     """
     EM, EN = ext_module(M, j), ext_module(N, j)
-    K = _ext_with_cover(N, j)[1]
     B = _ext_slot(M, j)[1]
-    joint = None if g is None or K is None else GradedMap.hstack(g.dual().compose(K), B)
+    joint = None if g is None else GradedMap.hstack(g.dual().compose(cycles_cover(N, j)), B)
     for n in degrees:
         image = joint.rank_at(n) - B.rank_at(n) if joint is not None else 0
         if image != EM.piece_dim(n) or (bijective and image != EN.piece_dim(n)):
@@ -441,84 +429,30 @@ def psi_roof(
     for g in (f, fp):
         if not is_psi(g):
             raise NotPsi("an input map is not a pseudo-isomorphism")
-    base = M.base
     top = max((-t for t in M.F0.twists), default=0)
     N1, f1 = _pad_surjective(N, M, f, top)
     N2, f2 = _pad_surjective(Np, M, fp, top)
-    z = Poly.zero(base)
-    joint_src = FreeModule(
-        base, list(N1.F0.twists) + list(N2.F0.twists) + list(M.F1.twists)
-    )
-    matrix = []
-    for i in range(M.F0.rank):
-        row = list(f1.f0.matrix[i])
-        row += [-g for g in f2.f0.matrix[i]]
-        row += list(M.presentation.matrix[i])
-        matrix.append(row)
-    big = GradedMap(joint_src, M.F0, matrix)
-    head_rank = N1.F0.rank + N2.F0.rank
-    head = FreeModule(base, list(N1.F0.twists) + list(N2.F0.twists))
-    rel = GradedMap(
-        FreeModule(base, list(N1.F1.twists) + list(N2.F1.twists)),
-        head,
-        [
-            list(N1.presentation.matrix[i]) + [z] * N2.F1.rank
-            for i in range(N1.F0.rank)
-        ]
-        + [
-            [z] * N1.F1.rank + list(N2.presentation.matrix[i])
-            for i in range(N2.F0.rank)
-        ],
-    )
-    # grow the syzygy cap until the fiber-product dimension count certifies
-    cap = max((-t for t in joint_src.twists), default=0) + 2
+    minus_f2 = GradedMap(f2.f0.source, M.F0, [[-g for g in row] for row in f2.f0.matrix])
+    big = GradedMap.hstack(f1.f0, minus_f2, M.presentation)
+    rel = direct_sum(N1, N2).presentation
+    head = rel.target
+    # big maps onto M.F0, as f1 is onto M after padding: ker big is
+    # generated by degree max(top big.source, top M.F0 + 1), since reg A <=
+    # max(reg B, reg C + 1) on 0 -> A -> B -> C -> 0.  head -> M is onto
+    # with kernel im Kproj, which [Kproj | rel] maps onto: its kernel, the
+    # roof's relations, is generated by degree roof_cap
+    cap = max(big.source.top_degree(), M.F0.top_degree() + 1)
+    Kproj = kernel_head(big, head, cap)
+    reg = _twist_regularity(M.minimal_presentation().resolution())
+    roof_cap = max(cap, rel.source.top_degree(), head.top_degree() + 1, reg + 2)
+    roof = subquotient_module(Kproj, rel, roof_cap)
     lo = min(N1.min_degree(), N2.min_degree())
-    roof = Kproj = None
-    for _ in range(4):
-        K = kernel_min_gens(big, cap)
-        cols = []
-        degs = []
-        for j in range(K.source.rank):
-            col = K.column(j)[:head_rank]
-            if any(not g.is_zero() for g in col):
-                cols.append(col)
-                degs.append(-K.source.twists[j])
-        Kproj = GradedMap.from_columns(head, cols, degs)
-        roof = subquotient_module(Kproj, rel, cap)
-        ok = all(
-            roof.piece_dim(n)
-            == N1.piece_dim(n) + N2.piece_dim(n) - M.piece_dim(n)
-            for n in range(lo, cap + 3)
-        )
-        if ok:
-            break
-        cap += 2
-    else:
-        raise CertificationError("fiber product cap failed to stabilize")
-    p1 = ModuleHom(
-        roof,
-        N1,
-        GradedMap(
-            roof.F0,
-            N1.F0,
-            [
-                [Kproj.matrix[i][j] for j in range(roof.F0.rank)]
-                for i in range(N1.F0.rank)
-            ],
-        ),
-    )
-    p2 = ModuleHom(
-        roof,
-        N2,
-        GradedMap(
-            roof.F0,
-            N2.F0,
-            [
-                [Kproj.matrix[N1.F0.rank + i][j] for j in range(roof.F0.rank)]
-                for i in range(N2.F0.rank)
-            ],
-        ),
-    )
+    for n in range(lo, roof_cap + 3):
+        if roof.piece_dim(n) != N1.piece_dim(n) + N2.piece_dim(n) - M.piece_dim(n):
+            raise CertificationError(f"the fiber product misses its dimension count in degree {n}")
+    rows = Kproj.matrix
+    p1 = ModuleHom(roof, N1, GradedMap(roof.F0, N1.F0, rows[: N1.F0.rank]))
+    p2 = ModuleHom(roof, N2, GradedMap(roof.F0, N2.F0, rows[N1.F0.rank :]))
     for proj in (p1, p2):
         if not is_psi(proj):
             raise CertificationError("roof projection is not a psi")
@@ -538,7 +472,7 @@ def _pad_surjective(N: GradedModule, M: GradedModule, f: ModuleHom, top: int):
 
 def minimal_extravert(M: GradedModule) -> GradedModule:
     """The extraverted representative with free summands stripped; its
-    Ext^1 = 0 is proved where cycles_cover's bound applies."""
+    Ext^1 = 0 is proved by _certify_extravert."""
     N = extravertize(M).N
     N0, _ = N.strip_free_summands()
     return N0.minimal_presentation()

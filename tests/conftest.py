@@ -4,11 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import assume, strategies as st
 
-from spacecurves import linalg
+from spacecurves import gradedmod, linalg, raoclass
 from spacecurves.curve import validate_curve
 from spacecurves.errors import CertificationError, SpaceCurveError
 from spacecurves.files import load_corpus
-from spacecurves.gradedmod import GradedMap, GradedModule, ModuleHom, element_to_vector, kernel_min_gens
+from spacecurves.gradedmod import (
+    FreeModule,
+    GradedMap,
+    GradedModule,
+    ModuleHom,
+    element_to_vector,
+    ext_piece_dims,
+    kernel_min_gens,
+    subquotient_module,
+)
 from spacecurves.groebner import (
     Ideal,
     _divides,
@@ -291,3 +300,69 @@ def hom_space_ref(M, N):
                    for j in range(F0.rank)] for i in range(G0.rank)]
         out.append(ModuleHom(M, N, GradedMap(F0, G0, matrix)))
     return out
+
+
+# -- Ext and the psi roof on growing caps, kept as reference oracles -----------
+
+
+def ext_by_growing_cap(M, i):
+    """Reference: Ext^i(M, R) as ext_module built it before it read a proved
+    cap.  At pd it is the cokernel of the last dual map.  Below pd the
+    cycles of M's dual complex at spot i and the relations of their
+    subquotient are taken to the cap min_degree + 6, grown by 4 until the
+    piece dimensions two degrees past it match ext_piece_dims."""
+    deltas = gradedmod._dual_complex(M)
+    if i > len(deltas):
+        return GradedModule.zero(M.base)
+    outof = deltas[i - 1] if i else None
+    if i == len(deltas):
+        return GradedModule(outof).minimal_presentation()
+    into = deltas[i]
+    cap = into.source.min_degree() + 6
+    for _ in range(4):
+        K = kernel_min_gens(into, cap)
+        E = subquotient_module(K, outof, cap).minimal_presentation()
+        probe = ext_piece_dims(M, i, [cap + 1, cap + 2])
+        if all(E.piece_dim(n) == d for n, d in probe.items()):
+            return E
+        cap += 4
+    raise AssertionError(f"Ext^{i} cap failed to stabilize")
+
+
+def psi_roof_by_growing_cap(N, Np, M, f, fp):
+    """Reference: (roof, Kproj) of psi_roof's fiber product as it was built
+    before it read a proved cap: the kernel of [f1 | -f2 | M's relations],
+    projected onto the covers of the padded N1 + N2, and the roof's
+    relations, both taken to a cap from top joint_src + 2, grown by 2 until
+    the dimension count of the fiber product holds two degrees past it."""
+    base = M.base
+    top = max((-t for t in M.F0.twists), default=0)
+    N1, f1 = raoclass._pad_surjective(N, M, f, top)
+    N2, f2 = raoclass._pad_surjective(Np, M, fp, top)
+    joint = GradedMap.hstack(f1.f0, GradedMap(f2.f0.source, M.F0, [[-g for g in row] for row in f2.f0.matrix]), M.presentation)
+    head = FreeModule(base, N1.F0.twists + N2.F0.twists)
+    z = Poly.zero(base)
+    rel = GradedMap(
+        FreeModule(base, N1.F1.twists + N2.F1.twists),
+        head,
+        [list(row) + [z] * N2.F1.rank for row in N1.presentation.matrix]
+        + [[z] * N1.F1.rank + list(row) for row in N2.presentation.matrix],
+    )
+    cap = max((-t for t in joint.source.twists), default=0) + 2
+    lo = min(N1.min_degree(), N2.min_degree())
+    for _ in range(4):
+        K = kernel_min_gens(joint, cap)
+        cols, degs = [], []
+        for j in range(K.source.rank):
+            col = K.column(j)[: head.rank]
+            if any(not g.is_zero() for g in col):
+                cols.append(col)
+                degs.append(-K.source.twists[j])
+        Kproj = GradedMap.from_columns(head, cols, degs)
+        roof = subquotient_module(Kproj, rel, cap)
+        if all(
+            roof.piece_dim(n) == N1.piece_dim(n) + N2.piece_dim(n) - M.piece_dim(n) for n in range(lo, cap + 3)
+        ):
+            return roof, Kproj
+        cap += 2
+    raise AssertionError("fiber product cap failed to stabilize")

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
-from conftest import RAO_K_NAMES, Span, annihilator_ref, general_lines, hom_space_ref, ideal_module_by_cap
+from conftest import (
+    RAO_K_NAMES,
+    Span,
+    annihilator_ref,
+    ext_by_growing_cap,
+    general_lines,
+    hom_space_ref,
+    ideal_module_by_cap,
+)
 
 from spacecurves import gradedmod, linalg, raoclass
 from spacecurves.gradedmod import (
@@ -21,6 +29,7 @@ from spacecurves.gradedmod import (
     _hom_matrix,
     _power_ideal_module,
     cohomology_table,
+    cycles_cover,
     element_to_vector,
     ext_module,
     finite_data_to_module,
@@ -1333,6 +1342,62 @@ def test_top_ext_is_the_cokernel_of_the_last_dual_map(name):
 def test_top_ext_of_a_finite_length_module_is_the_cokernel_of_the_last_dual_map(M):
     assert len(M.resolution()) == 4
     _assert_same_top_ext(M)
+
+
+# -- Ext and its cycles on the proved cap --------------------------------------
+
+
+def _ext_test_modules(C):
+    """R/I, the ideal module, N, E and Hom(E, R) of a curve."""
+    E = raoclass.e_type_resolution(C).E
+    return [C._ri(), C.ideal_module(), raoclass.n_type_resolution(C).N, E, raoclass.dual_module(E)[0]]
+
+
+def _assert_ext_is_the_growing_caps(M, i):
+    got, ref = ext_module(M, i), ext_by_growing_cap(M, i)
+    assert (got.F1, got.F0, got.presentation.matrix) == (ref.F1, ref.F0, ref.presentation.matrix), i
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_ext_on_the_proved_cap_is_the_growing_caps(name, corpus_curves):
+    # every Ext^i, i <= pd, of five modules of the curve, presentation for
+    # presentation
+    for M in _ext_test_modules(corpus_curves(name)):
+        for i in range(len(M.resolution()) + 1):
+            _assert_ext_is_the_growing_caps(M, i)
+
+
+@settings(max_examples=2, deadline=None, database=None)
+@given(general_lines(primes=(101,), field_lines=(2, 2), dual_lines=(2, 2)))
+@seed(37)
+def test_ext_on_the_proved_cap_is_the_growing_caps_on_two_lines(C):
+    # over A the growing cap is slow: there only R_A/I's Ext^1, whose cap
+    # reads the regularity of the infinite-length Ext^2 off its resolution
+    if C.base.dual:
+        RI = C._ri()
+        _assert_ext_is_the_growing_caps(RI, 1)
+        E2 = ext_module(RI, 2)
+        assert not E2.is_finite_length() and "resolution" in E2._cache
+        return
+    for M in _ext_test_modules(C):
+        for i in range(len(M.resolution()) + 1):
+            _assert_ext_is_the_growing_caps(M, i)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_the_cycles_need_their_whole_cap(name, corpus_curves):
+    # one degree below the proved cap misses a generator at every spot with
+    # cycles: the cap is not one too high
+    seen = 0
+    for M in _ext_test_modules(corpus_curves(name)):
+        deltas = gradedmod._dual_complex(M)
+        for i in range(len(deltas)):
+            K = cycles_cover(M, i)
+            if K.source.rank:
+                below = kernel_min_gens(deltas[i], gradedmod._cycles_cap(M, i) - 1)
+                assert below.source.rank < K.source.rank, i
+                seen += 1
+    assert seen
 
 
 # -- the one Hom construction against the slot reference ---------------------

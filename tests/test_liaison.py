@@ -332,7 +332,8 @@ def _seeded_link(draw):
 def test_link_is_the_colon_generator_for_generator_and_links_back(case):
     # the residual equals the colon oracle's, on its reduced basis over F_p
     # and its minimal generators over A, and linking it again in the same
-    # complete intersection returns the curve's ideal
+    # complete intersection returns the curve's ideal; the link has genus
+    # g' = g + (s + t - 4)(d' - d)/2 and Rao module M_C(s + t - 4 - n)^*
     C, F, G = case
     ref = colon_ref(Ideal(C.base, [F, G]), C.ideal)
     if ref.is_unit_ideal():
@@ -344,6 +345,10 @@ def test_link_is_the_colon_generator_for_generator_and_links_back(case):
     Cp = link(C, F, G)
     assert [str(g) for g in Cp.ideal.gens] == [str(g) for g in ref.gens]
     assert link(Cp, F, G).ideal == C.ideal
+    (d, g), (dp, gp) = C.degree_genus(), Cp.degree_genus()
+    e = F.degree() + G.degree() - 4
+    assert 2 * (gp - g) == e * (dp - d)
+    assert Cp.rao_module().dims() == {e - n: v for n, v in C.rao_module().dims().items()}
 
 
 @pytest.mark.parametrize(
@@ -364,8 +369,8 @@ def test_a_residual_missing_a_cycle_is_a_typed_error(name, F, G, corpus_curves, 
     link(C, F, G)
     cover = gradedmod.cycles_cover
 
-    def without_the_last(M):
-        K = cover(M)
+    def without_the_last(M, i):
+        K = cover(M, i)
         n = K.source.rank - 1
         return GradedMap.from_columns(K.target, [K.column(j) for j in range(n)], [-t for t in K.source.twists[:n]])
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spacecurves.errors import ParseError
 from spacecurves.polyring import (
@@ -8,6 +9,7 @@ from spacecurves.polyring import (
     monomial_shift,
     monomials,
 )
+from spacecurves.scalars import BaseRing
 
 
 def test_parse_print_round_trip(K):
@@ -20,6 +22,35 @@ def test_parse_print_round_trip_dual(A):
     for text in ["X + e*Y", "(2+3*e)*Z^2", "e*W^3"]:
         f = Poly.parse(text, A)
         assert Poly.parse(str(f), A) == f
+
+
+def test_a_flat_sum_of_monomials_parses_with_at_most_one_add(K, monkeypatch):
+    # the terms are summed into one coefficient dict, not added one Poly at
+    # a time, which copied every term summed so far
+    mons = monomials(4)
+    text = " - ".join(f"{c + 1}*" + "*".join(f"{v}^{k}" for v, k in zip("XYZW", m) if k) for c, m in enumerate(mons))
+    want = Poly(K, {m: ((c + 1) * (-1 if c else 1) % K.p, 0) for c, m in enumerate(mons)})
+    calls = []
+    add = Poly.__add__
+    monkeypatch.setattr(Poly, "__add__", lambda f, g: calls.append(1) or add(f, g))
+    assert Poly.parse(text, K) == want
+    assert len(calls) <= 1
+
+
+@st.composite
+def dense_forms(draw):
+    """A form with a random coefficient on every monomial of its degree,
+    over F_p or A; zero coefficients included."""
+    base = BaseRing(draw(st.sampled_from((2, 3, 101, 32003))), draw(st.booleans()))
+    coef = st.integers(0, base.p - 1)
+    zero = st.just(0)
+    return Poly(base, {m: (draw(coef), draw(coef if base.dual else zero)) for m in monomials(draw(st.integers(0, 3)))})
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(dense_forms())
+def test_parse_inverts_print_on_dense_forms(f):
+    assert Poly.parse(str(f), f.base) == f
 
 
 def test_parse_rejects_garbage(K, A):

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from conftest import RAO_K_NAMES, Span, general_lines, surjection_hom
-from spacecurves import gradedmod, linalg, raoclass
+from conftest import RAO_K_NAMES, Span, general_lines, psi_roof_by_growing_cap, surjection_hom
+from spacecurves import gradedmod, liaison, linalg, raoclass
 from spacecurves.curve import validate_curve
 from spacecurves.errors import CertificationError, MixedBase
-from spacecurves.files import load_corpus
+from spacecurves.files import corpus_names, load_corpus
 from spacecurves.gradedmod import (
     FreeModule,
     GradedMap,
     GradedModule,
     ModuleHom,
     _minimalize_map,
+    cycles_cover,
     element_to_vector,
     ext_module,
     kernel_min_gens,
@@ -348,6 +349,68 @@ def test_psi_roof_certifies(corpus_curves):
     f = surjection_hom(tc, res)
     roof, p1, p2 = psi_roof(res.N, res.N, f.target, f, f)
     assert roof.F0.rank >= res.N.F0.rank
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_psi_roof_on_the_proved_cap_is_the_growing_caps(name, corpus_curves):
+    # the roof over the N-type surjection twice, presentation and both
+    # projections, equals the one built on a growing cap
+    C = corpus_curves(name)
+    res = n_type_resolution(C)
+    f = surjection_hom(C, res)
+    roof, p1, p2 = psi_roof(res.N, res.N, f.target, f, f)
+    ref, Kproj = psi_roof_by_growing_cap(res.N, res.N, f.target, f, f)
+    assert (roof.F1, roof.F0, roof.presentation.matrix) == (ref.F1, ref.F0, ref.presentation.matrix)
+    assert p1.f0.matrix + p2.f0.matrix == Kproj.matrix
+
+
+def test_is_psi_reads_the_modules_it_is_given(monkeypatch):
+    # is_psi works on the minimal presentations of its modules, which here
+    # are the modules themselves: nothing is resolved, and a second call
+    # builds no Ext module or cycles again
+    C = validate_curve(load_corpus("skew-lines").to_ideal())
+    f = surjection_hom(C, n_type_resolution(C))
+    calls = []
+    for fn in ("_resolve", "kernel_min_gens"):
+        real = getattr(gradedmod, fn)
+        monkeypatch.setattr(gradedmod, fn, lambda *a, real=real, fn=fn: calls.append(fn) or real(*a))
+    assert is_psi(f)
+    assert "_resolve" not in calls
+    calls.clear()
+    assert is_psi(f)
+    assert not calls
+
+
+@pytest.mark.parametrize(
+    "name, F, G",
+    [
+        (name + dual, F, G)
+        for name, F, G in [
+            ("skew-lines", "X*Z", "Y*W"),
+            ("skew-pair-alt", "X*Y", "W*Z"),
+            ("quartic-from-skew-bilink", "X*Z + Y*W", "X^2*W"),
+        ]
+        for dual in ("", "-dual")
+    ],
+)
+def test_one_cycles_cover_serves_hom_of_e_ext1_extravertize_and_link(name, F, G, monkeypatch):
+    # the cycles ker(delta1) of the ideal module are built once, in R/I's Ext
+    # table: Hom(E, R), Ext^1 of the ideal module, the N-type pushout and a
+    # link all read that one object
+    C = validate_curve(load_corpus(name).to_ideal())
+    IM = C.ideal_module()
+    K = cycles_cover(IM, 1)
+    assert dual_module(e_type_resolution(C).E)[1] is K
+    assert gradedmod._ext_with_cover(IM, 1)[1] is K
+    assert cycles_cover(C._ri(), 2) is K
+    assert cycles_cover(n_type_resolution(C).N, 1) is K
+    (_, seen, _), _ = _extravert_certificate(C, monkeypatch)
+    assert seen is K
+    read = []
+    cover = liaison.cycles_cover
+    monkeypatch.setattr(liaison, "cycles_cover", lambda M, i: read.append(cover(M, i)) or read[-1])
+    liaison.link(C, Poly.parse(F, C.base), Poly.parse(G, C.base))
+    assert read == [K] and read[0] is K
 
 
 def test_psi_equivalent_shift_detection(corpus_curves):
