@@ -29,7 +29,7 @@ from .gradedmod import (
     is_module_iso,
     torsion_module_data,
 )
-from .groebner import Ideal, _nonzerodivisor, _saturation_certificate, ideal_saturate, ideal_sum
+from .groebner import Ideal, _nonzerodivisor, _saturation_certificate, ideal_saturate, ideal_sum, is_flat_family
 from .scalars import BaseRing
 
 
@@ -159,16 +159,6 @@ class CurveFamily:
 
 
 _VALIDATED = object()
-
-
-def is_flat_family(I: Ideal) -> bool:
-    """True iff R_A/I is flat over A, that is each piece (R_A/I)_n is free.
-    A finite A-module M is A^a + k^b, free exactly when dim_k M = 2*dim_k
-    M/eM, and M/eM = (R/I_fiber)_n; so the family is flat exactly when
-    HS(R_A/I) = 2*HS(R/I_fiber), which compares two Hilbert numerators."""
-    if not I.base.dual:
-        return True
-    return I.hilbert_numerator() == tuple(2 * k for k in I.fiber().hilbert_numerator())
 
 
 def validate_curve(I: Ideal) -> CurveFamily:

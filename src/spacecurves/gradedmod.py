@@ -598,12 +598,14 @@ class GradedModule:
     def resolution(self):
         """Minimal free resolution as a list of GradedMaps F1->F0, F2->F1, ...
 
-        Exactness is certified degreewise up to the final cap; compositions
-        are checked symbolically.  R/I reads the first map's ranks off its
-        ideal (_resolve).  Its relations must lie in the ideal, and its
-        twists must count the ideal's Hilbert numerator, the one those ranks
-        were read from, or CertificationError; over A, R/I_fiber checks its
-        twists against the fiber ideal's.
+        Exactness and zero composites are certified degreewise up to the
+        cap (_certify_resolution).  R/I reads the first map's ranks off its
+        ideal, and takes the cap m + 2 of the ideal's regularity
+        certificate m when it has one (_resolve).  Its relations must lie in
+        the ideal, and its twists must count the ideal's Hilbert numerator,
+        the one those ranks were read from, or CertificationError; over A,
+        R/I_fiber checks its twists against the fiber ideal's, and so proves
+        the fiber's certificate complete over A too.
         """
         key = "resolution"
         if key in self._cache:
@@ -613,7 +615,7 @@ class GradedModule:
         # the ideal's, where min_generators builds no piece to see it
         if ideal is not None and not all(ideal.contains(f) for f in self.presentation.matrix[0]):
             raise CertificationError("a relation of R/I lies outside its ideal")
-        maps = _resolve(self.presentation, None if ideal is None else ideal.piece_dim)
+        maps = _resolve(self.presentation, ideal)
         if self.base.dual:
             fiber_maps = self.fiber().resolution()
             mine = [m.source.twists for m in maps]
@@ -873,45 +875,72 @@ def _minimalize_map(phi: GradedMap):
     return phi_min, live, exprs
 
 
-def _resolve(phi: GradedMap, rank=None):
-    """Minimal free resolution of coker(phi) with self-consistent cap.
+def _resolve(phi: GradedMap, ideal=None):
+    """Minimal free resolution of coker(phi), complete by theorem when phi's
+    image is an ideal with a regularity certificate.
 
-    rank, when given, maps n to dim_k im(phi)_n for a phi whose image is an
-    ideal I of R_A: Ideal.piece_dim, read off the Hilbert numerator of I's
-    Groebner basis, since the standard monomials of its lead ideal are a
-    k-basis of R_A/I (Macaulay; Eisenbud, Commutative Algebra, Thm 15.3;
-    over A on k[X,Y,Z,W,e]/(I + e^2)).  The relations rel that
-    image_min_gens picks span im(phi) = I too, so phi and rel get those
-    ranks, as ints in their rank caches, in every degree up to the cap, and
-    neither is eliminated for a rank.  Two cross-checks stand in for the
-    eliminations.  min_generators compares each piece it builds, of im(phi)
-    or of ker(rel), with the given dimension.  And _certify_resolution
-    makes the alternating sum of the free modules' pieces in each degree
-    n <= cap equal dim_k R_n - rank(n), so resolution() compares the twists
-    with the Hilbert numerator the ranks were read from.
+    ideal, when given, is the ideal I of R_A that phi's image must be.  Its
+    ranks Ideal.piece_dim(n) = dim_k im(phi)_n are read off the Hilbert
+    numerator of I's Groebner basis, since the standard monomials of its
+    lead ideal are a k-basis of R_A/I (Macaulay; Eisenbud, Commutative
+    Algebra, Thm 15.3; over A on k[X,Y,Z,W,e]/(I + e^2)).  The relations
+    rel that image_min_gens picks span im(phi) = I too, so phi and rel get
+    those ranks, as ints in their rank caches, in every degree up to the
+    cap, and neither is eliminated for a rank.  Two cross-checks stand in
+    for the eliminations.  min_generators compares each piece it builds,
+    of im(phi) or of ker(rel), with the given dimension.  And
+    _certify_resolution makes the alternating sum of the free modules'
+    pieces in each degree n <= cap equal dim_k R_n - rank(n), so
+    resolution() compares the twists with the Hilbert numerator the ranks
+    were read from.
+
+    The cap is m + 2 for the degree m of Ideal.regularity_certificate, at
+    or above the top degree of rel's generators.  I is m-regular, so
+    beta_{j,d}(R/I) = 0 for d > m + j - 1; and pd(R/I) <= 3, since the
+    certificate's nonzerodivisor gives depth R/I >= 1 (Auslander-Buchsbaum).
+    So every syzygy generator lies in degree <= m + 2, and a resolution
+    whose regularity exceeds the certified one is a CertificationError.
+    With no ideal or no certificate, _resolve_by_growing_cap takes the cap.
     """
     phi = _minimalize_map(phi)[0]
     if not phi.target.rank:
-        rank = None  # a unit pivot cancelled R: R/I = 0
+        ideal = None  # a unit pivot cancelled R: R/I = 0
     gen_top = max((-t for t in phi.target.twists), default=0)
     rel_top = max((-t for t in phi.source.twists), default=gen_top)
     lo = phi.target.min_degree()
+    rank = None if ideal is None else ideal.piece_dim
     if rank is not None:
         phi._cache.update((n, rank(n)) for n in range(lo, rel_top + 1))
     # relations must minimally generate the relation submodule, else the
     # next syzygy step would pick up unit entries
     rel = image_min_gens(phi)
-    attempt_cap = rel_top + 4
+    m = None
+    if ideal is not None and rel.source.rank:
+        m = ideal.regularity_certificate(max(-t for t in rel.source.twists))
+    if m is None:
+        return _resolve_by_growing_cap(rel, rank, lo, rel_top + 4)
+    rel._cache.update((n, rank(n)) for n in range(lo, m + 3))
+    maps = _resolve_at_cap(rel, m + 2)
+    if _twist_regularity(maps) + 1 > m:
+        raise CertificationError(f"the resolution has regularity past the certified {m}")
+    _certify_resolution(maps, m + 2)
+    return maps
+
+
+def _resolve_by_growing_cap(rel: GradedMap, rank, lo: int, cap: int):
+    """rel's resolution where no certificate proves a cap: taken to cap,
+    whose regularity reg then asks for the cap reg + 4, retried up to five
+    times until the cap reaches it; certified to reg + 4."""
     for _ in range(5):
         if rank is not None:
-            rel._cache.update((n, rank(n)) for n in range(lo, attempt_cap + 1))
-        maps = _resolve_at_cap(rel, attempt_cap)
+            rel._cache.update((n, rank(n)) for n in range(lo, cap + 1))
+        maps = _resolve_at_cap(rel, cap)
         # syzygy generators at homological step j live in degrees <= reg + j
         needed = _twist_regularity(maps) + 4
-        if attempt_cap >= needed:
+        if cap >= needed:
             _certify_resolution(maps, needed)
             return maps
-        attempt_cap = needed + 2
+        cap = needed + 2
     raise CertificationError("resolution cap failed to stabilize")
 
 
@@ -952,14 +981,20 @@ def _resolve_at_cap(rel: GradedMap, cap: int):
 
 def _certify_resolution(maps, cap: int):
     """Every composition is zero, and ker = im in every degree up to cap,
-    read off the ranks of the maps' own matrices.  Each image rank is
-    eliminated.  Each kernel dimension is eliminated too, except that of
-    R/I's first map, whose cached ranks _resolve read off the ideal's
-    Hilbert numerator (Macaulay's theorem); resolution() cross-checks them
-    against the twists."""
+    read off the ranks of the maps' own matrices.
+
+    d_k o d_{k+1} is zero when its k-linear matrix is, in each degree n of
+    a generator of d_{k+1}'s source: an R-linear map that kills every
+    generator is zero, and a degree-n vector is zero exactly when its
+    degree-n coordinates are (over A, matrix_at is the k-linear block
+    matrix).  Each image rank is eliminated.  Each kernel dimension is
+    eliminated too, except that of R/I's first map, whose cached ranks
+    _resolve read off the ideal's Hilbert numerator (Macaulay's theorem);
+    resolution() cross-checks them against the twists."""
     for a, b in zip(maps, maps[1:]):
-        if not a.compose(b).is_zero():
-            raise CertificationError("nonzero composition in resolution")
+        for n in set(-t for t in b.source.twists):
+            if linalg.matmul(a.matrix_at(n), b.matrix_at(n), a.base.p).any():
+                raise CertificationError("nonzero composition in resolution")
     lo = min(m.target.min_degree() for m in maps)
     for i, m in enumerate(maps):
         nxt = maps[i + 1] if i + 1 < len(maps) else None

@@ -21,7 +21,9 @@ satisfy K(I + f) = (1 - t^d)*K(I) (Bayer & Stillman, J. Symbolic Comput.
 when no lead of I's basis has a W exponent, else the first candidate form
 by that test.  Only when neither is one is it the intersection of the
 four saturations by one variable, each read off one basis with that
-variable last.  Over A the result then gets minimal generators.
+variable last.  Over A the result then gets minimal generators.  The same
+nonzerodivisor, one more linear form and the same Hilbert numerator prove a
+regularity bound (Ideal.regularity_certificate), which caps resolutions.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import heapq
 import itertools
 import random
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -296,6 +299,9 @@ class Ideal:
         # saturation certificate, written once: "W", the first candidate
         # form, or False when neither is a nonzerodivisor on R/I
         self._nzd = None
+        # regularity certificate, written once: a degree m with I m-regular,
+        # or False when none is found
+        self._reg = None
 
     @staticmethod
     def parse(base: BaseRing, texts) -> "Ideal":
@@ -363,6 +369,41 @@ class Ideal:
         """dim_k (R/I)_n for the fiber ideal, n = 0..n_max."""
         fib = self.fiber()
         return [fib.quotient_piece_dim(n) for n in range(n_max + 1)]
+
+    def regularity_certificate(self, top: int):
+        """A degree m >= top at which Bayer & Stillman's criterion
+        (Invent. Math. 87, 1987, Thm 1.10) proves I m-regular, top the top
+        degree of I's minimal generators; None when none is found.  Over A,
+        the fiber's: a nonzerodivisor on the flat R_A/I is one on
+        R/I_fiber, and resolution() checks the twists over A against the
+        fiber's.  Written once.
+
+        For a saturated I of Krull dimension 2, take h_1 = f, the linear
+        nonzerodivisor of _saturation_certificate, and h_2 = h, the first
+        linear candidate form that passes.  In degree m the criterion asks
+        (1) (I : f)_m = I_m, (2) ((J : h)/J)_m = 0 for J = I + f, and
+        (3) (I + f + h)_m = R_m.  (1) holds as f is a nonzerodivisor.  (3)
+        says that the restrictions of I's generators to the line
+        L = {f = h = 0} span the binary forms of degree m, and then of
+        degree m + 1 too.  So 0 -> ((J : h)/J)(-1) -> (R/J)(-1) -> R/J
+        -> R/(J + h) -> 0 gives dim ((J : h)/J)_m = HF_{R/J}(m) -
+        HF_{R/J}(m + 1), and HF_{R/J} is the difference function of
+        HF_{R/I}, f being a nonzerodivisor: (2) reads Delta HF_{R/I}(m) =
+        Delta HF_{R/I}(m + 1) off the Hilbert numerator, and no Groebner
+        basis is built.  The search stops at Gotzmann's number
+        C(d, 2) + 1 - g (Math. Z. 158, 1978), a regularity bound for a
+        saturated ideal with Hilbert polynomial dn + 1 - g.
+        """
+        if self._reg is None:
+            if not self.base.dual:
+                self._reg = _bayer_stillman_degree(self, top)
+            else:
+                fib, f = self.fiber(), _saturation_certificate(self)
+                if f and fib._nzd is None and is_flat_family(self):
+                    # f*x = e*y gives f*e*x = 0, so e*x = 0 and x lies in e*R_A/I
+                    fib._nzd = f if f == "W" else f.fiber()
+                self._reg = fib.regularity_certificate(top) or False
+        return self._reg or None
 
     def krull_dimension(self) -> int:
         """Krull dimension of R_k / (fiber ideal), which is that of R_A/I:
@@ -516,6 +557,16 @@ def is_nonzerodivisor(I: Ideal, f: Poly) -> bool:
     return _numerator(leads, I.base.dual) == _plus_shifted(K, K, f.degree(), -1)
 
 
+def is_flat_family(I: Ideal) -> bool:
+    """True iff R_A/I is flat over A, that is each piece (R_A/I)_n is free.
+    A finite A-module M is A^a + k^b, free exactly when dim_k M = 2*dim_k
+    M/eM, and M/eM = (R/I_fiber)_n; so the family is flat exactly when
+    HS(R_A/I) = 2*HS(R/I_fiber), which compares two Hilbert numerators."""
+    if not I.base.dual:
+        return True
+    return I.hilbert_numerator() == tuple(2 * k for k in I.fiber().hilbert_numerator())
+
+
 def _saturation_certificate(I: Ideal):
     """A nonzerodivisor on R/I, which proves I saturated: m^k*g in I gives
     f^k*g in I, hence g in I.  "W" when no lead of I's basis has a W
@@ -523,7 +574,8 @@ def _saturation_certificate(I: Ideal):
     W*lead(g) and so lead(g) (Bayer & Stillman, Invent. Math. 87, 1987).
     Else the first candidate form when is_nonzerodivisor certifies it, else
     False.  Over A the block order compares X, Y, Z, W first, and the same
-    holds.  Cached."""
+    holds.  Cached; the fiber of a flat family may be handed the family's
+    (Ideal.regularity_certificate)."""
     if I._nzd is None:
         if not any(e[3] for e in I._groebner()[1]):
             I._nzd = "W"
@@ -541,6 +593,66 @@ def _nonzerodivisor(I: Ideal) -> Poly:
         if is_nonzerodivisor(I, f):
             return f
     raise Undecided("no candidate form is a nonzerodivisor on R/I")
+
+
+def _bayer_stillman_degree(I: Ideal, top: int):
+    """Ideal.regularity_certificate over F_p, uncached: the degree, or
+    False."""
+    f = _saturation_certificate(I)
+    if not f or I.krull_dimension() != 2:
+        return False
+    if f == "W":
+        f = Poly.variable(I.base, 3)
+    p = I.base.p
+    hf = I.quotient_piece_dim
+    n = len(I.hilbert_numerator())  # past it HF_{R/I}(n) = dn + 1 - g
+    d = hf(n + 1) - hf(n)
+    gotzmann = comb(d, 2) + hf(n) - d * n
+    sections = {}
+    for m in range(top, max(top, gotzmann) + 1):
+        if hf(m) - hf(m - 1) != hf(m + 1) - hf(m):
+            continue
+        for h in _candidate_forms(I.base):
+            if h.degree() != 1:
+                break
+            if h not in sections:
+                sections[h] = _line_section(I.gens, f, h, p)
+            if sections[h] is not None and _spans_binary_forms(sections[h], m, p):
+                return m
+    return False
+
+
+_UNIT_EXPONENTS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def _line_section(gens, f: Poly, h: Poly, p: int):
+    """The restrictions g(s*u + t*v) of the forms gens to the line
+    {f = h = 0}, u and v a basis of the kernel of the linear forms f and h:
+    for g of degree d, the coefficients of s^(d-k)*t^k, k = 0..d.  None when
+    f and h are dependent."""
+    forms = np.array([[g.coefficient(e)[0] for e in _UNIT_EXPONENTS] for g in (f, h)], dtype=np.int64)
+    ker = linalg.kernel_basis(forms, p)
+    if ker.shape[1] != 2:
+        return None
+    variables = ker.tolist()  # x_i restricts to u_i*s + v_i*t
+    out = []
+    for g in gens:
+        section = [0] * (g.degree() + 1)
+        for e, (a, _) in g.terms.items():
+            term = [a]
+            for x, k in zip(variables, e):
+                for _ in range(k):
+                    term = [(c * x[0] + d * x[1]) % p for c, d in zip(term + [0], [0] + term)]
+            section = [(c + d) % p for c, d in zip(section, term)]
+        out.append(section)
+    return out
+
+
+def _spans_binary_forms(section, m: int, p: int) -> bool:
+    """Whether the binary forms of section, times the monomials of the
+    degrees that bring them to m, span all m + 1 binary forms of degree m."""
+    cols = [[0] * k + s + [0] * (m + 1 - len(s) - k) for s in section for k in range(m + 2 - len(s))]
+    return bool(cols) and linalg.rank(np.array(cols, dtype=np.int64).T, p) == m + 1
 
 
 def _kernel_form(mat: np.ndarray, p: int) -> np.ndarray:

@@ -100,13 +100,15 @@ def link(C: CurveFamily, F: Poly, G: Poly) -> CurveFamily:
     the ideal module's cycles_cover generates.
 
     Certificate: g*h lies in D for the generators g of I and h of the result
-    J, so J <= D : I; J passes validate_curve; d + d' = st.  Over F_p, D : I
-    and J are saturated and define locally Cohen-Macaulay curves of degree
-    st - d, so the sheaf of (D : I)/J lives on points inside O_V(J), which
-    has no such subsheaf: they agree.  Over A, R/J_0 = e*(R_A/J) by
-    flatness, so J_0 is such a curve and J_0 = D_0 : I_0.  For f = g + e*h
-    in D : I with g in J, e*h*I <= D and R_A/D is flat, so h_0*I_0 <= D_0,
-    h_0 lies in J_0 and e*h in J.  D : I is saturated, as D is unmixed.
+    J, on the generators reduced_generators gives it, but for h = F and
+    h = G, which lie in D; so J <= D : I.  J passes validate_curve, and
+    d + d' = st.  Over F_p, D : I and J are saturated and define locally
+    Cohen-Macaulay curves of degree st - d, so the sheaf of (D : I)/J lives
+    on points inside O_V(J), which has no such subsheaf: they agree.  Over
+    A, R/J_0 = e*(R_A/J) by flatness, so J_0 is such a curve and
+    J_0 = D_0 : I_0.  For f = g + e*h in D : I with g in J, e*h*I <= D and
+    R_A/D is flat, so h_0*I_0 <= D_0, h_0 lies in J_0 and e*h in J.  D : I
+    is saturated, as D is unmixed.
     """
     ci = CompleteIntersection(F, G)
     I = C.ideal
@@ -120,13 +122,13 @@ def link(C: CurveFamily, F: Poly, G: Poly) -> CurveFamily:
     if a2 is None:
         raise CertificationError("the Koszul relation does not lift to the resolution")
     residual = a2.dual().compose(cycles_cover(C.ideal_module(), 1)).matrix[0]
-    J = Ideal(base, [F, G, *residual])
+    J = reduced_generators(Ideal(base, [F, G, *residual]))
     D = Ideal(base, [F, G])
-    if not all(D.contains(g * h) for g in I.gens for h in J.gens):
+    if not all(D.contains(g * h) for h in J.gens if h not in (F, G) for g in I.gens):
         raise CertificationError("the residual does not multiply the curve into (F, G)")
     if J.is_unit_ideal():
         raise ResidualEmpty("the curve equals the complete intersection")
-    Cp = validate_curve(reduced_generators(J))
+    Cp = validate_curve(J)
     d, dp = C.degree_genus()[0], Cp.degree_genus()[0]
     if d + dp != s * t:
         raise OracleMismatch(f"degree additivity fails: {d} + {dp} != {s} * {t}")

@@ -302,42 +302,53 @@ class _Parser:
                 return Poly(self.base, acc)
 
     def term(self) -> Poly:
-        out = self.factor()
+        """A product of factors, juxtaposed or joined by '*'.  Integer,
+        variable and e factors, with their powers, multiply into one
+        coefficient a + b*e and one exponent tuple, and make one Poly; only
+        a parenthesized factor is multiplied as a Poly."""
+        p = self.base.p
+        a, b, exp = 1, 0, [0, 0, 0, 0]
+        parts = []
         while True:
-            kind, _ = self.peek()
+            kind, val = self.take()
+            if kind == "(":
+                val = self.expr()
+                close, _ = self.take()
+                if close != ")":
+                    raise ParseError("unbalanced parenthesis")
+            elif kind == "eps" and not self.base.dual:
+                raise ParseError("'e' only allowed over the dual numbers")
+            elif kind not in ("int", "var", "eps"):
+                raise ParseError(f"unexpected token {kind!r}")
+            k = self.power()
+            if kind == "(":
+                parts.append(val**k)
+            elif kind == "int":
+                c = pow(val, k, p)
+                a, b = a * c % p, b * c % p
+            elif kind == "var":
+                exp[val] += k
+            elif k:  # e^1 = e, and e^k = 0 for k >= 2
+                a, b = (0, a) if k == 1 else (0, 0)
+            kind = self.peek()[0]
             if kind == "*":
                 self.take()
-                out = out * self.factor()
-            elif kind in ("var", "eps", "int", "("):
-                # juxtaposition, e.g. 2X or X Y
-                out = out * self.factor()
-            else:
-                return out
+            elif kind not in ("var", "eps", "int", "("):
+                break
+        out = Poly(self.base, {tuple(exp): (a, b)})
+        for part in parts:
+            out = out * part
+        return out
 
-    def factor(self) -> Poly:
-        kind, val = self.take()
-        if kind == "int":
-            base_poly = Poly.constant(self.base, val)
-        elif kind == "var":
-            base_poly = Poly.variable(self.base, val)
-        elif kind == "eps":
-            if not self.base.dual:
-                raise ParseError("'e' only allowed over the dual numbers")
-            base_poly = Poly.constant(self.base, 0, 1)
-        elif kind == "(":
-            base_poly = self.expr()
-            close, _ = self.take()
-            if close != ")":
-                raise ParseError("unbalanced parenthesis")
-        else:
-            raise ParseError(f"unexpected token {kind!r}")
-        if self.peek()[0] == "^":
-            self.take()
-            ekind, exp = self.take()
-            if ekind != "int":
-                raise ParseError("exponent must be an integer literal")
-            base_poly = base_poly**exp
-        return base_poly
+    def power(self) -> int:
+        """The exponent after '^', or 1 when none follows."""
+        if self.peek()[0] != "^":
+            return 1
+        self.take()
+        kind, k = self.take()
+        if kind != "int":
+            raise ParseError("exponent must be an integer literal")
+        return k
 
 
 def _parse(text: str, base: BaseRing) -> Poly:

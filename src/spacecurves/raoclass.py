@@ -244,10 +244,11 @@ class ETypeResolution:
 
     def certify(self):
         """Zero composites, E locally free, and injectivity and exactness in
-        each degree up to reg(I) + 3 = reg(R/I) + 4, the cap at which
-        _certify_resolution certified the resolution of R/I.  Read off that
-        resolution, incl and E's relations are its second and third maps,
-        so the window ranks nothing that certification did not rank."""
+        each degree up to reg(I) + 3.  Read off the resolution of R/I, incl
+        and E's relations are its second and third maps, so the window
+        reuses the ranks _certify_resolution took, up to m + 2 for the
+        ideal's regularity certificate m (reg(I) + 3 without one), and
+        ranks only the degrees above that afresh."""
         if not self.surj.compose(self.incl).is_zero():
             raise CertificationError("E does not map into the kernel")
         if self.E.F1.rank and not self.incl.compose(

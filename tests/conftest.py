@@ -6,7 +6,7 @@ from hypothesis import assume, strategies as st
 
 from spacecurves import gradedmod, linalg, raoclass
 from spacecurves.curve import validate_curve
-from spacecurves.errors import CertificationError, SpaceCurveError
+from spacecurves.errors import CertificationError, ParseError, SpaceCurveError
 from spacecurves.files import load_corpus
 from spacecurves.gradedmod import (
     FreeModule,
@@ -31,7 +31,7 @@ from spacecurves.groebner import (
     raw_to_poly,
 )
 from spacecurves.linalg import _sparse_rows
-from spacecurves.polyring import Poly, grevlex_key, monomials
+from spacecurves.polyring import Poly, _Parser, _tokenize, grevlex_key, monomials
 from spacecurves.scalars import BaseRing
 
 FIBER_NAMES = [
@@ -366,3 +366,92 @@ def psi_roof_by_growing_cap(N, Np, M, f, fp):
             return roof, Kproj
         cap += 2
     raise AssertionError("fiber product cap failed to stabilize")
+
+
+# -- the resolution on a growing cap, kept as a reference oracle ---------------
+
+
+def resolve_by_growing_cap_ref(M):
+    """Reference: M.resolution()'s maps as _resolve took them before a
+    regularity certificate proved its cap, R/I's first ranks read off its
+    ideal: kernels up to 4 past the top relation degree, retried until the
+    cap reaches the regularity + 4, and certified there."""
+    ideal = M._cache.get("ideal")
+    rank = None if ideal is None else ideal.piece_dim
+    phi = gradedmod._minimalize_map(M.presentation)[0]
+    if not phi.target.rank:
+        rank = None
+    gen_top = max((-t for t in phi.target.twists), default=0)
+    rel_top = max((-t for t in phi.source.twists), default=gen_top)
+    lo = phi.target.min_degree()
+    if rank is not None:
+        phi._cache.update((n, rank(n)) for n in range(lo, rel_top + 1))
+    rel = gradedmod.image_min_gens(phi)
+    cap = rel_top + 4
+    for _ in range(5):
+        if rank is not None:
+            rel._cache.update((n, rank(n)) for n in range(lo, cap + 1))
+        maps = gradedmod._resolve_at_cap(rel, cap)
+        needed = gradedmod._twist_regularity(maps) + 4
+        if cap >= needed:
+            gradedmod._certify_resolution(maps, needed)
+            return maps
+        cap = needed + 2
+    raise AssertionError("resolution cap failed to stabilize")
+
+
+# -- the term parser that multiplies factor by factor, kept as a reference -----
+
+
+class MultiplyingParser(_Parser):
+    """Reference: the polynomial parser as it was before a term gathered its
+    monomial factors, multiplying one Poly per factor."""
+
+    def term(self) -> Poly:
+        out = self.factor()
+        while True:
+            kind, _ = self.peek()
+            if kind == "*":
+                self.take()
+                out = out * self.factor()
+            elif kind in ("var", "eps", "int", "("):
+                out = out * self.factor()
+            else:
+                return out
+
+    def factor(self) -> Poly:
+        kind, val = self.take()
+        if kind == "int":
+            base_poly = Poly.constant(self.base, val)
+        elif kind == "var":
+            base_poly = Poly.variable(self.base, val)
+        elif kind == "eps":
+            if not self.base.dual:
+                raise ParseError("'e' only allowed over the dual numbers")
+            base_poly = Poly.constant(self.base, 0, 1)
+        elif kind == "(":
+            base_poly = self.expr()
+            close, _ = self.take()
+            if close != ")":
+                raise ParseError("unbalanced parenthesis")
+        else:
+            raise ParseError(f"unexpected token {kind!r}")
+        if self.peek()[0] == "^":
+            self.take()
+            ekind, exp = self.take()
+            if ekind != "int":
+                raise ParseError("exponent must be an integer literal")
+            base_poly = base_poly**exp
+        return base_poly
+
+
+def parse_by_multiplying(text, base):
+    """Poly.parse(text, base) through MultiplyingParser."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty polynomial")
+    parser = MultiplyingParser(tokens, base)
+    out = parser.expr()
+    if parser.pos != len(tokens):
+        raise ParseError(f"trailing tokens in {text!r}")
+    return out

@@ -190,11 +190,11 @@ def test_validate_over_f2_decides_finite_length_without_resolving_ext(monkeypatc
     ideal = five_skew_lines_over_f2()
     resolved = []
     real = gradedmod._resolve
-    monkeypatch.setattr(gradedmod, "_resolve", lambda phi, rank=None: resolved.append((phi, rank)) or real(phi, rank))
+    monkeypatch.setattr(gradedmod, "_resolve", lambda phi, ideal=None: resolved.append((phi, ideal)) or real(phi, ideal))
     C = validate_curve(ideal)
     assert len(resolved) == 1 and resolved[0][0].target.twists == (0,)
     # and that one resolution reads the first map's ranks off the ideal
-    assert resolved[0][1] == ideal.piece_dim
+    assert resolved[0][1] is ideal
     E3 = gradedmod.ext_module(C._ri(), 3)
     assert E3._cache["reg"] == -4
     monkeypatch.undo()

@@ -8,13 +8,16 @@ import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
 from conftest import (
+    FIBER_NAMES,
     RAO_K_NAMES,
     Span,
     annihilator_ref,
     ext_by_growing_cap,
+    five_skew_lines_over_f2,
     general_lines,
     hom_space_ref,
     ideal_module_by_cap,
+    resolve_by_growing_cap_ref,
 )
 
 from spacecurves import gradedmod, linalg, raoclass
@@ -47,7 +50,16 @@ from spacecurves.gradedmod import (
 from spacecurves.curve import validate_curve
 from spacecurves.errors import CertificationError, MixedBase, SpaceCurveError
 from spacecurves.files import corpus_names, load_corpus
-from spacecurves.groebner import Ideal, _nonzerodivisor, ideal_intersect, ideal_sum
+from spacecurves.groebner import (
+    Ideal,
+    _candidate_forms,
+    _line_section,
+    _nonzerodivisor,
+    _saturation_certificate,
+    _spans_binary_forms,
+    ideal_intersect,
+    ideal_sum,
+)
 from spacecurves.liaison import ideal_mod_surface, link
 from spacecurves.polyring import Poly, graded_piece_dim, monomials
 from spacecurves.raoclass import extravertize
@@ -864,11 +876,11 @@ _OFF_BY_ONE_NAMES = ["line", "twisted-cubic", "skew-lines", "ci-2-2", "quartic-f
 
 
 def _off_by_one_cases():
-    # kernels are taken up to 4 past the top generator degree, and exactness
-    # certified up to 4 past the regularity
+    # kernels are taken, and exactness certified, up to m + 2, m the degree
+    # of the ideal's regularity certificate
     for name in _OFF_BY_ONE_NAMES:
         ideal = load_corpus(name).to_ideal()
-        cap = max(GradedModule.quotient_by_ideal(ideal).regularity(), max(g.degree() for g in ideal.gens)) + 4
+        cap = ideal.regularity_certificate(max(g.degree() for g in ideal.gens)) + 2
         for degree in range(cap + 1):
             for sign in (1, -1):
                 yield name, degree, sign
@@ -882,6 +894,122 @@ def test_a_rank_off_by_one_up_to_the_cap_is_a_certification_error(name, degree, 
     monkeypatch.setattr(Ideal, "piece_dim", _rank_off_by_one(degree, sign))
     with pytest.raises(CertificationError):
         GradedModule.quotient_by_ideal(load_corpus(name).to_ideal()).resolution()
+
+
+# -- the regularity certificate --------------------------------------------
+
+
+def _count_growing_caps(monkeypatch):
+    calls = []
+    real = gradedmod._resolve_by_growing_cap
+    monkeypatch.setattr(gradedmod, "_resolve_by_growing_cap", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def _top_generator_degree(maps):
+    return max(-t for t in maps[0].source.twists)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_the_regularity_certificate_is_the_regularity_of_each_fixture(name, monkeypatch):
+    # m is reg(I) read off the resolution, through the fiber over A, and no
+    # fixture is resolved on a growing cap
+    calls = _count_growing_caps(monkeypatch)
+    ideal = load_corpus(name).to_ideal()
+    RI = GradedModule.quotient_by_ideal(ideal)
+    top = _top_generator_degree(RI.resolution())
+    m = ideal.regularity_certificate(top)
+    assert m == RI.tensor_residue_field().regularity() + 1
+    assert ideal.fiber().regularity_certificate(top) == m
+    assert not calls
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_the_regularity_certificate_is_the_regularity_of_general_lines(n, monkeypatch):
+    # n lines through random points over F_32003, as the README probes draw
+    # them: the certified degree is reg(I), with no growing cap
+    calls = _count_growing_caps(monkeypatch)
+    base = BaseRing(32003, False)
+    rng = random.Random(7)
+    ideal = None
+    for _ in range(n):
+        forms = [Poly(base, {m: (rng.randrange(1, base.p), 0) for m in monomials(1)}) for _ in range(2)]
+        ideal = Ideal(base, forms) if ideal is None else ideal_intersect(ideal, Ideal(base, forms))
+    C = validate_curve(ideal)
+    m = ideal.regularity_certificate(_top_generator_degree(C._ri().resolution()))
+    assert m == C.regularity() + 1
+    assert not calls
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_a_certificate_one_degree_low_is_a_certification_error(name, monkeypatch):
+    # at m - 1 a syzygy generator lies past the cap or past the certified
+    # regularity: never a resolution
+    ideal = load_corpus(name).to_ideal()
+    m = Ideal(ideal.base, ideal.gens).regularity_certificate(max(g.degree() for g in ideal.gens))
+    monkeypatch.setattr(Ideal, "regularity_certificate", lambda self, top: m - 1)
+    with pytest.raises(CertificationError):
+        GradedModule.quotient_by_ideal(ideal).resolution()
+
+
+@pytest.mark.parametrize("name", FIBER_NAMES)
+def test_the_certificate_checks_are_hilbert_functions_of_i_plus_f_and_i_plus_f_plus_h(name):
+    # with f the nonzerodivisor, HF(R/(I + f)) is the difference function of
+    # HF(R/I); and the restrictions to the line {f = h = 0} span the binary
+    # forms of degree m exactly when (I + f + h)_m = R_m.  Z and X + Y give
+    # lines that meet the coordinate-aligned fixtures, where the check fails
+    ideal = load_corpus(name).to_ideal()
+    f = _saturation_certificate(ideal)
+    f = Poly.variable(ideal.base, 3) if f == "W" else f
+    hf = ideal.quotient_piece_dim
+    with_f = ideal_sum(ideal, Ideal(ideal.base, [f]))
+    assert all(with_f.quotient_piece_dim(n) == hf(n) - hf(n - 1) for n in range(8))
+    linear = [h for h in _candidate_forms(ideal.base) if h.degree() == 1]
+    failed = 0
+    for h in [Poly.parse("Z", ideal.base), Poly.parse("X + Y", ideal.base)] + linear[1:4]:
+        section = _line_section(ideal.gens, f, h, ideal.base.p)
+        with_fh = ideal_sum(with_f, Ideal(ideal.base, [h]))
+        for m in range(1, 6):
+            spans = _spans_binary_forms(section, m, ideal.base.p)
+            assert spans == (with_fh.quotient_piece_dim(m) == 0), (h, m)
+            failed += not spans
+    assert _line_section(ideal.gens, f, f, ideal.base.p) is None
+    assert failed
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 32003])
+@settings(max_examples=8, deadline=None, database=None)
+@given(data=st.data())
+@seed(97)
+def test_the_certified_cap_resolves_unions_of_lines_as_the_growing_cap(p, data):
+    # whenever a certificate is found it bounds reg(I), and the resolution
+    # on its cap is the growing cap's; at p >= 101 one is always found
+    with mock.patch.object(gradedmod, "_resolve_by_growing_cap", side_effect=gradedmod._resolve_by_growing_cap) as grown:
+        C = data.draw(general_lines(primes=(p,), field_lines=(2, 5), dual_lines=(2, 3)))
+    ideal = C.ideal
+    RI = C._ri()
+    maps = RI.resolution()
+    m = ideal.regularity_certificate(_top_generator_degree(maps))
+    if m is not None:
+        assert m >= RI.tensor_residue_field().regularity() + 1
+    if p >= 101:
+        assert m is not None and not grown.called
+    _same_resolution(maps, resolve_by_growing_cap_ref(GradedModule.quotient_by_ideal(ideal)))
+    if ideal.base.dual:
+        _same_resolution(RI.fiber().resolution(), resolve_by_growing_cap_ref(GradedModule.quotient_by_ideal(ideal.fiber())))
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_the_five_f2_lines_are_resolved_on_the_growing_cap(dual, monkeypatch):
+    # no linear form is a nonzerodivisor there, so no certificate: R/I (and
+    # over A its fiber) takes the growing cap, and gets its resolution
+    calls = _count_growing_caps(monkeypatch)
+    ideal = five_skew_lines_over_f2(dual)
+    C = validate_curve(ideal)
+    maps = C._ri().resolution()
+    assert ideal.regularity_certificate(_top_generator_degree(maps)) is None
+    assert len(calls) == 1 + dual
+    _same_resolution(maps, resolve_by_growing_cap_ref(GradedModule.quotient_by_ideal(ideal)))
 
 
 def test_min_generators_rejects_a_piece_of_the_wrong_dimension(K, A):

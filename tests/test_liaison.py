@@ -9,6 +9,7 @@ from spacecurves import gradedmod, groebner, liaison, raoclass
 from spacecurves.cli import main
 from spacecurves.curve import validate_curve
 from spacecurves.errors import (
+    CertificationError,
     NotContained,
     NotCoprime,
     NotRegularSequence,
@@ -376,6 +377,34 @@ def test_a_residual_missing_a_cycle_is_a_typed_error(name, F, G, corpus_curves, 
 
     monkeypatch.setattr(liaison, "cycles_cover", without_the_last)
     with pytest.raises(SpaceCurveError):
+        link(C, F, G)
+
+
+@pytest.mark.parametrize(
+    "name, F, G",
+    [("twisted-cubic", "X*Z - Y^2", "Y*W - Z^2"), ("twisted-cubic-dual", "X*Z - Y^2", "Y*W - Z^2"), ("skew-lines", "X*Z", "Y*W")],
+)
+def test_the_residual_certificate_reads_the_reduced_generators_but_f_and_g(name, F, G, corpus_curves, monkeypatch):
+    # a reduced generator outside D : I is caught by the products, and no
+    # product with F or G is normal-formed
+    C = corpus_curves(name)
+    F, G = P(C.base, F), P(C.base, G)
+    products = []
+    contains = Ideal.contains
+
+    def recording(ideal, f):
+        if ideal.gens == (F, G):
+            products.append(f)
+        return contains(ideal, f)
+
+    monkeypatch.setattr(Ideal, "contains", recording)
+    Cp = link(C, F, G)
+    assert products and not any(F * g in products or G * g in products for g in C.ideal.gens)
+    J = groebner.reduced_generators(Ideal(C.base, [F, G, *Cp.ideal.gens]))
+    assert len(products) == len(C.ideal.gens) * sum(h not in (F, G) for h in J.gens)
+    reduced = groebner.reduced_generators
+    monkeypatch.setattr(liaison, "reduced_generators", lambda J: Ideal(J.base, [*reduced(J).gens, P(J.base, "X + Y + Z + W")]))
+    with pytest.raises(CertificationError, match="does not multiply the curve"):
         link(C, F, G)
 
 

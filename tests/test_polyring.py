@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import parse_by_multiplying
 from spacecurves.errors import ParseError
 from spacecurves.polyring import (
     Poly,
@@ -51,6 +52,73 @@ def dense_forms(draw):
 @given(dense_forms())
 def test_parse_inverts_print_on_dense_forms(f):
     assert Poly.parse(str(f), f.base) == f
+
+
+_TOKENS = ["X", "Y", "Z", "W", "e", "0", "1", "2", "3", "7", "12", "+", "-", "*", "^", "(", ")"]
+
+
+@st.composite
+def _polynomial_texts(draw, depth=2):
+    """A signed sum of products of integers, variables, e and parenthesized
+    sums, each factor maybe raised to a power 0..3, juxtaposed or joined by
+    '*'."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = []
+        for _ in range(draw(st.integers(1, 4))):
+            kinds = ["int", "var", "eps"] + (["paren"] if depth else [])
+            kind = draw(st.sampled_from(kinds))
+            if kind == "int":
+                text = str(draw(st.integers(0, 40)))
+            elif kind == "var":
+                text = draw(st.sampled_from("XYZW"))
+            elif kind == "eps":
+                text = "e"
+            else:
+                text = "(" + draw(_polynomial_texts(depth - 1)) + ")"
+            if draw(st.booleans()):
+                text += "^" + str(draw(st.integers(0, 3)))
+            factors.append(text)
+        product = factors[0]
+        for text in factors[1:]:
+            product += draw(st.sampled_from(["*", " * ", " "])) + text
+        terms.append(product)
+    out = ("-" if draw(st.booleans()) else "") + terms[0]
+    for text in terms[1:]:
+        out += draw(st.sampled_from([" + ", " - ", "+", "-"])) + text
+    return out
+
+
+def _same_parse(text, base):
+    try:
+        want = parse_by_multiplying(text, base)
+    except ParseError as e:
+        with pytest.raises(ParseError) as got:
+            Poly.parse(text, base)
+        assert str(got.value) == str(e)
+        return None
+    got = Poly.parse(text, base)
+    assert got == want
+    return got
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.sampled_from((2, 3, 101, 32003)), st.booleans(), _polynomial_texts())
+def test_parse_gathers_monomials_as_the_multiplying_parser(p, dual, text):
+    # a term's integer, variable and e factors make one Poly, with the same
+    # value as the factor-by-factor product, and it prints and parses back
+    base = BaseRing(p, dual)
+    f = _same_parse(text, base)
+    if f is not None:
+        assert Poly.parse(str(f), base) == f
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.sampled_from((2, 101)), st.booleans(), st.lists(st.sampled_from(_TOKENS), max_size=10), st.lists(st.booleans(), min_size=10, max_size=10))
+def test_parse_of_any_token_run_agrees_with_the_multiplying_parser(p, dual, tokens, spaced):
+    # garbage included: the same Poly or the same ParseError message
+    text = "".join(t + (" " if s else "") for t, s in zip(tokens, spaced))
+    _same_parse(text, BaseRing(p, dual))
 
 
 def test_parse_rejects_garbage(K, A):
