@@ -279,7 +279,8 @@ def cmd_connect(args) -> int:
 
 def load_chain(path) -> list:
     """Reconstruct the steps recorded by ``connect --output``; ParseError
-    when the file is not JSON or lacks a key of the format."""
+    when the file is not JSON, lacks a key of the format, or holds a value
+    of the wrong type."""
     try:
         data = json.loads(read_text(path))
     except ValueError as e:
@@ -287,20 +288,34 @@ def load_chain(path) -> list:
     if not isinstance(data, dict) or data.get("schema") != "spacecurves-chain/1":
         raise ParseError("not a spacecurves chain file")
     try:
-        base = BaseRing(check_prime(data["p"]), data["dual"])
-        return [
-            BiliaisonStep(
-                s["kind"],
-                Poly.parse(s["Q"], base),
-                s["height"],
-                Ideal(base, [Poly.parse(g, base) for g in s["source_gens"]]),
-                Ideal(base, [Poly.parse(g, base) for g in s["target_gens"]]),
-                H=None if s["H"] is None else Poly.parse(s["H"], base),
-            )
-            for s in data["steps"]
-        ]
+        base = BaseRing(check_prime(data["p"]), _typed(data["dual"], bool, "dual"))
+        return [_chain_step(_typed(s, dict, "step"), base) for s in _typed(data["steps"], list, "steps")]
     except KeyError as e:
         raise ParseError(f"chain file has no key {e}") from e
+
+
+def _typed(value, kind: type, what: str):
+    """value when its type is exactly kind, so that true is no int;
+    ParseError naming what otherwise."""
+    if type(value) is not kind:
+        raise ParseError(f"chain file {what} {value!r} is not of type {kind.__name__}")
+    return value
+
+
+def _chain_step(s: dict, base: BaseRing) -> BiliaisonStep:
+    if s["kind"] not in ("trivial", "elementary"):
+        raise ParseError(f"chain file kind {s['kind']!r} is neither trivial nor elementary")
+    ideals = [
+        Ideal(base, [Poly.parse(_typed(g, str, key), base) for g in _typed(s[key], list, key)])
+        for key in ("source_gens", "target_gens")
+    ]
+    return BiliaisonStep(
+        s["kind"],
+        Poly.parse(_typed(s["Q"], str, "Q"), base),
+        _typed(s["height"], int, "height"),
+        *ideals,
+        H=None if s["H"] is None else Poly.parse(_typed(s["H"], str, "H"), base),
+    )
 
 
 def _corpus_one(name: str, seed: int):

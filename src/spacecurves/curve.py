@@ -97,21 +97,7 @@ class CurveFamily:
         return self._ri().regularity()
 
     def degree_genus(self):
-        if "dg" not in self._cache:
-            reg = self.regularity()
-            fib = self.ideal.fiber()
-            hf = fib.hilbert_function(reg + 5)
-            vals = hf[reg + 1 :]
-            diffs = [b - a for a, b in zip(vals, vals[1:])]
-            if len(set(diffs)) != 1:
-                raise WrongDimension(
-                    "Hilbert function does not stabilize to a linear polynomial"
-                )
-            d = diffs[0]
-            n1 = reg + 1
-            g = 1 - (vals[0] - d * n1)
-            self._cache["dg"] = (d, g)
-        return self._cache["dg"]
+        return self.ideal.degree_genus()
 
     def hilbert_function(self, n_max: int):
         return self.ideal.fiber().hilbert_function(n_max)

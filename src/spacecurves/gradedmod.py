@@ -491,8 +491,11 @@ class GradedModule:
 
     @staticmethod
     def free(base: BaseRing, twists) -> "GradedModule":
-        F = FreeModule(base, twists)
-        return GradedModule(GradedMap.zero(FreeModule(base, []), F))
+        """The free module on twists; its presentation, from the zero module,
+        is its minimal resolution, cached so that none is computed."""
+        M = GradedModule(GradedMap.zero(FreeModule(base, []), FreeModule(base, twists)))
+        M._cache["resolution"] = [M.presentation]
+        return M
 
     @staticmethod
     def zero(base: BaseRing) -> "GradedModule":

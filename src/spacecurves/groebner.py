@@ -370,6 +370,16 @@ class Ideal:
         fib = self.fiber()
         return [fib.quotient_piece_dim(n) for n in range(n_max + 1)]
 
+    def degree_genus(self):
+        """(d, g) with dn + 1 - g the Hilbert polynomial of R/I_fiber, I of
+        Krull dimension 2: HF(n) = sum of k_i * C(n - i + 3, 3) over the
+        fiber's Hilbert numerator K is polynomial from n = len(K) on."""
+        fib = self.fiber()
+        n = len(fib.hilbert_numerator())
+        hf = fib.quotient_piece_dim
+        d = hf(n + 1) - hf(n)
+        return d, 1 - hf(n) + d * n
+
     def regularity_certificate(self, top: int):
         """A degree m >= top at which Bayer & Stillman's criterion
         (Invent. Math. 87, 1987, Thm 1.10) proves I m-regular, top the top
@@ -605,9 +615,8 @@ def _bayer_stillman_degree(I: Ideal, top: int):
         f = Poly.variable(I.base, 3)
     p = I.base.p
     hf = I.quotient_piece_dim
-    n = len(I.hilbert_numerator())  # past it HF_{R/I}(n) = dn + 1 - g
-    d = hf(n + 1) - hf(n)
-    gotzmann = comb(d, 2) + hf(n) - d * n
+    d, g = I.degree_genus()
+    gotzmann = comb(d, 2) + 1 - g
     sections = {}
     for m in range(top, max(top, gotzmann) + 1):
         if hf(m) - hf(m - 1) != hf(m + 1) - hf(m):

@@ -312,6 +312,17 @@ def test_unreadable_inputs_and_outputs_are_parse_errors(capsys, tmp_path):
         CurveFile.load(tmp_path)
 
 
+def _chain_text(drop=None, **change):
+    """A one-step chain file with the given top-level or step values in
+    place of well-formed ones, and the step key drop left out."""
+    step = {"kind": "trivial", "Q": "X", "H": "Z", "height": 1, "source_gens": ["X", "Y"], "target_gens": ["X", "Z"]}
+    data = {"schema": "spacecurves-chain/1", "p": 101, "dual": False, "steps": [step]}
+    for key, value in change.items():
+        (data if key in data else step)[key] = value
+    step.pop(drop, None)
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -319,6 +330,23 @@ def test_unreadable_inputs_and_outputs_are_parse_errors(capsys, tmp_path):
         ('{"schema": "spacecurves-chain/1", "p": 101, "dual": false}', "no key 'steps'"),
         ("ring p=101 base=field\n", "is not JSON"),
         ('["spacecurves-chain/1"]', "not a spacecurves chain file"),
+    ]
+    + [
+        (_chain_text(**change), message)
+        for change, message in [
+            ({"steps": 3}, "steps 3 is not of type list"),
+            ({"steps": ["X"]}, "step 'X' is not of type dict"),
+            ({"dual": 0}, "dual 0 is not of type bool"),
+            ({"Q": 5}, "Q 5 is not of type str"),
+            ({"H": ["Z"]}, r"H \['Z'\] is not of type str"),
+            ({"height": True}, "height True is not of type int"),
+            ({"height": "1"}, "height '1' is not of type int"),
+            ({"kind": "linkage"}, "kind 'linkage' is neither trivial nor elementary"),
+            ({"kind": ["trivial"]}, "is neither trivial nor elementary"),
+            ({"source_gens": "X"}, "source_gens 'X' is not of type list"),
+            ({"target_gens": ["X", 2]}, "target_gens 2 is not of type str"),
+            ({"drop": "height"}, "no key 'height'"),
+        ]
     ],
 )
 def test_a_malformed_chain_file_is_a_parse_error(tmp_path, text, message):

@@ -1,3 +1,5 @@
+from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import given, seed, settings, strategies as st
 from conftest import RAO_K_NAMES, Span, general_lines, psi_roof_by_growing_cap, surjection_hom
 from spacecurves import gradedmod, liaison, linalg, raoclass
 from spacecurves.curve import validate_curve
-from spacecurves.errors import CertificationError, MixedBase
+from spacecurves.errors import CertificationError, MixedBase, NoLift
 from spacecurves.files import corpus_names, load_corpus
 from spacecurves.gradedmod import (
     FreeModule,
@@ -15,6 +17,7 @@ from spacecurves.gradedmod import (
     GradedModule,
     ModuleHom,
     _minimalize_map,
+    cohomology_table,
     cycles_cover,
     element_to_vector,
     ext_module,
@@ -309,6 +312,10 @@ def test_psi_on_ideal_modules_with_a_rao_module(name, corpus_curves):
     assert is_psi(surjection_hom(C, n_type_resolution(C)))
     assert is_psi(ModuleHom(IM, IM, GradedMap.identity(F0)))
     assert not is_psi(ModuleHom(IM.shift(-1), IM, times_x))
+    # into IM + IM as the first summand: onto on Ext^1 and Ext^2, but Ext^2
+    # of IM + IM is twice as big, so the map on it is not one-to-one
+    first = GradedMap(F0, FreeModule(C.base, F0.twists * 2), GradedMap.identity(F0).matrix + GradedMap.zero(F0, F0).matrix)
+    assert not is_psi(ModuleHom(IM, direct_sum(IM, IM), first))
 
 
 def test_epfn_assembly(corpus_curves):
@@ -567,6 +574,213 @@ def test_etype_certificate_rejects_an_incl_that_is_not_injective(name, corpus_cu
         ETypeResolution(res.ideal, res.reg, E2, res.F, incl2, res.surj)
 
 
+# -- counts read off K-polynomials and generator degrees ------------------------
+
+
+def _free_summand_sent_to_zero(E, incl, t):
+    """E + R(t), and incl extended by zero on the new generator."""
+    E2 = direct_sum(E, GradedModule.free(E.base, [t]))
+    return E2, GradedMap.hstack(incl, GradedMap.zero(FreeModule(E.base, [t]), incl.target))
+
+
+@pytest.mark.parametrize("name", ["twisted-cubic", "skew-lines", "skew-lines-dual", "quartic-from-skew-bilink"])
+def test_etype_certificate_rejects_a_generator_sent_to_zero_in_degree_reg_plus_4(name, corpus_curves):
+    # E + R(-reg(I) - 4) with the new generator sent to zero: one degree past
+    # the reg(I) + 3 that the certificate once ranked up to
+    res = e_type_resolution(corpus_curves(name))
+    E2, incl2 = _free_summand_sent_to_zero(res.E, res.incl, -res.reg - 4)
+    with pytest.raises(CertificationError, match=f"does not inject in degree {res.reg + 4}$"):
+        ETypeResolution(res.ideal, res.reg, E2, res.F, incl2, res.surj)
+
+
+@pytest.mark.parametrize("name", ["twisted-cubic", "twisted-cubic-dual", "ci-2-2"])
+def test_etype_certificate_rejects_an_incl_that_misses_the_kernel(name, corpus_curves):
+    # a free E with one generator sent to zero: K(E) still balances, but
+    # E no longer maps onto ker(F -> I) in that generator's degree
+    res = e_type_resolution(corpus_curves(name))
+    assert not res.E.F1.rank
+    cols = [res.incl.column(j) for j in range(res.incl.source.rank)]
+    cols[0] = res.F.zero_element()
+    incl2 = GradedMap.from_columns(res.F, cols, [-t for t in res.E.F0.twists])
+    with pytest.raises(CertificationError, match=f"not exact in degree {-res.E.F0.twists[0]}$"):
+        ETypeResolution(res.ideal, res.reg, res.E, res.F, incl2, res.surj)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_etype_resolution_ranks_nothing_validation_did_not(name, monkeypatch):
+    # incl is the second map of R/I's resolution, ranked by its certificate
+    # up to m + 2 >= reg(I) + 2; the E-type certificate ranks up to
+    # max(top F, reg(I) + 1) and reads the rest off K-polynomials, and a
+    # free E (an ACM curve) is not resolved again
+    C = validate_curve(load_corpus(name).to_ideal())
+    misses, rank_at = [], GradedMap.rank_at
+
+    def spy(phi, n):
+        if n not in phi._cache:
+            misses.append(n)
+        return rank_at(phi, n)
+
+    monkeypatch.setattr(GradedMap, "rank_at", spy)
+    e_type_resolution(C)
+    assert misses == []
+
+
+@pytest.mark.parametrize("name", ["twisted-cubic", "twisted-cubic-dual"])
+def test_link_transform_e_to_n_rejects_a_p_summand_sent_to_zero(name, corpus_curves, monkeypatch):
+    # the E-type resolution of C handed over with F + R(a), the new generator
+    # sent to zero by surj and missing from incl: P = F^dual(-st) gains a
+    # summand that maps to zero in N, one degree past the old window
+    # reg(J) + top(N) + 4
+    C = corpus_curves(name)
+    F, G = Poly.parse("X*Z - Y^2", C.base), Poly.parse("Y*W - Z^2", C.base)
+    out = link_transform_e_to_n(C, F, G)
+    D = liaison.link(C, F, G).regularity() + 1 + out.N.F0.top_degree() + 5
+    res, a = e_type_resolution(C), D - 4
+    extra = FreeModule(C.base, [a])
+    F2 = FreeModule(C.base, res.F.twists + (a,))
+    zero_row = [[Poly.zero(C.base)] * res.incl.source.rank]
+    padded = SimpleNamespace(
+        E=res.E,
+        F=F2,
+        incl=GradedMap(res.incl.source, F2, list(res.incl.matrix) + zero_row),
+        surj=GradedMap.hstack(res.surj, GradedMap.zero(extra, res.surj.target)),
+    )
+    monkeypatch.setattr(raoclass, "e_type_resolution", lambda C: padded)
+    with pytest.raises(CertificationError, match=f"N-type sequence not exact in degree {D}$"):
+        link_transform_e_to_n(C, F, G)
+
+
+def test_psi_roof_rejects_a_roof_generator_sent_to_zero(corpus_curves, monkeypatch):
+    # one more roof generator, mapped to zero in N1 + N2 and two degrees past
+    # roof_cap + 2, where the subquotient takes no relation for it: the roof
+    # gains a free summand that both projections kill, so they stay psi
+    tc = corpus_curves("twisted-cubic")
+    res = n_type_resolution(tc)
+    f = surjection_hom(tc, res)
+    caps, subquotient = [], raoclass.subquotient_module
+    monkeypatch.setattr(raoclass, "subquotient_module", lambda K, B, cap: caps.append(cap) or subquotient(K, B, cap))
+    psi_roof(res.N, res.N, f.target, f, f)
+    D = caps[0] + 3
+    head = raoclass.kernel_head
+    monkeypatch.setattr(
+        raoclass,
+        "kernel_head",
+        lambda phi, F, cap: GradedMap.hstack(head(phi, F, cap), GradedMap.zero(FreeModule(F.base, [-D]), F)),
+    )
+    with pytest.raises(CertificationError, match=f"misses its dimension count in degree {D}$"):
+        psi_roof(res.N, res.N, f.target, f, f)
+
+
+@pytest.mark.parametrize("name", ["twisted-cubic", "skew-lines", "skew-lines-dual"])
+def test_epfn_sequence_rejects_an_e_summand_past_the_old_window(name, corpus_curves):
+    # E + R(-D) with the new generator sent to zero, D one degree past the
+    # old window reg(I) + max(top F, top N) + 4: E still maps into P
+    # through N, and P + F still maps onto N
+    C = corpus_curves(name)
+    nres, eres = n_type_resolution(C), e_type_resolution(C)
+    D = eres.reg + max(eres.F.top_degree(), nres.N.F0.top_degree()) + 5
+    E2, incl2 = _free_summand_sent_to_zero(eres.E, eres.incl, -D)
+    padded = SimpleNamespace(ideal=eres.ideal, E=E2, F=eres.F, incl=incl2, surj=eres.surj)
+    with pytest.raises(CertificationError, match=f"unbalanced at {D}$"):
+        epfn_sequence(nres, padded)
+
+
+@pytest.mark.parametrize("name", ["twisted-cubic", "twisted-cubic-dual"])
+def test_epfn_sequence_rejects_an_n_generator_that_p_and_f_miss(name, corpus_curves):
+    # N + R(-3) and P + R(-3) with the new generator of P sent to zero, and
+    # the new one of N to X times a generator of I: the K-polynomials still
+    # balance, but nothing in P + F maps onto the new generator of N
+    C = corpus_curves(name)
+    nres, eres = n_type_resolution(C), e_type_resolution(C)
+    N2 = direct_sum(nres.N, GradedModule.free(C.base, [-3]))
+    extra = FreeModule(C.base, [-3])
+    g = Poly.variable(C.base, 0) * C.ideal_cover().matrix[0][0]
+    incl = GradedMap(nres.P, N2.F0, list(nres.incl.matrix) + [[Poly.zero(C.base)] * nres.P.rank])
+    padded = SimpleNamespace(
+        ideal=nres.ideal,
+        N=N2,
+        P=FreeModule(C.base, nres.P.twists + (-3,)),
+        incl=GradedMap.hstack(incl, GradedMap.zero(extra, N2.F0)),
+        surj=GradedMap.hstack(nres.surj, GradedMap(extra, nres.surj.target, [[g]])),
+    )
+    with pytest.raises(CertificationError, match="P [+] F misses N in degree 3$"):
+        epfn_sequence(padded, eres)
+
+
+@pytest.mark.parametrize("name", ["skew-lines", "skew-lines-dual", "quartic-from-skew-bilink"])
+def test_nolift_reads_n0_off_the_support_of_ext2(name, corpus_curves, monkeypatch):
+    # n0 is the last degree n with H^1 of E~(n) nonzero, as a cohomology
+    # table over a window finds it.  The E of a curve has none; the N of its
+    # N-type resolution has Ext^2(N) = Ext^3(R/I), so it stands in for E
+    # behind a cover that lifts nothing
+    C = corpus_curves(name)
+    F, G = Poly.parse("X*Z", C.base), Poly.parse("Y*W", C.base)
+    if name.startswith("quartic"):
+        F, G = Poly.parse("X*Z + Y*W", C.base), Poly.parse("X^2*W", C.base)
+    for E in (e_type_resolution(C).E, n_type_resolution(C).N):
+        Ef = E.tensor_residue_field()
+        reg = Ef.regularity()
+        table = cohomology_table(Ef, "k", -reg - 8, reg + 8)[1]
+        n0 = max((n for n, v in table.items() if v), default=None)
+        stub = SimpleNamespace(E=E, surj=SimpleNamespace(preimage=lambda elem, n: None))
+        monkeypatch.setattr(raoclass, "e_type_resolution", lambda C: stub)
+        with pytest.raises(NoLift) as err:
+            link_transform_e_to_n(C, F, G)
+        assert (err.value.n0, err.value.degrees) == (n0, [F.degree(), G.degree()])
+    assert n0 is not None
+
+
+def _k_of_ideal(ideal):
+    k = Counter({-n: -c for n, c in enumerate(ideal.fiber().hilbert_numerator())})
+    k[0] += 1
+    return k
+
+
+def _plus(*ks):
+    out = Counter()
+    for k in ks:
+        out.update(k)
+    return {t: c for t, c in out.items() if c}
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(general_lines(primes=(101, 32003), field_lines=(2, 4), dual_lines=(2, 2)))
+@seed(71)
+def test_the_resolutions_balance_k_and_every_piece_on_general_lines(C):
+    # K(E) + K(I) = K(F), K(N) = K(P) + K(I) and K(E) + K(N) = K(P) + K(F),
+    # with E and N resolved afresh, and the pieces in each degree of the
+    # windows the certificates once ranked
+    nres, eres = n_type_resolution(C), e_type_resolution(C)
+    assert epfn_sequence(nres, eres)
+    E, N, P, F, I = eres.E, nres.N, nres.P, eres.F, C.ideal
+    kE, kN = GradedModule(E.presentation).kpolynomial(), GradedModule(N.presentation).kpolynomial()
+    kP, kF, kI = Counter(P.twists), Counter(F.twists), _k_of_ideal(I)
+    assert _plus(kE, kI) == _plus(kF)
+    assert _plus(kN) == _plus(kP, kI)
+    assert _plus(kE, kN) == _plus(kP, kF)
+    reg = C.regularity() + 1
+    for n in range(min(E.min_degree(), N.min_degree(), F.min_degree()), reg + max(F.top_degree(), N.F0.top_degree()) + 5):
+        assert E.piece_dim(n) == F.piece_dim(n) - I.piece_dim(n), n
+        assert N.piece_dim(n) == P.piece_dim(n) + I.piece_dim(n), n
+    # the degree and genus read the Hilbert function from reg(R/I) + 1 on
+    d, g = C.degree_genus()
+    assert all(C.hilbert_function(reg + 4)[n] == d * n + 1 - g for n in range(reg, reg + 5))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.dictionaries(st.integers(-4, 4), st.integers(1, 3), min_size=1, max_size=4),
+    st.dictionaries(st.integers(-4, 4), st.integers(1, 3), min_size=1, max_size=4),
+)
+@seed(13)
+def test_matching_shifts_is_the_search_over_every_difference(a, b):
+    # reference: the shifts both comparisons searched before they shared one
+    # helper, every difference of two support degrees
+    ref = sorted({h for h in {x - y for x in a for y in b} if {n + h: d for n, d in b.items()} == a})
+    assert raoclass._matching_shifts(a, b) == ref
+    assert raoclass._matching_shifts(a, {n - 2: d for n, d in a.items()}) == [2]
+
+
 def _pushout_by_resolving(M):
     # reference: extravertize's pushout as it was built before N kept M's
     # resolution: fresh dual maps and the cocycles of ker(delta1) to the
@@ -619,7 +833,7 @@ def test_inherited_ntype_resolution_passes_the_checks_it_replaces(C):
     assert [sorted(m.source.twists) for m in fresh.resolution()] == [
         sorted(m.source.twists) for m in N.resolution()
     ]
-    hi = res.reg + max((-t for t in N.F0.twists), default=0) + 4
+    hi = C.regularity() + 1 + max((-t for t in N.F0.twists), default=0) + 4
     for n in range(N.min_degree(), hi + 1):
         assert N.piece_dim(n) == res.P.piece_dim(n) + res.ideal.piece_dim(n), n
 
