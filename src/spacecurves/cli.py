@@ -20,7 +20,7 @@ import time
 
 from .curve import validate_curve
 from .errors import ParseError, SpaceCurveError, Undecided
-from .files import CurveFile, check_prime, corpus_names, load_corpus, read_text, write_text
+from .files import CurveFile, check_prime, corpus_names, load_corpus, parse_form, read_text, write_text
 from .groebner import Ideal, ideal_saturate
 from .liaison import (
     BiliaisonStep,
@@ -306,15 +306,15 @@ def _chain_step(s: dict, base: BaseRing) -> BiliaisonStep:
     if s["kind"] not in ("trivial", "elementary"):
         raise ParseError(f"chain file kind {s['kind']!r} is neither trivial nor elementary")
     ideals = [
-        Ideal(base, [Poly.parse(_typed(g, str, key), base) for g in _typed(s[key], list, key)])
+        Ideal(base, [parse_form(_typed(g, str, key), base, key) for g in _typed(s[key], list, key)])
         for key in ("source_gens", "target_gens")
     ]
     return BiliaisonStep(
         s["kind"],
-        Poly.parse(_typed(s["Q"], str, "Q"), base),
+        parse_form(_typed(s["Q"], str, "Q"), base, "Q"),
         _typed(s["height"], int, "height"),
         *ideals,
-        H=None if s["H"] is None else Poly.parse(_typed(s["H"], str, "H"), base),
+        H=None if s["H"] is None else parse_form(_typed(s["H"], str, "H"), base, "H"),
     )
 
 

@@ -34,7 +34,8 @@ class NotFlat(SpaceCurveError):
 
 
 class NotLiftable(SpaceCurveError):
-    """The fiber resolution does not lift over epsilon."""
+    """The fiber's resolution does not lift over e: the module is not flat
+    over the dual numbers."""
 
 
 class NotFiniteLength(SpaceCurveError):

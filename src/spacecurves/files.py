@@ -56,6 +56,15 @@ def write_text(path, text: str) -> None:
         raise ParseError(str(e)) from e
 
 
+def parse_form(text: str, base: BaseRing, what: str) -> Poly:
+    """The homogeneous polynomial text over base; ParseError naming what
+    when it does not parse or is not homogeneous."""
+    g = Poly.parse(text, base)
+    if not g.is_homogeneous():
+        raise ParseError(f"{what} {text!r} is not homogeneous")
+    return g
+
+
 class CurveFile:
     """A parsed curve file: a base ring and a list of generators."""
 
@@ -78,12 +87,7 @@ class CurveFile:
         base = BaseRing(check_prime(int(m.group(1))), m.group(2) == "dual")
         if len(lines) < 2 or lines[1] != "gens:":
             raise ParseError("expected 'gens:' on the second line")
-        gens = []
-        for ln in lines[2:]:
-            g = Poly.parse(ln, base)
-            if not g.is_homogeneous():
-                raise ParseError(f"generator {ln!r} is not homogeneous")
-            gens.append(g)
+        gens = [parse_form(ln, base, "generator") for ln in lines[2:]]
         if not gens:
             raise ParseError("curve file lists no generators")
         return cls(base, gens)

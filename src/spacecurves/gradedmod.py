@@ -145,13 +145,10 @@ class GradedMap:
             len(r) != source.rank for r in self.matrix
         ):
             raise ValueError("matrix shape does not match ranks")
-        for i in range(target.rank):
-            for j in range(source.rank):
-                f = self.matrix[i][j]
-                if f.is_zero():
-                    continue
+        for i, row in enumerate(self.matrix):
+            for j, f in enumerate(row):
                 want = target.twists[i] - source.twists[j]
-                if not f.is_homogeneous() or f.degree() != want:
+                if any(sum(e) != want for e in f.terms):
                     raise ValueError(
                         f"entry ({i},{j}) = {f} must be homogeneous of degree {want}"
                     )
@@ -332,10 +329,14 @@ class GradedMap:
 
     def rank_at(self, n: int) -> int:
         """The rank of matrix_at(n), eliminated on rows scattered straight
-        from cells_at(n) and cached per degree.  The cache holds ranks
-        only."""
+        from cells_at(n) and cached per degree; 0, with no cells and no
+        elimination, when the degree-n piece of the source or the target is
+        zero.  The cache holds ranks only."""
         if n not in self._cache:
-            self._cache[n] = len(linalg.cell_pivots(*self.cells_at(n), self.base.p))
+            if self.source.fiber_dim(n) and self.target.fiber_dim(n):
+                self._cache[n] = len(linalg.cell_pivots(*self.cells_at(n), self.base.p))
+            else:
+                self._cache[n] = 0
         return self._cache[n]
 
     def __repr__(self):
@@ -543,9 +544,6 @@ class GradedModule:
         ideal = self._cache.get("ideal")
         return self.F0.piece_dim(n) - (self.presentation.rank_at(n) if ideal is None else ideal.piece_dim(n))
 
-    def hilbert_function(self, lo: int, hi: int) -> dict:
-        return {n: self.piece_dim(n) for n in range(lo, hi + 1)}
-
     def min_degree(self) -> int:
         return self.F0.min_degree()
 
@@ -601,41 +599,48 @@ class GradedModule:
     def resolution(self):
         """Minimal free resolution as a list of GradedMaps F1->F0, F2->F1, ...
 
-        Exactness and zero composites are certified degreewise up to the
-        cap (_certify_resolution).  R/I reads the first map's ranks off its
-        ideal, and takes the cap m + 2 of the ideal's regularity
-        certificate m when it has one (_resolve).  Its relations must lie in
-        the ideal, and its twists must count the ideal's Hilbert numerator,
-        the one those ranks were read from, or CertificationError; over A,
-        R/I_fiber checks its twists against the fiber ideal's, and so proves
-        the fiber's certificate complete over A too.
+        Over F_p exactness and zero composites are certified degreewise up
+        to the cap (_certify_resolution).  R/I reads the first map's ranks
+        off its ideal, and takes the cap m + 2 of the ideal's regularity
+        certificate m when it has one (_resolve).
+
+        Over A the fiber is resolved so, once, and its maps are lifted over
+        e (_lift_resolution) to a minimal resolution of the flat coker d_1,
+        or NotLiftable; R_A/I first hands its fiber the family's
+        nonzerodivisor (Ideal.hand_down_nonzerodivisor).  coker d_1 is the
+        module once im d_1, which lies in im phi for phi the minimal
+        presentation, is all of it: for R_A/I once the twists count I's
+        Hilbert numerator, as im phi lies in I; else once every column of
+        phi lies in im d_1, one solve per generator degree, which holds when
+        the module is flat, or NotLiftable.
+
+        A kept ideal must hold the relations, and the twists must count the
+        ideal's Hilbert numerator, the one the fiber's ranks were read from
+        (twice over A, where R_A(t) has twice the k-dimensions of R(t)), or
+        CertificationError.  Over A that error comes after the image check,
+        so that a module that is not flat is NotLiftable.
         """
         key = "resolution"
         if key in self._cache:
             return self._cache[key]
         ideal = self._cache.get("ideal")
         # a relation outside the ideal would raise the rank in its degree past
-        # the ideal's, where min_generators builds no piece to see it
-        if ideal is not None and not all(ideal.contains(f) for f in self.presentation.matrix[0]):
+        # the ideal's, where min_generators builds no piece to see it; a
+        # generator of the ideal lies in it with no normal form
+        if ideal is not None and not all(f in ideal.gens or ideal.contains(f) for f in self.presentation.matrix[0]):
             raise CertificationError("a relation of R/I lies outside its ideal")
-        maps = _resolve(self.presentation, ideal)
         if self.base.dual:
-            fiber_maps = self.fiber().resolution()
-            mine = [m.source.twists for m in maps]
-            theirs = [m.source.twists for m in fiber_maps]
-            if [sorted(t) for t in mine] != [sorted(t) for t in theirs]:
-                raise NotLiftable(
-                    f"resolution over the dual numbers has twists {mine}, "
-                    f"fiber has {theirs}; the module is not flat"
-                )
-        if ideal is not None:
-            # R_A(t) has twice the k-dimensions of R(t): over A each twist
-            # counts twice, and the fiber resolved above checked its own
-            # twists against the fiber ideal's numerator
-            scale = 2 if self.base.dual else 1
-            twists = {-t: scale * c for t, c in _twist_kpolynomial(maps).items()}
-            if twists != {n: k for n, k in enumerate(ideal.hilbert_numerator()) if k}:
-                raise CertificationError("the twists of the resolution of R/I do not count its Hilbert numerator")
+            if ideal is not None:
+                ideal.hand_down_nonzerodivisor()
+            phi = _minimalize_map(self.presentation)[0]
+            maps = _lift_resolution(phi, self.fiber().resolution())
+        else:
+            maps = _resolve(self.presentation, ideal)
+        counted = ideal is not None and _twists_count(maps, ideal)
+        if self.base.dual and not counted and maps[0].lift(phi) is None:
+            raise NotLiftable("a relation lies outside the lifted fiber relations: the module is not flat")
+        if ideal is not None and not counted:
+            raise CertificationError("the twists of the resolution of R/I do not count its Hilbert numerator")
         self._cache[key] = maps
         return maps
 
@@ -643,8 +648,8 @@ class GradedModule:
         """The k-th syzygy module (k >= 1): the cokernel of the k-th map of
         the minimal resolution, which the rest of that resolution resolves.
         Past the projective dimension it is the free module on the source of
-        the last map.  Over A the tail needs no fiber check of its own: the
-        twists of the whole resolution were checked against the fiber.
+        the last map.  Over A the tail is lifted from the fiber's with the
+        rest of the resolution, so it needs no lift of its own.
 
         Its dual complex is the tail of this module's, and for i >= 1 it
         reads Ext^i = Ext^{i+k}(self) off this module's Ext table."""
@@ -729,9 +734,10 @@ class GradedModule:
         Hilbert function in every degree.  Cached, and carried by shift,
         direct_sum and ideal_mod_surface.  A module with no relations counts
         its own twists, one with a cached resolution F reads them off F.
-        Over A, F has the fiber's twists: resolution() certified them equal,
-        and a syzygy module or extravertize's N is flat, so F tensor_A k
-        resolves M tensor_A k minimally (Tor_i^A(M, k) = 0 for i > 0).
+        Over A, F has the fiber's twists: resolution() lifts F from the
+        fiber's, and a syzygy module or extravertize's N is flat, so F
+        tensor_A k resolves M tensor_A k minimally (Tor_i^A(M, k) = 0 for
+        i > 0).
         """
         if "kpoly" not in self._cache:
             self._cache["kpoly"] = _twist_kpolynomial(self._betti_maps() if self.F1.rank else [self.presentation])
@@ -879,14 +885,15 @@ def _minimalize_map(phi: GradedMap):
 
 
 def _resolve(phi: GradedMap, ideal=None):
-    """Minimal free resolution of coker(phi), complete by theorem when phi's
-    image is an ideal with a regularity certificate.
+    """Minimal free resolution of coker(phi) over F_p, complete by theorem
+    when phi's image is an ideal with a regularity certificate.  Over A,
+    resolution() lifts the fiber's instead (_lift_resolution).
 
-    ideal, when given, is the ideal I of R_A that phi's image must be.  Its
+    ideal, when given, is the ideal I of R that phi's image must be.  Its
     ranks Ideal.piece_dim(n) = dim_k im(phi)_n are read off the Hilbert
     numerator of I's Groebner basis, since the standard monomials of its
-    lead ideal are a k-basis of R_A/I (Macaulay; Eisenbud, Commutative
-    Algebra, Thm 15.3; over A on k[X,Y,Z,W,e]/(I + e^2)).  The relations
+    lead ideal are a k-basis of R/I (Macaulay; Eisenbud, Commutative
+    Algebra, Thm 15.3).  The relations
     rel that image_min_gens picks span im(phi) = I too, so phi and rel get
     those ranks, as ints in their rank caches, in every degree up to the
     cap, and neither is eliminated for a rank.  Two cross-checks stand in
@@ -956,6 +963,15 @@ def _twist_regularity(maps) -> int:
     return reg
 
 
+def _twists_count(maps, ideal) -> bool:
+    """Whether the twists of maps, a resolution of R/I, count the Hilbert
+    numerator of I over k: each twist twice over A, where R_A(t) has twice
+    the k-dimensions of R(t)."""
+    scale = 2 if ideal.base.dual else 1
+    twists = {-t: scale * c for t, c in _twist_kpolynomial(maps).items()}
+    return twists == {n: k for n, k in enumerate(ideal.hilbert_numerator()) if k}
+
+
 def _twist_kpolynomial(maps) -> dict:
     """{t: sum over j of (-1)^j times the number of twists t of F_j}, with no
     zero, for the free modules F_0, F_1, ... of maps F_1 -> F_0, ...."""
@@ -982,22 +998,26 @@ def _resolve_at_cap(rel: GradedMap, cap: int):
     return maps
 
 
-def _certify_resolution(maps, cap: int):
-    """Every composition is zero, and ker = im in every degree up to cap,
-    read off the ranks of the maps' own matrices.
-
-    d_k o d_{k+1} is zero when its k-linear matrix is, in each degree n of
-    a generator of d_{k+1}'s source: an R-linear map that kills every
-    generator is zero, and a degree-n vector is zero exactly when its
-    degree-n coordinates are (over A, matrix_at is the k-linear block
-    matrix).  Each image rank is eliminated.  Each kernel dimension is
-    eliminated too, except that of R/I's first map, whose cached ranks
-    _resolve read off the ideal's Hilbert numerator (Macaulay's theorem);
-    resolution() cross-checks them against the twists."""
+def _check_composites(maps):
+    """Every composition d_k o d_{k+1} is zero, or CertificationError.  It
+    is zero when its k-linear matrix is, in each degree n of a generator of
+    d_{k+1}'s source: an R-linear map that kills every generator is zero,
+    and a degree-n vector is zero exactly when its degree-n coordinates are
+    (over A, matrix_at is the k-linear block matrix)."""
     for a, b in zip(maps, maps[1:]):
         for n in set(-t for t in b.source.twists):
             if linalg.matmul(a.matrix_at(n), b.matrix_at(n), a.base.p).any():
                 raise CertificationError("nonzero composition in resolution")
+
+
+def _certify_resolution(maps, cap: int):
+    """Every composition is zero (_check_composites), and ker = im in every
+    degree up to cap, read off the ranks of the maps' own matrices.  Each
+    image rank is eliminated.  Each kernel dimension is eliminated too,
+    except that of R/I's first map, whose cached ranks _resolve read off the
+    ideal's Hilbert numerator (Macaulay's theorem); resolution()
+    cross-checks them against the twists."""
+    _check_composites(maps)
     lo = min(m.target.min_degree() for m in maps)
     for i, m in enumerate(maps):
         nxt = maps[i + 1] if i + 1 < len(maps) else None
@@ -1009,6 +1029,80 @@ def _certify_resolution(maps, cap: int):
                     f"exactness fails at step {i+1}, degree {n}: "
                     f"kernel {ker}, image {im}"
                 )
+
+
+def _lift_resolution(phi: GradedMap, fiber_maps):
+    """The minimal resolution F of the flat module coker d_1 over A, lifted
+    from fiber_maps, the certified minimal resolution F^0 of the fiber of
+    coker(phi), phi a minimal presentation: d_i = d_i^0 + e*X_i, X_i over k.
+
+    d_1 sends the fiber's relations to their images under phi: d_1 = phi Y
+    for the Y over k with phi^0 Y = d_1^0, one linalg.solve per generator
+    degree (GradedMap.lift).  phi^0 has the target of the fiber's minimal
+    presentation, since a unit over A is one exactly when its fiber is.
+    For i >= 2, X_i solves d_{i-1}^0 X_i = -X_{i-1} d_i^0, one solve per
+    generator degree of F_i: then d_{i-1} d_i = e*(d_{i-1}^0 X_i + X_{i-1}
+    d_i^0) = 0.  Zero composites are still checked (_check_composites).
+
+    Proof that F resolves coker d_1 minimally, and that it is flat (Artin,
+    Lectures on Deformations of Singularities, 1976; Hartshorne,
+    Deformation Theory, 2010).  F is a complex of free A-modules, and e*F =
+    F/eF = F^0, so 0 -> F^0 -e-> F -> F^0 -> 0 is an exact sequence of
+    complexes.  F^0 is exact past F_0, so its long exact sequence gives
+    H_i(F) = 0 for i >= 1 and 0 -> H_0(F^0) -> H_0(F) -> H_0(F^0) -> 0:
+    H_0(F) = coker d_1 is flat with fiber coker phi^0.  F is minimal as F^0
+    is: its entries lie in (X, Y, Z, W, e).  As F is exact, the rank of d_i
+    in degree n is the alternating sum of dim (F_j)_n over j >= i, twice
+    F^0's, so each map's rank cache gets twice its fiber's ranks.
+
+    Conversely, when coker(phi) is flat every lift exists, whatever the X_i
+    before it, and im d_1 = im phi: the kernels K_i of F_i -> F_{i-1} are
+    flat, so K_i tensor k = ker d_i^0 = im d_{i+1}^0, and by graded
+    Nakayama any lifts of the fiber's generators of K_i tensor k generate
+    K_i.  So a syzygy that does not lift proves coker(phi) not flat:
+    NotLiftable.
+    """
+    base = phi.base
+    Y = phi.fiber().lift(fiber_maps[0])
+    if Y is None:
+        raise CertificationError("the fiber's relations lie outside its presentation's image")
+    maps = [phi.compose(_plus_eps(base, Y, None))]
+    for prev0, d0 in zip(fiber_maps, fiber_maps[1:]):
+        X = prev0.lift(_eps_part(maps[-1]).compose(d0))
+        if X is None:
+            raise NotLiftable("a syzygy of the fiber does not lift over e: the module is not flat")
+        maps.append(_plus_eps(base, d0, X, -1))
+    for m, m0 in zip(maps, fiber_maps):
+        m._cache.update((n, 2 * rk) for n, rk in m0._cache.items())
+    _check_composites(maps)
+    return maps
+
+
+def _eps_part(m: GradedMap) -> GradedMap:
+    """X over k with m = m^0 + e*X over A."""
+    k = m.base.field()
+    return GradedMap(
+        FreeModule(k, m.source.twists),
+        FreeModule(k, m.target.twists),
+        [[Poly(k, {e: (b, 0) for e, (_, b) in f.terms.items()}) for f in row] for row in m.matrix],
+    )
+
+
+def _plus_eps(base: BaseRing, m0: GradedMap, X, sign: int = 1) -> GradedMap:
+    """m0 + sign*e*X over A, for maps m0 and X (or None, for 0) over k."""
+    p = base.p
+
+    def entry(i, j):
+        terms = {e: (a, 0) for e, (a, _) in m0.matrix[i][j].terms.items()}
+        for e, (b, _) in (X.matrix[i][j].terms.items() if X is not None else ()):
+            terms[e] = (terms.get(e, (0, 0))[0], sign * b % p)
+        return Poly(base, terms)
+
+    return GradedMap(
+        FreeModule(base, m0.source.twists),
+        FreeModule(base, m0.target.twists),
+        [[entry(i, j) for j in range(m0.source.rank)] for i in range(m0.target.rank)],
+    )
 
 
 # -- Hom ------------------------------------------------------------------

@@ -39,7 +39,7 @@ import numpy as np
 from . import linalg
 from .errors import CertificationError, MixedBase, Undecided
 from .gradedmod import FreeModule, GradedMap, min_generators
-from .polyring import Poly, graded_piece_dim, grevlex_key, random_form
+from .polyring import Poly, graded_piece_dim, grevlex_key, monomial_index, monomials, random_form
 from .scalars import BaseRing
 
 # -- raw engine on dict polynomials ------------------------------------
@@ -299,8 +299,8 @@ class Ideal:
         # saturation certificate, written once: "W", the first candidate
         # form, or False when neither is a nonzerodivisor on R/I
         self._nzd = None
-        # regularity certificate, written once: a degree m with I m-regular,
-        # or False when none is found
+        # regularity certificate over F_p, written once: a degree m with I
+        # m-regular, or False when none is found
         self._reg = None
 
     @staticmethod
@@ -383,10 +383,10 @@ class Ideal:
     def regularity_certificate(self, top: int):
         """A degree m >= top at which Bayer & Stillman's criterion
         (Invent. Math. 87, 1987, Thm 1.10) proves I m-regular, top the top
-        degree of I's minimal generators; None when none is found.  Over A,
-        the fiber's: a nonzerodivisor on the flat R_A/I is one on
-        R/I_fiber, and resolution() checks the twists over A against the
-        fiber's.  Written once.
+        degree of I's minimal generators; None when none is found.  Written
+        once.  Over A, the fiber's, once the fiber of a flat family holds the
+        family's nonzerodivisor (hand_down_nonzerodivisor): resolution()
+        resolves only the fiber R/I_fiber, on this cap, and lifts it over e.
 
         For a saturated I of Krull dimension 2, take h_1 = f, the linear
         nonzerodivisor of _saturation_certificate, and h_2 = h, the first
@@ -404,16 +404,23 @@ class Ideal:
         C(d, 2) + 1 - g (Math. Z. 158, 1978), a regularity bound for a
         saturated ideal with Hilbert polynomial dn + 1 - g.
         """
+        if self.base.dual:
+            self.hand_down_nonzerodivisor()
+            return self.fiber().regularity_certificate(top)
         if self._reg is None:
-            if not self.base.dual:
-                self._reg = _bayer_stillman_degree(self, top)
-            else:
-                fib, f = self.fiber(), _saturation_certificate(self)
-                if f and fib._nzd is None and is_flat_family(self):
-                    # f*x = e*y gives f*e*x = 0, so e*x = 0 and x lies in e*R_A/I
-                    fib._nzd = f if f == "W" else f.fiber()
-                self._reg = fib.regularity_certificate(top) or False
+            self._reg = _bayer_stillman_degree(self, top)
         return self._reg or None
+
+    def hand_down_nonzerodivisor(self):
+        """Over A, give the fiber of a flat family the family's saturation
+        certificate (_saturation_certificate) when the fiber has none yet,
+        so that the fiber's needs no nonzerodivisor test of its own.  A
+        nonzerodivisor f on the flat R_A/I has a nonzerodivisor fiber on
+        R/I_fiber = R_A/I tensor_A k: f*x = e*y gives f*e*x = 0, so e*x = 0
+        and x lies in e*R_A/I, the annihilator of e in a flat family."""
+        fib, f = self.fiber(), _saturation_certificate(self)
+        if f and fib._nzd is None and is_flat_family(self):
+            fib._nzd = f if f == "W" else f.fiber()
 
     def krull_dimension(self) -> int:
         """Krull dimension of R_k / (fiber ideal), which is that of R_A/I:
@@ -585,7 +592,7 @@ def _saturation_certificate(I: Ideal):
     Else the first candidate form when is_nonzerodivisor certifies it, else
     False.  Over A the block order compares X, Y, Z, W first, and the same
     holds.  Cached; the fiber of a flat family may be handed the family's
-    (Ideal.regularity_certificate)."""
+    (Ideal.hand_down_nonzerodivisor)."""
     if I._nzd is None:
         if not any(e[3] for e in I._groebner()[1]):
             I._nzd = "W"
@@ -637,23 +644,49 @@ _UNIT_EXPONENTS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 def _line_section(gens, f: Poly, h: Poly, p: int):
     """The restrictions g(s*u + t*v) of the forms gens to the line
     {f = h = 0}, u and v a basis of the kernel of the linear forms f and h:
-    for g of degree d, the coefficients of s^(d-k)*t^k, k = 0..d.  None when
-    f and h are dependent."""
-    forms = np.array([[g.coefficient(e)[0] for e in _UNIT_EXPONENTS] for g in (f, h)], dtype=np.int64)
-    ker = linalg.kernel_basis(forms, p)
-    if ker.shape[1] != 2:
+    for g of degree d, the coefficients of s^(d-k)*t^k, k = 0..d, as the
+    restriction matrix of degree d (_restriction) times g's coefficients,
+    mod p.  None when f and h are dependent."""
+    variables = _line_basis(tuple(tuple(g.coefficient(e)[0] for e in _UNIT_EXPONENTS) for g in (f, h)), p)
+    if variables is None:
         return None
-    variables = ker.tolist()  # x_i restricts to u_i*s + v_i*t
     out = []
     for g in gens:
-        section = [0] * (g.degree() + 1)
+        d = g.degree()
+        idx = monomial_index(d)
+        coeffs = np.zeros((graded_piece_dim(d), 1), dtype=np.int64)
         for e, (a, _) in g.terms.items():
-            term = [a]
-            for x, k in zip(variables, e):
-                for _ in range(k):
-                    term = [(c * x[0] + d * x[1]) % p for c, d in zip(term + [0], [0] + term)]
-            section = [(c + d) % p for c, d in zip(section, term)]
-        out.append(section)
+            coeffs[idx[e], 0] = a
+        out.append(linalg.matmul(_restriction(variables, d, p), coeffs, p)[:, 0].tolist())
+    return out
+
+
+@lru_cache(maxsize=None)
+def _line_basis(forms: tuple, p: int):
+    """((u_i, v_i) for each variable x_i), u and v a basis of the kernel of
+    the two linear forms with coefficient rows forms, so that x_i restricts
+    to u_i*s + v_i*t on their line; None when the forms are dependent."""
+    ker = linalg.kernel_basis(np.array(forms, dtype=np.int64), p)
+    return tuple(map(tuple, ker.tolist())) if ker.shape[1] == 2 else None
+
+
+@lru_cache(maxsize=None)
+def _restriction(variables: tuple, d: int, p: int) -> np.ndarray:
+    """The (d + 1) x dim R_d matrix whose column j holds the binary form
+    monomials(d)[j] restricts to, x_i -> variables[i][0]*s +
+    variables[i][1]*t, coefficients of s^(d-k)*t^k in row k, mod p.  Each
+    column is one convolution: a column of degree d - 1 times the
+    restriction of one variable.  Read-only (shared by the cache)."""
+    out = np.zeros((d + 1, graded_piece_dim(d)), dtype=np.int64)
+    if d == 0:
+        out[0, 0] = 1
+    else:
+        lower, idx = _restriction(variables, d - 1, p), monomial_index(d - 1)
+        for j, e in enumerate(monomials(d)):
+            i = next(i for i, k in enumerate(e) if k)
+            below = lower[:, idx[e[:i] + (e[i] - 1,) + e[i + 1 :]]]
+            out[:, j] = np.convolve(below, variables[i]) % p
+    out.flags.writeable = False
     return out
 
 

@@ -9,6 +9,7 @@ Artinian ring: a scalar is a unit iff its residue a is nonzero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import MixedBase, NonUnit
 
@@ -18,7 +19,10 @@ DEFAULT_PRIME = 32003
 MAX_PRIME = 2**31 - 1
 
 
+@lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
+    """Trial division, cached: every BaseRing checks its modulus, and over
+    A each fiber ring is built afresh (BaseRing.field)."""
     if n < 2:
         return False
     if n % 2 == 0:

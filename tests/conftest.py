@@ -6,7 +6,7 @@ from hypothesis import assume, strategies as st
 
 from spacecurves import gradedmod, linalg, raoclass
 from spacecurves.curve import validate_curve
-from spacecurves.errors import CertificationError, ParseError, SpaceCurveError
+from spacecurves.errors import CertificationError, OracleMismatch, ParseError, SpaceCurveError
 from spacecurves.files import load_corpus
 from spacecurves.gradedmod import (
     FreeModule,
@@ -70,6 +70,11 @@ def corpus_curves():
         return cache[name]
 
     return get
+
+
+def hilbert_function(M, lo, hi):
+    """{n: dim_k M_n} for lo <= n <= hi."""
+    return {n: M.piece_dim(n) for n in range(lo, hi + 1)}
 
 
 def ideal_module_by_cap(ideal):
@@ -139,12 +144,13 @@ class Span:
 
 
 @st.composite
-def general_lines(draw, primes=(2, 3, 101, 32003), field_lines=(2, 3), dual_lines=(2, 2)):
+def general_lines(draw, primes=(2, 3, 101, 32003), field_lines=(2, 3), dual_lines=(2, 2), dual=None):
     """A validated union of lines with random coefficients, each line the
-    zero set of two linear forms, over F_p or A: field_lines and dual_lines
-    bound the number of lines on each base."""
+    zero set of two linear forms, over F_p or A (over A when dual is True,
+    over F_p when False, drawn when None): field_lines and dual_lines bound
+    the number of lines on each base."""
     p = draw(st.sampled_from(primes))
-    dual = draw(st.booleans())
+    dual = draw(st.booleans()) if dual is None else dual
     base = BaseRing(p, dual)
     coef = st.integers(0, p - 1)
     lo, hi = dual_lines if dual else field_lines
@@ -160,6 +166,8 @@ def general_lines(draw, primes=(2, 3, 101, 32003), field_lines=(2, 3), dual_line
         I = L if I is None else ideal_intersect(I, L)
     try:
         return validate_curve(I)
+    except (CertificationError, OracleMismatch):
+        raise  # a bug, never an input to filter out
     except SpaceCurveError:
         assume(False)
 

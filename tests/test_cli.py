@@ -346,6 +346,10 @@ def _chain_text(drop=None, **change):
             ({"source_gens": "X"}, "source_gens 'X' is not of type list"),
             ({"target_gens": ["X", 2]}, "target_gens 2 is not of type str"),
             ({"drop": "height"}, "no key 'height'"),
+            ({"source_gens": ["X + 1"]}, r"source_gens 'X \+ 1' is not homogeneous"),
+            ({"target_gens": ["X*Y + Z"]}, r"target_gens 'X\*Y \+ Z' is not homogeneous"),
+            ({"Q": "X^2 + Y"}, r"Q 'X\^2 \+ Y' is not homogeneous"),
+            ({"H": "W + 1"}, r"H 'W \+ 1' is not homogeneous"),
         ]
     ],
 )

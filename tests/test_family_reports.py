@@ -25,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from spacecurves import gradedmod
 from spacecurves.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -57,6 +58,18 @@ def test_family_reports_match_the_pinned_file_byte_for_byte(name, cmd):
     pinned = json.loads(PINNED.read_text())
     assert sorted(pinned) == sorted(f"{c} {n}" for c in COMMANDS for n in FAMILIES)
     assert _report(cmd, name) == pinned[f"{cmd} {name}"]
+
+
+def test_no_module_over_a_is_resolved_by_a_search(monkeypatch):
+    # every resolution over A the commands take is lifted from its fiber's:
+    # the search runs on fibers only
+    seen = []
+    real = gradedmod._resolve
+    monkeypatch.setattr(gradedmod, "_resolve", lambda phi, ideal=None: seen.append(phi.base.dual) or real(phi, ideal))
+    for name in FAMILIES:
+        for cmd in COMMANDS:
+            assert _report(cmd, name)["exit"] == 0
+    assert seen and not any(seen)
 
 
 def _build_curves():

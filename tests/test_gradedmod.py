@@ -15,6 +15,7 @@ from conftest import (
     ext_by_growing_cap,
     five_skew_lines_over_f2,
     general_lines,
+    hilbert_function,
     hom_space_ref,
     ideal_module_by_cap,
     resolve_by_growing_cap_ref,
@@ -48,7 +49,7 @@ from spacecurves.gradedmod import (
     vector_to_element,
 )
 from spacecurves.curve import validate_curve
-from spacecurves.errors import CertificationError, MixedBase, SpaceCurveError
+from spacecurves.errors import CertificationError, MixedBase, NotLiftable, SpaceCurveError
 from spacecurves.files import corpus_names, load_corpus
 from spacecurves.groebner import (
     Ideal,
@@ -126,7 +127,7 @@ def test_module_iso_distinguishes_structures(K):
     A1 = GradedModule.quotient_by_ideal(I(K, "X", "Y", "Z", "W^2"))
     A2 = GradedModule.quotient_by_ideal(I(K, "X", "Y", "Z^2", "W"))
     B = GradedModule.quotient_by_ideal(I(K, "X", "Y", "Z", "W^2"))
-    assert A1.hilbert_function(0, 2) == A2.hilbert_function(0, 2)
+    assert hilbert_function(A1, 0, 2) == hilbert_function(A2, 0, 2)
     assert is_module_iso(A1, B) == "yes"
     assert is_module_iso(A1, A2) == "no"
 
@@ -795,7 +796,8 @@ def test_resolving_ranks_the_presentation_only_up_to_its_top_degree(name, monkey
     monkeypatch.setattr(GradedMap, "rank_at", rank)
     ideal = load_corpus(name).to_ideal()
     maps = GradedModule.quotient_by_ideal(ideal).resolution()
-    assert len(scanned) == 1 + ideal.base.dual and not eliminated
+    # over A only the fiber is scanned: its resolution is lifted, not searched
+    assert len(scanned) == 1 and not eliminated
     # the same presentation with no ideal kept, and the ideal module on its
     # first syzygies, are ranked up to the top degree only
     scanned.clear()
@@ -828,6 +830,26 @@ def _same_resolution(got, ref):
     assert len(got) == len(ref)
     for m, r in zip(got, ref):
         assert (m.source, m.target, m.matrix) == (r.source, r.target, r.matrix)
+
+
+def _assert_lifted(M, maps, ref):
+    """maps, M's resolution over A, is lifted from its fiber's: zero
+    composites, each map's fiber the fiber resolution's map, each rank over
+    A, eliminated afresh and cached, twice the fiber's, and the twists of
+    ref, a resolution found by a search over A."""
+    fib = M.fiber().resolution()
+    p = M.base.p
+    assert [m.source.twists for m in maps] == [r.source.twists for r in ref]
+    assert maps[0].target == ref[0].target and len(fib) == len(maps)
+    for a, b in zip(maps, maps[1:]):
+        assert a.compose(b).is_zero()
+    hi = gradedmod._twist_regularity(maps) + 4
+    for m, m0 in zip(maps, fib):
+        f = m.fiber()
+        assert (f.source, f.target, f.matrix) == (m0.source, m0.target, m0.matrix)
+        for n in range(m.target.min_degree(), hi + 1):
+            assert linalg.rank(m.matrix_at(n), p) == 2 * linalg.rank(m0.matrix_at(n), p), n
+        assert m._cache and all(rk == linalg.rank(m.matrix_at(n), p) for n, rk in m._cache.items())
 
 
 @pytest.mark.parametrize("p", [2, 3, 101, 32003])
@@ -994,22 +1016,66 @@ def test_the_certified_cap_resolves_unions_of_lines_as_the_growing_cap(p, data):
         assert m >= RI.tensor_residue_field().regularity() + 1
     if p >= 101:
         assert m is not None and not grown.called
-    _same_resolution(maps, resolve_by_growing_cap_ref(GradedModule.quotient_by_ideal(ideal)))
+    ref = resolve_by_growing_cap_ref(GradedModule.quotient_by_ideal(ideal))
     if ideal.base.dual:
+        # over A the certified cap resolves the fiber, and its lift has the
+        # growing cap's twists
         _same_resolution(RI.fiber().resolution(), resolve_by_growing_cap_ref(GradedModule.quotient_by_ideal(ideal.fiber())))
+        _assert_lifted(RI, maps, ref)
+    else:
+        _same_resolution(maps, ref)
 
 
 @pytest.mark.parametrize("dual", [False, True])
 def test_the_five_f2_lines_are_resolved_on_the_growing_cap(dual, monkeypatch):
-    # no linear form is a nonzerodivisor there, so no certificate: R/I (and
-    # over A its fiber) takes the growing cap, and gets its resolution
+    # no linear form is a nonzerodivisor there, so no certificate: R/I, and
+    # over A only its fiber, takes the growing cap once, and gets its
+    # resolution; over A that is lifted
     calls = _count_growing_caps(monkeypatch)
     ideal = five_skew_lines_over_f2(dual)
     C = validate_curve(ideal)
     maps = C._ri().resolution()
     assert ideal.regularity_certificate(_top_generator_degree(maps)) is None
-    assert len(calls) == 1 + dual
-    _same_resolution(maps, resolve_by_growing_cap_ref(GradedModule.quotient_by_ideal(ideal)))
+    assert len(calls) == 1 and not calls[0][0].base.dual
+    ref = resolve_by_growing_cap_ref(GradedModule.quotient_by_ideal(ideal))
+    if dual:
+        _assert_lifted(C._ri(), maps, ref)
+    else:
+        _same_resolution(maps, ref)
+
+
+@pytest.mark.parametrize("p", [2, 101, 32003])
+@settings(max_examples=6, deadline=None, database=None)
+@given(data=st.data())
+@seed(113)
+def test_a_family_of_lines_resolves_as_the_lift_of_its_fiber(p, data):
+    # general lines over A with random e-parts: the resolution is the fiber's,
+    # lifted, with twice its ranks and the twists a search over A finds
+    C = data.draw(general_lines(primes=(p,), dual_lines=(2, 3), dual=True))
+    RI = C._ri()
+    maps = RI.resolution()
+    assert any(f.terms and any(b for _, b in f.terms.values()) for f in maps[0].matrix[0])
+    _assert_lifted(RI, maps, resolve_by_growing_cap_ref(GradedModule.quotient_by_ideal(C.ideal)))
+    M = GradedModule(C.ideal.generator_map())
+    _assert_lifted(M, M.resolution(), resolve_by_growing_cap_ref(M))
+
+
+@pytest.mark.parametrize(
+    "gens, ideal",
+    [
+        (("X", "e*Y"), False),  # a relation outside the lifted fiber relations
+        (("X", "e*Y"), True),
+        (("X^2", "X*Y + e*Z^2"), False),  # a syzygy Y*e1 - X*e2 that does not lift
+        (("X^2", "X*Y + e*Z^2"), True),
+    ],
+)
+def test_a_presentation_that_is_not_flat_does_not_lift(A, gens, ideal):
+    # the fiber resolves, but its lift fails: NotLiftable, whether or not
+    # the module keeps its ideal
+    M = GradedModule.quotient_by_ideal(I(A, *gens)) if ideal else GradedModule(I(A, *gens).generator_map())
+    assert M.fiber().resolution()
+    with pytest.raises(NotLiftable, match="not flat"):
+        M.resolution()
 
 
 def test_min_generators_rejects_a_piece_of_the_wrong_dimension(K, A):
@@ -1306,13 +1372,13 @@ def test_iso_precheck_compares_pieces_of_finite_length_modules(dual, monkeypatch
     base = BaseRing(32003, dual)
     M = GradedModule.quotient_by_ideal(I(base, "X", "Y", "Z", "W^3"))
     N = GradedModule.quotient_by_ideal(I(base, "X", "Y", "Z", "W^2"))
-    assert M.hilbert_function(0, 1) == N.hilbert_function(0, 1)
+    assert hilbert_function(M, 0, 1) == hilbert_function(N, 0, 1)
     pairs = [(M, N)]
     if dual:
         m = I(base, "X", "Y", "Z", "W")
         k = GradedModule.quotient_by_ideal(Ideal(base, list(m.gens) + [Poly.constant(base, 0, 1)]))
         Am, kk = GradedModule.quotient_by_ideal(m), raoclass.direct_sum(k, k)
-        assert Am.hilbert_function(-1, 1) == kk.hilbert_function(-1, 1)
+        assert hilbert_function(Am, -1, 1) == hilbert_function(kk, -1, 1)
         pairs.append((Am, kk))
 
     def forbidden(*args):
