@@ -1066,7 +1066,8 @@ def _lift_resolution(phi: GradedMap, fiber_maps):
     Y = phi.fiber().lift(fiber_maps[0])
     if Y is None:
         raise CertificationError("the fiber's relations lie outside its presentation's image")
-    maps = [phi.compose(_plus_eps(base, Y, None))]
+    Y = GradedMap(FreeModule(base, Y.source.twists), phi.source, [[f.lift(base) for f in row] for row in Y.matrix])
+    maps = [phi.compose(Y)]
     for prev0, d0 in zip(fiber_maps, fiber_maps[1:]):
         X = prev0.lift(_eps_part(maps[-1]).compose(d0))
         if X is None:
@@ -1088,13 +1089,13 @@ def _eps_part(m: GradedMap) -> GradedMap:
     )
 
 
-def _plus_eps(base: BaseRing, m0: GradedMap, X, sign: int = 1) -> GradedMap:
-    """m0 + sign*e*X over A, for maps m0 and X (or None, for 0) over k."""
+def _plus_eps(base: BaseRing, m0: GradedMap, X: GradedMap, sign: int = 1) -> GradedMap:
+    """m0 + sign*e*X over A, for maps m0 and X over k."""
     p = base.p
 
     def entry(i, j):
         terms = {e: (a, 0) for e, (a, _) in m0.matrix[i][j].terms.items()}
-        for e, (b, _) in (X.matrix[i][j].terms.items() if X is not None else ()):
+        for e, (b, _) in X.matrix[i][j].terms.items():
             terms[e] = (terms.get(e, (0, 0))[0], sign * b % p)
         return Poly(base, terms)
 

@@ -384,9 +384,9 @@ class Ideal:
         """A degree m >= top at which Bayer & Stillman's criterion
         (Invent. Math. 87, 1987, Thm 1.10) proves I m-regular, top the top
         degree of I's minimal generators; None when none is found.  Written
-        once.  Over A, the fiber's, once the fiber of a flat family holds the
-        family's nonzerodivisor (hand_down_nonzerodivisor): resolution()
-        resolves only the fiber R/I_fiber, on this cap, and lifts it over e.
+        once.  I lies over F_p: over A, resolution() hands the fiber the
+        family's nonzerodivisor (hand_down_nonzerodivisor), resolves only the
+        fiber R/I_fiber, on the fiber's cap, and lifts it over e.
 
         For a saturated I of Krull dimension 2, take h_1 = f, the linear
         nonzerodivisor of _saturation_certificate, and h_2 = h, the first
@@ -404,9 +404,6 @@ class Ideal:
         C(d, 2) + 1 - g (Math. Z. 158, 1978), a regularity bound for a
         saturated ideal with Hilbert polynomial dn + 1 - g.
         """
-        if self.base.dual:
-            self.hand_down_nonzerodivisor()
-            return self.fiber().regularity_certificate(top)
         if self._reg is None:
             self._reg = _bayer_stillman_degree(self, top)
         return self._reg or None
@@ -646,12 +643,15 @@ def _line_section(gens, f: Poly, h: Poly, p: int):
     {f = h = 0}, u and v a basis of the kernel of the linear forms f and h:
     for g of degree d, the coefficients of s^(d-k)*t^k, k = 0..d, as the
     restriction matrix of degree d (_restriction) times g's coefficients,
-    mod p.  None when f and h are dependent."""
+    mod p; [] for g = 0.  None when f and h are dependent."""
     variables = _line_basis(tuple(tuple(g.coefficient(e)[0] for e in _UNIT_EXPONENTS) for g in (f, h)), p)
     if variables is None:
         return None
     out = []
     for g in gens:
+        if g.is_zero():
+            out.append([])
+            continue
         d = g.degree()
         idx = monomial_index(d)
         coeffs = np.zeros((graded_piece_dim(d), 1), dtype=np.int64)

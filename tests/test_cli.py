@@ -285,12 +285,29 @@ def test_zero_divisors_in_links_and_bilinks_are_domain_errors(capsys, argv, mess
     assert capsys.readouterr().err == message
 
 
-@pytest.mark.parametrize("gens", [["X", "e*Y^10"], ["X^2", "X*Y + e*Z^2", "Y^2"]])
+@pytest.mark.parametrize(
+    "gens",
+    [["X", "e*Y^10"], ["X^2", "X*Y + e*Z^2", "Y^2"], ["X*Z - Y^2", "Y*W - Z^2", "X*W - Y*Z", "(0+5*e)*X*Z"]],
+)
 def test_a_family_that_is_not_flat_is_a_domain_error(capsys, tmp_path, gens):
     path = tmp_path / "family.curve"
     path.write_text("ring p=32003 base=dual\ngens:\n" + "\n".join(gens) + "\n")
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr().err == "NotFlat: a graded piece of R_A/I is not free over A\n"
+
+
+@pytest.mark.parametrize("extra", ["(0+5*e)*X*Z", "0"])
+def test_a_generator_whose_fiber_is_zero_changes_no_report(capsys, tmp_path, extra):
+    # a pure e-multiple that lies in the ideal, or 0: the fiber of the family
+    # gains a zero generator, and every answer is the family's without it
+    path = tmp_path / "family.curve"
+    for cmd in ("validate", "invariants", "ntype", "etype"):
+        answers = []
+        for gens in (["X", "Y + (0+3*e)*Z"], ["X", "Y + (0+3*e)*Z", extra]):
+            path.write_text("ring p=32003 base=dual\ngens:\n" + "\n".join(gens) + "\n")
+            code, out = run(capsys, cmd, str(path), "--json")
+            answers.append((code, json.loads(out)["results"]))
+        assert answers[0][0] == 0 and answers[1] == answers[0]
 
 
 def test_unreadable_inputs_and_outputs_are_parse_errors(capsys, tmp_path):

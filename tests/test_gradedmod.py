@@ -62,7 +62,7 @@ from spacecurves.groebner import (
     ideal_sum,
 )
 from spacecurves.liaison import ideal_mod_surface, link
-from spacecurves.polyring import Poly, graded_piece_dim, monomials
+from spacecurves.polyring import Poly, graded_piece_dim, monomials, random_form
 from spacecurves.raoclass import extravertize
 from spacecurves.scalars import BaseRing
 
@@ -894,6 +894,15 @@ def test_r_mod_i_of_the_unit_and_the_zero_ideal_resolves_as_the_reference(K, A, 
         assert RI.kpolynomial() == M.kpolynomial() == ({} if "1" in gens else {0: 1})
 
 
+def _certificate(ideal, top):
+    # over A the certificate is the fiber's, once the family has handed the
+    # fiber its nonzerodivisor, as resolution() does
+    if ideal.base.dual:
+        ideal.hand_down_nonzerodivisor()
+        ideal = ideal.fiber()
+    return ideal.regularity_certificate(top)
+
+
 _OFF_BY_ONE_NAMES = ["line", "twisted-cubic", "skew-lines", "ci-2-2", "quartic-from-skew-bilink", "skew-lines-dual"]
 
 
@@ -902,7 +911,7 @@ def _off_by_one_cases():
     # of the ideal's regularity certificate
     for name in _OFF_BY_ONE_NAMES:
         ideal = load_corpus(name).to_ideal()
-        cap = ideal.regularity_certificate(max(g.degree() for g in ideal.gens)) + 2
+        cap = _certificate(ideal, max(g.degree() for g in ideal.gens)) + 2
         for degree in range(cap + 1):
             for sign in (1, -1):
                 yield name, degree, sign
@@ -940,9 +949,10 @@ def test_the_regularity_certificate_is_the_regularity_of_each_fixture(name, monk
     ideal = load_corpus(name).to_ideal()
     RI = GradedModule.quotient_by_ideal(ideal)
     top = _top_generator_degree(RI.resolution())
-    m = ideal.regularity_certificate(top)
+    m = _certificate(ideal, top)
     assert m == RI.tensor_residue_field().regularity() + 1
-    assert ideal.fiber().regularity_certificate(top) == m
+    fib = ideal.fiber()  # over A, with no nonzerodivisor handed down
+    assert Ideal(fib.base, fib.gens).regularity_certificate(top) == m
     assert not calls
 
 
@@ -968,7 +978,7 @@ def test_a_certificate_one_degree_low_is_a_certification_error(name, monkeypatch
     # at m - 1 a syzygy generator lies past the cap or past the certified
     # regularity: never a resolution
     ideal = load_corpus(name).to_ideal()
-    m = Ideal(ideal.base, ideal.gens).regularity_certificate(max(g.degree() for g in ideal.gens))
+    m = _certificate(Ideal(ideal.base, ideal.gens), max(g.degree() for g in ideal.gens))
     monkeypatch.setattr(Ideal, "regularity_certificate", lambda self, top: m - 1)
     with pytest.raises(CertificationError):
         GradedModule.quotient_by_ideal(ideal).resolution()
@@ -999,6 +1009,38 @@ def test_the_certificate_checks_are_hilbert_functions_of_i_plus_f_and_i_plus_f_p
     assert failed
 
 
+def _line_section_ref(gens, f, h, p):
+    # the restrictions expanded term by term and factor by factor
+    forms = np.array([[g.coefficient(e)[0] for e in monomials(1)] for g in (f, h)], dtype=np.int64)
+    ker = linalg.kernel_basis(forms, p)
+    if ker.shape[1] != 2:
+        return None
+    out = []
+    for g in gens:
+        section = [0] * (g.degree() + 1)
+        for e, (a, _) in g.terms.items():
+            term = [a]
+            for x, k in zip(ker.tolist(), e):
+                for _ in range(k):
+                    term = [(c * x[0] + d * x[1]) % p for c, d in zip(term + [0], [0] + term)]
+            section = [(c + d) % p for c, d in zip(section, term)]
+        out.append(section)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 32003, 2**31 - 1])
+def test_line_sections_are_the_term_by_term_restrictions(p):
+    # random lines and forms of degree 0 to 5, one of them zero (its section
+    # is empty); at p = 2 some pairs of linear forms are dependent (None)
+    base = BaseRing(p, False)
+    rng = random.Random(p)
+    for _ in range(30):
+        f, h = random_form(base, 1, rng), random_form(base, 1, rng)
+        gens = [random_form(base, rng.randrange(6), rng) for _ in range(3)] + [Poly(base, {})]
+        rng.shuffle(gens)
+        assert _line_section(gens, f, h, p) == _line_section_ref(gens, f, h, p)
+
+
 @pytest.mark.parametrize("p", [2, 3, 101, 32003])
 @settings(max_examples=8, deadline=None, database=None)
 @given(data=st.data())
@@ -1011,7 +1053,7 @@ def test_the_certified_cap_resolves_unions_of_lines_as_the_growing_cap(p, data):
     ideal = C.ideal
     RI = C._ri()
     maps = RI.resolution()
-    m = ideal.regularity_certificate(_top_generator_degree(maps))
+    m = _certificate(ideal, _top_generator_degree(maps))
     if m is not None:
         assert m >= RI.tensor_residue_field().regularity() + 1
     if p >= 101:
@@ -1035,7 +1077,7 @@ def test_the_five_f2_lines_are_resolved_on_the_growing_cap(dual, monkeypatch):
     ideal = five_skew_lines_over_f2(dual)
     C = validate_curve(ideal)
     maps = C._ri().resolution()
-    assert ideal.regularity_certificate(_top_generator_degree(maps)) is None
+    assert _certificate(ideal, _top_generator_degree(maps)) is None
     assert len(calls) == 1 and not calls[0][0].base.dual
     ref = resolve_by_growing_cap_ref(GradedModule.quotient_by_ideal(ideal))
     if dual:
