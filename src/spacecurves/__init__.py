@@ -5,7 +5,6 @@ from .errors import (
     CertificationError,
     MixedBase,
     NoLift,
-    NonUnit,
     NotContained,
     NotCoprime,
     NotEquivalent,

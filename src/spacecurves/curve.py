@@ -181,7 +181,7 @@ def _rao_route_duality(C: CurveFamily) -> FiniteModuleData:
     Ext^3 module that validation built and resolved."""
     e3 = ext_module(C._ri(), 3)
     if not e3.F0.rank:
-        return FiniteModuleData(C.base, {}, {}, {})
+        return FiniteModuleData(C.base, {}, {})
     return finite_module_data(e3).shift(-4).graded_dual()
 
 

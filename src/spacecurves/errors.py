@@ -13,10 +13,6 @@ class MixedBase(SpaceCurveError):
     """Operands live over different base rings."""
 
 
-class NonUnit(SpaceCurveError):
-    """Inversion of a scalar whose residue is zero."""
-
-
 class NotSaturated(SpaceCurveError):
     pass
 

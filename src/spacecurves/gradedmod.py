@@ -525,18 +525,18 @@ class GradedModule:
         return out
 
     def fiber(self) -> "GradedModule":
-        """The fiber module, cached so that its resolution is computed once;
-        the fiber of R_A/I is R/I_fiber, and keeps the fiber ideal."""
+        """M tensor_A k.  Over F_p this is M itself, not cached: a module
+        that held itself would form a reference cycle.  Over A it is cached,
+        so that its resolution is computed once; the fiber of R_A/I is
+        R/I_fiber, and keeps the fiber ideal."""
+        if not self.base.dual:
+            return self
         if "fiber" not in self._cache:
             fib = GradedModule(self.presentation.fiber())
             if "ideal" in self._cache:
                 fib._cache["ideal"] = self._cache["ideal"].fiber()
             self._cache["fiber"] = fib
         return self._cache["fiber"]
-
-    def tensor_residue_field(self) -> "GradedModule":
-        """M tensor_A k: over a field this is M itself."""
-        return self.fiber() if self.base.dual else self
 
     def piece_dim(self, n: int) -> int:
         """k-dimension of M_n; for R/I, F0_n minus Ideal.piece_dim(n), with
@@ -669,7 +669,7 @@ class GradedModule:
     def _betti_maps(self):
         """A minimal resolution with the fiber's twists: the cached one,
         which has them over A too (see kpolynomial), else the fiber's."""
-        return self._cache.get("resolution") or self.tensor_residue_field().resolution()
+        return self._cache.get("resolution") or self.fiber().resolution()
 
     def regularity(self) -> int:
         key = "reg"
@@ -834,18 +834,20 @@ def _minimalize_map(phi: GradedMap):
                 break
         if pivot is None:
             break
-        i, j, c = pivot
-        inv = base.scalar(c[0], c[1]).invert()
+        i, j, (c0, c1) = pivot
+        # (c0 + c1*e)^-1 = a - a^2*c1*e with a = c0^-1, since e^2 = 0
+        a = pow(c0, base.p - 2, base.p)
+        inv = Poly.constant(base, a, -a * a * c1)
         # column ops: clear row i using column j
         for jj in range(len(src)):
             if jj == j or matrix[i][jj].is_zero():
                 continue
-            factor = matrix[i][jj].scale(inv)
+            factor = matrix[i][jj] * inv
             for ii in range(len(tgt)):
                 matrix[ii][jj] = matrix[ii][jj] - matrix[ii][j] * factor
         # relation column j rewrites generator live[i] over the other rows
         repl = {
-            live[ii]: matrix[ii][j].scale(inv).scale_int(base.p - 1)
+            live[ii]: (matrix[ii][j] * inv).scale_int(base.p - 1)
             for ii in range(len(tgt))
             if ii != i and not matrix[ii][j].is_zero()
         }
@@ -1175,7 +1177,8 @@ def _hom_matrix(pc: PieceCalculus, phi: GradedMap, n: int):
 
 
 def random_hom(homs, rng, base) -> ModuleHom:
-    """Random A-linear combination of a hom basis."""
+    """A random element of Hom(M, N)_0: the combination of hom_space's
+    basis, a k-basis over A as over F_p, with coefficients drawn from F_p."""
     p = base.p
     M, N = homs[0].source, homs[0].target
     F0, G0 = homs[0].f0.source, homs[0].f0.target
@@ -1493,29 +1496,31 @@ class PieceCalculus:
             self._mult[key] = self.project(cols, n + d)
         return self._mult[key]
 
-    def eps_matrix_q(self, n: int) -> np.ndarray:
-        """Multiplication by epsilon on quotient coordinates (dual base)."""
-        unit = linalg.identity(self.M.F0.piece_dim(n))[:, self._reducer(n)[2]]
-        return self.project(linalg.eps_times(unit), n)
-
 
 # -- finite-length module data ---------------------------------------------
+
+
+def _actions(base: BaseRing) -> tuple:
+    """The elements of R_A that act on a finite-length module's pieces, by
+    index v: the variable x_v of degree 1 for v = 0..3 and, over A, e as
+    the degree-0 constant for v = 4."""
+    xs = tuple(Poly.variable(base, v) for v in range(4))
+    return xs + (Poly.constant(base, 0, 1),) if base.dual else xs
 
 
 class FiniteModuleData:
     """A finite-length module as explicit pieces plus action matrices.
 
     dims maps degree -> k-dimension of the stacked piece; actions maps
-    (degree, v) for v in 0..3 to the matrix of multiplication by the v-th
-    variable from degree to degree+1; over A, eps maps degree to the matrix
-    of multiplication by epsilon on the piece.
+    (n, v) to the matrix of multiplication by g = _actions(base)[v] from
+    the degree-n piece to the degree n + deg g piece: x_v for v = 0..3 and,
+    over A, e for v = 4, from each piece to itself.
     """
 
-    def __init__(self, base: BaseRing, dims: dict, actions: dict, eps: dict):
+    def __init__(self, base: BaseRing, dims: dict, actions: dict):
         self.base = base
         self.dims = {n: d for n, d in dims.items() if d}
         self.actions = actions
-        self.eps = eps
 
     def degrees(self):
         return sorted(self.dims)
@@ -1524,35 +1529,20 @@ class FiniteModuleData:
         return sum(self.dims.values())
 
     def graded_dual(self) -> "FiniteModuleData":
-        """(M*)_n = dual of M_{-n}; actions transpose.
-
-        The degree-n action X: (M*)_n -> (M*)_{n+1} is the transpose of
-        X: M_{-n-1} -> M_{-n}.
-        """
+        """(M*)_n = dual of M_{-n}; actions transpose: the degree-d action
+        from (M*)_n is the transpose of the one from M_{-n-d}.  An action
+        into a zero piece becomes one out of a zero piece, and is kept, so
+        the dual of the dual is the data itself."""
+        degree = [g.degree() for g in _actions(self.base)]
         dims = {-n: d for n, d in self.dims.items()}
-        actions = {}
-        for n in dims:
-            if (n + 1) not in dims:
-                continue
-            for v in range(4):
-                src = -n - 1
-                mat = self.actions.get((src, v))
-                if mat is None:
-                    continue
-                actions[(n, v)] = mat.T.copy()
-        eps = {}
-        for n in dims:
-            m = self.eps.get(-n)
-            if m is not None:
-                eps[n] = m.T.copy()
-        return FiniteModuleData(self.base, dims, actions, eps)
+        actions = {(-n - degree[v], v): m.T.copy() for (n, v), m in self.actions.items()}
+        return FiniteModuleData(self.base, dims, actions)
 
     def shift(self, h: int) -> "FiniteModuleData":
         """M(h): M(h)_n = M_{n+h}."""
         dims = {n - h: d for n, d in self.dims.items()}
         actions = {(n - h, v): m for (n, v), m in self.actions.items()}
-        eps = {n - h: m for n, m in self.eps.items()}
-        return FiniteModuleData(self.base, dims, actions, eps)
+        return FiniteModuleData(self.base, dims, actions)
 
 
 def torsion_module_data(M: GradedModule, top: int) -> FiniteModuleData:
@@ -1562,29 +1552,26 @@ def torsion_module_data(M: GradedModule, top: int) -> FiniteModuleData:
     v in M_n is torsion iff x_i^c * v = 0 for i = 0..3 with c = top + 1 - n:
     (x_0^c, ..., x_3^c) is m-primary, and m^c * v lies in the torsion past
     top.  Each piece is the kernel of the four stacked mult_matrix(x_i^c, n),
-    in PieceCalculus coordinates; x_v and e act by mult_matrix and
-    eps_matrix_q restricted to those kernels.
+    in PieceCalculus coordinates; each action acts by its mult_matrix
+    restricted to those kernels.
     """
     base = M.base
     p = base.p
     pc = PieceCalculus(M)
-    xs = [Poly.variable(base, v) for v in range(4)]
+    acts = _actions(base)
     kers = {}
     for n in range(pc.M.min_degree(), top + 1):
         if pc.dim(n):
-            stack = np.vstack([pc.mult_matrix(x ** (top + 1 - n), n) for x in xs])
+            stack = np.vstack([pc.mult_matrix(x ** (top + 1 - n), n) for x in acts[:4]])
             kers[n] = linalg.kernel_basis(stack, p)
     actions = {}
-    eps = {}
     for n, ker in kers.items():
         if not ker.shape[1]:
             continue
-        for v in range(4):
-            moved = linalg.matmul(pc.mult_matrix(xs[v], n), ker, p)
-            actions[(n, v)] = _coords_on(kers.get(n + 1, linalg.zeros(0, 0)), moved, p)
-        if base.dual:
-            eps[n] = _coords_on(ker, linalg.matmul(pc.eps_matrix_q(n), ker, p), p)
-    return FiniteModuleData(base, {n: k.shape[1] for n, k in kers.items()}, actions, eps)
+        for v, g in enumerate(acts):
+            moved = linalg.matmul(pc.mult_matrix(g, n), ker, p)
+            actions[(n, v)] = _coords_on(kers.get(n + g.degree(), linalg.zeros(0, 0)), moved, p)
+    return FiniteModuleData(base, {n: k.shape[1] for n, k in kers.items()}, actions)
 
 
 def _coords_on(basis: np.ndarray, vecs: np.ndarray, p: int) -> np.ndarray:
@@ -1607,50 +1594,34 @@ def finite_module_data(M: GradedModule) -> FiniteModuleData:
 
 
 def finite_data_to_module(data: FiniteModuleData) -> GradedModule:
-    """Present a finite-length module from its piece/action data."""
+    """Present a finite-length module from its piece/action data: one
+    generator per basis vector per degree, and one relation for each action
+    g of degree d on each generator of degree n, writing g times it on the
+    generators of degree n + d (none past the top degree)."""
     base = data.base
     p = base.p
     degs = data.degrees()
     if not degs:
         return GradedModule.zero(base)
-    # one generator per basis vector per degree; relations express each
-    # variable action and kill everything past the top degree
-    gens = []  # (degree, index)
-    for n in degs:
-        for i in range(data.dims[n]):
-            gens.append((n, i))
+    gens = [(n, i) for n in degs for i in range(data.dims[n])]  # (degree, index)
     gidx = {g: a for a, g in enumerate(gens)}
     F0 = FreeModule(base, [-n for n, _ in gens])
     cols = []
     degsrc = []
-    top = degs[-1]
     for n in degs:
-        dn = data.dims[n]
-        dn1 = data.dims.get(n + 1, 0)
-        for v in range(4):
-            mono = Poly.variable(base, v)
+        for v, g in enumerate(_actions(base)):
+            d = g.degree()
             mat = data.actions.get((n, v))
-            for i in range(dn):
+            for i in range(data.dims[n]):
                 col = [Poly.zero(base)] * len(gens)
-                col[gidx[(n, i)]] = mono
-                if mat is not None and dn1:
-                    for jj in range(dn1):
+                col[gidx[(n, i)]] = g
+                if mat is not None:
+                    for jj in range(data.dims.get(n + d, 0)):
                         c = int(mat[jj, i]) % p
                         if c:
-                            col[gidx[(n + 1, jj)]] = col[gidx[(n + 1, jj)]] - Poly.constant(base, c)
+                            col[gidx[(n + d, jj)]] = col[gidx[(n + d, jj)]] - Poly.constant(base, c)
                 cols.append(tuple(col))
-                degsrc.append(n + 1)
-        if base.dual and n in data.eps:
-            emat = data.eps[n]
-            for i in range(dn):
-                col = [Poly.zero(base)] * len(gens)
-                col[gidx[(n, i)]] = Poly.constant(base, 0, 1)
-                for jj in range(dn):
-                    c = int(emat[jj, i]) % p
-                    if c:
-                        col[gidx[(n, jj)]] = col[gidx[(n, jj)]] - Poly.constant(base, c)
-                cols.append(tuple(col))
-                degsrc.append(n)
+                degsrc.append(n + d)
     rel = GradedMap.from_columns(F0, cols, degsrc)
     return GradedModule(rel).minimal_presentation()
 
@@ -1667,7 +1638,7 @@ def cohomology_table(M: GradedModule, Q: str, n_lo: int, n_hi: int) -> dict:
     the module piece itself.
     """
     if Q == "k":
-        M = M.tensor_residue_field()
+        M = M.fiber()
     elif Q != "A":
         raise ValueError("test module must be 'A' or 'k'")
     degs = list(range(n_lo, n_hi + 1))

@@ -537,15 +537,15 @@ def _saturate_by_variables(I: Ideal) -> Ideal:
     return I if out == I else out
 
 
-def _candidate_forms(base: BaseRing):
+@lru_cache(maxsize=None)
+def _candidate_forms(base: BaseRing) -> tuple:
     """The forms tried as nonzerodivisors, in one fixed order: 3X + 5Y - 7Z
     + 11W, then seeded random forms, eight of each degree 1, 2, 3.  Over a
-    small field every linear form can vanish on a component."""
-    yield Poly.parse("3*X + 5*Y - 7*Z + 11*W", base)
+    small field every linear form can vanish on a component.  Built once
+    per base ring."""
     rng = random.Random(0)
-    for d in (1, 2, 3):
-        for _ in range(8):
-            yield random_form(base, d, rng)
+    drawn = [random_form(base, d, rng) for d in (1, 2, 3) for _ in range(8)]
+    return (Poly.parse("3*X + 5*Y - 7*Z + 11*W", base), *drawn)
 
 
 def is_nonzerodivisor(I: Ideal, f: Poly) -> bool:
@@ -594,7 +594,7 @@ def _saturation_certificate(I: Ideal):
         if not any(e[3] for e in I._groebner()[1]):
             I._nzd = "W"
         else:
-            f = next(_candidate_forms(I.base))
+            f = _candidate_forms(I.base)[0]
             I._nzd = f if is_nonzerodivisor(I, f) else False
     return I._nzd
 

@@ -13,7 +13,7 @@ from math import comb
 import numpy as np
 
 from .errors import MixedBase, ParseError
-from .scalars import BaseRing, Scalar
+from .scalars import BaseRing
 
 VARS = ("X", "Y", "Z", "W")
 
@@ -158,18 +158,6 @@ class Poly:
                 ca, cb = out.get(e, (0, 0))
                 out[e] = ((ca + a1 * a2) % p, (cb + a1 * b2 + b1 * a2) % p)
         return Poly(self.base, out)
-
-    def scale(self, s: Scalar) -> "Poly":
-        if s.ring != self.base:
-            raise MixedBase(f"{s.ring} vs {self.base}")
-        p = self.base.p
-        return Poly(
-            self.base,
-            {
-                e: ((s.a * a) % p, (s.a * b + s.b * a) % p)
-                for e, (a, b) in self.terms.items()
-            },
-        )
 
     def scale_int(self, c: int) -> "Poly":
         p = self.base.p

@@ -396,7 +396,7 @@ def is_psi(f: ModuleHom) -> bool:
     map is onto on Ext^1 and Ext^2, and Ext^2 of both has one Hilbert function."""
     variants = [(f.source, f.target, f.f0)]
     if f.source.base.dual:
-        variants.append((f.source.tensor_residue_field(), f.target.tensor_residue_field(), f.f0.fiber()))
+        variants.append((f.source.fiber(), f.target.fiber(), f.f0.fiber()))
     for M0, N0, g0 in variants:
         M, N, f0 = _minimal_hom(M0, N0, g0)
         if max(M.projective_dimension()[1], N.projective_dimension()[1]) > 2:
@@ -625,7 +625,7 @@ def link_transform_e_to_n(C: CurveFamily, F: Poly, G: Poly) -> NTypeResolution:
     if g1 is None or g2 is None:
         # H^1(E~(n)) is dual to Ext^2(E, R)_{-n-4} (local duality), which
         # has finite length as E is locally free
-        support = _finite_support(ext_module(res.E.tensor_residue_field(), 2))
+        support = _finite_support(ext_module(res.E.fiber(), 2))
         raise NoLift(
             "the complete intersection does not lift through the cover",
             n0=-min(support) - 4 if support else None,

@@ -126,6 +126,22 @@ def test_rao_duality_under_one_liaison(K, corpus_curves):
     assert _dual_up_to_shift(linked2.rao_module(), sk.rao_module())
 
 
+def _assert_dual_twice_is_the_identity(data):
+    back = data.graded_dual().graded_dual()
+    assert back.dims == data.dims
+    assert back.actions.keys() == data.actions.keys()
+    for key, mat in data.actions.items():
+        assert back.actions[key].shape == mat.shape, key
+        assert (back.actions[key] == mat).all(), key
+
+
+@pytest.mark.parametrize("name", ["skew-lines-dual", "quartic-from-skew-bilink-dual"])
+def test_graded_dual_twice_is_the_identity_on_rao_modules(name, corpus_curves):
+    data = corpus_curves(name).rao_module().data
+    assert 4 in {v for _, v in data.actions}
+    _assert_dual_twice_is_the_identity(data)
+
+
 def test_dual_link_of_degree_seven(A, corpus_curves):
     # a (3, 3) link of a first-order family of skew lines puts the dual
     # colon and saturation and both Rao routes on a curve past the fixtures
@@ -135,7 +151,9 @@ def test_dual_link_of_degree_seven(A, corpus_curves):
     assert linked.degree_genus() == (7, 4)
     rao = linked.rao_module()
     assert rao.dims() == {2: 2}
-    assert any(m.any() for m in rao.data.eps.values())
+    # e acts on the Rao module as the action v = 4, and not as zero
+    assert any(m.any() for (_, v), m in rao.data.actions.items() if v == 4)
+    _assert_dual_twice_is_the_identity(rao.data)
     # M_C'(n) = M_C(s + t - 4 - n)^*
     assert _dual_up_to_shift(rao, sk.rao_module(), [4 - F.degree() - G.degree()])
     assert link(linked, F, G).ideal == sk.ideal

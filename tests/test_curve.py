@@ -156,7 +156,7 @@ def test_validation_reads_ext3_off_the_last_dual_map(name, monkeypatch):
 def test_rao_route_retries_past_a_zero_divisor(K):
     # curves with a component in the plane of the first candidate form: the
     # torsion route must pass to a later candidate
-    first = next(_candidate_forms(K))
+    first = _candidate_forms(K)[0]
     plane = str(first)
     cases = [
         (I(K, plane, "X^2 + Y^2 + Z^2 + W^2"), (2, 0), {}),

@@ -1,10 +1,11 @@
 """Static checks over the package source: no unused imports, no private
 module-level function that nothing references, no method that nothing in
 the package or its tests references, no function or method that only the
-tests reach unless the package exports it or README names it, and no
-function-local import that could be a top-level one.  Two run-time checks:
-what a curve caches forms no reference cycle, and no map it reaches caches a
-dense matrix."""
+tests reach unless the package exports it or README names it, no
+function-local import that could be a top-level one, and no function-local
+name that is assigned and never read.  Two run-time checks: what a curve
+caches forms no reference cycle, and no map it reaches caches a dense
+matrix."""
 
 import ast
 import gc
@@ -101,6 +102,40 @@ def test_local_imports_break_a_cycle():
         if not reaches(target, name)
     ]
     assert not needless
+
+
+def _own_scope(func):
+    """The nodes of a function's body outside its nested functions, lambdas
+    and classes, which are scopes of their own."""
+    todo = list(ast.iter_child_nodes(func))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_local_names_are_read():
+    # a name a function assigns must be read in the function or in a
+    # closure inside it; "_" marks a value dropped on purpose
+    unread = []
+    for name, tree in MODULES.items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            stored, declared = {}, set()
+            for node in _own_scope(func):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.id, node.lineno)
+                elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                    declared.update(node.names)
+            read = {sub.id for sub in ast.walk(func) if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            unread += [
+                f"{name}:{line} {func.name}.{local}"
+                for local, line in stored.items()
+                if local not in read | declared and local != "_"
+            ]
+    assert not unread
 
 
 def test_only_the_algebra_layers_know_piece_coordinates():

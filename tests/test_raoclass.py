@@ -718,7 +718,7 @@ def test_nolift_reads_n0_off_the_support_of_ext2(name, corpus_curves, monkeypatc
     if name.startswith("quartic"):
         F, G = Poly.parse("X*Z + Y*W", C.base), Poly.parse("X^2*W", C.base)
     for E in (e_type_resolution(C).E, n_type_resolution(C).N):
-        Ef = E.tensor_residue_field()
+        Ef = E.fiber()
         reg = Ef.regularity()
         table = cohomology_table(Ef, "k", -reg - 8, reg + 8)[1]
         n0 = max((n for n, v in table.items() if v), default=None)
