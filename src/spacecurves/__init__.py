@@ -3,6 +3,7 @@
 from .curve import CurveFamily, RaoModule, is_flat_family, validate_curve
 from .errors import (
     CertificationError,
+    DegreeOverflow,
     MixedBase,
     NoLift,
     NotContained,

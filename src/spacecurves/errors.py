@@ -9,6 +9,11 @@ class ParseError(SpaceCurveError):
     pass
 
 
+class DegreeOverflow(SpaceCurveError):
+    """A monomial of degree above polyring.MAX_DEGREE, which does not fit
+    the packed exponent fields of groebner's engine."""
+
+
 class MixedBase(SpaceCurveError):
     """Operands live over different base rings."""
 

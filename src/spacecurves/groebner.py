@@ -1,15 +1,40 @@
 """Groebner bases of homogeneous ideals over F_p and over the dual numbers
 A = F_p[e]/(e^2), with one engine and one route for each ideal operation.
 
-The raw engine works on dicts mapping exponent tuples (any fixed arity) to
-nonzero ints mod p.  An ideal over F_p is an ideal of k[X,Y,Z,W] in grevlex.
-An ideal over A is the ideal of k[X,Y,Z,W,e] generated by its generators and
-e^2, in the block order that compares grevlex on X, Y, Z, W first and then
-the power of e; generators stay homogeneous in X, Y, Z, W, so standard
-monomials count the graded pieces.  Treating e as a variable avoids Groebner
-bases over a coefficient ring (Adams & Loustaunau, An Introduction to
-Groebner Bases, AMS GSM 3, 1994, ch. 4).  Intersection eliminates a tag
-variable, the one elimination here; there is no colon.
+The raw engine works on dicts mapping packed monomials to nonzero ints mod
+p.  An ideal over F_p is an ideal of k[X,Y,Z,W] in grevlex.  An ideal over
+A is the ideal of k[X,Y,Z,W,e] generated by its generators and e^2, in the
+block order that compares grevlex on X, Y, Z, W first and then the power of
+e; generators stay homogeneous in X, Y, Z, W, so standard monomials count
+the graded pieces.  Treating e as a variable avoids Groebner bases over a
+coefficient ring (Adams & Loustaunau, An Introduction to Groebner Bases,
+AMS GSM 3, 1994, ch. 4).  Intersection eliminates a tag variable, the one
+elimination here; there is no colon.
+
+A monomial is one int (Bachmann & Schoenemann, ISSAC 1998; Monagan &
+Pearce, CASC 2007).  Each order is one packing (_Order), a row of 8-bit
+fields, most significant first: the tag t of an elimination order, if any;
+the degree in X, Y, Z, W; the four exponents of X, Y, Z, W, the variable
+grevlex compares first (the last one) highest; and the power of e over A.
+The mask complements the four exponent fields, which grevlex compares in
+reverse, so the order is integer order on packed ^ mask.  A product is the
+sum of the ints, a quotient by a divisor their difference, and b divides a
+exactly when ((a | G) - b) & G == G, G the top (guard) bit of every field.
+Tuples of exponents remain where exponents are read: poly_to_raw,
+raw_to_poly and the Hilbert numerator.
+
+No field carries silently.  Every field of a monomial holds at most
+MAX_DEGREE = 127 with its guard bit clear: poly_to_raw rejects a term of
+degree above it, and each exponent of X, Y, Z, W is at most the degree.
+Two such fields sum to at most 254 < 256, so adding two monomials carries
+across no field boundary, and a field overflowed exactly when its guard bit
+is set: one AND per new product finds it and raises DegreeOverflow.  In
+((a | G) - b) each field is a_i + 128 - b_i, between 1 and 255, so nothing
+borrows across fields and the guard bit says a_i >= b_i; a quotient by a
+divisor borrows nowhere.  The lcm takes the larger field where that test
+says so, and sums its four exponent fields into its degree field by one
+multiplication, whose partial sums are at most deg a + deg b <= 254; an lcm
+past the limit raises too, unless its pair is coprime and never formed.
 
 Whether a form f of degree d is a nonzerodivisor on R_A/I, (I : f) = I, is
 read off Hilbert series instead of a colon: the exact sequence
@@ -28,59 +53,119 @@ regularity bound (Ideal.regularity_certificate), which caps resolutions.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import comb
+from operator import mul
 
 import numpy as np
 
 from . import linalg
-from .errors import CertificationError, MixedBase, Undecided
+from .errors import CertificationError, DegreeOverflow, MixedBase, Undecided
 from .gradedmod import FreeModule, GradedMap, min_generators
-from .polyring import Poly, graded_piece_dim, grevlex_key, monomial_index, monomials, random_form
+from .polyring import MAX_DEGREE, Poly, graded_piece_dim, monomial_index, monomials, random_form
 from .scalars import BaseRing
 
-# -- raw engine on dict polynomials ------------------------------------
+# -- packed monomials -----------------------------------------------------
+
+_BITS = MAX_DEGREE.bit_length()  # value bits of a field; the guard bit is next
+_WIDTH = _BITS + 1
+_FIELD = (1 << _WIDTH) - 1
+_ONES = sum(1 << _WIDTH * k for k in range(4))  # sums four fields into the top one
 
 
-def _dual_key(e):
-    # block order on k[X,Y,Z,W,e]: grevlex on X, Y, Z, W, then the power of e
-    return (grevlex_key(e[:4]), e[4])
+class _Order:
+    """A monomial order as a packing (see the module docstring): grevlex on
+    X, Y, Z, W with the variables perm[3], ..., perm[0] compared in that
+    order after the degree, below a tag field when tag, above an e field
+    when dual.  Exponent tuples are (t, X, Y, Z, W, e), each entry present
+    only when its variable is."""
+
+    __slots__ = ("units", "shifts", "mask", "guard", "heap", "low", "top", "e")
+
+    def __init__(self, perm, dual: bool, tag: bool):
+        low = _WIDTH if dual else 0  # the lowest exponent field, perm[0]'s
+        top = low + 4 * _WIDTH  # the degree field
+        var = [low + _WIDTH * perm.index(v) for v in range(4)]  # X, Y, Z, W
+        self.shifts = tuple([top + _WIDTH] * tag + var + [0] * dual)
+        # each variable packed alone: X, Y, Z and W raise the degree field too
+        self.units = tuple([1 << top + _WIDTH] * tag + [(1 << s) + (1 << top) for s in var] + [1] * dual)
+        self.mask = sum(_FIELD >> 1 << s for s in var)
+        fields = 5 + dual + tag
+        self.guard = sum(1 << _WIDTH * k + _BITS for k in range(fields))
+        self.heap = self.mask ^ ((1 << _WIDTH * fields) - 1)  # m ^ heap: largest first
+        self.low, self.top = low, top
+        self.e = _FIELD if dual else 0  # the e field, the lowest
 
 
-def _raw_elim_first(e):
-    # product order: tag variable block (index 0) dominates, grevlex on rest
-    return (e[0], grevlex_key(e[1:]))
+@lru_cache(maxsize=None)
+def _order(perm: tuple, dual: bool, tag: bool = False) -> _Order:
+    return _Order(perm, dual, tag)
 
 
-def _dual_elim_first(e):
-    return (e[0], _dual_key(e[1:]))
+_RING = (0, 1, 2, 3)  # grevlex compares W, Z, Y, X after the degree
 
 
-def _lead(f, key):
-    e = max(f, key=key)
+def _orders(base: BaseRing):
+    """(ring order, tag-eliminating order) of the raw ring of base."""
+    return _order(_RING, base.dual), _order(_RING, base.dual, True)
+
+
+def _pack(exps, order: _Order) -> int:
+    """The exponent tuple exps as a packed monomial; unchecked."""
+    return sum(map(mul, exps, order.units))
+
+
+def _unpack(m: int, order: _Order) -> tuple:
+    return tuple([m >> s & _FIELD for s in order.shifts])
+
+
+def _repack(f: dict, src: _Order, dst: _Order) -> dict:
+    """f, packed by src, packed by dst: the same exponents in other fields."""
+    moves = tuple(zip(src.shifts, dst.units))
+    return {sum((m >> s & _FIELD) * u for s, u in moves): c for m, c in f.items()}
+
+
+def _degree(m: int, order: _Order) -> int:
+    """The total degree of m: its degree field, the tag above it (0 when the
+    order has none) and the e field."""
+    return (m >> order.top & _FIELD) + (m >> order.top + _WIDTH) + (m & order.e)
+
+
+def _lead(f, order: _Order):
+    e = max(f, key=order.mask.__xor__)
     return e, f[e]
 
 
-def _divides(e1, e2):
-    return all(a <= b for a, b in zip(e1, e2))
+def _divides(a: int, b: int, guard: int) -> bool:
+    """Whether the monomial a divides b; guard is the order's guard mask."""
+    return ((b | guard) - a) & guard == guard
 
 
-def _quot(e2, e1):
-    return tuple(b - a for a, b in zip(e1, e2))
+def _lcm(a: int, b: int, order: _Order) -> int:
+    g = order.guard
+    ge = ((a | g) - b) & g  # the guard bit of each field where a >= b
+    take = ge - (ge >> _BITS)  # the value bits of those fields
+    m = (a & take) | (b & ~take)
+    deg = (m >> order.low) * _ONES >> 3 * _WIDTH & _FIELD
+    if deg > MAX_DEGREE:
+        raise DegreeOverflow(f"a monomial of degree {deg} exceeds the limit {MAX_DEGREE}")
+    return m & ~(_FIELD << order.top) | deg << order.top
 
 
-def _lcm(e1, e2):
-    return tuple(max(a, b) for a, b in zip(e1, e2))
+def _overflow():
+    return DegreeOverflow(f"a product exceeds the degree limit {MAX_DEGREE} in a field")
 
 
-def _raw_add_scaled(f, g, c, shift, p):
-    """f + c * x^shift * g, in place on a dict copy of f."""
+def _raw_add_scaled(f, g, c, shift, p, guard):
+    """f + c * shift * g for the packed monomial shift, on a copy of f."""
     out = dict(f)
     for e, a in g.items():
-        em = tuple(x + y for x, y in zip(e, shift))
+        em = e + shift
+        if em & guard:
+            raise _overflow()
         v = (out.get(em, 0) + c * a) % p
         if v:
             out[em] = v
@@ -89,56 +174,47 @@ def _raw_add_scaled(f, g, c, shift, p):
     return out
 
 
-class _Descending:
-    """A heap entry for an exponent: the largest key pops first."""
+def raw_normal_form(f, reducers, p, order: _Order):
+    """Full normal form of f by the (lead, poly) pairs in reducers, tried in
+    order: no term of the result is divisible by a lead.
 
-    __slots__ = ("k", "e")
-
-    def __init__(self, e, key):
-        self.k = key(e)
-        self.e = e
-
-    def __lt__(self, other):
-        return self.k > other.k
-
-
-def raw_normal_form(f, reducers, p, key=grevlex_key):
-    """Full normal form of f by the (lead exponent, poly) pairs in reducers,
-    tried in order: no term of the result is divisible by a lead.
-
-    The remainder's exponents wait in a heap on the order key.  A reduction
-    step adds only terms below the lead it cancels, so the largest exponent
-    still in the remainder is its lead; an exponent that cancelled stays in
-    the heap and is skipped when it comes up.
+    The remainder's monomials wait in a heap, as m ^ order.heap, so that the
+    largest pops first.  A reduction step adds only terms below the lead it
+    cancels, so the largest monomial still in the remainder is its lead; a
+    monomial that cancelled stays in the heap and is skipped when it comes
+    up.
     """
+    guard, flip = order.guard, order.heap
     f = dict(f)
-    heap = [_Descending(e, key) for e in f]
-    heapq.heapify(heap)
+    heap = [m ^ flip for m in f]
+    heapify(heap)
     out = {}
     while heap:
-        e = heapq.heappop(heap).e
+        e = heappop(heap) ^ flip
         c = f.pop(e, None)
         if c is None:
             continue
         for le, g in reducers:
-            if _divides(le, e):
+            if ((e | guard) - le) & guard == guard:  # _divides(le, e, guard), inlined
                 break
         else:
             out[e] = c
             continue
         factor = (-c * pow(g[le], p - 2, p)) % p
-        shift = _quot(e, le)
+        shift = e - le
         # the lead term of g cancels c, which is already popped
         for m, a in g.items():
             if m == le:
                 continue
-            em = tuple(x + y for x, y in zip(m, shift))
+            em = m + shift
+            if em & guard:
+                raise _overflow()
             v = f.get(em)
             if v is None:
                 v = factor * a % p
                 if v:
                     f[em] = v
-                    heapq.heappush(heap, _Descending(em, key))
+                    heappush(heap, em ^ flip)
             else:
                 v = (v + factor * a) % p
                 if v:
@@ -148,16 +224,15 @@ def raw_normal_form(f, reducers, p, key=grevlex_key):
     return out
 
 
-def raw_spoly(f, g, p, key=grevlex_key):
-    ef, cf = _lead(f, key)
-    eg, cg = _lead(g, key)
-    l = _lcm(ef, eg)
-    inv_cf = pow(cf, p - 2, p)
-    a = _raw_add_scaled({}, f, inv_cf, _quot(l, ef), p)
-    return _raw_add_scaled(a, g, (-pow(cg, p - 2, p)) % p, _quot(l, eg), p)
+def raw_spoly(f, g, p, order: _Order):
+    ef, cf = _lead(f, order)
+    eg, cg = _lead(g, order)
+    l = _lcm(ef, eg, order)
+    a = _raw_add_scaled({}, f, pow(cf, p - 2, p), l - ef, p, order.guard)
+    return _raw_add_scaled(a, g, (-pow(cg, p - 2, p)) % p, l - eg, p, order.guard)
 
 
-def raw_buchberger(gens, p, key=grevlex_key):
+def raw_buchberger(gens, p, order: _Order):
     """Reduced monic Groebner basis of the ideal generated by gens.
 
     Critical pairs leave a priority queue lowest sugar first (the degree of
@@ -165,116 +240,118 @@ def raw_buchberger(gens, p, key=grevlex_key):
     goes through the Gebauer–Möller update (J. Symb. Comp. 6, 1988) before
     its pairs enter the queue.
     """
-    polys, leads, sugars = [], [], []
+    polys, leads, excess = [], [], []  # excess: sugar minus the lead's degree
     active = []  # reducer set: elements whose lead no later lead divides
     pending = {}  # (i, j) -> lcm of the leads, for pairs still queued
-    queue = []  # (sugar, key(lcm), i, j)
+    queue = []  # (sugar, lcm ^ mask, i, j)
+    guard, mask = order.guard, order.mask
 
     def add(h, sugar):
-        k, eh = len(polys), _lead(h, key)[0]
+        k, eh = len(polys), _lead(h, order)[0]
+        over = sugar - _degree(eh, order)
         polys.append(h)
         leads.append(eh)
-        sugars.append(sugar)
+        excess.append(over)
         # B: drop a queued pair (i, j) whose lcm eh divides, unless
         # lcm(i, h) or lcm(j, h) equals it
         for (i, j), l in list(pending.items()):
-            if (_divides(eh, l) and _lcm(leads[i], eh) != l
-                    and _lcm(leads[j], eh) != l):
+            if (_divides(eh, l, guard) and _lcm(leads[i], eh, order) != l
+                    and _lcm(leads[j], eh, order) != l):
                 del pending[i, j]
         # M and F on the new pairs: keep one pair per lcm that no other new
         # lcm properly divides, and none where a pair with that lcm has
         # coprime leads (its S-polynomial reduces to 0)
         by_lcm = {}
         for g in active:
-            l = _lcm(leads[g], eh)
-            coprime = sum(l) == sum(leads[g]) + sum(eh)
+            try:
+                l = _lcm(leads[g], eh, order)
+            except DegreeOverflow:
+                if not any(map(min, _unpack(leads[g], order), _unpack(eh, order))):
+                    continue  # coprime, so dropped: its S-polynomial is never formed
+                raise
             first, any_coprime = by_lcm.get(l, (g, False))
-            by_lcm[l] = (first, any_coprime or coprime)
+            by_lcm[l] = (first, any_coprime or l == leads[g] + eh)  # coprime: lcm = product
         for l, (g, coprime) in by_lcm.items():
-            if coprime or any(m != l and _divides(m, l) for m in by_lcm):
+            if coprime or any(m != l and _divides(m, l, guard) for m in by_lcm):
                 continue
-            s = max(sugars[g] - sum(leads[g]), sugar - sum(eh)) + sum(l)
+            s = max(excess[g], over) + _degree(l, order)
             pending[g, k] = l
-            heapq.heappush(queue, (s, key(l), g, k))
-        active[:] = [g for g in active if not _divides(eh, leads[g])] + [k]
+            heappush(queue, (s, l ^ mask, g, k))
+        active[:] = [g for g in active if not _divides(eh, leads[g], guard)] + [k]
 
-    for g in sorted((dict(g) for g in gens if g), key=lambda g: key(_lead(g, key)[0])):
-        add(g, max(map(sum, g)))
+    for g in sorted((dict(g) for g in gens if g), key=lambda g: _lead(g, order)[0] ^ mask):
+        add(g, max(_degree(m, order) for m in g))
     while queue:
-        s, _, i, j = heapq.heappop(queue)
+        s, _, i, j = heappop(queue)
         if pending.pop((i, j), None) is None:
             continue  # dropped by the B criterion after it was queued
-        h = raw_normal_form(raw_spoly(polys[i], polys[j], p, key),
-                            [(leads[k], polys[k]) for k in active], p, key)
+        h = raw_normal_form(raw_spoly(polys[i], polys[j], p, order),
+                            [(leads[k], polys[k]) for k in active], p, order)
         if h:
             add(h, s)
-    return raw_interreduce([polys[k] for k in active], p, key)
+    return raw_interreduce([polys[k] for k in active], p, order)
 
 
-def raw_interreduce(basis, p, key=grevlex_key):
+def raw_interreduce(basis, p, order: _Order):
     # drop redundant lead terms, then tail-reduce and normalize
+    guard = order.guard
     basis = [g for g in basis if g]
-    leads = [_lead(g, key)[0] for g in basis]
+    leads = [_lead(g, order)[0] for g in basis]
     keep = []
     for i, e in enumerate(leads):
         if not any(
-            j != i and _divides(leads[j], e) and (leads[j] != e or j < i)
+            j != i and _divides(leads[j], e, guard) and (leads[j] != e or j < i)
             for j in range(len(basis))
         ):
             keep.append(i)
     pairs = [(leads[i], basis[i]) for i in keep]
     out = []
     for i, (_, g) in enumerate(pairs):
-        r = raw_normal_form(g, pairs[:i] + pairs[i + 1 :], p, key)
+        r = raw_normal_form(g, pairs[:i] + pairs[i + 1 :], p, order)
         if r:
-            e, c = _lead(r, key)
+            e, c = _lead(r, order)
             inv = pow(c, p - 2, p)
-            out.append((key(e), {m: (a * inv) % p for m, a in r.items()}))
+            out.append((e ^ order.mask, {m: (a * inv) % p for m, a in r.items()}))
     out.sort(key=lambda t: t[0])  # the leads are distinct
     return [g for _, g in out]
 
 
 # -- conversion between Poly and raw form -------------------------------
 
-_E_SQUARED = {(0, 0, 0, 0, 2): 1}
-
-
-def _orders(base: BaseRing):
-    """(ring order, tag-eliminating order) of the raw ring of base."""
-    return (_dual_key, _dual_elim_first) if base.dual else (grevlex_key, _raw_elim_first)
-
 
 def poly_to_raw(f: Poly) -> dict:
-    """f as a raw dict: in k[X,Y,Z,W] over F_p, in k[X,Y,Z,W,e] over A."""
+    """f as a raw dict in the ring order: in k[X,Y,Z,W] over F_p, in
+    k[X,Y,Z,W,e] over A.  DegreeOverflow for a term of degree above
+    MAX_DEGREE: the degree field is the top one, so the largest packed term
+    holds the degree of f whole."""
+    order = _orders(f.base)[0]
     if not f.base.dual:
-        return {e: a for e, (a, _) in f.terms.items()}
-    out = {}
-    for e, (a, b) in f.terms.items():
-        if a:
-            out[e + (0,)] = a
-        if b:
-            out[e + (1,)] = b
+        out = {_pack(e, order): a for e, (a, _) in f.terms.items()}
+    else:
+        out = {}
+        for e, (a, b) in f.terms.items():
+            m = _pack(e, order)
+            if a:
+                out[m] = a
+            if b:
+                out[m + 1] = b
+    if out and max(out) >> order.top > MAX_DEGREE:
+        raise DegreeOverflow(f"a form of degree {f.degree()} exceeds the limit {MAX_DEGREE}")
     return out
 
 
 def raw_to_poly(raw: dict, base: BaseRing) -> Poly:
     """Inverse of poly_to_raw; over A, terms divisible by e^2 vanish."""
+    order = _orders(base)[0]
     if not base.dual:
-        return Poly(base, {e: (c % base.p, 0) for e, c in raw.items()})
+        return Poly(base, {_unpack(m, order): (c % base.p, 0) for m, c in raw.items()})
     terms = {}
-    for e, c in raw.items():
+    for m, c in raw.items():
+        e = _unpack(m, order)
         if e[4] < 2:
             a, b = terms.get(e[:4], (0, 0))
             terms[e[:4]] = (c, b) if e[4] == 0 else (a, c)
     return Poly(base, terms)
-
-
-def _pad_tag(raw: dict, tag_exp: int) -> dict:
-    return {(tag_exp,) + e: c for e, c in raw.items()}
-
-
-def _strip_tag(raw: dict) -> dict:
-    return {e[1:]: c for e, c in raw.items()}
 
 
 # -- Ideal --------------------------------------------------------------
@@ -316,15 +393,15 @@ class Ideal:
 
     def _raw_gens(self):
         gens = [poly_to_raw(g) for g in self.gens]
-        return gens + [_E_SQUARED] if self.base.dual else gens
+        return gens + [{2: 1}] if self.base.dual else gens  # e^2: the e field is the lowest
 
     def _groebner(self):
-        """(reduced monic Groebner basis as raw dicts, with e^2 in it over A;
-        the tuple of its lead exponents)."""
+        """(reduced monic Groebner basis as raw dicts in the ring order, with
+        e^2 in it over A; the tuple of its leads)."""
         if self._gb is None:
-            key = _orders(self.base)[0]
-            gb = raw_buchberger(self._raw_gens(), self.base.p, key)
-            self._gb = gb, tuple(_lead(g, key)[0] for g in gb)
+            order = _orders(self.base)[0]
+            gb = raw_buchberger(self._raw_gens(), self.base.p, order)
+            self._gb = gb, tuple(_lead(g, order)[0] for g in gb)
         return self._gb
 
     def contains(self, f: Poly) -> bool:
@@ -332,8 +409,7 @@ class Ideal:
         if f.base != self.base:
             raise MixedBase("membership across base rings")
         gb, leads = self._groebner()
-        key = _orders(self.base)[0]
-        return not raw_normal_form(poly_to_raw(f), list(zip(leads, gb)), self.base.p, key)
+        return not raw_normal_form(poly_to_raw(f), list(zip(leads, gb)), self.base.p, _orders(self.base)[0])
 
     def is_unit_ideal(self) -> bool:
         return self.contains(Poly.one(self.base))
@@ -353,7 +429,7 @@ class Ideal:
         """K(t) with HS(R_A/I) = K(t)/(1 - t)^4 over k, read off the leads of
         the basis; () for the unit ideal.  Cached."""
         if self._hs is None:
-            self._hs = _numerator(self._groebner()[1], self.base.dual)
+            self._hs = _numerator(self._groebner()[1], self.base)
         return self._hs
 
     def quotient_piece_dim(self, n: int) -> int:
@@ -475,7 +551,7 @@ def _hilbert_numerator(leads) -> tuple:
     """
     gens = []
     for g in sorted(set(leads), key=sum):
-        if not any(_divides(h, g) for h in gens):
+        if not any(all(a <= b for a, b in zip(h, g)) for h in gens):
             gens.append(g)
     arity = len(gens[0]) if gens else 0
     shared = [sum(1 for g in gens if g[v]) for v in range(arity)]
@@ -491,11 +567,14 @@ def _hilbert_numerator(leads) -> tuple:
     return _plus_shifted(_hilbert_numerator(plus), _hilbert_numerator(colon), 1)
 
 
-def _numerator(leads, dual: bool) -> tuple:
-    """The Hilbert numerator of R_A/I over k from the leads of I's basis.
-    Over A the standard monomials are x^a (no e-free lead divides x^a) and
-    x^a*e (no lead of e-exponent at most 1 divides x^a): two series."""
-    if not dual:
+def _numerator(leads, base: BaseRing) -> tuple:
+    """The Hilbert numerator of R_A/I over k from the leads of I's basis in
+    the ring order.  Over A the standard monomials are x^a (no e-free lead
+    divides x^a) and x^a*e (no lead of e-exponent at most 1 divides x^a):
+    two series."""
+    order = _orders(base)[0]
+    leads = [_unpack(m, order) for m in leads]
+    if not base.dual:
         return _hilbert_numerator(leads)
     plain = _hilbert_numerator([e[:4] for e in leads if e[4] == 0])
     return _plus_shifted(plain, _hilbert_numerator([e[:4] for e in leads if e[4] <= 1]), 0)
@@ -504,14 +583,16 @@ def _numerator(leads, dual: bool) -> tuple:
 # -- ideal operations: one route over both base rings ---------------------
 
 
-def _elim_intersection_raw(gens_i, gens_j, p, elim):
-    """Raw generators of I cap J: the tag-free part of a Groebner basis of
-    t*I + (1 - t)*J in an order that eliminates the tag t."""
-    tagged = [_pad_tag(g, 1) for g in gens_i]
+def _elim_intersection_raw(gens_i, gens_j, p, base: BaseRing):
+    """Raw generators of I cap J in the ring order of base: the tag-free
+    part of a Groebner basis of t*I + (1 - t)*J in the order that puts the
+    tag t in a field above the ring order's, which eliminates it."""
+    elim = _orders(base)[1]
+    t = elim.units[0]
+    tagged = [{m + t: c for m, c in g.items()} for g in gens_i]
     for g in gens_j:
-        tagged.append({**_pad_tag(g, 0), **_pad_tag({e: p - c for e, c in g.items()}, 1)})
-    gb = raw_buchberger(tagged, p, key=elim)
-    return [_strip_tag(g) for g in gb if all(e[0] == 0 for e in g)]
+        tagged.append({**g, **{m + t: p - c for m, c in g.items()}})
+    return [g for g in raw_buchberger(tagged, p, elim) if all(m < t for m in g)]
 
 
 def _saturate_by_variables(I: Ideal) -> Ideal:
@@ -521,18 +602,24 @@ def _saturate_by_variables(I: Ideal) -> Ideal:
     each element divided by its largest power of x_i (Bayer & Stillman,
     Invent. Math. 87, 1987).  That needs only that x_i divides the lead of a
     form exactly when it divides the form, which grevlex on X, Y, Z, W gives
-    first in the block order over A too.  e^2 stays in every basis.  With W
-    last that order is the ring order, so that basis is the one I keeps."""
+    first in the block order over A too.  e^2 stays in every basis.  Each
+    basis is packed in its own order and its quotients are repacked in the
+    ring order for the intersections.  With W last that order is the ring
+    order, so that basis is the one I keeps."""
+    ring = _orders(I.base)[0]
     out = None
     for i in range(4):
-        order = [j for j in range(4) if j != i] + [i]
-        if i < 3:
-            gb = raw_buchberger(I._raw_gens(), I.base.p, lambda e: (grevlex_key([e[j] for j in order]), e[4:]))
-        else:
+        order = _order(tuple(j for j in range(4) if j != i) + (i,), I.base.dual)
+        if order is ring:
             gb = I._groebner()[0]
-        powers = [min(e[i] for e in g) for g in gb]
-        sat = [{e[:i] + (e[i] - a,) + e[i + 1 :]: c for e, c in g.items()} for g, a in zip(gb, powers)]
-        out = sat if out is None else _elim_intersection_raw(out, sat, I.base.p, _orders(I.base)[1])
+        else:
+            gb = raw_buchberger([_repack(g, ring, order) for g in I._raw_gens()], I.base.p, order)
+        s, x = order.shifts[i], order.units[i]
+        sat = []
+        for g in gb:
+            a = min(m >> s & _FIELD for m in g) * x  # the largest power of x_i dividing g
+            sat.append(_repack({m - a: c for m, c in g.items()}, order, ring))
+        out = sat if out is None else _elim_intersection_raw(out, sat, I.base.p, I.base)
     out = Ideal(I.base, [raw_to_poly(g, I.base) for g in out])
     return I if out == I else out
 
@@ -564,11 +651,11 @@ def is_nonzerodivisor(I: Ideal, f: Poly) -> bool:
         return not K
     gb, leads = I._groebner()
     p = I.base.p
-    key = _orders(I.base)[0]
-    h = raw_normal_form(poly_to_raw(f), list(zip(leads, gb)), p, key)
+    order = _orders(I.base)[0]
+    h = raw_normal_form(poly_to_raw(f), list(zip(leads, gb)), p, order)
     if h:
-        leads = tuple(_lead(g, key)[0] for g in raw_buchberger(gb + [h], p, key))
-    return _numerator(leads, I.base.dual) == _plus_shifted(K, K, f.degree(), -1)
+        leads = tuple(_lead(g, order)[0] for g in raw_buchberger(gb + [h], p, order))
+    return _numerator(leads, I.base) == _plus_shifted(K, K, f.degree(), -1)
 
 
 def is_flat_family(I: Ideal) -> bool:
@@ -591,7 +678,8 @@ def _saturation_certificate(I: Ideal):
     holds.  Cached; the fiber of a flat family may be handed the family's
     (Ideal.hand_down_nonzerodivisor)."""
     if I._nzd is None:
-        if not any(e[3] for e in I._groebner()[1]):
+        w = _FIELD << _orders(I.base)[0].shifts[3]
+        if not any(m & w for m in I._groebner()[1]):
             I._nzd = "W"
         else:
             f = _candidate_forms(I.base)[0]
@@ -745,7 +833,7 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     if I.base != J.base:
         raise MixedBase("intersection across base rings")
     base = I.base
-    raw = _elim_intersection_raw(I._raw_gens(), J._raw_gens(), base.p, _orders(base)[1])
+    raw = _elim_intersection_raw(I._raw_gens(), J._raw_gens(), base.p, base)
     out = Ideal(base, [raw_to_poly(g, base) for g in raw])
     return _with_min_generators(out, linalg.column_basis) if base.dual else out
 

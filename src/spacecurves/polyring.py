@@ -21,6 +21,10 @@ Exp = tuple  # (eX, eY, eZ, eW)
 
 ZERO_EXP = (0, 0, 0, 0)
 
+# The input limit on the degree of a term: groebner packs each exponent, and
+# the degree, into 7 bits and a guard bit.  The parser rejects a larger one.
+MAX_DEGREE = 2**7 - 1
+
 
 def exp_mul(e1: Exp, e2: Exp) -> Exp:
     return tuple(a + b for a, b in zip(e1, e2))
@@ -293,7 +297,10 @@ class _Parser:
         """A product of factors, juxtaposed or joined by '*'.  Integer,
         variable and e factors, with their powers, multiply into one
         coefficient a + b*e and one exponent tuple, and make one Poly; only
-        a parenthesized factor is multiplied as a Poly."""
+        a parenthesized factor is multiplied as a Poly.  The exponent of a
+        variable or a parenthesized factor, and the degree of the term, are
+        at most MAX_DEGREE, or ParseError; a parenthesized power is checked
+        before it is expanded."""
         p = self.base.p
         a, b, exp = 1, 0, [0, 0, 0, 0]
         parts = []
@@ -309,7 +316,10 @@ class _Parser:
             elif kind not in ("int", "var", "eps"):
                 raise ParseError(f"unexpected token {kind!r}")
             k = self.power()
+            if kind in ("(", "var") and k > MAX_DEGREE:
+                raise ParseError(f"exponent {k} exceeds the degree limit {MAX_DEGREE}")
             if kind == "(":
+                _check_degree(k * val.degree())
                 parts.append(val**k)
             elif kind == "int":
                 c = pow(val, k, p)
@@ -326,6 +336,7 @@ class _Parser:
         out = Poly(self.base, {tuple(exp): (a, b)})
         for part in parts:
             out = out * part
+        _check_degree(out.degree())
         return out
 
     def power(self) -> int:
@@ -337,6 +348,11 @@ class _Parser:
         if kind != "int":
             raise ParseError("exponent must be an integer literal")
         return k
+
+
+def _check_degree(d: int):
+    if d > MAX_DEGREE:
+        raise ParseError(f"a term of degree {d} exceeds the degree limit {MAX_DEGREE}")
 
 
 def _parse(text: str, base: BaseRing) -> Poly:

@@ -20,8 +20,8 @@ MAX_PRIME = 2**31 - 1
 
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Trial division, cached: every BaseRing checks its modulus, and over
-    A each fiber ring is built afresh (BaseRing.field)."""
+    """Trial division, cached: every BaseRing checks its modulus when it is
+    built."""
     if n < 2:
         return False
     if n % 2 == 0:
@@ -46,9 +46,15 @@ class BaseRing:
             raise ValueError(f"modulus {self.p} is not prime")
 
     def field(self) -> "BaseRing":
-        """The residue field F_p (the closed fiber k(t))."""
-        return self if not self.dual else BaseRing(self.p, False)
+        """The residue field F_p (the closed fiber k(t)), one object per p."""
+        return _field(self.p) if self.dual else self
 
     def __str__(self):
         return f"F_{self.p}[e]/(e^2)" if self.dual else f"F_{self.p}"
 
+
+@lru_cache(maxsize=None)
+def _field(p: int) -> BaseRing:
+    """The field ring F_p that BaseRing.field returns.  A BaseRing holds only
+    p and dual, so the cache forms no reference cycle."""
+    return BaseRing(p, False)

@@ -20,12 +20,10 @@ from spacecurves.gradedmod import (
 )
 from spacecurves.groebner import (
     Ideal,
-    _divides,
     _elim_intersection_raw,
-    _lead,
     _orders,
-    _quot,
-    _raw_add_scaled,
+    _pack,
+    _unpack,
     ideal_intersect,
     poly_to_raw,
     raw_to_poly,
@@ -184,22 +182,81 @@ def five_skew_lines_over_f2(dual=False):
         ideal = L if ideal is None else ideal_intersect(ideal, L)
     return ideal
 
+# -- exponent tuples: the engine's orders as the tuple keys they pack --------
+
+
+def dual_key(e):
+    # block order on k[X,Y,Z,W,e]: grevlex on X, Y, Z, W, then the power of e
+    return (grevlex_key(e[:4]), e[4])
+
+
+def elim_key(e):
+    # the tag (index 0) first, then grevlex on X, Y, Z, W
+    return (e[0], grevlex_key(e[1:]))
+
+
+def dual_elim_key(e):
+    return (e[0], dual_key(e[1:]))
+
+
+def variable_last_key(i, dual):
+    """Grevlex with x_i last (compared first after the degree), then e."""
+    perm = [j for j in range(4) if j != i] + [i]
+
+    def key(e):
+        grevlex = grevlex_key([e[j] for j in perm])
+        return (grevlex, e[4]) if dual else grevlex
+
+    return key
+
+
+def to_tuples(raw, order):
+    """A packed raw polynomial as a dict on exponent tuples."""
+    return {_unpack(m, order): c for m, c in raw.items()}
+
+
+def to_packed(raw, order):
+    return {_pack(e, order): c for e, c in raw.items()}
+
+
+def tuple_lead(f, key):
+    e = max(f, key=key)
+    return e, f[e]
+
+
+def tuple_divides(e1, e2):
+    return all(a <= b for a, b in zip(e1, e2))
+
+
+def tuple_add_scaled(f, g, c, shift, p):
+    """f + c * x^shift * g on exponent tuples, on a copy of f."""
+    out = dict(f)
+    for e, a in g.items():
+        em = tuple(x + y for x, y in zip(e, shift))
+        v = (out.get(em, 0) + c * a) % p
+        if v:
+            out[em] = v
+        else:
+            out.pop(em, None)
+    return out
+
+
 # -- the colon, kept as a reference oracle ------------------------------------
 
 
 def divide_exact_ref(f, g, p, key=grevlex_key):
-    """Exact division f / g of raw polynomials; CertificationError when g
-    does not divide f."""
+    """Exact division f / g of polynomials on exponent tuples;
+    CertificationError when g does not divide f."""
     q = {}
-    eg, cg = _lead(g, key)
+    eg, cg = tuple_lead(g, key)
     inv = pow(cg, p - 2, p)
     while f:
-        e, c = _lead(f, key)
-        if not _divides(eg, e):
+        e, c = tuple_lead(f, key)
+        if not tuple_divides(eg, e):
             raise CertificationError("inexact division")
-        shift = _quot(e, eg)
+        shift = tuple(b - a for a, b in zip(eg, e))
         q[shift] = c * inv % p
-        f = _raw_add_scaled(f, g, -q[shift] % p, shift, p)
+        f = tuple_add_scaled(f, g, -q[shift] % p, shift, p)
     return q
 
 
@@ -210,13 +267,15 @@ def colon_ref(I, J):
     resolution and the variables.  Over F_p its generators are the reduced
     grevlex basis."""
     base = I.base
-    key, elim = _orders(base)
+    ring = _orders(base)[0]
+    key = dual_key if base.dual else grevlex_key
     out = None
     for g in J.gens:
         f = poly_to_raw(g)
-        inter = _elim_intersection_raw(I._raw_gens(), [f], base.p, elim)
-        quots = [divide_exact_ref(h, f, base.p, key) for h in inter]
-        out = quots if out is None else _elim_intersection_raw(out, quots, base.p, elim)
+        inter = _elim_intersection_raw(I._raw_gens(), [f], base.p, base)
+        divisor = to_tuples(f, ring)
+        quots = [to_packed(divide_exact_ref(to_tuples(h, ring), divisor, base.p, key), ring) for h in inter]
+        out = quots if out is None else _elim_intersection_raw(out, quots, base.p, base)
     if out is None:  # J = 0
         return Ideal(base, [Poly.one(base)])
     return Ideal(base, [raw_to_poly(q, base) for q in out])

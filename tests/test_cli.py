@@ -12,6 +12,8 @@ from spacecurves.curve import validate_curve
 from spacecurves.errors import ParseError
 from spacecurves.files import CurveFile
 from spacecurves.liaison import replay_chain
+from spacecurves.polyring import MAX_DEGREE, Poly
+from spacecurves.scalars import BaseRing
 
 
 def run(capsys, *argv):
@@ -48,6 +50,26 @@ def test_exit_codes(capsys, tmp_path):
     assert main(["validate", str(point)]) == 2
     missing = tmp_path / "nope.curve"
     assert main(["validate", str(missing)]) == 3
+
+
+def test_a_degree_past_the_limit_is_a_parse_error_naming_it(capsys, tmp_path):
+    # the engine packs each degree into 7 bits and a guard bit, so a file or
+    # CLI form whose term passes MAX_DEGREE is exit 3, before any power of it
+    # is expanded; a coefficient power is no degree
+    assert MAX_DEGREE == 127
+    for gens in (f"X^{MAX_DEGREE + 1}\nY", "X^40000\nY", "(X*Y)^64\nZ"):
+        big = tmp_path / "big.curve"
+        big.write_text(f"ring p=32003 base=field\ngens:\n{gens}\n")
+        assert main(["validate", str(big)]) == 3
+        assert f"limit {MAX_DEGREE}" in capsys.readouterr().err
+    for form in ("X^100*Y^28", "(X+Y)^64*(Z+W)^64", "(2)^200*X", "W^99999999999999999999"):
+        assert main(["link", "corpus:twisted-cubic", form, "Y*W - Z^2"]) == 3, form
+        assert f"limit {MAX_DEGREE}" in capsys.readouterr().err
+    K = BaseRing(32003, False)
+    assert Poly.parse("X^100*Y^27 + (Z*W)^63*W", K).degree() == MAX_DEGREE
+    assert Poly.parse("2^200*X", K) == Poly.parse(f"{pow(2, 200, 32003)}*X", K)
+    with pytest.raises(ParseError, match="degree 128 exceeds the degree limit 127"):
+        Poly.parse("X^64*(Y + e*Z)^64", BaseRing(32003, True))
 
 
 def test_compare_exit_codes(capsys):

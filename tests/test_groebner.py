@@ -4,32 +4,51 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from conftest import colon_ref, divide_exact_ref, five_skew_lines_over_f2, saturate_ref
+from conftest import (
+    colon_ref,
+    divide_exact_ref,
+    dual_elim_key,
+    dual_key,
+    elim_key,
+    five_skew_lines_over_f2,
+    saturate_ref,
+    to_packed,
+    to_tuples,
+    tuple_add_scaled,
+    tuple_divides,
+    tuple_lead,
+    variable_last_key,
+)
 
 from spacecurves import groebner, linalg
 from spacecurves.curve import is_flat_family
-from spacecurves.errors import CertificationError
+from spacecurves.errors import CertificationError, DegreeOverflow
 from spacecurves.groebner import (
+    _RING,
     Ideal,
     _candidate_forms,
     _divides,
-    _dual_elim_first,
-    _dual_key,
     _kernel_form,
-    _raw_elim_first,
+    _lcm,
+    _order,
+    _orders,
+    _pack,
+    _raw_add_scaled,
     _saturate_by_variables,
     _saturation_certificate,
+    _unpack,
     _with_min_generators,
     ideal_intersect,
     ideal_saturate,
     ideal_sum,
     is_nonzerodivisor,
+    poly_to_raw,
     raw_buchberger,
-    raw_interreduce,
     raw_normal_form,
-    raw_spoly,
+    raw_to_poly,
 )
 from spacecurves.polyring import (
+    MAX_DEGREE,
     Poly,
     graded_piece_dim,
     grevlex_key,
@@ -168,12 +187,69 @@ def test_exact_division_rejects_a_non_factor():
         divide_exact_ref({(2, 0, 0, 0): 1, (0, 2, 0, 0): 1}, {y: 1}, p)
 
 
-# -- the pair-selection engine against a plain Buchberger loop -----------
+# -- the packed engine against plain loops on exponent tuples ---------------
+#
+# Every reference below works on dicts keyed by exponent tuples, with the
+# tuple key of each order, and calls nothing of the engine it checks; the
+# engine's inputs are packed with _pack and its outputs unpacked with
+# _unpack, whose round trip is itself a property below.
+
+
+def _quot(e2, e1):
+    return tuple(b - a for a, b in zip(e1, e2))
+
+
+def _tuple_lcm(e1, e2):
+    return tuple(max(a, b) for a, b in zip(e1, e2))
+
+
+def _tuple_normal_form(f, reducers, p, key):
+    """Full normal form by the (lead, poly) pairs in reducers, taking the
+    remainder's lead by a max over all of its terms at each step."""
+    f = dict(f)
+    out = {}
+    while f:
+        e = max(f, key=key)
+        c = f[e]
+        hit = next(((le, g) for le, g in reducers if tuple_divides(le, e)), None)
+        if hit is None:
+            out[e] = c
+            del f[e]
+            continue
+        le, g = hit
+        f = tuple_add_scaled(f, g, (-c * pow(g[le], p - 2, p)) % p, _quot(e, le), p)
+    return out
+
+
+def _tuple_spoly(f, g, p, key):
+    ef, cf = tuple_lead(f, key)
+    eg, cg = tuple_lead(g, key)
+    l = _tuple_lcm(ef, eg)
+    a = tuple_add_scaled({}, f, pow(cf, p - 2, p), _quot(l, ef), p)
+    return tuple_add_scaled(a, g, (-pow(cg, p - 2, p)) % p, _quot(l, eg), p)
 
 
 def _pairs(basis, key):
-    """The (lead exponent, poly) reducers raw_normal_form takes."""
+    """The (lead exponent, poly) reducers of a basis."""
     return [(max(g, key=key), g) for g in basis]
+
+
+def _tuple_interreduce(basis, p, key):
+    """The reduced monic basis from a Groebner basis, sorted by lead."""
+    basis = [g for g in basis if g]
+    leads = [max(g, key=key) for g in basis]
+    keep = [i for i, e in enumerate(leads)
+            if not any(j != i and tuple_divides(leads[j], e) and (leads[j] != e or j < i)
+                       for j in range(len(basis)))]
+    pairs = [(leads[i], basis[i]) for i in keep]
+    out = []
+    for i, (_, g) in enumerate(pairs):
+        r = _tuple_normal_form(g, pairs[:i] + pairs[i + 1 :], p, key)
+        if r:
+            e, c = tuple_lead(r, key)
+            inv = pow(c, p - 2, p)
+            out.append((key(e), {m: a * inv % p for m, a in r.items()}))
+    return [g for _, g in sorted(out, key=lambda t: t[0])]
 
 
 def _lifo_buchberger(gens, p, key, max_size=40, max_degree=10):
@@ -191,89 +267,86 @@ def _lifo_buchberger(gens, p, key, max_size=40, max_degree=10):
         ei, ej = lead(basis[i]), lead(basis[j])
         if all(min(a, b) == 0 for a, b in zip(ei, ej)):
             continue
-        s = raw_normal_form(raw_spoly(basis[i], basis[j], p, key), _pairs(basis, key), p, key)
+        s = _tuple_normal_form(_tuple_spoly(basis[i], basis[j], p, key), _pairs(basis, key), p, key)
         if s:
             if len(basis) == max_size or max(map(sum, s)) > max_degree:
                 return None
             basis.append(s)
             pairs.extend((t, len(basis) - 1) for t in range(len(basis) - 1))
-    return raw_interreduce(basis, p, key)
+    return _tuple_interreduce(basis, p, key)
 
 
 def _assert_reduced_basis(gb, gens, p, key):
     """gb is a reduced monic Groebner basis of an ideal containing gens."""
     reducers = _pairs(gb, key)
     for f in gens:
-        assert not raw_normal_form(f, reducers, p, key)
+        assert not _tuple_normal_form(f, reducers, p, key)
     # Buchberger's criterion: every S-polynomial reduces to zero
     for f, g in combinations(gb, 2):
-        assert not raw_normal_form(raw_spoly(f, g, p, key), reducers, p, key)
+        assert not _tuple_normal_form(_tuple_spoly(f, g, p, key), reducers, p, key)
     leads = [max(g, key=key) for g in gb]
     for g, e in zip(gb, leads):
         assert g[e] == 1
         for other in leads:
             if other != e:
-                assert not any(all(a <= b for a, b in zip(other, m)) for m in g)
+                assert not any(tuple_divides(other, m) for m in g)
 
 
 PRIMES = (2, 101, 32003, 2**31 - 1)
 
 
-def _raw_normal_form_by_max(f, reducers, p, key):
-    # reference: raw_normal_form as it was, taking the remainder's lead by a
-    # max over all of its terms at each step
-    f = dict(f)
-    out = {}
-    while f:
-        e = max(f, key=key)
-        c = f[e]
-        hit = None
-        for le, g in reducers:
-            if all(a <= b for a, b in zip(le, e)):
-                hit = (le, g)
-                break
-        if hit is None:
-            out[e] = c
-            del f[e]
-            continue
-        le, g = hit
-        factor = (-c * pow(g[le], p - 2, p)) % p
-        shift = tuple(b - a for a, b in zip(le, e))
-        for m, a in g.items():
-            em = tuple(x + y for x, y in zip(m, shift))
-            v = (f.get(em, 0) + factor * a) % p
-            if v:
-                f[em] = v
-            else:
-                f.pop(em, None)
-    return out
+def _last(i):
+    return tuple(j for j in range(4) if j != i) + (i,)
 
 
-# both orders of each raw ring: (key, arity)
-ORDERS = ((grevlex_key, 4), (_raw_elim_first, 5), (_dual_key, 5), (_dual_elim_first, 6))
+# every order the engine runs: (id, packing, tuple key); exponent tuples are
+# (t, X, Y, Z, W, e), each entry present only when its variable is
+ORDERS = [
+    ("grevlex", _order(_RING, False), grevlex_key),
+    ("elim", _order(_RING, False, True), elim_key),
+    ("dual", _order(_RING, True), dual_key),
+    ("dual-elim", _order(_RING, True, True), dual_elim_key),
+] + [
+    (f"{'dual-' * dual}x{i}-last", _order(_last(i), dual), variable_last_key(i, dual))
+    for dual in (False, True) for i in range(4)
+]
+ORDER_IDS = [name for name, _, _ in ORDERS]
+
+
+def _arity(order):
+    return len(order.shifts)
+
+
+def _packed(polys, order):
+    return [to_packed(f, order) for f in polys]
+
+
+def _unpacked(polys, order):
+    return [to_tuples(f, order) for f in polys]
 
 
 @st.composite
 def _normal_form_case(draw):
     p = draw(st.sampled_from(PRIMES))
-    key, arity = draw(st.sampled_from(ORDERS))
-    exps = st.tuples(*[st.integers(0, 2)] * arity)
+    _, order, key = draw(st.sampled_from(ORDERS))
+    exps = st.tuples(*[st.integers(0, 2)] * _arity(order))
 
     def poly(min_size, max_size):
         support = draw(st.lists(exps, min_size=min_size, max_size=max_size, unique=True))
         return {e: draw(st.integers(1, p - 1)) for e in support}
 
     gs = [poly(1, 4) for _ in range(draw(st.integers(1, 4)))]
-    return p, key, poly(0, 10), [(max(g, key=key), g) for g in gs]
+    return p, order, key, poly(0, 10), [(max(g, key=key), g) for g in gs]
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=300, deadline=None, database=None)
 @given(_normal_form_case())
 @seed(17)
 def test_normal_form_heap_matches_the_max_loop(case):
-    p, key, f, reducers = case
-    assert raw_normal_form(f, reducers, p, key) == _raw_normal_form_by_max(f, reducers, p, key)
-
+    p, order, key, f, reducers = case
+    packed = [(_pack(le, order), to_packed(g, order)) for le, g in reducers]
+    got = raw_normal_form(to_packed(f, order), packed, p, order)
+    assert to_tuples(got, order) == _tuple_normal_form(f, reducers, p, key)
 
 
 @st.composite
@@ -286,53 +359,167 @@ def _homogeneous(draw, p, max_degree=3, max_terms=4):
 
 
 @st.composite
-def _ideal(draw):
-    p = draw(st.sampled_from(PRIMES))
-    return p, draw(st.lists(_homogeneous(p), min_size=1, max_size=3))
+def _ring_input(draw, p, dual, max_degree=3, max_terms=4, count=3):
+    """Forms in X, Y, Z, W; over A each term gets an e exponent 0 or 1, and
+    e^2 joins the generators, as in Ideal._raw_gens."""
+    gens = draw(st.lists(_homogeneous(p, max_degree, max_terms), min_size=1, max_size=count))
+    if not dual:
+        return gens
+    gens = [{m + (draw(st.integers(0, 1)),): c for m, c in g.items()} for g in gens]
+    return gens + [{(0, 0, 0, 0, 2): 1}]
 
 
 @st.composite
-def _intersection_input(draw):
-    """t*f for f in fs and (1 - t)*g: the input of fiber_intersect."""
+def _buchberger_input(draw, name):
+    """Ring-order generators for a ring or variable-last order; for an
+    elimination order t*f for f in fs and (1 - t)*g, the input of
+    _elim_intersection_raw."""
     p = draw(st.sampled_from(PRIMES))
-    fs = draw(st.lists(_homogeneous(p, max_degree=2, max_terms=3), min_size=1, max_size=2))
-    g = draw(_homogeneous(p, max_degree=2, max_terms=3))
+    dual = "dual" in name
+    if "elim" not in name:
+        return p, draw(_ring_input(p, dual))
+    fs = draw(_ring_input(p, dual, max_degree=2, max_terms=3, count=2))
+    g = draw(_ring_input(p, False, max_degree=2, max_terms=3, count=1))[0]
+    if dual:
+        g = {m + (0,): c for m, c in g.items()}
     tagged = [{(1,) + e: c for e, c in f.items()} for f in fs]
     tagged.append({**{(0,) + e: c for e, c in g.items()},
                    **{(1,) + e: (-c) % p for e, c in g.items()}})
     return p, tagged
 
 
-@settings(max_examples=60, deadline=None, database=None)
-@given(_ideal())
+@pytest.mark.parametrize("name, order, key", ORDERS, ids=ORDER_IDS)
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
 @seed(5)
-def test_buchberger_matches_reference_grevlex(case):
-    p, gens = case
-    gb = raw_buchberger(gens, p)
-    ref = _lifo_buchberger(gens, p, grevlex_key)
+def test_buchberger_matches_the_lifo_reference(name, order, key, data):
+    p, gens = data.draw(_buchberger_input(name))
+    gb = _unpacked(raw_buchberger(_packed(gens, order), p, order), order)
+    ref = _lifo_buchberger(gens, p, key)
     assert ref is None or gb == ref
-    _assert_reduced_basis(gb, gens, p, grevlex_key)
-
-
-@settings(max_examples=60, deadline=None, database=None)
-@given(_intersection_input())
-@seed(5)
-def test_buchberger_matches_reference_elimination(case):
-    p, tagged = case
-    gb = raw_buchberger(tagged, p, key=_raw_elim_first)
-    ref = _lifo_buchberger(tagged, p, _raw_elim_first)
-    assert ref is None or gb == ref
-    _assert_reduced_basis(gb, tagged, p, _raw_elim_first)
+    _assert_reduced_basis(gb, gens, p, key)
 
 
 def test_buchberger_degenerate_inputs():
-    p = 101
-    x, y = (1, 0, 0, 0), (0, 1, 0, 0)
-    assert raw_buchberger([], p) == []
-    assert raw_buchberger([{}, {}], p) == []
+    p, order = 101, _order(_RING, False)
+    x, y, one = (_pack(e, order) for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0)))
+    assert raw_buchberger([], p, order) == []
+    assert raw_buchberger([{}, {}], p, order) == []
     # repeated and scaled generators collapse to one monic element each
-    assert raw_buchberger([{x: 3}, {x: 5}, {x: 7, y: 2}], p) == [{y: 1}, {x: 1}]
-    assert raw_buchberger([{x: 1, y: 1}, {(0, 0, 0, 0): 4}], p) == [{(0, 0, 0, 0): 1}]
+    assert raw_buchberger([{x: 3}, {x: 5}, {x: 7, y: 2}], p, order) == [{y: 1}, {x: 1}]
+    assert raw_buchberger([{x: 1, y: 1}, {one: 4}], p, order) == [{one: 1}]
+
+
+# -- the packing: order, divisibility, lcm, round trip and overflow ---------
+
+PACK_PRIMES = (2, 3, 32003, 2**31 - 1)
+
+
+@st.composite
+def _xyzw(draw, max_degree=MAX_DEGREE):
+    """Exponents of X, Y, Z, W of degree at most max_degree, the largest
+    degree likely."""
+    d = draw(st.one_of(st.just(max_degree), st.integers(0, max_degree)))
+    cuts = sorted(draw(st.lists(st.integers(0, d), min_size=3, max_size=3)))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))
+
+
+@st.composite
+def _exponent_tuple(draw, name):
+    """An exponent tuple for the order of that name: X, Y, Z, W of degree
+    at most MAX_DEGREE, the tag and e each at most MAX_DEGREE."""
+    single = st.one_of(st.sampled_from((0, 1, MAX_DEGREE)), st.integers(0, MAX_DEGREE))
+    tag = (draw(single),) if "elim" in name else ()
+    e = (draw(single),) if "dual" in name else ()
+    return tag + draw(_xyzw()) + e
+
+
+def _fits(e, name):
+    """Whether the exponent tuple e packs: X, Y, Z, W of degree at most
+    MAX_DEGREE, and the tag and e at most MAX_DEGREE."""
+    tag = int("elim" in name)
+    return sum(e[tag : tag + 4]) <= MAX_DEGREE and max(e) <= MAX_DEGREE
+
+
+@pytest.mark.parametrize("p", PACK_PRIMES)
+@pytest.mark.parametrize("name, order, key", ORDERS, ids=ORDER_IDS)
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+@seed(43)
+def test_the_packing_agrees_with_the_tuple_order(name, order, key, p, data):
+    a = data.draw(_exponent_tuple(name))
+    b = data.draw(st.one_of(_exponent_tuple(name), st.just(a)))
+    pa, pb = _pack(a, order), _pack(b, order)
+    # the round trip, and guard bits clear
+    assert _unpack(pa, order) == a and not pa & order.guard
+    # the order is integer order on packed ^ mask
+    assert ((pa ^ order.mask) < (pb ^ order.mask)) == (key(a) < key(b))
+    assert (pa == pb) == (a == b)
+    # divisibility, and the quotient of a divisor
+    assert _divides(pa, pb, order.guard) == tuple_divides(a, b)
+    if tuple_divides(a, b):
+        assert _unpack(pb - pa, order) == _quot(b, a)
+    # the lcm, which raises when its degree overflows
+    l = _tuple_lcm(a, b)
+    if _fits(l, name):
+        assert _lcm(pa, pb, order) == _pack(l, order)
+    else:
+        with pytest.raises(DegreeOverflow):
+            _lcm(pa, pb, order)
+    # a product: the sum of the ints, or DegreeOverflow when a field overflows
+    c = data.draw(st.integers(1, p - 1))
+    ab = tuple(x + y for x, y in zip(a, b))
+    if _fits(ab, name):
+        assert _raw_add_scaled({}, {pa: c}, 1, pb, p, order.guard) == {_pack(ab, order): c}
+    else:
+        with pytest.raises(DegreeOverflow):
+            _raw_add_scaled({}, {pa: c}, 1, pb, p, order.guard)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_a_reduction_past_the_degree_limit_raises(dual):
+    # in an elimination order a tail term may have a larger degree than its
+    # lead: t - X^100 reduces t*Y^50 to X^100*Y^50, of degree 150
+    p, order = 101, _order(_RING, dual, True)
+    pad = (0,) * dual
+    lead, tail = _pack((1, 0, 0, 0, 0) + pad, order), _pack((0, 100, 0, 0, 0) + pad, order)
+    f = {_pack((1, 0, 50, 0, 0) + pad, order): 1}
+    with pytest.raises(DegreeOverflow, match=str(MAX_DEGREE)):
+        raw_normal_form(f, [(lead, {lead: 1, tail: p - 1})], p, order)
+    fits = {_pack((1, 0, 27, 0, 0) + pad, order): 1}
+    assert to_tuples(raw_normal_form(fits, [(lead, {lead: 1, tail: p - 1})], p, order), order) == {
+        (0, 100, 27, 0, 0) + pad: 1}
+
+
+def test_only_a_formed_monomial_past_the_limit_raises(K, A):
+    # the coprime leads X^100 and Y^100 have an lcm of degree 200, but their
+    # pair is dropped unformed; X^100*Y and X*Y^100 form an S-polynomial of
+    # degree 200
+    for base in (K, A):
+        assert I(base, "X^100", "Y^100").contains(Poly.parse("X^100*Z + Y^100*W", base))
+        with pytest.raises(DegreeOverflow, match=str(MAX_DEGREE)):
+            I(base, "X^100*Y", "X*Y^100").contains(Poly.parse("X*Y", base))
+
+
+@pytest.mark.parametrize("p", PACK_PRIMES)
+@pytest.mark.parametrize("dual", [False, True])
+@settings(max_examples=30, deadline=None, database=None)
+@given(data=st.data())
+@seed(47)
+def test_polys_pack_and_unpack_to_themselves(p, dual, data):
+    # terms of any degree up to the limit, over A with an e part or not
+    base = BaseRing(p, dual)
+    order = _orders(base)[0]
+    coeff = st.integers(0, p - 1)
+    terms = data.draw(st.dictionaries(_xyzw(), st.tuples(coeff, coeff if dual else st.just(0)), min_size=1, max_size=5))
+    f = Poly(base, {m: c if c != (0, 0) else (1, 0) for m, c in terms.items()})
+    raw = poly_to_raw(f)
+    assert raw_to_poly(raw, base) == f
+    assert to_tuples(raw, order) == {m + (k,) * dual: c for m, ab in f.terms.items()
+                                     for k, c in enumerate(ab[: 1 + dual]) if c}
+    too_high = f * Poly(base, {(0, 0, 0, MAX_DEGREE + 1 - f.degree()): (1, 0)})
+    with pytest.raises(DegreeOverflow, match=str(MAX_DEGREE)):
+        poly_to_raw(too_high)
 
 
 # -- ideal pieces against the per-generator scatter they replaced ----------
@@ -552,13 +739,17 @@ def test_the_saturation_by_w_reads_the_basis_the_ideal_keeps(dual, monkeypatch):
     runs = []
     real = groebner.raw_buchberger
 
-    def spy(gens, p, key=grevlex_key):
-        runs.append(list(gens))
-        return real(gens, p, key)
+    def spy(gens, p, order):
+        runs.append((order, list(gens)))
+        return real(gens, p, order)
 
     monkeypatch.setattr(groebner, "raw_buchberger", spy)
     assert _saturate_by_variables(ideal) == lines
-    assert sum(gens == ideal._raw_gens() for gens in runs) == 3
+    ring = _orders(ideal.base)[0]
+    last = [run for run in runs if run[0] not in _orders(ideal.base)]
+    assert [order for order, _ in last] == [_order(_last(i), dual) for i in range(3)]
+    for order, gens in last:
+        assert _unpacked(gens, order) == _unpacked(ideal._raw_gens(), ring)
     assert ideal._groebner()[0] is gb
 
 
@@ -590,13 +781,13 @@ def test_skew_lines_are_certified_by_the_first_candidate_form(K, A):
 
 
 def _standard_monomial_count_ref(leads, n):
-    return sum(1 for m in monomials(n) if not any(_divides(e, m) for e in leads))
+    return sum(1 for m in monomials(n) if not any(tuple_divides(e, m) for e in leads))
 
 
 def _quotient_piece_dim_ref(ideal, n):
     """dim_k (R_A/I)_n by listing standard monomials: over A, x^a when no
     e-free lead divides it and x^a*e when no lead of e-exponent <= 1 does."""
-    leads = ideal._groebner()[1]
+    leads = [_unpack(m, _orders(ideal.base)[0]) for m in ideal._groebner()[1]]
     if not ideal.base.dual:
         return _standard_monomial_count_ref(leads, n)
     plain = [e[:4] for e in leads if e[4] == 0]
@@ -609,7 +800,7 @@ def _krull_dimension_ref(ideal):
     fib = ideal.fiber()
     if fib.is_unit_ideal():
         return -1
-    supports = [{i for i, x in enumerate(e) if x} for e in fib._groebner()[1]]
+    supports = [{i for i, x in enumerate(_unpack(m, _orders(fib.base)[0])) if x} for m in fib._groebner()[1]]
     return max(
         bin(mask).count("1")
         for mask in range(16)

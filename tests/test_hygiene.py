@@ -3,9 +3,10 @@ module-level function that nothing references, no method that nothing in
 the package or its tests references, no function or method that only the
 tests reach unless the package exports it or README names it, no
 function-local import that could be a top-level one, and no function-local
-name that is assigned and never read.  Two run-time checks: what a curve
-caches forms no reference cycle, and no map it reaches caches a dense
-matrix."""
+name that is assigned and never read, and no public groebner function
+called per monomial.  Three run-time checks: what a curve caches, and the
+shared field ring, form no reference cycle, and no map a curve reaches
+caches a dense matrix."""
 
 import ast
 import gc
@@ -26,6 +27,7 @@ from spacecurves.raoclass import (
     liaison_parity,
     n_type_resolution,
 )
+from spacecurves.scalars import BaseRing
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "spacecurves"
@@ -233,6 +235,21 @@ def test_functions_reach_the_tool_or_its_interface():
     assert not orphans
 
 
+def test_the_normal_form_calls_no_public_groebner_function():
+    # a benchmark tracer wraps each public function of a layer, so a public
+    # helper called per monomial would be traced once per term; the engine
+    # reaches its per-monomial helpers under private names only
+    tree = MODULES["groebner.py"]
+    public = {stmt.name for stmt in tree.body if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")}
+    public |= {m.name for cls in tree.body if isinstance(cls, ast.ClassDef) for m in cls.body
+               if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")}
+    for name in ("raw_normal_form", "raw_spoly"):
+        fn = next(stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef) and stmt.name == name)
+        called = {sub.func.id if isinstance(sub.func, ast.Name) else sub.func.attr
+                  for sub in ast.walk(fn) if isinstance(sub, ast.Call) and isinstance(sub.func, (ast.Name, ast.Attribute))}
+        assert not called & public, name
+
+
 def test_curve_caches_form_no_reference_cycle():
     # a curve caches its modules, resolutions and Rao module; a cached object
     # that referred back to its owner would keep the curve and all it caches
@@ -254,6 +271,23 @@ def test_curve_caches_form_no_reference_cycle():
         refs = [weakref.ref(x) for C in curves for x in (C, C.ideal)]
         del curves, C, sk, skd, tc
         assert all(ref() is None for ref in refs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_the_shared_field_ring_forms_no_reference_cycle():
+    # BaseRing.field hands out one cached ring per prime; a dual ring that
+    # asked for it is still freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        A = BaseRing(10007, True)
+        K = A.field()
+        assert K is BaseRing(10007, True).field()
+        ref = weakref.ref(A)
+        del A
+        assert ref() is None
         assert gc.collect() == 0
     finally:
         gc.enable()
